@@ -15,6 +15,8 @@ import json
 import os
 import sys
 import time
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -36,26 +38,22 @@ from .params import NumericError, ParameterSet
 
 OUT_ROOT_ENV = "DYSIGNET_OUT"
 
-_CONFIG_TYPES = {
-    "dataset": str,
-    "task": str,
-    "batch_size": int,
-    "embedding_dim": int,
-    "memory_dim": int,
-    "heads": int,
-    "feature_dim": int,
-    "message_dim": int,
-    "neighbor_cap": int,
-    "lr": float,
-    "max_epochs": int,
-    "patience": int,
-    "seed": int,
-    "ablation": str,
-    "time_scale": float,
-    "split_message_nets": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-    "standardize_weights": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-    "split_fractions": lambda s: tuple(float(x) for x in s.split(",")),
-}
+def _config_parser(hint):
+    """The parser for one config-file value, from the field's type hint."""
+    if hint is bool:
+        return lambda s: s.strip().lower() in ("1", "true", "yes", "on")
+    origin = typing.get_origin(hint)
+    if origin is tuple:
+        item = typing.get_args(hint)[0]
+        return lambda s: tuple(item(x) for x in s.split(","))
+    if origin is types.UnionType:  # "X | None": the file can only give an X
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    # enum and ablation fields arrive as names that TrainConfig.from_dict reads
+    return hint if hint in (int, float) else str
+
+
+_CONFIG_TYPES = {name: _config_parser(hint)
+                 for name, hint in typing.get_type_hints(TrainConfig).items()}
 
 
 class UsageError(Exception):

@@ -3,11 +3,17 @@
 Each node carries a positive and a negative memory vector.  Every edge
 addition emits messages routed by the edge sign: a positive edge mixes
 memories of the same polarity, a negative edge mixes memories of opposite
-polarity.  Within a temporal batch, messages to the same (node, polarity)
-are aggregated by keeping the most recent one, and memories advance
-through a shared recurrent cell.  Long-term embeddings attend over the
-node's full interaction history so representations keep moving even for
-nodes with no recent events.
+polarity.  Each polarity has its own message net and recurrent cell.
+Long-term embeddings attend over the node's full interaction history so
+representations keep moving even for nodes with no recent events.
+
+A temporal batch is ingested in one batched pass per polarity slot, which
+keeps two invariants:
+
+- every message reads pre-batch memories: all slots build their inputs
+  before any slot's memory is written;
+- per (node, polarity) the most recent message wins, and a time tie goes
+  to the message generated later in the batch.
 
 Ablations: ``ba`` collapses the two memories into one sign-blind slot,
 ``emb`` uses concatenated memories directly as embeddings, and ``mem``
@@ -16,7 +22,6 @@ drops memories entirely and attends over raw node features.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,24 +31,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .layers import Feedforward, MultiHeadAttention, RecurrentCell, uniform_init
-from .params import ParameterSet
-from .tensor import (
-    Tensor,
-    add,
-    concat,
-    div,
-    exp,
-    gather_stack,
-    matmul,
-    mul,
-    repeat_rows,
-    reshape,
-    row,
-    segment_sum,
-    sub,
-    transpose,
-    tsum,
-)
+from .params import ParameterSet, _decode, _encode
+from .tensor import Tensor, add, concat, gather_stack, matmul, transpose
 
 POS = 0
 NEG = 1
@@ -89,10 +78,8 @@ class EncoderConfig:
     embedding_dim: int = 64
     heads: int = 8
     feature_dim: int = 8
-    message_dim: int | None = None
     neighbor_cap: int | None = None   # keep only the most recent N history rows
     time_scale: float = 1.0           # time gaps enter as time_scale * log1p(dt)
-    split_message_nets: bool = False
     ablation: AblationConfig = field(default_factory=AblationConfig)
 
     @property
@@ -124,10 +111,6 @@ class EncoderConfig:
         return 2 * self.slot_dim + 2
 
     @property
-    def message_out_dim(self) -> int:
-        return self.slot_dim if self.message_dim is None else self.message_dim
-
-    @property
     def embedding_out_dim(self) -> int:
         ab = self.ablation
         if ab.use_embedding_layer:
@@ -154,16 +137,6 @@ class _Route(NamedTuple):
     dt: float
     time: float
     magnitude: float
-    is_event_src: bool
-
-
-@dataclass
-class SignedMessage:
-    node: int
-    polarity: int
-    time: float
-    payload: Tensor
-    sources: tuple[tuple[int, int], tuple[int, int]]  # (own slot read, routed slot read)
 
 
 @dataclass
@@ -201,10 +174,6 @@ class EncoderState:
 
     def memory_ref(self, node: int, slot: int):
         return self._memory.get((node, slot), (self._zero, None))
-
-    def memory_tensor(self, node: int, slot: int) -> Tensor:
-        t, r = self.memory_ref(node, slot)
-        return t if r is None else row(t, r)
 
     def memory_value(self, node: int, slot: int) -> np.ndarray:
         t, r = self.memory_ref(node, slot)
@@ -246,9 +215,7 @@ class EncoderState:
             "watermark": self.watermark,
             "events_ingested": self.events_ingested,
             "memory": {
-                f"{node}:{slot}": base64.b64encode(
-                    np.ascontiguousarray(self.memory_value(node, slot), dtype="<f8").tobytes()
-                ).decode("ascii")
+                f"{node}:{slot}": _encode(self.memory_value(node, slot))
                 for (node, slot) in self._memory
             },
             "last_update": {str(k): v for k, v in self.last_update.items()},
@@ -271,8 +238,7 @@ class EncoderState:
         state.events_ingested = int(doc["events_ingested"])
         for key, text in doc["memory"].items():
             node_s, slot_s = key.split(":")
-            arr = np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
-            state.set_memory(int(node_s), int(slot_s), Tensor(arr))
+            state.set_memory(int(node_s), int(slot_s), Tensor(_decode(text, (-1,))))
         state.last_update = {int(k): float(v) for k, v in doc["last_update"].items()}
         state.history = {
             int(k): [(int(n), float(t), float(m)) for n, t, m in rows]
@@ -289,12 +255,6 @@ def _encode_dt(config: EncoderConfig, dt: float) -> float:
     return config.time_scale * _log1p_nonneg(dt)
 
 
-def _segment_max(values: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
-    out = np.full((n_seg,) + values.shape[1:], -np.inf)
-    np.maximum.at(out, seg, values)
-    return out
-
-
 class EncoderModel:
     """Owns the learned encoder layers; operates on an :class:`EncoderState`."""
 
@@ -309,22 +269,14 @@ class EncoderModel:
             # zero initialization: both slots of a node always update together,
             # and at equal slot values the routed inputs coincide.
             slot_tag = {POS: "plus", NEG: "minus"} if ab.balanced_aggregation else {0: "all"}
-            self._msg_nets: dict[tuple[int, bool], Feedforward] = {}
-            for slot in range(config.slot_count):
-                tag = slot_tag[slot]
-                if config.split_message_nets:
-                    for role, is_src in (("src", True), ("dst", False)):
-                        self._msg_nets[(slot, is_src)] = Feedforward(
-                            params, f"{name}.msg_{tag}_{role}", config.message_in_dim,
-                            config.message_out_dim, rng=rng)
-                else:
-                    net = Feedforward(params, f"{name}.msg_{tag}", config.message_in_dim,
-                                      config.message_out_dim, rng=rng)
-                    self._msg_nets[(slot, True)] = net
-                    self._msg_nets[(slot, False)] = net
+            self._msg_nets = [
+                Feedforward(params, f"{name}.msg_{slot_tag[slot]}", config.message_in_dim,
+                            config.slot_dim, rng=rng)
+                for slot in range(config.slot_count)
+            ]
             self._mem_cells = [
                 RecurrentCell(params, f"{name}.mem_{slot_tag[slot]}",
-                              config.message_out_dim, config.slot_dim, rng=rng)
+                              config.slot_dim, config.slot_dim, rng=rng)
                 for slot in range(config.slot_count)
             ]
         if ab.use_embedding_layer:
@@ -350,57 +302,14 @@ class EncoderModel:
         routes = []
         for a, b in ((event.src, event.dst), (event.dst, event.src)):
             dt = event.time - state.last_update.get(a, 0.0)
-            is_src = a == event.src
             if self.config.ablation.balanced_aggregation:
                 routes.append(_Route(a, POS, (a, POS), (b, POS if w > 0 else NEG),
-                                     dt, event.time, mag, is_src))
+                                     dt, event.time, mag))
                 routes.append(_Route(a, NEG, (a, NEG), (b, NEG if w > 0 else POS),
-                                     dt, event.time, mag, is_src))
+                                     dt, event.time, mag))
             else:
-                routes.append(_Route(a, 0, (a, 0), (b, 0), dt, event.time, mag, is_src))
+                routes.append(_Route(a, 0, (a, 0), (b, 0), dt, event.time, mag))
         return routes
-
-    def _net_for(self, route: _Route) -> Feedforward:
-        return self._msg_nets[(route.slot, route.is_event_src)]
-
-    def mem_cell_for(self, slot: int) -> RecurrentCell:
-        return self._mem_cells[slot]
-
-    def generate_messages(self, event, state: EncoderState) -> list[SignedMessage]:
-        """Reference per-event path; the batched path must agree with it."""
-        out = []
-        for r in self.route_event(event, state):
-            vec = concat([
-                state.memory_tensor(*r.self_src),
-                state.memory_tensor(*r.other_src),
-                Tensor([_encode_dt(self.config, r.dt), r.magnitude]),
-            ])
-            out.append(SignedMessage(r.target, r.slot, r.time,
-                                     self._net_for(r).apply(vec),
-                                     (r.self_src, r.other_src)))
-        return out
-
-    @staticmethod
-    def aggregate_messages(messages: Sequence[SignedMessage]) -> dict:
-        """Most recent message per (node, polarity); ties keep the later one."""
-        out: dict[tuple[int, int], SignedMessage] = {}
-        for m in messages:
-            key = (m.node, m.polarity)
-            cur = out.get(key)
-            if cur is None or m.time >= cur.time:
-                out[key] = m
-        return out
-
-    def update_memories(self, aggregated: dict, state: EncoderState) -> None:
-        """Advance each addressed (node, polarity) slot through the cell;
-        slots without a message are left untouched."""
-        new_records = self._provenance_records(
-            [(key, m.sources[1]) for key, m in aggregated.items()], state)
-        for (node, slot), m in aggregated.items():
-            old = state.memory_tensor(node, slot)
-            state.set_memory(node, slot, self.mem_cell_for(slot).apply(m.payload, old))
-            state.last_update[node] = max(state.last_update.get(node, 0.0), m.time)
-        self._commit_provenance(new_records, state)
 
     def _provenance_records(self, updates, state: EncoderState):
         if state.provenance is None:
@@ -412,11 +321,6 @@ class EncoderModel:
                 state.provenance.get(other),
                 state.provenance.get((node, slot)))
         return records
-
-    @staticmethod
-    def _commit_provenance(records, state: EncoderState) -> None:
-        if records:
-            state.provenance.update(records)
 
     def process_batch(self, batch_events, state: EncoderState) -> None:
         """Ingest one temporal batch: generate, aggregate, update, then log
@@ -448,54 +352,31 @@ class EncoderModel:
                 cur = selected.get(key)
                 if cur is None or r.time >= cur.time:
                     selected[key] = r
-        keys = list(selected)
-        routes = [selected[k] for k in keys]
-        scalars = np.array([[_encode_dt(self.config, r.dt), r.magnitude] for r in routes])
-        x = concat([
-            gather_stack([state.memory_ref(*r.self_src) for r in routes]),
-            gather_stack([state.memory_ref(*r.other_src) for r in routes]),
-            Tensor(scalars),
-        ], axis=1)
-        groups: dict[int, tuple] = {}
-        for i, r in enumerate(routes):
-            net = self._net_for(r)
-            groups.setdefault(id(net), (net, []))[1].append(i)
-        if len(groups) == 1:
-            payload = next(iter(groups.values()))[0].apply(x)
-        else:
-            back = {}
-            for net, rows_idx in groups.values():
-                part = net.apply(gather_stack([(x, i) for i in rows_idx]))
-                for j, i in enumerate(rows_idx):
-                    back[i] = (part, j)
-            payload = gather_stack([back[i] for i in range(len(routes))])
         records = self._provenance_records(
-            [(key, r.other_src) for key, r in zip(keys, routes)], state)
+            [(key, r.other_src) for key, r in selected.items()], state)
+        updates = []
         for slot in range(self.config.slot_count):
-            idxs = [i for i, key in enumerate(keys) if key[1] == slot]
-            if not idxs:
-                continue
-            msg_rows = gather_stack([(payload, i) for i in idxs])
-            old = gather_stack([state.memory_ref(*keys[i]) for i in idxs])
-            new = self.mem_cell_for(slot).apply(msg_rows, old)
-            for j, i in enumerate(idxs):
-                node, s = keys[i]
-                state.set_memory(node, s, new, j)
-                state.last_update[node] = max(state.last_update.get(node, 0.0),
-                                              routes[i].time)
-        self._commit_provenance(records, state)
+            routes = [r for r in selected.values() if r.slot == slot]
+            own = gather_stack([state.memory_ref(*r.self_src) for r in routes])
+            x = concat([
+                own,
+                gather_stack([state.memory_ref(*r.other_src) for r in routes]),
+                Tensor(np.array([[_encode_dt(self.config, r.dt), r.magnitude]
+                                 for r in routes])),
+            ], axis=1)
+            new = self._mem_cells[slot].apply(self._msg_nets[slot].apply(x), own)
+            updates.append((routes, new))
+        # written only now, so that no slot read another slot's fresh memory
+        for routes, new in updates:
+            for j, r in enumerate(routes):
+                state.set_memory(r.target, r.slot, new, j)
+                state.last_update[r.target] = max(state.last_update.get(r.target, 0.0),
+                                                  r.time)
+        if records:
+            state.provenance.update(records)
 
     # ------------------------------------------------------------------
     # embeddings
-
-    def _node_state_tensor(self, node: int, state: EncoderState) -> Tensor:
-        cfg = self.config
-        parts = []
-        if cfg.ablation.use_memory:
-            parts.extend(state.memory_tensor(node, slot) for slot in range(cfg.slot_count))
-        if cfg.feature_dim:
-            parts.append(Tensor(state.feature_row(node)))
-        return parts[0] if len(parts) == 1 else concat(parts)
 
     def _node_state_matrix(self, nodes: Sequence[int], state: EncoderState) -> Tensor:
         cfg = self.config
@@ -506,28 +387,6 @@ class EncoderModel:
         if cfg.feature_dim:
             parts.append(Tensor(np.array([state.feature_row(n) for n in nodes])))
         return parts[0] if len(parts) == 1 else concat(parts, axis=1)
-
-    def compute_embedding(self, node: int, t: float, state: EncoderState) -> Tensor:
-        """Reference single-node path for the long-term embedding."""
-        cfg = self.config
-        ab = cfg.ablation
-        if not ab.use_embedding_layer:
-            if ab.use_memory:
-                return concat([state.memory_tensor(node, slot)
-                               for slot in range(cfg.slot_count)])
-            return Tensor(state.feature_row(node))
-        h = self._node_state_tensor(node, state)
-        base = matmul(self.self_proj, h)
-        hist = state.node_history(node)
-        if not hist:
-            return base
-        rows_ = [
-            concat([self._node_state_tensor(i, state),
-                    Tensor([_encode_dt(self.config, t - tau), mag])])
-            for i, tau, mag in hist
-        ]
-        out, _ = self.attn.apply(h, rows_, rows_)
-        return add(base, out)
 
     def compute_embeddings(self, nodes: Sequence[int], t: float,
                            state: EncoderState) -> tuple[Tensor, dict[int, int]]:
@@ -557,24 +416,6 @@ class EncoderModel:
                 extras.append((_encode_dt(self.config, t - tau), mag))
         if not seg:
             return base, index
-        seg_arr = np.asarray(seg, dtype=np.intp)
         r = concat([self._node_state_matrix(nbrs, state), Tensor(np.array(extras))], axis=1)
-
-        n_q = len(nodes)
-        n_rows = len(seg)
-        heads, emb = cfg.heads, cfg.embedding_dim
-        dh = emb // heads
-        q = matmul(hq, transpose(self.attn.wq))
-        k = matmul(r, transpose(self.attn.wk))
-        v = matmul(r, transpose(self.attn.wv))
-        qr = repeat_rows(q, seg_arr)
-        logits = mul(tsum(mul(reshape(qr, (n_rows, heads, dh)),
-                              reshape(k, (n_rows, heads, dh))), axis=2),
-                     1.0 / np.sqrt(dh))
-        shift = _segment_max(logits.data, seg_arr, n_q)
-        e = exp(sub(logits, Tensor(shift[seg_arr])))
-        denom = segment_sum(e, seg_arr, n_q)
-        alpha = div(e, repeat_rows(denom, seg_arr))
-        weighted = mul(reshape(v, (n_rows, heads, dh)), reshape(alpha, (n_rows, heads, 1)))
-        att = reshape(segment_sum(weighted, seg_arr, n_q), (n_q, emb))
+        att, _ = self.attn.apply(hq, r, r, np.asarray(seg, dtype=np.intp))
         return add(base, att), index

@@ -76,11 +76,11 @@ def parse_csv(path, columns=DEFAULT_COLUMNS, delimiter=",", strict=False,
               keep_self_loops=False) -> EventLog:
     """Parse a signed temporal edge list into a dense, time-sorted log.
 
-    Rows with a missing or unparsable timestamp or weight are dropped (in
-    strict mode they abort), zero weights are dropped (they carry no sign),
-    and self-loops are dropped unless requested.  Events are stably sorted
-    by time and raw node ids remapped to dense integers in order of first
-    appearance.
+    Rows with a missing, unparsable or non-finite timestamp or weight are
+    dropped (in strict mode they abort), zero weights are dropped (they
+    carry no sign), and self-loops are dropped unless requested.  Events are
+    stably sorted by time and raw node ids remapped to dense integers in
+    order of first appearance.
     """
     path = Path(path)
     if not path.exists():
@@ -88,7 +88,8 @@ def parse_csv(path, columns=DEFAULT_COLUMNS, delimiter=",", strict=False,
     idx = {name: columns.index(name) for name in DEFAULT_COLUMNS}
     needed = max(idx.values()) + 1
     rows = []
-    skipped = {"short": 0, "unparsable": 0, "zero_weight": 0, "self_loop": 0}
+    skipped = {"short": 0, "unparsable": 0, "nonfinite": 0, "zero_weight": 0,
+               "self_loop": 0}
     with _open_text(path) as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         for lineno, cells in enumerate(reader, start=1):
@@ -108,6 +109,11 @@ def parse_csv(path, columns=DEFAULT_COLUMNS, delimiter=",", strict=False,
                 if strict:
                     raise DataError(f"{path}:{lineno}: unparsable row {cells!r}")
                 skipped["unparsable"] += 1
+                continue
+            if not (math.isfinite(t) and math.isfinite(w)):
+                if strict:
+                    raise DataError(f"{path}:{lineno}: non-finite time or weight {cells!r}")
+                skipped["nonfinite"] += 1
                 continue
             src_raw = cells[idx["src"]].strip()
             dst_raw = cells[idx["dst"]].strip()

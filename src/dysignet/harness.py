@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import logging
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .encoder import AblationConfig, EncoderConfig, EncoderModel, EncoderState
 from .events import DataError, DatasetSplit, EventLog, batches, chronological_split, parse_csv
-from .heads import PairDecoder, TaskKind, negative_sample, sigmoid_np, softmax_np, task_loss
+from .heads import PairDecoder, TaskKind, negative_sample, sigmoid_np, task_loss
 from .metrics import accuracy, auroc, f1_binary, f1_multiclass, regression_metrics
 from .params import NumericError, ParameterSet, adam_step
 from .tensor import backward, no_grad
@@ -38,7 +38,6 @@ class TrainConfig:
     memory_dim: int = 32
     heads: int = 8
     feature_dim: int = 8
-    message_dim: int | None = None
     neighbor_cap: int | None = None
     time_scale: float | None = None   # None: set from the training span
     lr: float = 1e-3
@@ -47,7 +46,6 @@ class TrainConfig:
     seed: int = 0
     ablation: AblationConfig = field(default_factory=AblationConfig)
     split_fractions: tuple[float, float, float] = (0.70, 0.15, 0.15)
-    split_message_nets: bool = False
     standardize_weights: bool = False  # regression targets scaled by train stats
 
     def __post_init__(self):
@@ -62,35 +60,17 @@ class TrainConfig:
             embedding_dim=self.embedding_dim,
             heads=self.heads,
             feature_dim=self.feature_dim,
-            message_dim=self.message_dim,
             neighbor_cap=self.neighbor_cap,
             time_scale=1.0 if self.time_scale is None else self.time_scale,
-            split_message_nets=self.split_message_nets,
             ablation=self.ablation,
         )
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "task": self.task.value,
-            "batch_size": self.batch_size,
-            "embedding_dim": self.embedding_dim,
-            "memory_dim": self.memory_dim,
-            "heads": self.heads,
-            "feature_dim": self.feature_dim,
-            "message_dim": self.message_dim,
-            "neighbor_cap": self.neighbor_cap,
-            "time_scale": self.time_scale,
-            "lr": self.lr,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-            "ablation": self.ablation.name,
-            "split_fractions": list(self.split_fractions),
-            "split_message_nets": self.split_message_nets,
-            "standardize_weights": self.standardize_weights,
-            "embedding_source": self.encoder_config().embedding_source,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(task=self.task.value, ablation=self.ablation.name,
+                   split_fractions=list(self.split_fractions),
+                   embedding_source=self.encoder_config().embedding_source)
+        return out
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
@@ -197,7 +177,8 @@ def _records_from(task: TaskKind, pairs, times, labels, reality, outputs,
                   scaler=None) -> list[PairRecord]:
     data = outputs.data
     if task is TaskKind.SIGNED_EXISTENCE:
-        rows = softmax_np(data)
+        e = np.exp(data - data.max(axis=-1, keepdims=True))
+        rows = e / e.sum(axis=-1, keepdims=True)
     elif task is TaskKind.SIGNED_WEIGHT:
         rows = data.reshape(-1, 1)
         if scaler is not None:  # back to raw weight units
@@ -512,7 +493,7 @@ def evaluate_sequential(bundle: ModelBundle, split: DatasetSplit, which: str = "
     )
 
 
-ABLATION_VARIANTS = ("none", "ba", "emb", "mem")
+ABLATION_VARIANTS = AblationConfig.NAMES
 
 
 def run_ablation(base: TrainConfig, split: DatasetSplit | None = None,

@@ -13,6 +13,7 @@ from .params import ParameterSet
 from .tensor import (
     Tensor,
     add,
+    _expit,
     concat,
     gather_stack,
     logsumexp,
@@ -64,16 +65,11 @@ class PairDecoder:
         self.net = Feedforward(params, name, 2 * embedding_dim, task.arity,
                                hidden_dim=embedding_dim, rng=rng)
 
-    def score_pair(self, z_u: Tensor, z_v: Tensor) -> Tensor:
-        return self.net.apply(concat([z_u, z_v]))
-
     def score_rows(self, z: Tensor, index: dict[int, int], pairs) -> Tensor:
         """Batched scoring: gather embedding rows per ordered pair."""
         left = gather_stack([(z, index[u]) for u, _ in pairs])
         right = gather_stack([(z, index[v]) for _, v in pairs])
         return self.net.apply(concat([left, right], axis=1))
-
-    __call__ = score_pair
 
 
 def negative_sample(events, universe: np.ndarray, rng: np.random.Generator):
@@ -131,15 +127,4 @@ def task_loss(task: TaskKind, outputs: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def softmax_np(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _expit(np.asarray(x, dtype=np.float64))

@@ -16,16 +16,20 @@ from .tensor import (
     DimensionError,
     Tensor,
     add,
-    gather_stack,
+    div,
+    exp,
     matmul,
     mul,
     relu,
+    repeat_rows,
     reshape,
+    segment_sum,
     sigmoid,
     slice_last,
-    softmax,
+    sub,
     tanh,
     transpose,
+    tsum,
 )
 
 VALID_KINDS = ("feedforward", "recurrent-cell", "attention")
@@ -83,13 +87,8 @@ class Feedforward:
         if x.data.shape[-1] != self.spec.in_dim:
             raise DimensionError(
                 f"{self.name}: input dim {x.data.shape[-1]} != {self.spec.in_dim}")
-        if x.data.ndim == 1:
-            h = relu(add(matmul(self.w1, x), self.b1))
-            return add(matmul(self.w2, h), self.b2)
         h = relu(add(matmul(x, transpose(self.w1)), self.b1))
         return add(matmul(h, transpose(self.w2)), self.b2)
-
-    __call__ = apply
 
 
 class RecurrentCell:
@@ -116,10 +115,7 @@ class RecurrentCell:
             raise DimensionError(
                 f"{self.name}: got input dim {x.data.shape[-1]} / state dim "
                 f"{state.data.shape[-1]}, expected {self.spec.in_dim} / {self.spec.out_dim}")
-        if x.data.ndim == 1:
-            z = add(add(matmul(self.w, x), matmul(self.u, state)), self.b)
-        else:
-            z = add(add(matmul(x, transpose(self.w)), matmul(state, transpose(self.u))), self.b)
+        z = add(add(matmul(x, transpose(self.w)), matmul(state, transpose(self.u))), self.b)
         d = self.spec.out_dim
         gate_in = sigmoid(slice_last(z, 0, d))
         gate_forget = sigmoid(slice_last(z, d, 2 * d))
@@ -133,14 +129,20 @@ class RecurrentCell:
             return new_state, gates
         return new_state
 
-    __call__ = apply
+
+def _segment_max(values: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
+    out = np.full((n_seg,) + values.shape[1:], -np.inf)
+    np.maximum.at(out, seg, values)
+    return out
 
 
 class MultiHeadAttention:
-    """Multi-head dot-product attention over a set of key/value rows.
+    """Segmented multi-head dot-product attention: query ``i`` attends over
+    the key/value rows whose segment id is ``i``.
 
-    Per head: weights = softmax(q · kᵀ / sqrt(d_head)), output is the
-    weight-combined value projections, heads concatenated.
+    Per head: weights = softmax(q · kᵀ / sqrt(d_head)) within a segment,
+    output is the weight-combined value projections, heads concatenated.
+    A query whose segment has no rows gets a zero output.
     """
 
     def __init__(self, params: ParameterSet, name: str, query_dim: int, out_dim: int,
@@ -156,35 +158,34 @@ class MultiHeadAttention:
         self.wk = params.add(f"{name}.wk", uniform_init(rng, (out_dim, key_dim), key_dim))
         self.wv = params.add(f"{name}.wv", uniform_init(rng, (out_dim, value_dim), value_dim))
 
-    @staticmethod
-    def _as_matrix(rows) -> Tensor:
-        if isinstance(rows, Tensor):
-            return rows
-        return gather_stack([(t, None) for t in rows])
-
-    def apply(self, query: Tensor, keys, values):
-        """Returns (output (out_dim,), weights (heads, n))."""
-        keys = self._as_matrix(keys)
-        values = self._as_matrix(values)
+    def apply(self, queries: Tensor, keys: Tensor, values: Tensor, seg: np.ndarray):
+        """queries (n_q, d_q), keys (n, d_k), values (n, d_v), ``seg`` (n,)
+        non-decreasing query ids.  Returns (output (n_q, out_dim),
+        weights (n, heads))."""
         n = keys.data.shape[0]
         if n == 0:
             raise ValueError("attention requires a non-empty key set")
-        if values.data.shape[0] != n:
-            raise DimensionError("keys and values must have equal length")
-        if query.data.shape != (self.spec.in_dim,):
+        if values.data.shape[0] != n or np.shape(seg) != (n,):
+            raise DimensionError("keys, values and segment ids must have equal length")
+        if queries.data.ndim != 2 or queries.data.shape[1] != self.spec.in_dim:
             raise DimensionError(
-                f"{self.name}: query shape {query.data.shape} != ({self.spec.in_dim},)")
+                f"{self.name}: query shape {queries.data.shape} != (n, {self.spec.in_dim})")
         if keys.data.shape[1] != self.spec.key_dim or values.data.shape[1] != self.spec.value_dim:
             raise DimensionError(f"{self.name}: key/value dims do not match layer spec")
+        seg = np.asarray(seg, dtype=np.intp)
+        n_q = queries.data.shape[0]
         H = self.spec.heads
         D = self.spec.out_dim
         dh = D // H
-        q3 = reshape(matmul(self.wq, query), (H, dh, 1))
-        k3 = transpose(reshape(matmul(keys, transpose(self.wk)), (n, H, dh)), (1, 0, 2))
-        v3 = transpose(reshape(matmul(values, transpose(self.wv)), (n, H, dh)), (1, 0, 2))
-        logits = mul(matmul(k3, q3), 1.0 / np.sqrt(dh))
-        weights = softmax(logits, axis=1)
-        out = matmul(transpose(v3, (0, 2, 1)), weights)
-        return reshape(out, (D,)), reshape(weights, (H, n))
-
-    __call__ = apply
+        q = matmul(queries, transpose(self.wq))
+        k = matmul(keys, transpose(self.wk))
+        v = matmul(values, transpose(self.wv))
+        qr = repeat_rows(q, seg)
+        logits = mul(tsum(mul(reshape(qr, (n, H, dh)), reshape(k, (n, H, dh))), axis=2),
+                     1.0 / np.sqrt(dh))
+        shift = _segment_max(logits.data, seg, n_q)
+        e = exp(sub(logits, Tensor(shift[seg])))
+        denom = segment_sum(e, seg, n_q)
+        alpha = div(e, repeat_rows(denom, seg))
+        weighted = mul(reshape(v, (n, H, dh)), reshape(alpha, (n, H, 1)))
+        return reshape(segment_sum(weighted, seg, n_q), (n_q, D)), alpha

@@ -44,11 +44,9 @@ __all__ = [
     "transpose",
     "concat",
     "slice_last",
-    "row",
     "gather_stack",
     "segment_sum",
     "repeat_rows",
-    "softmax",
     "logsumexp",
 ]
 
@@ -431,18 +429,6 @@ def slice_last(a, start, stop):
     return _result(data, (a,), vjp)
 
 
-def row(a, i):
-    a = as_tensor(a)
-    data = a.data[i]
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[i] = g
-        return (full,)
-
-    return _result(data, (a,), vjp)
-
-
 def gather_stack(items):
     """Stack gathered rows into an (n, d) tensor.
 
@@ -537,14 +523,6 @@ def repeat_rows(a, idx):
         return (acc,)
 
     return _result(data, (a,), vjp)
-
-
-def softmax(a, axis=-1):
-    """Numerically stable softmax (constant max-shift keeps gradients exact)."""
-    a = as_tensor(a)
-    shift = Tensor(np.max(a.data, axis=axis, keepdims=True))
-    e = exp(sub(a, shift))
-    return div(e, tsum(e, axis=axis, keepdims=True))
 
 
 def logsumexp(a, axis=-1, keepdims=False):

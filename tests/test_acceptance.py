@@ -104,11 +104,11 @@ def test_criterion_2_gradient_suite():
 
         ps = ParameterSet()
         att = MultiHeadAttention(ps, "att", 4, 4, 2, key_dim=5, value_dim=5, rng=rng)
-        q, kv = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=(3, 5)))
+        q, kv = Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(3, 5)))
         wa = Tensor(rng.normal(size=4))
 
         def att_loss():
-            out, _ = att.apply(q, kv, kv)
+            out, _ = att.apply(q, kv, kv, np.zeros(3, dtype=np.intp))
             return T.tsum(T.mul(out, wa))
 
         assert max_grad_error(att_loss, ps) < tol

@@ -1,12 +1,16 @@
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dysignet.cli import main
+from dysignet.cli import main, read_config_file
+from dysignet.encoder import AblationConfig
 from dysignet.events import compute_stats, parse_csv
+from dysignet.harness import TrainConfig
+from dysignet.heads import TaskKind
 from dysignet.metrics import auroc, f1_binary, kl_divergence_hist
 from dysignet.synthetic import generate_balanced_stream
 
@@ -61,6 +65,39 @@ def test_stats_single_edge_file(tmp_path, capsys):
 def test_stats_missing_dataset_exits_2(tmp_path, capsys):
     assert main(["stats", "--dataset", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_stats_nonfinite_only_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b,1,inf\nb,c,nan,5\n")
+    assert main(["stats", "--dataset", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_config_file_sets_every_field(tmp_path):
+    config = TrainConfig(
+        dataset="x.csv", task=TaskKind.SIGNED_WEIGHT, batch_size=7, embedding_dim=12,
+        memory_dim=3, heads=3, feature_dim=5, neighbor_cap=9, time_scale=0.5, lr=0.02,
+        max_epochs=4, patience=3, seed=11, ablation=AblationConfig.from_name("ba"),
+        split_fractions=(0.6, 0.25, 0.15), standardize_weights=True)
+    defaults = TrainConfig()
+    assert all(getattr(config, f.name) != getattr(defaults, f.name)
+               for f in fields(TrainConfig))
+    assert TrainConfig.from_dict(config.to_dict()) == config
+    lines = ["[all]"]
+    for key, value in config.to_dict().items():
+        if key != "embedding_source":
+            text = ",".join(map(repr, value)) if isinstance(value, list) else value
+            lines.append(f"{key} = {text}")
+    path = tmp_path / "all.ini"
+    path.write_text("\n".join(lines) + "\n")
+    assert TrainConfig.from_dict(read_config_file(path)) == config
+
+
+def test_unknown_config_key_exits_1(dataset, tmp_path, capsys):
+    cfg = _config_file(tmp_path, dataset, message_dim=4)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_usage_error_exits_1(capsys):

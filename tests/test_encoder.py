@@ -3,15 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dysignet.tensor as T
-from dysignet.encoder import NEG, POS, EncoderModel, EncoderState
+from dysignet.encoder import NEG, POS, EncoderState
 from dysignet.events import SignedEvent
 from dysignet.harness import build_model
-from dysignet.heads import TaskKind
-from dysignet.params import ParameterSet
-from dysignet.tensor import Tensor, no_grad
+from dysignet.tensor import no_grad
 
 from helpers import tiny_config
+from oracles import (
+    aggregate_messages,
+    attention,
+    compute_embedding,
+    generate_messages,
+    update_memories,
+)
 
 
 def make_encoder(ablation="none", seed=0, **overrides):
@@ -32,12 +36,18 @@ def _ev(t, u, v, w):
     return SignedEvent(float(t), u, v, float(w))
 
 
+def embed(enc, node, t, state):
+    """One node's row of the batched embedding path."""
+    z, index = enc.compute_embeddings([node], t, state)
+    return z.data[index[node]]
+
+
 # ---------------------------------------------------------------- routing
 
 def test_routing_law_positive_edge():
     enc, _, _ = make_encoder()
     state = seeded_state(enc, [])
-    msgs = enc.generate_messages(_ev(1.0, 0, 1, 2.5), state)
+    msgs = generate_messages(enc, _ev(1.0, 0, 1, 2.5), state)
     by_key = {(m.node, m.polarity): m for m in msgs}
     assert by_key[(0, POS)].sources == ((0, POS), (1, POS))
     assert by_key[(0, NEG)].sources == ((0, NEG), (1, NEG))
@@ -48,7 +58,7 @@ def test_routing_law_positive_edge():
 def test_routing_law_negative_edge():
     enc, _, _ = make_encoder()
     state = seeded_state(enc, [])
-    msgs = enc.generate_messages(_ev(1.0, 0, 1, -2.5), state)
+    msgs = generate_messages(enc, _ev(1.0, 0, 1, -2.5), state)
     by_key = {(m.node, m.polarity): m for m in msgs}
     assert by_key[(0, POS)].sources == ((0, POS), (1, NEG))
     assert by_key[(0, NEG)].sources == ((0, NEG), (1, POS))
@@ -68,7 +78,7 @@ def test_routing_law_property(seed):
     state = seeded_state(enc, warm)
     w = float(rng.choice([-4, -1, 1, 4]))
     u, v = int(rng.integers(5)), 5 + int(rng.integers(5))
-    msgs = enc.generate_messages(_ev(50.0, u, v, w), state)
+    msgs = generate_messages(enc, _ev(50.0, u, v, w), state)
     for m in msgs:
         own, other = m.sources
         assert own == (m.node, m.polarity)
@@ -82,8 +92,8 @@ def test_zero_state_sign_symmetry():
     # positive and a negative event, so same-polarity payloads coincide
     enc, _, _ = make_encoder()
     state = seeded_state(enc, [])
-    plus = enc.generate_messages(_ev(1.0, 0, 1, 2.0), state)
-    minus = enc.generate_messages(_ev(1.0, 0, 1, -2.0), state)
+    plus = generate_messages(enc, _ev(1.0, 0, 1, 2.0), state)
+    minus = generate_messages(enc, _ev(1.0, 0, 1, -2.0), state)
     for a, b in zip(plus, minus):
         assert (a.node, a.polarity) == (b.node, b.polarity)
         assert np.array_equal(a.payload.data, b.payload.data)
@@ -94,7 +104,7 @@ def test_message_payload_matches_concat_oracle():
     warm = [_ev(1, 0, 1, 2), _ev(2, 1, 2, -1), _ev(3, 0, 2, 1)]
     state = seeded_state(enc, warm)
     event = _ev(7.0, 0, 2, -3.0)
-    msgs = enc.generate_messages(event, state)
+    msgs = generate_messages(enc, event, state)
     m = {(g.node, g.polarity): g for g in msgs}[(0, POS)]
     vec = np.concatenate([
         state.memory_value(0, POS),
@@ -111,7 +121,7 @@ def test_zero_weight_event_rejected():
     enc, _, _ = make_encoder()
     state = seeded_state(enc, [])
     with pytest.raises(ValueError):
-        enc.generate_messages(_ev(1.0, 0, 1, 0.0), state)
+        generate_messages(enc, _ev(1.0, 0, 1, 0.0), state)
 
 
 # ---------------------------------------------------------- aggregation
@@ -119,9 +129,9 @@ def test_zero_weight_event_rejected():
 def test_aggregate_keeps_most_recent():
     enc, _, _ = make_encoder()
     state = seeded_state(enc, [])
-    m1 = enc.generate_messages(_ev(1.0, 0, 1, 1.0), state)
-    m5 = enc.generate_messages(_ev(5.0, 0, 2, 1.0), state)
-    agg = enc.aggregate_messages(m1 + m5)
+    m1 = generate_messages(enc, _ev(1.0, 0, 1, 1.0), state)
+    m5 = generate_messages(enc, _ev(5.0, 0, 2, 1.0), state)
+    agg = aggregate_messages(m1 + m5)
     assert agg[(0, POS)].time == 5.0
     assert agg[(0, POS)].sources[1][0] == 2
 
@@ -129,17 +139,17 @@ def test_aggregate_keeps_most_recent():
 def test_aggregate_tie_keeps_later_position():
     enc, _, _ = make_encoder()
     state = seeded_state(enc, [])
-    a = enc.generate_messages(_ev(5.0, 0, 1, 1.0), state)
-    b = enc.generate_messages(_ev(5.0, 0, 2, 1.0), state)
-    agg = enc.aggregate_messages(a + b)
+    a = generate_messages(enc, _ev(5.0, 0, 1, 1.0), state)
+    b = generate_messages(enc, _ev(5.0, 0, 2, 1.0), state)
+    agg = aggregate_messages(a + b)
     assert agg[(0, POS)].sources[1][0] == 2
 
 
 def test_aggregate_single_message_is_itself():
     enc, _, _ = make_encoder()
     state = seeded_state(enc, [])
-    msgs = enc.generate_messages(_ev(2.0, 0, 1, -1.0), state)
-    agg = enc.aggregate_messages(msgs)
+    msgs = generate_messages(enc, _ev(2.0, 0, 1, -1.0), state)
+    agg = aggregate_messages(msgs)
     assert set(agg) == {(0, POS), (0, NEG), (1, POS), (1, NEG)}
     for key, m in agg.items():
         assert (m.node, m.polarity) == key
@@ -157,9 +167,9 @@ def test_most_recent_aggregation_property(seed):
     msgs = []
     for t in np.sort(times):
         u, v = int(rng.integers(3)), 3 + int(rng.integers(3))
-        msgs.extend(enc.generate_messages(_ev(float(t), u, v,
-                                              float(rng.choice([-1, 1]))), state))
-    agg = enc.aggregate_messages(msgs)
+        msgs.extend(generate_messages(enc, _ev(float(t), u, v,
+                                               float(rng.choice([-1, 1]))), state))
+    agg = aggregate_messages(msgs)
     for key, winner in agg.items():
         candidates = [m for m in msgs if (m.node, m.polarity) == key]
         newest = max(c.time for c in candidates)
@@ -182,9 +192,9 @@ def test_update_polarity_isolation():
     enc, _, _ = make_encoder(seed=2)
     state = seeded_state(enc, [_ev(1, 0, 1, 1), _ev(2, 0, 2, -2)])
     minus_before = state.memory_value(0, NEG)
-    msgs = enc.generate_messages(_ev(9.0, 0, 1, 1.0), state)
-    plus_only = {k: v for k, v in enc.aggregate_messages(msgs).items() if k[1] == POS}
-    enc.update_memories(plus_only, state)
+    msgs = generate_messages(enc, _ev(9.0, 0, 1, 1.0), state)
+    plus_only = {k: v for k, v in aggregate_messages(msgs).items() if k[1] == POS}
+    update_memories(enc, plus_only, state)
     assert np.array_equal(state.memory_value(0, NEG), minus_before)
     assert not np.array_equal(state.memory_value(0, POS), minus_before)
 
@@ -226,8 +236,8 @@ def test_single_event_batch_equals_reference_ops():
 
     enc.process_batch([event], fast)
 
-    msgs = enc.generate_messages(event, ref)
-    enc.update_memories(enc.aggregate_messages(msgs), ref)
+    msgs = generate_messages(enc, event, ref)
+    update_memories(enc, aggregate_messages(msgs), ref)
     for n in (0, 2):
         ref.history.setdefault(n, [])
     ref.history[0].append((2, 6.0, 2.0))
@@ -256,8 +266,8 @@ def test_batch_path_equals_reference_path_on_random_batch():
 
     msgs = []
     for ev in batch:
-        msgs.extend(enc.generate_messages(ev, ref))
-    enc.update_memories(enc.aggregate_messages(msgs), ref)
+        msgs.extend(generate_messages(enc, ev, ref))
+    update_memories(enc, aggregate_messages(msgs), ref)
     for ev in batch:
         ref.history.setdefault(ev.src, []).append((ev.dst, ev.time, abs(ev.weight)))
         ref.history.setdefault(ev.dst, []).append((ev.src, ev.time, abs(ev.weight)))
@@ -283,7 +293,7 @@ def test_two_batches_differ_from_one_batch():
     # the two-step result equals explicit sequential reference processing
     ref = seeded_state(enc, [])
     for ev in (e1, e2):
-        enc.update_memories(enc.aggregate_messages(enc.generate_messages(ev, ref)), ref)
+        update_memories(enc, aggregate_messages(generate_messages(enc, ev, ref)), ref)
         ref.history.setdefault(ev.src, []).append((ev.dst, ev.time, abs(ev.weight)))
         ref.history.setdefault(ev.dst, []).append((ev.src, ev.time, abs(ev.weight)))
         ref.watermark = ev.time
@@ -326,17 +336,17 @@ def test_higher_order_balance_provenance_chain():
 def test_embedding_empty_history_is_projection():
     enc, params, _ = make_encoder(seed=9)
     state = seeded_state(enc, [_ev(1, 1, 2, 1)])  # node 0 never seen
-    z = enc.compute_embedding(0, 5.0, state)
+    z = embed(enc, 0, 5.0, state)
     h = np.concatenate([state.memory_value(0, POS), state.memory_value(0, NEG),
                         state.feature_row(0)])
-    assert np.array_equal(z.data, params["encoder.emb.self_proj"].data @ h)
+    assert np.array_equal(z, params["encoder.emb.self_proj"].data @ h)
 
 
 def test_embedding_single_neighbor_formula():
     enc, params, config = make_encoder(seed=10)
     state = seeded_state(enc, [_ev(1.0, 0, 1, -2.0)])
     t = 4.0
-    z = enc.compute_embedding(0, t, state)
+    z = embed(enc, 0, t, state)
     h_u = np.concatenate([state.memory_value(0, POS), state.memory_value(0, NEG),
                           state.feature_row(0)])
     h_i = np.concatenate([state.memory_value(1, POS), state.memory_value(1, NEG),
@@ -344,7 +354,7 @@ def test_embedding_single_neighbor_formula():
     row = np.concatenate([h_i, [config.time_scale * np.log1p(t - 1.0), 2.0]])
     wv = params["encoder.emb.attn.wv"].data
     expected = params["encoder.emb.self_proj"].data @ h_u + wv @ row
-    assert np.abs(z.data - expected).max() < 1e-12
+    assert np.abs(z - expected).max() < 1e-12
 
 
 def test_embedding_matches_straight_line_oracle_three_neighbors():
@@ -352,7 +362,7 @@ def test_embedding_matches_straight_line_oracle_three_neighbors():
     warm = [_ev(1, 0, 1, 1), _ev(2, 0, 2, -3), _ev(3, 0, 3, 2), _ev(4, 1, 2, 1)]
     state = seeded_state(enc, warm)
     t = 9.0
-    z = enc.compute_embedding(0, t, state).data
+    z = embed(enc, 0, t, state)
 
     def h(n):
         return np.concatenate([state.memory_value(n, POS), state.memory_value(n, NEG),
@@ -362,21 +372,8 @@ def test_embedding_matches_straight_line_oracle_three_neighbors():
         np.concatenate([h(i), [config.time_scale * np.log1p(t - tau), mag]])
         for i, tau, mag in state.history[0]
     ])
-    wq = params["encoder.emb.attn.wq"].data
-    wk = params["encoder.emb.attn.wk"].data
-    wv = params["encoder.emb.attn.wv"].data
-    q = wq @ h(0)
-    k = rows @ wk.T
-    v = rows @ wv.T
-    heads, dh = config.heads, config.embedding_dim // config.heads
-    parts = []
-    for hd in range(heads):
-        sl = slice(hd * dh, (hd + 1) * dh)
-        logits = k[:, sl] @ q[sl] / np.sqrt(dh)
-        alpha = np.exp(logits - logits.max())
-        alpha /= alpha.sum()
-        parts.append(alpha @ v[:, sl])
-    expected = params["encoder.emb.self_proj"].data @ h(0) + np.concatenate(parts)
+    expected = (params["encoder.emb.self_proj"].data @ h(0)
+                + attention(enc.attn, h(0), rows)[0])
     assert np.abs(z - expected).max() < 1e-10
 
 
@@ -389,8 +386,8 @@ def test_embedding_batch_path_equals_reference_path():
     nodes = list(range(8))  # includes untouched nodes with empty histories
     z, index = enc.compute_embeddings(nodes, 20.0, state)
     for n in nodes:
-        single = enc.compute_embedding(n, 20.0, state)
-        assert np.allclose(z.data[index[n]], single.data, atol=1e-12)
+        single = compute_embedding(enc, n, 20.0, state)
+        assert np.allclose(z.data[index[n]], single, atol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -405,23 +402,23 @@ def test_embedding_empty_history_property(seed):
                 float(rng.choice([-1, 1]))) for t in range(int(rng.integers(0, 6)))]
     state = seeded_state(enc, warm)
     node = 7  # never an endpoint
-    z = enc.compute_embedding(node, 30.0, state)
+    z = embed(enc, node, 30.0, state)
     if enc.config.ablation.use_memory:
         h = np.concatenate([state.memory_value(node, s)
                             for s in range(enc.config.slot_count)]
                            + [state.feature_row(node)])
     else:
         h = state.feature_row(node)
-    assert np.allclose(z.data, params["encoder.emb.self_proj"].data @ h, atol=1e-14)
+    assert np.allclose(z, params["encoder.emb.self_proj"].data @ h, atol=1e-14)
 
 
 def test_staleness_mitigation_neighbor_activity_moves_embedding():
     enc, _, _ = make_encoder(seed=14)
     state = seeded_state(enc, [_ev(1.0, 0, 1, 1.0)])
-    z_before = enc.compute_embedding(1, 10.0, state).data.copy()
+    z_before = embed(enc, 1, 10.0, state)
     s_before = state.memory_value(1, POS)
     enc.process_batch([_ev(10.0, 0, 2, -1.0)], state)  # node 1 not involved
-    z_after = enc.compute_embedding(1, 10.0, state).data
+    z_after = embed(enc, 1, 10.0, state)
     assert np.array_equal(state.memory_value(1, POS), s_before)
     assert not np.allclose(z_before, z_after)
 
@@ -439,9 +436,9 @@ def test_neighbor_cap_limits_history_rows():
 def test_emb_ablation_embedding_is_concatenated_memories():
     enc, _, _ = make_encoder(ablation="emb", seed=16)
     state = seeded_state(enc, [_ev(1, 0, 1, 1), _ev(2, 0, 2, -1)])
-    z = enc.compute_embedding(0, 5.0, state)
+    z = compute_embedding(enc, 0, 5.0, state)
     expected = np.concatenate([state.memory_value(0, POS), state.memory_value(0, NEG)])
-    assert np.array_equal(z.data, expected)
+    assert np.array_equal(z, expected)
     zb, index = enc.compute_embeddings([0, 1], 5.0, state)
     assert np.array_equal(zb.data[index[0]], expected)
 
@@ -452,8 +449,8 @@ def test_mem_ablation_has_no_memory_state():
     assert state._memory == {}
     assert not any(".msg" in n or ".mem" in n for n in params.names())
     assert state.history[0] == [(1, 1.0, 1.0)]
-    z = enc.compute_embedding(0, 3.0, state)
-    assert z.data.shape == (enc.config.embedding_dim,)
+    z = embed(enc, 0, 3.0, state)
+    assert z.shape == (enc.config.embedding_dim,)
 
 
 @settings(max_examples=200, deadline=None)
@@ -478,8 +475,8 @@ def test_ba_ablation_single_memory_per_node(seed):
 def test_ba_message_ignores_sign_routing():
     enc, _, _ = make_encoder(ablation="ba", seed=18)
     state = seeded_state(enc, [_ev(1, 0, 1, 1), _ev(2, 1, 2, -2)])
-    plus = enc.generate_messages(_ev(5.0, 0, 2, 2.0), state)
-    minus = enc.generate_messages(_ev(5.0, 0, 2, -2.0), state)
+    plus = generate_messages(enc, _ev(5.0, 0, 2, 2.0), state)
+    minus = generate_messages(enc, _ev(5.0, 0, 2, -2.0), state)
     assert len(plus) == 2
     for a, b in zip(plus, minus):
         assert np.array_equal(a.payload.data, b.payload.data)
@@ -526,8 +523,8 @@ def test_state_snapshot_roundtrip(tmp_path):
         assert np.array_equal(loaded.memory_value(*key), state.memory_value(*key))
     # embeddings computed from the restored state agree exactly
     with no_grad():
-        a = enc.compute_embedding(0, 9.0, state).data
-        b = enc.compute_embedding(0, 9.0, loaded).data
+        a = embed(enc, 0, 9.0, state)
+        b = embed(enc, 0, 9.0, loaded)
     assert np.array_equal(a, b)
 
 

@@ -82,6 +82,16 @@ def test_parse_gzip(tmp_path):
     assert len(parse_csv(path)) == 2
 
 
+def test_parse_drops_nonfinite_rows(tmp_path, caplog):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,1,1\na,c,nan,2\nb,c,-1,inf\nc,d,inf,3\nd,a,2,-inf\nc,a,3,4\n")
+    log = parse_csv(path)
+    assert [(ev.time, ev.weight) for ev in log.events] == [(1.0, 1.0), (4.0, 3.0)]
+    assert "nonfinite=4" in caplog.text
+    with pytest.raises(DataError):
+        parse_csv(path, strict=True)
+
+
 def test_parse_missing_file():
     with pytest.raises(DataError):
         parse_csv("/nonexistent/file.csv")

@@ -9,6 +9,7 @@ from dysignet.params import ParameterSet
 from dysignet.tensor import Tensor
 
 from helpers import max_grad_error
+from oracles import attention
 
 
 def _ffn(in_dim, out_dim, hidden=None, seed=0):
@@ -164,23 +165,27 @@ def _attn(q_dim, out_dim, heads, kv_dim=None, seed=0):
     return ps, att
 
 
+def _one_segment(n):
+    return np.zeros(n, dtype=np.intp)
+
+
 def test_attention_singleton_weight_one():
     ps, att = _attn(4, 6, 3, kv_dim=5, seed=1)
     rng = np.random.default_rng(2)
-    q = Tensor(rng.normal(size=4))
+    q = Tensor(rng.normal(size=(1, 4)))
     kv = Tensor(rng.normal(size=(1, 5)))
-    out, w = att.apply(q, kv, kv)
+    out, w = att.apply(q, kv, kv, _one_segment(1))
     assert np.allclose(w.data, 1.0)
-    assert np.allclose(out.data, ps["att.wv"].data @ kv.data[0], atol=1e-12)
+    assert np.allclose(out.data[0], ps["att.wv"].data @ kv.data[0], atol=1e-12)
 
 
 def test_attention_equal_logits_uniform():
     ps, att = _attn(4, 6, 3, kv_dim=5, seed=3)
     rng = np.random.default_rng(4)
-    q = Tensor(rng.normal(size=4))
+    q = Tensor(rng.normal(size=(1, 4)))
     one = rng.normal(size=5)
     kv = Tensor(np.tile(one, (4, 1)))  # identical keys -> identical logits
-    _, w = att.apply(q, kv, kv)
+    _, w = att.apply(q, kv, kv, _one_segment(4))
     assert np.allclose(w.data, 0.25)
 
 
@@ -189,53 +194,72 @@ def test_attention_matches_softmax_formula_oracle():
     rng = np.random.default_rng(6)
     q = rng.normal(size=5)
     kv = rng.normal(size=(3, 6))
-    out, w = att.apply(Tensor(q), Tensor(kv), Tensor(kv))
-    qp = ps["att.wq"].data @ q
-    kp = kv @ ps["att.wk"].data.T
-    vp = kv @ ps["att.wv"].data.T
-    expected = []
-    for h in range(2):
-        sl = slice(h * 2, (h + 1) * 2)
-        logits = kp[:, sl] @ qp[sl] / np.sqrt(2)
-        alpha = np.exp(logits - logits.max())
-        alpha /= alpha.sum()
-        assert np.abs(w.data[h] - alpha).max() < 1e-12
-        expected.append(alpha @ vp[:, sl])
-    assert np.abs(out.data - np.concatenate(expected)).max() < 1e-12
-
-
-def test_attention_accepts_list_of_rows():
-    ps, att = _attn(4, 4, 2, kv_dim=4, seed=7)
-    rng = np.random.default_rng(8)
-    rows = [Tensor(rng.normal(size=4)) for _ in range(3)]
-    q = Tensor(rng.normal(size=4))
-    out_list, _ = att.apply(q, rows, rows)
-    out_mat, _ = att.apply(q, Tensor(np.array([r.data for r in rows])),
-                           Tensor(np.array([r.data for r in rows])))
-    assert np.allclose(out_list.data, out_mat.data, atol=1e-14)
+    out, w = att.apply(Tensor(q[None, :]), Tensor(kv), Tensor(kv), _one_segment(3))
+    expected_out, expected_w = attention(att, q, kv)
+    assert np.abs(w.data - expected_w.T).max() < 1e-12
+    assert np.abs(out.data[0] - expected_out).max() < 1e-12
 
 
 def test_attention_empty_keys_rejected():
     _, att = _attn(4, 4, 2, seed=9)
     with pytest.raises(ValueError):
-        att.apply(Tensor(np.ones(4)), Tensor(np.empty((0, 4))), Tensor(np.empty((0, 4))))
+        att.apply(Tensor(np.ones((1, 4))), Tensor(np.empty((0, 4))), Tensor(np.empty((0, 4))),
+                  _one_segment(0))
 
 
 def test_attention_mismatched_lengths_rejected():
     _, att = _attn(4, 4, 2, seed=10)
     with pytest.raises(T.DimensionError):
-        att.apply(Tensor(np.ones(4)), Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))))
+        att.apply(Tensor(np.ones((1, 4))), Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))),
+                  _one_segment(2))
 
 
 def test_attention_gradcheck():
     ps, att = _attn(3, 4, 2, kv_dim=4, seed=11)
     rng = np.random.default_rng(12)
-    q = Tensor(rng.normal(size=3))
+    q = Tensor(rng.normal(size=(1, 3)))
     kv = Tensor(rng.normal(size=(3, 4)))
-    w = Tensor(rng.normal(size=4))
+    w = Tensor(rng.normal(size=(1, 4)))
 
     def loss():
-        out, _ = att.apply(q, kv, kv)
+        out, _ = att.apply(q, kv, kv, _one_segment(3))
+        return T.tsum(T.mul(out, w))
+
+    assert max_grad_error(loss, ps) < 1e-6
+
+
+# four queries over segments of 3, 1, 0 and 2 rows: the empty segment
+# (query 2) must get a zero output and take no weight
+SEGMENTS = np.array([0, 0, 0, 1, 3, 3], dtype=np.intp)
+
+
+def test_attention_segments_match_per_segment_oracle():
+    ps, att = _attn(5, 6, 3, kv_dim=4, seed=13)
+    rng = np.random.default_rng(14)
+    q = rng.normal(scale=3.0, size=(4, 5))
+    kv = rng.normal(scale=3.0, size=(SEGMENTS.size, 4))
+    out, w = att.apply(Tensor(q), Tensor(kv), Tensor(kv), SEGMENTS)
+    assert np.all(w.data >= 0.0)
+    for i in range(4):
+        rows = SEGMENTS == i
+        if not rows.any():
+            assert np.array_equal(out.data[i], np.zeros(6))
+            continue
+        assert np.abs(w.data[rows].sum(axis=0) - 1.0).max() < 1e-12
+        expected_out, expected_w = attention(att, q[i], kv[rows])
+        assert np.abs(w.data[rows] - expected_w.T).max() < 1e-12
+        assert np.abs(out.data[i] - expected_out).max() < 1e-12
+
+
+def test_attention_segments_gradcheck():
+    ps, att = _attn(3, 4, 2, kv_dim=5, seed=15)
+    rng = np.random.default_rng(16)
+    q = Tensor(rng.normal(size=(4, 3)))
+    kv = Tensor(rng.normal(size=(SEGMENTS.size, 5)))
+    w = Tensor(rng.normal(size=(4, 4)))
+
+    def loss():
+        out, _ = att.apply(q, kv, kv, SEGMENTS)
         return T.tsum(T.mul(out, w))
 
     assert max_grad_error(loss, ps) < 1e-6
@@ -253,8 +277,8 @@ def test_attention_weights_normalized(seed):
     ps = ParameterSet()
     att = MultiHeadAttention(ps, "att", q_dim, heads * dh, heads,
                              key_dim=kv_dim, value_dim=kv_dim, rng=rng)
-    q = Tensor(rng.normal(scale=3.0, size=q_dim))
+    q = Tensor(rng.normal(scale=3.0, size=(1, q_dim)))
     kv = Tensor(rng.normal(scale=3.0, size=(n, kv_dim)))
-    _, w = att.apply(q, kv, kv)
+    _, w = att.apply(q, kv, kv, _one_segment(n))
     assert np.all(w.data >= 0.0)
-    assert np.abs(w.data.sum(axis=1) - 1.0).max() < 1e-9
+    assert np.abs(w.data.sum(axis=0) - 1.0).max() < 1e-9
