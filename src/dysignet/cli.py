@@ -38,10 +38,18 @@ from .params import NumericError, ParameterSet
 
 OUT_ROOT_ENV = "DYSIGNET_OUT"
 
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"{text.strip()!r} is not one of 1/true/yes/on or "
+                         f"0/false/no/off") from None
+
+
 def _config_parser(hint):
     """The parser for one config-file value, from the field's type hint."""
     if hint is bool:
-        return lambda s: s.strip().lower() in ("1", "true", "yes", "on")
+        return _parse_bool
     origin = typing.get_origin(hint)
     if origin is tuple:
         item = typing.get_args(hint)[0]

@@ -45,6 +45,7 @@ __all__ = [
     "concat",
     "slice_last",
     "gather_stack",
+    "take_rows",
     "segment_sum",
     "repeat_rows",
     "logsumexp",
@@ -479,6 +480,27 @@ def gather_stack(items):
         return tuple(out)
 
     return _result(data, parents, vjp)
+
+
+def take_rows(src, rows, fill):
+    """Row ``i`` is ``src[rows[i]]`` where ``rows[i] >= 0``, else the
+    constant ``fill[i]``.  Gradients of taken rows scatter back to ``src``;
+    a row taken many times accumulates."""
+    src = as_tensor(src)
+    rows = np.asarray(rows, dtype=np.intp)
+    data = np.array(fill, dtype=np.float64)
+    if data.shape != (rows.size,) + src.data.shape[1:]:
+        raise DimensionError(f"fill shape {data.shape} does not match {rows.size} rows of src")
+    pos = np.flatnonzero(rows >= 0)
+    taken = rows[pos]
+    data[pos] = src.data[taken]
+
+    def vjp(g):
+        acc = np.zeros_like(src.data)
+        np.add.at(acc, taken, g[pos])
+        return (acc,)
+
+    return _result(data, (src,), vjp)
 
 
 def _segment_starts(seg, n_seg):

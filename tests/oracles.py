@@ -8,10 +8,22 @@ only the batched paths.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from dysignet.tensor import Tensor, concat
+from dysignet.encoder import NEG, POS
+from dysignet.tensor import Tensor, concat, reshape
+
+
+class Route(NamedTuple):
+    target: int
+    slot: int
+    self_src: tuple[int, int]
+    other_src: tuple[int, int]
+    dt: float
+    time: float
+    magnitude: float
 
 
 @dataclass
@@ -32,10 +44,30 @@ def _encode_dt(config, dt: float) -> float:
     return config.time_scale * math.log1p(max(dt, 0.0))
 
 
+def route_event(encoder, event, state) -> list[Route]:
+    """Balanced routing per endpoint: own slot first, the partner slot
+    chosen by the edge sign (same polarity for +, opposite for -)."""
+    w = event.weight
+    if w == 0.0:
+        raise ValueError("signed events must have non-zero weight")
+    mag = abs(w)
+    routes = []
+    for a, b in ((event.src, event.dst), (event.dst, event.src)):
+        dt = event.time - state.node_memory(a).last_update
+        if encoder.config.ablation.balanced_aggregation:
+            routes.append(Route(a, POS, (a, POS), (b, POS if w > 0 else NEG),
+                                dt, event.time, mag))
+            routes.append(Route(a, NEG, (a, NEG), (b, NEG if w > 0 else POS),
+                                dt, event.time, mag))
+        else:
+            routes.append(Route(a, 0, (a, 0), (b, 0), dt, event.time, mag))
+    return routes
+
+
 def generate_messages(encoder, event, state) -> list[SignedMessage]:
     """One message per routed (endpoint, polarity) of a single event."""
     out = []
-    for r in encoder.route_event(event, state):
+    for r in route_event(encoder, event, state):
         vec = concat([
             memory_tensor(state, *r.self_src),
             memory_tensor(state, *r.other_src),
@@ -62,8 +94,15 @@ def update_memories(encoder, aggregated: dict, state) -> None:
     without a message are left untouched."""
     for (node, slot), m in aggregated.items():
         old = memory_tensor(state, node, slot)
-        state.set_memory(node, slot, encoder._mem_cells[slot].apply(m.payload, old))
-        state.last_update[node] = max(state.last_update.get(node, 0.0), m.time)
+        new = encoder._mem_cells[slot].apply(m.payload, old)
+        state.write_memory(np.array([node]), slot, reshape(new, (1, -1)), np.array([m.time]))
+
+
+def log_history(state, events) -> None:
+    """Append each event to both endpoints' histories, source first."""
+    for ev in events:
+        for a, b in ((ev.src, ev.dst), (ev.dst, ev.src)):
+            state.history.append(np.array([a]), [b], [ev.time], [abs(ev.weight)])
 
 
 def node_state(encoder, node: int, state) -> np.ndarray:

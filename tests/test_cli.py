@@ -100,6 +100,20 @@ def test_unknown_config_key_exits_1(dataset, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,value", [("yes", True), (" On ", True), ("1", True),
+                                        ("off", False), ("FALSE", False), ("0", False)])
+def test_config_boolean_spellings(tmp_path, text, value):
+    path = tmp_path / "b.ini"
+    path.write_text(f"[train]\nstandardize_weights = {text}\n")
+    assert read_config_file(path) == {"standardize_weights": value}
+
+
+def test_bad_config_boolean_exits_1(dataset, tmp_path, capsys):
+    cfg = _config_file(tmp_path, dataset, standardize_weights="ture")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "standardize_weights" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["train"]) == 1  # no dataset anywhere
     assert main(["bogus-command"]) == 1

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from oracles import (
     attention,
     compute_embedding,
     generate_messages,
+    log_history,
+    route_event,
     update_memories,
 )
 
@@ -238,18 +242,15 @@ def test_single_event_batch_equals_reference_ops():
 
     msgs = generate_messages(enc, event, ref)
     update_memories(enc, aggregate_messages(msgs), ref)
-    for n in (0, 2):
-        ref.history.setdefault(n, [])
-    ref.history[0].append((2, 6.0, 2.0))
-    ref.history[2].append((0, 6.0, 2.0))
+    log_history(ref, [event])
     ref.watermark = 6.0
 
     for n in (0, 1, 2):
         for slot in (POS, NEG):
             assert np.allclose(fast.memory_value(n, slot), ref.memory_value(n, slot),
                                atol=1e-15)
-        assert fast.last_update.get(n, 0.0) == ref.last_update.get(n, 0.0)
-    assert fast.history == ref.history
+        assert fast.node_memory(n).last_update == ref.node_memory(n).last_update
+    assert fast.history.items() == ref.history.items()
 
 
 def test_batch_path_equals_reference_path_on_random_batch():
@@ -268,9 +269,7 @@ def test_batch_path_equals_reference_path_on_random_batch():
     for ev in batch:
         msgs.extend(generate_messages(enc, ev, ref))
     update_memories(enc, aggregate_messages(msgs), ref)
-    for ev in batch:
-        ref.history.setdefault(ev.src, []).append((ev.dst, ev.time, abs(ev.weight)))
-        ref.history.setdefault(ev.dst, []).append((ev.src, ev.time, abs(ev.weight)))
+    log_history(ref, batch)
     ref.watermark = batch[-1].time
 
     for n in range(8):
@@ -294,10 +293,47 @@ def test_two_batches_differ_from_one_batch():
     ref = seeded_state(enc, [])
     for ev in (e1, e2):
         update_memories(enc, aggregate_messages(generate_messages(enc, ev, ref)), ref)
-        ref.history.setdefault(ev.src, []).append((ev.dst, ev.time, abs(ev.weight)))
-        ref.history.setdefault(ev.dst, []).append((ev.src, ev.time, abs(ev.weight)))
+        log_history(ref, [ev])
         ref.watermark = ev.time
     assert np.allclose(two.memory_value(0, POS), ref.memory_value(0, POS), atol=1e-15)
+
+
+@st.composite
+def _streams(draw):
+    """Batches over nodes 0..5 with repeated endpoints, self-loops, equal
+    times, and batches whose events are not sorted by time."""
+    batches, start = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        times = draw(st.lists(st.integers(start, start + 3), min_size=1, max_size=6))
+        batch = [_ev(t, draw(st.integers(0, 5)), draw(st.integers(0, 5)),
+                     draw(st.sampled_from([-3.0, -1.0, 1.0, 2.0]))) for t in times]
+        batches.append(batch)
+        start = max(times)
+    return batches
+
+
+@settings(max_examples=60, deadline=None)
+@given(_streams(), st.sampled_from(["none", "ba"]), st.sampled_from([None, 2]),
+       st.integers(0, 1000))
+def test_array_state_equals_per_event_oracle_state(batches, ablation, cap, seed):
+    enc, _, _ = make_encoder(ablation=ablation, seed=seed, neighbor_cap=cap)
+    fast = EncoderState(enc.config)
+    ref = EncoderState(enc.config)
+    rows = {n: [] for n in range(7)}   # plain per-node history lists
+    for batch in batches:
+        enc.process_batch(batch, fast)
+        msgs = [m for ev in batch for m in generate_messages(enc, ev, ref)]
+        update_memories(enc, aggregate_messages(msgs), ref)
+        log_history(ref, batch)
+        for ev in batch:
+            rows[ev.src].append((ev.dst, ev.time, abs(ev.weight)))
+            rows[ev.dst].append((ev.src, ev.time, abs(ev.weight)))
+    for n in range(7):
+        for slot in range(enc.config.slot_count):
+            assert np.abs(fast.memory_value(n, slot) - ref.memory_value(n, slot)).max() <= 1e-12
+        assert fast.node_memory(n).last_update == ref.node_memory(n).last_update
+        expected = rows[n] if cap is None else rows[n][-cap:]
+        assert fast.node_history(n) == ref.node_history(n) == expected
 
 
 def test_out_of_order_batch_rejected():
@@ -370,7 +406,7 @@ def test_embedding_matches_straight_line_oracle_three_neighbors():
 
     rows = np.array([
         np.concatenate([h(i), [config.time_scale * np.log1p(t - tau), mag]])
-        for i, tau, mag in state.history[0]
+        for i, tau, mag in state.node_history(0)
     ])
     expected = (params["encoder.emb.self_proj"].data @ h(0)
                 + attention(enc.attn, h(0), rows)[0])
@@ -446,9 +482,9 @@ def test_emb_ablation_embedding_is_concatenated_memories():
 def test_mem_ablation_has_no_memory_state():
     enc, params, _ = make_encoder(ablation="mem", seed=17)
     state = seeded_state(enc, [_ev(1, 0, 1, 1)])
-    assert state._memory == {}
+    assert state.written_nodes().size == 0 and state.mem.shape[1] == 0
     assert not any(".msg" in n or ".mem" in n for n in params.names())
-    assert state.history[0] == [(1, 1.0, 1.0)]
+    assert state.node_history(0) == [(1, 1.0, 1.0)]
     z = embed(enc, 0, 3.0, state)
     assert z.shape == (enc.config.embedding_dim,)
 
@@ -465,10 +501,10 @@ def test_ba_ablation_single_memory_per_node(seed):
                   float(rng.choice([-2, 1]))) for t in range(int(rng.integers(1, 7)))]
     state = seeded_state(enc, events)
     touched = {n for ev in events for n in (ev.src, ev.dst)}
-    slots = {key for key in state._memory}
+    slots = {(n, s) for n in state.written_nodes().tolist() for s in range(state.mem.shape[1])}
     assert slots == {(n, 0) for n in touched}
     for ev in events:
-        routes = enc.route_event(ev, state)
+        routes = route_event(enc, ev, state)
         assert all(r.slot == 0 and r.other_src[1] == 0 for r in routes)
 
 
@@ -503,10 +539,11 @@ def test_detach_freezes_values():
     enc, params, _ = make_encoder(seed=21)
     state = seeded_state(enc, [_ev(1, 0, 1, 1)])
     val = state.memory_value(0, POS)
+    assert state.read_memory(np.array([0]), POS).requires_grad
     state.detach_()
-    tensor, row = state.memory_ref(0, POS)
-    assert row is None and not tensor.requires_grad
-    assert np.array_equal(tensor.data, val)
+    tensor = state.read_memory(np.array([0]), POS)
+    assert not tensor.requires_grad
+    assert np.array_equal(tensor.data[0], val)
 
 
 def test_state_snapshot_roundtrip(tmp_path):
@@ -517,15 +554,57 @@ def test_state_snapshot_roundtrip(tmp_path):
     loaded = EncoderState.load(path, enc.config)
     assert loaded.watermark == state.watermark
     assert loaded.events_ingested == state.events_ingested
-    assert loaded.last_update == state.last_update
-    assert loaded.history == state.history
-    for key in state._memory:
-        assert np.array_equal(loaded.memory_value(*key), state.memory_value(*key))
+    assert np.array_equal(loaded.last_update, state.last_update)
+    assert loaded.history.items() == state.history.items()
+    assert np.array_equal(loaded.written_nodes(), state.written_nodes())
+    for n in state.written_nodes().tolist():
+        for slot in (POS, NEG):
+            assert np.array_equal(loaded.memory_value(n, slot), state.memory_value(n, slot))
     # embeddings computed from the restored state agree exactly
     with no_grad():
         a = embed(enc, 0, 9.0, state)
         b = embed(enc, 0, 9.0, loaded)
     assert np.array_equal(a, b)
+
+
+# Written by the dict-backed state of the previous release from
+# FIXTURE_BATCHES with make_encoder(seed=22); the v1 document is unchanged.
+FIXTURE = Path(__file__).parent / "data" / "state_v1.json"
+FIXTURE_BATCHES = [
+    [_ev(1, 0, 1, 2), _ev(1, 1, 2, -1), _ev(2, 0, 9, 3), _ev(2, 2, 2, 1)],
+    [_ev(4, 3, 0, -2), _ev(4, 9, 1, 1), _ev(5, 0, 1, -4), _ev(7, 3, 9, 1)],
+]
+
+
+def test_snapshot_save_load_save_is_byte_identical(tmp_path):
+    enc, _, _ = make_encoder(seed=22)
+    state = EncoderState(enc.config)
+    for batch in FIXTURE_BATCHES:
+        enc.process_batch(batch, state)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    state.save(first)
+    EncoderState.load(first, enc.config).save(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_v1_fixture_loads_to_identical_memories_and_embeddings():
+    enc, _, _ = make_encoder(seed=22)
+    state = EncoderState(enc.config)
+    for batch in FIXTURE_BATCHES:
+        enc.process_batch(batch, state)
+    loaded = EncoderState.load(FIXTURE, enc.config)
+    assert loaded.watermark == state.watermark
+    assert loaded.events_ingested == state.events_ingested
+    assert np.array_equal(loaded.written_nodes(), [0, 1, 2, 3, 9])
+    assert np.array_equal(loaded.last_update, state.last_update)
+    assert loaded.history.items() == state.history.items()
+    for n in range(11):
+        for slot in (POS, NEG):
+            assert np.array_equal(loaded.memory_value(n, slot), state.memory_value(n, slot))
+    with no_grad():
+        a, _ = enc.compute_embeddings(list(range(11)), 9.0, state)
+        b, _ = enc.compute_embeddings(list(range(11)), 9.0, loaded)
+    assert np.array_equal(a.data, b.data)
 
 
 def test_snapshot_rejects_mismatched_config(tmp_path):

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -234,6 +237,23 @@ def test_config_roundtrip_through_dict():
     config = tiny_config(task=TaskKind.SIGNED_EXISTENCE, ablation="emb")
     again = TrainConfig.from_dict(config.to_dict())
     assert again == config
+
+
+@pytest.mark.parametrize("flags", list(itertools.product((True, False), repeat=3)))
+def test_every_ablation_combination_roundtrips_by_name(flags):
+    ablation = AblationConfig(*flags)
+    assert AblationConfig.from_name(ablation.name) == ablation
+    config = replace(tiny_config(), ablation=ablation)
+    assert TrainConfig.from_dict(config.to_dict()) == config
+
+
+def test_ablation_names_are_canonical():
+    assert AblationConfig(balanced_aggregation=False, use_memory=False).name == "ba+mem"
+    assert [AblationConfig.from_name(n).name for n in AblationConfig.NAMES] == list(
+        AblationConfig.NAMES)
+    for bad in ("custom", "ba+ba", "none+ba", "ba+", ""):
+        with pytest.raises(ValueError):
+            AblationConfig.from_name(bad)
 
 
 def test_weight_standardization_keeps_raw_units(small_split):

@@ -168,6 +168,38 @@ def test_gather_segment_repeat_gradients():
     _fd_check(f, [m, v])
 
 
+def test_take_rows_mixes_taken_and_fill_rows():
+    src = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    fill = np.array([[9.0, 9.0], [8.0, 8.0], [7.0, 7.0], [6.0, 6.0]])
+    out = T.take_rows(src, np.array([2, -1, 0, -1]), fill)
+    assert np.array_equal(out.data, [[4.0, 5.0], [8.0, 8.0], [0.0, 1.0], [6.0, 6.0]])
+    g = backward(T.tsum(T.mul(out, Tensor(np.arange(8.0).reshape(4, 2)))), leaves=[src])[src]
+    assert np.array_equal(g, [[4.0, 5.0], [0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(T.DimensionError):
+        T.take_rows(src, np.array([0, 1]), np.zeros((3, 2)))
+
+
+def test_take_rows_repeated_row_accumulates():
+    src = Tensor(np.ones((2, 3)), requires_grad=True)
+    out = T.take_rows(src, np.array([1, 1, -1, 1]), np.zeros((4, 3)))
+    g = backward(T.tsum(out), leaves=[src])[src]
+    assert np.array_equal(g, [[0.0] * 3, [3.0] * 3])
+
+
+def test_take_rows_gradients():
+    rng = np.random.default_rng(7)
+    src = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    fill = rng.normal(size=(6, 3))
+    rows = np.array([3, -1, 0, 3, -1, 1])
+    w = Tensor(rng.normal(size=(6, 3)))
+
+    def f():
+        out = T.take_rows(src, rows, fill)
+        return T.tsum(T.tanh(T.mul(T.mul(out, out), w)))
+
+    _fd_check(f, [src])
+
+
 def test_segment_sum_requires_sorted_ids():
     x = Tensor(np.ones((3, 2)))
     with pytest.raises(ValueError):
