@@ -30,6 +30,14 @@ keeps two invariants:
 - per (node, polarity) the most recent message wins, and a time tie goes
   to the message generated later in the batch.
 
+Embedding path: a query's history rows often point at the same few
+neighbours, so ``compute_embeddings`` reads the state of each distinct
+neighbour once into a table, keeps the time gap and magnitude of each row
+as per-row extras, and runs the whole segmented attention as one fused op
+(:func:`tensor.segment_attention`) over ``[table[index], extras]``: every
+distinct neighbour is read and projected once per call, and its gradient
+is summed back onto its table row.
+
 Ablations: ``ba`` collapses the two memories into one sign-blind slot,
 ``emb`` uses concatenated memories directly as embeddings, and ``mem``
 drops memories entirely and attends over raw node features.
@@ -535,7 +543,8 @@ class EncoderModel:
         counts, rows = hist.recent(ids, self.config.neighbor_cap)
         if not rows.size:
             return base, index
+        uniq, inv = np.unique(hist.nbr[rows], return_inverse=True)
         extras = np.column_stack([_encode_dt(self.config, t - hist.t[rows]), hist.mag[rows]])
-        r = concat([self._node_state_matrix(hist.nbr[rows], state), Tensor(extras)], axis=1)
-        att, _ = self.attn.apply(hq, r, r, np.repeat(np.arange(ids.size), counts))
+        att, _ = self.attn.apply(hq, self._node_state_matrix(uniq, state), inv, extras,
+                                 np.repeat(np.arange(ids.size), counts))
         return add(base, att), index

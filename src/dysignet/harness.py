@@ -186,8 +186,9 @@ def _records_from(task: TaskKind, pairs, times, labels, reality, outputs,
     else:
         rows = sigmoid_np(data.reshape(-1, 1))
     return [
-        PairRecord(u, v, t, tuple(float(x) for x in rows[i]), float(labels[i]), reality[i])
-        for i, ((u, v), t) in enumerate(zip(pairs, times))
+        PairRecord(u, v, t, tuple(row), label, real)
+        for (u, v), t, row, label, real in zip(
+            pairs, times, rows.tolist(), np.asarray(labels, dtype=np.float64).tolist(), reality)
     ]
 
 

@@ -16,20 +16,14 @@ from .tensor import (
     DimensionError,
     Tensor,
     add,
-    div,
-    exp,
     matmul,
     mul,
     relu,
-    repeat_rows,
-    reshape,
-    segment_sum,
+    segment_attention,
     sigmoid,
     slice_last,
-    sub,
     tanh,
     transpose,
-    tsum,
 )
 
 VALID_KINDS = ("feedforward", "recurrent-cell", "attention")
@@ -130,19 +124,15 @@ class RecurrentCell:
         return new_state
 
 
-def _segment_max(values: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
-    out = np.full((n_seg,) + values.shape[1:], -np.inf)
-    np.maximum.at(out, seg, values)
-    return out
-
-
 class MultiHeadAttention:
     """Segmented multi-head dot-product attention: query ``i`` attends over
-    the key/value rows whose segment id is ``i``.
+    the rows whose segment id is ``i``; each row serves as both key and value.
 
-    Per head: weights = softmax(q · kᵀ / sqrt(d_head)) within a segment,
-    output is the weight-combined value projections, heads concatenated.
-    A query whose segment has no rows gets a zero output.
+    Rows are factored as ``[table[index], extra]``: a table of distinct
+    states, an index into it per row, and per-row extra columns.  Per head:
+    weights = softmax(q · kᵀ / sqrt(d_head)) within a segment, output is the
+    weight-combined value projections, heads concatenated.  A query whose
+    segment has no rows gets a zero output.
     """
 
     def __init__(self, params: ParameterSet, name: str, query_dim: int, out_dim: int,
@@ -158,34 +148,20 @@ class MultiHeadAttention:
         self.wk = params.add(f"{name}.wk", uniform_init(rng, (out_dim, key_dim), key_dim))
         self.wv = params.add(f"{name}.wv", uniform_init(rng, (out_dim, value_dim), value_dim))
 
-    def apply(self, queries: Tensor, keys: Tensor, values: Tensor, seg: np.ndarray):
-        """queries (n_q, d_q), keys (n, d_k), values (n, d_v), ``seg`` (n,)
-        non-decreasing query ids.  Returns (output (n_q, out_dim),
-        weights (n, heads))."""
-        n = keys.data.shape[0]
-        if n == 0:
-            raise ValueError("attention requires a non-empty key set")
-        if values.data.shape[0] != n or np.shape(seg) != (n,):
-            raise DimensionError("keys, values and segment ids must have equal length")
+    def apply(self, queries: Tensor, table: Tensor, index: np.ndarray, extra: np.ndarray,
+              seg: np.ndarray):
+        """queries (n_q, d_q), table (u, d_s), ``index`` (n,) rows of the
+        table, constant ``extra`` (n, d_e) with d_s + d_e the key and value
+        dim, ``seg`` (n,) non-decreasing query ids.  Returns (output
+        (n_q, out_dim), weights (n, heads))."""
+        n = np.shape(index)[0]
+        if np.shape(extra)[0] != n or np.shape(seg) != (n,):
+            raise DimensionError("index, extra rows and segment ids must have equal length")
         if queries.data.ndim != 2 or queries.data.shape[1] != self.spec.in_dim:
             raise DimensionError(
                 f"{self.name}: query shape {queries.data.shape} != (n, {self.spec.in_dim})")
-        if keys.data.shape[1] != self.spec.key_dim or values.data.shape[1] != self.spec.value_dim:
-            raise DimensionError(f"{self.name}: key/value dims do not match layer spec")
-        seg = np.asarray(seg, dtype=np.intp)
-        n_q = queries.data.shape[0]
-        H = self.spec.heads
-        D = self.spec.out_dim
-        dh = D // H
-        q = matmul(queries, transpose(self.wq))
-        k = matmul(keys, transpose(self.wk))
-        v = matmul(values, transpose(self.wv))
-        qr = repeat_rows(q, seg)
-        logits = mul(tsum(mul(reshape(qr, (n, H, dh)), reshape(k, (n, H, dh))), axis=2),
-                     1.0 / np.sqrt(dh))
-        shift = _segment_max(logits.data, seg, n_q)
-        e = exp(sub(logits, Tensor(shift[seg])))
-        denom = segment_sum(e, seg, n_q)
-        alpha = div(e, repeat_rows(denom, seg))
-        weighted = mul(reshape(v, (n, H, dh)), reshape(alpha, (n, H, 1)))
-        return reshape(segment_sum(weighted, seg, n_q), (n_q, D)), alpha
+        width = table.data.shape[1] + np.shape(extra)[1]
+        if not width == self.spec.key_dim == self.spec.value_dim:
+            raise DimensionError(f"{self.name}: row width {width} does not match layer spec")
+        return segment_attention(queries, table, index, extra, self.wq, self.wk, self.wv,
+                                 seg, queries.data.shape[0], self.spec.heads)

@@ -30,17 +30,11 @@ def f1_binary(scores, labels, threshold: float = 0.5) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # 1-based, ties averaged
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of their ranks."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True,
+                                 equal_nan=False)   # each NaN ranks alone, last
+    last = np.cumsum(counts)   # rank of each tie group's last member
+    return (last - 0.5 * (counts - 1))[group]
 
 
 def auroc(scores, labels) -> float:

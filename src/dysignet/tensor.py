@@ -28,7 +28,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "neg",
     "matmul",
     "relu",
@@ -46,8 +45,7 @@ __all__ = [
     "slice_last",
     "gather_stack",
     "take_rows",
-    "segment_sum",
-    "repeat_rows",
+    "segment_attention",
     "logsumexp",
 ]
 
@@ -132,12 +130,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return neg(self)
 
@@ -213,18 +205,6 @@ def mul(a, b):
 
     def vjp(g):
         return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
-
-    return _result(data, (a, b), vjp)
-
-
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-
-    def vjp(g):
-        ga = _unbroadcast(g / b.data, a.data.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-        return ga, gb
 
     return _result(data, (a, b), vjp)
 
@@ -430,6 +410,17 @@ def slice_last(a, start, stop):
     return _result(data, (a,), vjp)
 
 
+def _scatter_rows(index, rows, n):
+    """(n, ...) array whose row ``k`` sums the ``rows[i]`` with
+    ``index[i] == k``.  One flat ``bincount`` adds in row order, as
+    ``np.add.at`` does, so the sums are bitwise equal at a fraction of its
+    cost."""
+    width = int(np.prod(rows.shape[1:]))
+    flat = (np.asarray(index, dtype=np.intp)[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=rows.ravel(), minlength=n * width)
+    return out.reshape((n,) + rows.shape[1:])
+
+
 def gather_stack(items):
     """Stack gathered rows into an (n, d) tensor.
 
@@ -474,9 +465,7 @@ def gather_stack(items):
             if rows is None:
                 out.append(g[positions].sum(axis=0))
             else:
-                acc = np.zeros_like(t.data)
-                np.add.at(acc, rows, g[positions])
-                out.append(acc)
+                out.append(_scatter_rows(rows, g[positions], t.data.shape[0]))
         return tuple(out)
 
     return _result(data, parents, vjp)
@@ -496,55 +485,77 @@ def take_rows(src, rows, fill):
     data[pos] = src.data[taken]
 
     def vjp(g):
-        acc = np.zeros_like(src.data)
-        np.add.at(acc, taken, g[pos])
-        return (acc,)
+        return (_scatter_rows(taken, g[pos], src.data.shape[0]),)
 
     return _result(data, (src,), vjp)
 
 
-def _segment_starts(seg, n_seg):
-    counts = np.bincount(seg, minlength=n_seg)
-    starts = np.zeros(n_seg, dtype=np.intp)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return counts, starts
+def segment_attention(queries, table, index, extra, wq, wk, wv, seg, n_q, heads):
+    """Segmented multi-head dot-product attention as one op.
 
+    Key/value row ``i`` is ``[table[index[i]], extra[i]]``: a row of a
+    table of distinct states followed by constant extra columns, so each
+    table row is projected once however many rows point at it.  Query
+    ``j`` attends over the rows whose segment id ``seg[i]`` (non-decreasing)
+    is ``j``.  Per head the weights are softmax(q · kᵀ / sqrt(d_head))
+    within the segment and the output is the weight-combined value
+    projections, heads concatenated; a query with no rows gets zeros.
 
-def segment_sum(a, seg, n_seg):
-    """Sum rows of ``a`` by non-decreasing segment id into (n_seg, ...)."""
-    a = as_tensor(a)
+    Returns (output (n_q, out_dim), weights (n, heads)).  The weights are
+    constants; gradients flow to queries, table, wq, wk and wv.
+    """
+    queries, table, wq, wk, wv = (as_tensor(x) for x in (queries, table, wq, wk, wv))
+    index = np.asarray(index, dtype=np.intp)
     seg = np.asarray(seg, dtype=np.intp)
-    if seg.size and np.any(np.diff(seg) < 0):
+    extra = np.asarray(extra, dtype=np.float64)
+    n = index.size
+    if n == 0:
+        raise ValueError("attention requires a non-empty key set")
+    if np.any(np.diff(seg) < 0):
         raise ValueError("segment ids must be non-decreasing")
-    counts, starts = _segment_starts(seg, n_seg)
-    data = np.zeros((n_seg,) + a.data.shape[1:], dtype=np.float64)
-    valid = counts > 0
-    if a.data.shape[0]:
-        data[valid] = np.add.reduceat(a.data, starts[valid], axis=0)
+    D = wq.data.shape[0]
+    dh = D // heads
+    scale = 1.0 / np.sqrt(dh)
+    counts = np.bincount(seg, minlength=n_q)
+    live = counts > 0
+    starts = (np.cumsum(counts) - counts)[live]
+    ds = table.data.shape[1]
+    w_state = np.concatenate([wk.data[:, :ds], wv.data[:, :ds]])
+    w_extra = np.concatenate([wk.data[:, ds:], wv.data[:, ds:]])
+
+    q = (queries.data @ wq.data.T).reshape(n_q, heads, dh)
+    kv = (table.data @ w_state.T)[index] + extra @ w_extra.T      # (n, 2D)
+    k = kv[:, :D].reshape(n, heads, dh)
+    v = kv[:, D:].reshape(n, heads, dh)
+    logits = np.einsum("nhd,nhd->nh", q[seg], k) * scale
+    shift = np.zeros((n_q, heads))
+    shift[live] = np.maximum.reduceat(logits, starts, axis=0)
+    e = np.exp(logits - shift[seg])
+    denom = np.zeros((n_q, heads))
+    denom[live] = np.add.reduceat(e, starts, axis=0)
+    alpha = e / denom[seg]
+    out = np.zeros((n_q, heads, dh))
+    out[live] = np.add.reduceat(v * alpha[:, :, None], starts, axis=0)
 
     def vjp(g):
-        return (g[seg],)
+        g = g.reshape(n_q, heads, dh)
+        g_rows = g[seg]
+        # softmax backward; a segment's sum of alpha * d(alpha) is <g, out>
+        g_alpha = np.einsum("nhd,nhd->nh", g_rows, v) - np.einsum("nhd,nhd->nh", g, out)[seg]
+        g_logits = (alpha * g_alpha * scale)[:, :, None]
+        g_kv = np.empty((n, 2, heads, dh))
+        np.multiply(g_logits, q[seg], out=g_kv[:, 0])
+        np.multiply(alpha[:, :, None], g_rows, out=g_kv[:, 1])
+        g_kv = g_kv.reshape(n, 2 * D)
+        g_q = np.zeros((n_q, heads, dh))
+        g_q[live] = np.add.reduceat(g_logits * k, starts, axis=0)
+        g_q = g_q.reshape(n_q, D)
+        g_table = _scatter_rows(index, g_kv, table.data.shape[0])
+        g_w = np.concatenate([g_table.T @ table.data, g_kv.T @ extra], axis=1)
+        return g_q @ wq.data, g_table @ w_state, g_q.T @ queries.data, g_w[:D], g_w[D:]
 
-    return _result(data, (a,), vjp)
-
-
-def repeat_rows(a, idx):
-    """Gather rows ``a[idx]``; the transpose of ``segment_sum`` for sorted idx."""
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    data = a.data[idx]
-
-    def vjp(g):
-        acc = np.zeros_like(a.data)
-        if idx.size and np.all(np.diff(idx) >= 0):
-            counts, starts = _segment_starts(idx, a.data.shape[0])
-            valid = counts > 0
-            acc[valid] = np.add.reduceat(g, starts[valid], axis=0)
-        else:
-            np.add.at(acc, idx, g)
-        return (acc,)
-
-    return _result(data, (a,), vjp)
+    weights = _result(alpha, (), None)
+    return _result(out.reshape(n_q, D), (queries, table, wq, wk, wv), vjp), weights
 
 
 def logsumexp(a, axis=-1, keepdims=False):

@@ -159,3 +159,22 @@ def compute_embedding(encoder, node: int, t: float, state) -> np.ndarray:
 def score_pair(decoder, z_u: Tensor, z_v: Tensor) -> Tensor:
     """Decoder output for one ordered pair of embedding vectors."""
     return decoder.net.apply(concat([z_u, z_v]))
+
+
+def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Rank-statistic AUROC with ties averaged by walking each run of equal
+    sorted scores."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size)
+    sorted_vals = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # 1-based, ties averaged
+        i = j + 1
+    n_pos = int(np.sum(labels == 1))
+    n_neg = labels.size - n_pos
+    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))

@@ -108,7 +108,8 @@ def test_criterion_2_gradient_suite():
         wa = Tensor(rng.normal(size=4))
 
         def att_loss():
-            out, _ = att.apply(q, kv, kv, np.zeros(3, dtype=np.intp))
+            out, _ = att.apply(q, kv, np.arange(3), np.zeros((3, 0)),
+                               np.zeros(3, dtype=np.intp))
             return T.tsum(T.mul(out, wa))
 
         assert max_grad_error(att_loss, ps) < tol

@@ -426,6 +426,26 @@ def test_embedding_batch_path_equals_reference_path():
         assert np.allclose(z.data[index[n]], single, atol=1e-12)
 
 
+def test_embedding_reads_each_distinct_neighbour_once(monkeypatch):
+    enc, _, _ = make_encoder(seed=12)
+    rng = np.random.default_rng(13)
+    warm = [_ev(t + 1, int(rng.integers(4)), 4 + int(rng.integers(4)),
+                float(rng.choice([-2, 1]))) for t in range(30)]
+    state = seeded_state(enc, warm)
+    nodes = list(range(8))
+    _, rows = state.history.recent(np.array(nodes), enc.config.neighbor_cap)
+    distinct = len(np.unique(state.history.nbr[rows]))
+    assert distinct < rows.size   # neighbours repeat across history rows
+    reads = []
+    read = state.read_memory
+    monkeypatch.setattr(state, "read_memory",
+                        lambda n, slot: reads.append(n.size) or read(n, slot))
+    enc.compute_embeddings(nodes, 40.0, state)
+    # per slot: one read of the queries, then one of the distinct neighbours
+    slots = enc.config.slot_count
+    assert reads == [len(nodes)] * slots + [distinct] * slots
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_embedding_empty_history_property(seed):

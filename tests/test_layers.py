@@ -169,12 +169,19 @@ def _one_segment(n):
     return np.zeros(n, dtype=np.intp)
 
 
+def _apply_rows(att, q, kv, seg):
+    """Attention over plain rows: each row is its own table entry and no
+    row has extra columns."""
+    n = kv.data.shape[0]
+    return att.apply(q, kv, np.arange(n), np.zeros((n, 0)), seg)
+
+
 def test_attention_singleton_weight_one():
     ps, att = _attn(4, 6, 3, kv_dim=5, seed=1)
     rng = np.random.default_rng(2)
     q = Tensor(rng.normal(size=(1, 4)))
     kv = Tensor(rng.normal(size=(1, 5)))
-    out, w = att.apply(q, kv, kv, _one_segment(1))
+    out, w = _apply_rows(att, q, kv, _one_segment(1))
     assert np.allclose(w.data, 1.0)
     assert np.allclose(out.data[0], ps["att.wv"].data @ kv.data[0], atol=1e-12)
 
@@ -185,7 +192,7 @@ def test_attention_equal_logits_uniform():
     q = Tensor(rng.normal(size=(1, 4)))
     one = rng.normal(size=5)
     kv = Tensor(np.tile(one, (4, 1)))  # identical keys -> identical logits
-    _, w = att.apply(q, kv, kv, _one_segment(4))
+    _, w = _apply_rows(att, q, kv, _one_segment(4))
     assert np.allclose(w.data, 0.25)
 
 
@@ -194,7 +201,7 @@ def test_attention_matches_softmax_formula_oracle():
     rng = np.random.default_rng(6)
     q = rng.normal(size=5)
     kv = rng.normal(size=(3, 6))
-    out, w = att.apply(Tensor(q[None, :]), Tensor(kv), Tensor(kv), _one_segment(3))
+    out, w = _apply_rows(att, Tensor(q[None, :]), Tensor(kv), _one_segment(3))
     expected_out, expected_w = attention(att, q, kv)
     assert np.abs(w.data - expected_w.T).max() < 1e-12
     assert np.abs(out.data[0] - expected_out).max() < 1e-12
@@ -203,15 +210,14 @@ def test_attention_matches_softmax_formula_oracle():
 def test_attention_empty_keys_rejected():
     _, att = _attn(4, 4, 2, seed=9)
     with pytest.raises(ValueError):
-        att.apply(Tensor(np.ones((1, 4))), Tensor(np.empty((0, 4))), Tensor(np.empty((0, 4))),
-                  _one_segment(0))
+        _apply_rows(att, Tensor(np.ones((1, 4))), Tensor(np.empty((0, 4))), _one_segment(0))
 
 
 def test_attention_mismatched_lengths_rejected():
     _, att = _attn(4, 4, 2, seed=10)
     with pytest.raises(T.DimensionError):
-        att.apply(Tensor(np.ones((1, 4))), Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))),
-                  _one_segment(2))
+        att.apply(Tensor(np.ones((1, 4))), Tensor(np.ones((2, 4))), np.arange(2),
+                  np.zeros((3, 0)), _one_segment(2))
 
 
 def test_attention_gradcheck():
@@ -222,7 +228,7 @@ def test_attention_gradcheck():
     w = Tensor(rng.normal(size=(1, 4)))
 
     def loss():
-        out, _ = att.apply(q, kv, kv, _one_segment(3))
+        out, _ = _apply_rows(att, q, kv, _one_segment(3))
         return T.tsum(T.mul(out, w))
 
     assert max_grad_error(loss, ps) < 1e-6
@@ -238,7 +244,7 @@ def test_attention_segments_match_per_segment_oracle():
     rng = np.random.default_rng(14)
     q = rng.normal(scale=3.0, size=(4, 5))
     kv = rng.normal(scale=3.0, size=(SEGMENTS.size, 4))
-    out, w = att.apply(Tensor(q), Tensor(kv), Tensor(kv), SEGMENTS)
+    out, w = _apply_rows(att, Tensor(q), Tensor(kv), SEGMENTS)
     assert np.all(w.data >= 0.0)
     for i in range(4):
         rows = SEGMENTS == i
@@ -259,10 +265,50 @@ def test_attention_segments_gradcheck():
     w = Tensor(rng.normal(size=(4, 4)))
 
     def loss():
-        out, _ = att.apply(q, kv, kv, SEGMENTS)
+        out, _ = _apply_rows(att, q, kv, SEGMENTS)
         return T.tsum(T.mul(out, w))
 
     assert max_grad_error(loss, ps) < 1e-6
+
+
+# factored rows: table row 1 is used by segments 0, 1 and 3; segment 2 is
+# empty; row i is [table[TABLE_INDEX[i]], extra[i]]
+TABLE_INDEX = np.array([1, 0, 1, 1, 2, 1], dtype=np.intp)
+
+
+def _factored(extra_dim, seed):
+    """Attention, a loss over it and its inputs, with the queries and the
+    table registered as parameters so the gradcheck covers them too."""
+    rng = np.random.default_rng(seed)
+    ps, att = _attn(3, 4, 2, kv_dim=4 + extra_dim, seed=seed)
+    q = ps.add("queries", rng.normal(size=(4, 3)))
+    table = ps.add("table", rng.normal(size=(3, 4)))
+    extra = rng.normal(size=(SEGMENTS.size, extra_dim))
+    w = Tensor(rng.normal(size=(4, 4)))
+
+    def loss():
+        out, _ = att.apply(q, table, TABLE_INDEX, extra, SEGMENTS)
+        return T.tsum(T.tanh(T.mul(out, w)))
+
+    return ps, att, q, table, extra, loss
+
+
+@pytest.mark.parametrize("extra_dim", [2, 0])
+def test_factored_attention_gradcheck(extra_dim):
+    ps, _, _, _, _, loss = _factored(extra_dim, seed=17)
+    assert max_grad_error(loss, ps) < 1e-6
+
+
+def test_factored_attention_equals_explicit_rows_oracle():
+    _, att, q, table, extra, _ = _factored(2, seed=18)
+    out, w = att.apply(q, table, TABLE_INDEX, extra, SEGMENTS)
+    rows = np.concatenate([table.data[TABLE_INDEX], extra], axis=1)
+    assert np.array_equal(out.data[2], np.zeros(4))
+    for i in (0, 1, 3):
+        sel = SEGMENTS == i
+        expected_out, expected_w = attention(att, q.data[i], rows[sel])
+        assert np.abs(w.data[sel] - expected_w.T).max() < 1e-12
+        assert np.abs(out.data[i] - expected_out).max() < 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -279,6 +325,6 @@ def test_attention_weights_normalized(seed):
                              key_dim=kv_dim, value_dim=kv_dim, rng=rng)
     q = Tensor(rng.normal(scale=3.0, size=(1, q_dim)))
     kv = Tensor(rng.normal(scale=3.0, size=(n, kv_dim)))
-    _, w = att.apply(q, kv, kv, _one_segment(n))
+    _, w = _apply_rows(att, q, kv, _one_segment(n))
     assert np.all(w.data >= 0.0)
     assert np.abs(w.data.sum(axis=0) - 1.0).max() < 1e-9

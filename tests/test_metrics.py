@@ -13,6 +13,8 @@ from dysignet.metrics import (
     weight_histograms,
 )
 
+import oracles
+
 
 def test_f1_perfect():
     scores = np.array([0.9, 0.8, 0.1, 0.2])
@@ -80,6 +82,20 @@ def test_auroc_invariant_under_monotone_transform(seed):
         labels[0] = 1 - labels[0]
     base = auroc(scores, labels)
     assert auroc(np.exp(3 * scores) + 7, labels) == pytest.approx(base, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_auroc_matches_tie_walking_oracle_on_heavy_ties(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 300))
+    levels = rng.normal(size=int(rng.integers(1, 6)))
+    levels[0] = 0.0
+    scores = rng.choice(levels, size=n)
+    scores[rng.random(n) < 0.2] = -0.0   # equal to 0.0, so tied with it
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = [0, 1]
+    assert auroc(scores, labels) == oracles.auroc(scores, labels)
 
 
 def _probs(rng, n, k=3):

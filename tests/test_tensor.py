@@ -109,7 +109,7 @@ def test_elementwise_and_matmul_gradients():
 
     def f():
         y = T.matmul(T.add(a, b), c)          # (3, 2)
-        z = T.div(T.mul(y, y), T.add(T.exp(b.sum()), 1.0))
+        z = T.mul(T.mul(y, y), T.sigmoid(T.neg(b.sum())))   # y² / (e^Σb + 1)
         return T.tmean(T.tanh(z))
 
     _fd_check(f, [a, b, c])
@@ -122,8 +122,7 @@ def test_batched_matmul_gradients():
 
     def f():
         logits = T.matmul(k, q)
-        e = T.exp(T.sub(logits, Tensor(logits.data.max(axis=1, keepdims=True))))
-        w = T.div(e, T.tsum(e, axis=1, keepdims=True))
+        w = T.exp(T.sub(logits, T.logsumexp(logits, axis=1, keepdims=True)))
         return T.tsum(T.mul(w, w))
 
     _fd_check(f, [k, q])
@@ -146,26 +145,66 @@ def test_slice_row_transpose_reshape_gradients():
 
     def f():
         a = T.slice_last(m, 1, 4)             # (4, 3)
-        b = T.repeat_rows(m, [2])             # (1, 6)
+        b = T.take_rows(m, [2], np.zeros((1, 6)))   # (1, 6)
         c = T.transpose(T.reshape(a, (2, 2, 3)), (1, 0, 2))
         return T.add(T.tsum(T.mul(c, c)), T.tsum(T.mul(b, b)))
 
     _fd_check(f, [m])
 
 
-def test_gather_segment_repeat_gradients():
+def _attention_weights(rng, q_dim, row_dim, out_dim=4):
+    return [Tensor(rng.normal(size=(out_dim, d)), requires_grad=True)
+            for d in (q_dim, row_dim, row_dim)]
+
+
+def test_gather_attention_repeated_row_gradients():
     rng = np.random.default_rng(5)
     m = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     v = Tensor(rng.normal(size=3), requires_grad=True)
+    wq, wk, wv = _attention_weights(rng, 3, 5)
+    extra = rng.normal(size=(5, 2))
+    index = np.array([0, 2, 2, 1, 2])   # table row 2 serves all three segments
     seg = np.array([0, 0, 1, 2, 2])
 
     def f():
         g = T.gather_stack([(m, 0), (v, None), (m, 2), (m, 0), (v, None)])
-        s = T.segment_sum(g, seg, 3)
-        r = T.repeat_rows(s, np.array([0, 1, 1, 2, 2]))
-        return T.tmean(T.mul(r, g))
+        out, _ = T.segment_attention(g, m, index, extra, wq, wk, wv, seg, 5, 2)
+        return T.tmean(T.mul(out, out))
 
-    _fd_check(f, [m, v])
+    _fd_check(f, [m, v, wq, wk, wv])
+
+
+def test_segment_attention_repeated_row_accumulates():
+    # one table row used three times gets the summed gradient of three copies
+    rng = np.random.default_rng(8)
+    wq, wk, wv = _attention_weights(rng, 2, 3)
+    q = Tensor(rng.normal(size=(2, 2)))
+    row = rng.normal(size=(1, 3))
+    seg = np.array([0, 0, 1])
+    shared = Tensor(row, requires_grad=True)
+    copies = Tensor(np.repeat(row, 3, axis=0), requires_grad=True)
+    out1, _ = T.segment_attention(q, shared, [0, 0, 0], np.zeros((3, 0)), wq, wk, wv, seg, 2, 2)
+    out3, _ = T.segment_attention(q, copies, [0, 1, 2], np.zeros((3, 0)), wq, wk, wv, seg, 2, 2)
+    assert np.abs(out1.data - out3.data).max() < 1e-14
+    g1 = backward(T.tsum(T.tanh(out1)), leaves=[shared])[shared]
+    g3 = backward(T.tsum(T.tanh(out3)), leaves=[copies])[copies]
+    assert np.abs(g1[0] - g3.sum(axis=0)).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_scatter_rows_equals_add_at_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(0, 40))
+    shape = [(m,), (m, int(rng.integers(0, 5))), (m, 3, 2)][seed % 3]
+    index = rng.integers(0, n, size=m)   # repeats whenever m > n
+    rows = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+    expected = np.zeros((n,) + shape[1:])
+    np.add.at(expected, index, rows)
+    got = T._scatter_rows(index, rows, n)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_take_rows_mixes_taken_and_fill_rows():
@@ -200,18 +239,27 @@ def test_take_rows_gradients():
     _fd_check(f, [src])
 
 
-def test_segment_sum_requires_sorted_ids():
-    x = Tensor(np.ones((3, 2)))
+def test_segment_attention_requires_sorted_ids():
+    rng = np.random.default_rng(9)
+    wq, wk, wv = _attention_weights(rng, 2, 2)
+    q, table = Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2)))
     with pytest.raises(ValueError):
-        T.segment_sum(x, np.array([1, 0, 2]), 3)
+        T.segment_attention(q, table, [0, 1, 2], np.zeros((3, 0)), wq, wk, wv,
+                            np.array([1, 0, 2]), 3, 2)
 
 
-def test_segment_sum_handles_empty_segments():
-    x = Tensor(np.arange(6.0).reshape(3, 2))
-    out = T.segment_sum(x, np.array([0, 0, 3]), 5)
-    assert np.allclose(out.data[0], [2.0, 4.0])
+def test_segment_attention_empty_segments_get_zeros():
+    rng = np.random.default_rng(10)
+    wq, wk, wv = _attention_weights(rng, 2, 4)
+    q = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    table = Tensor(np.arange(6.0).reshape(2, 3))
+    out, w = T.segment_attention(q, table, [0, 1, 1], rng.normal(size=(3, 1)), wq, wk, wv,
+                                 np.array([0, 0, 3]), 5, 2)
     assert np.all(out.data[[1, 2, 4]] == 0.0)
-    assert np.allclose(out.data[3], [4.0, 5.0])
+    assert np.all(out.data[[0, 3]] != 0.0)
+    assert np.allclose(w.data[:2].sum(axis=0), 1.0) and np.allclose(w.data[2], 1.0)
+    g = backward(T.tsum(out), leaves=[q])[q]
+    assert np.all(g[[1, 2, 4]] == 0.0)
 
 
 def test_gather_stack_rejects_mixed_use():
