@@ -30,6 +30,19 @@ keeps two invariants:
 - per (node, polarity) the most recent message wins, and a time tie goes
   to the message generated later in the batch.
 
+Memory-update path: per slot, the message net and the recurrent cell are
+each one autograd op (:func:`tensor.feedforward`,
+:func:`tensor.recurrent_cell`) with a hand-written vjp, not a chain of
+primitives.  The saving is in memory traffic, not arithmetic: the composed
+cell built about twenty graph nodes, each allocating a fresh (n, d) or
+(n, 4d) temporary whose first touch costs page faults.  The fused cell
+reads each gate's column block once into one contiguous gate buffer, runs
+the rest in place and keeps only the gates and tanh of the cell value for
+the backward pass.  Both ops add and multiply in the composed order
+(``x·wᵀ``, then ``+ state·uᵀ``, then ``+ b``; each gradient term as its
+primitive formed it), so values and gradients keep their bits; a stacked
+``[w; u]`` matmul would reorder the sums and is not used.
+
 Embedding path: a query's history rows often point at the same few
 neighbours, so ``compute_embeddings`` reads the state of each distinct
 neighbour once into a table, keeps the time gap and magnitude of each row

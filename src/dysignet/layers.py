@@ -12,19 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ParameterSet
-from .tensor import (
-    DimensionError,
-    Tensor,
-    add,
-    matmul,
-    mul,
-    relu,
-    segment_attention,
-    sigmoid,
-    slice_last,
-    tanh,
-    transpose,
-)
+from .tensor import DimensionError, Tensor, feedforward, recurrent_cell, segment_attention
 
 VALID_KINDS = ("feedforward", "recurrent-cell", "attention")
 
@@ -64,7 +52,9 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Feedforward:
-    """Two-layer perceptron: relu hidden layer, linear output."""
+    """Two-layer perceptron: relu hidden layer, linear output.  ``apply``
+    runs it as the one op :func:`tensor.feedforward` on (in,) or (n, in)
+    input, with the bits of the seven primitives it replaces."""
 
     def __init__(self, params: ParameterSet, name: str, in_dim: int, out_dim: int,
                  hidden_dim: int | None = None, rng: np.random.Generator | None = None):
@@ -81,13 +71,18 @@ class Feedforward:
         if x.data.shape[-1] != self.spec.in_dim:
             raise DimensionError(
                 f"{self.name}: input dim {x.data.shape[-1]} != {self.spec.in_dim}")
-        h = relu(add(matmul(x, transpose(self.w1)), self.b1))
-        return add(matmul(h, transpose(self.w2)), self.b2)
+        return feedforward(x, self.w1, self.b1, self.w2, self.b2)
 
 
 class RecurrentCell:
     """Four-gate LSTM-style cell whose single state vector doubles as the
     carried cell value: new = output ⊙ tanh(forget ⊙ state + input ⊙ cand).
+
+    ``apply`` runs the step as the one op :func:`tensor.recurrent_cell` on
+    (in,)/(d,) or (n, in)/(n, d) input.  Fusing saves the fresh
+    temporaries, and their page faults, of about twenty primitive ops, not
+    arithmetic.  It sums in their order, x·wᵀ, then + state·uᵀ, then + b,
+    so values and gradients keep their bits.
 
     Zero parameters make the zero state a fixed point for any input.
     """
@@ -104,24 +99,12 @@ class RecurrentCell:
         self.u = params.add(f"{name}.u", uniform_init(rng, (k, state_dim), state_dim))
         self.b = params.add(f"{name}.b", uniform_init(rng, (k,), state_dim))
 
-    def apply(self, x: Tensor, state: Tensor, return_gates: bool = False):
+    def apply(self, x: Tensor, state: Tensor) -> Tensor:
         if x.data.shape[-1] != self.spec.in_dim or state.data.shape[-1] != self.spec.out_dim:
             raise DimensionError(
                 f"{self.name}: got input dim {x.data.shape[-1]} / state dim "
                 f"{state.data.shape[-1]}, expected {self.spec.in_dim} / {self.spec.out_dim}")
-        z = add(add(matmul(x, transpose(self.w)), matmul(state, transpose(self.u))), self.b)
-        d = self.spec.out_dim
-        gate_in = sigmoid(slice_last(z, 0, d))
-        gate_forget = sigmoid(slice_last(z, d, 2 * d))
-        cand = tanh(slice_last(z, 2 * d, 3 * d))
-        gate_out = sigmoid(slice_last(z, 3 * d, 4 * d))
-        cell = add(mul(gate_forget, state), mul(gate_in, cand))
-        new_state = mul(gate_out, tanh(cell))
-        if return_gates:
-            gates = {"input": gate_in, "forget": gate_forget,
-                     "candidate": cand, "output": gate_out}
-            return new_state, gates
-        return new_state
+        return recurrent_cell(x, state, self.w, self.u, self.b)
 
 
 class MultiHeadAttention:

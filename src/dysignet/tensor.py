@@ -30,9 +30,6 @@ __all__ = [
     "mul",
     "neg",
     "matmul",
-    "relu",
-    "sigmoid",
-    "tanh",
     "exp",
     "log",
     "sqrt",
@@ -42,9 +39,10 @@ __all__ = [
     "reshape",
     "transpose",
     "concat",
-    "slice_last",
     "gather_stack",
     "take_rows",
+    "feedforward",
+    "recurrent_cell",
     "segment_attention",
     "logsumexp",
 ]
@@ -250,43 +248,20 @@ def matmul(a, b):
     return _result(data, (a, b), vjp)
 
 
-def relu(a):
-    a = as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-
-    def vjp(g):
-        return (g * (a.data > 0),)
-
-    return _result(data, (a,), vjp)
-
-
-def _expit(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
+def _expit(x, out=None):
+    """Logistic sigmoid without masks.  ``e = exp(-|x|)`` is at most 1, so
+    the numerator ``max(e, x >= 0)`` is 1 where x >= 0 and ``e`` elsewhere,
+    and ``num / (1 + e)`` is bitwise the two-branch form, for ±inf, -0.0
+    and 0-d input too; NaN stays NaN.  ``out`` may be ``x`` itself."""
+    e = np.abs(x, out=np.empty(np.shape(x)))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.maximum(e, np.greater_equal(x, 0), out=out)
+    e += 1.0
+    out /= e
     return out
-
-
-def sigmoid(a):
-    a = as_tensor(a)
-    s = _expit(a.data)
-
-    def vjp(g):
-        return (g * s * (1.0 - s),)
-
-    return _result(s, (a,), vjp)
-
-
-def tanh(a):
-    a = as_tensor(a)
-    t = np.tanh(a.data)
-
-    def vjp(g):
-        return (g * (1.0 - t * t),)
-
-    return _result(t, (a,), vjp)
 
 
 def exp(a):
@@ -398,18 +373,6 @@ def concat(tensors, axis=0):
     return _result(data, tuple(tensors), vjp)
 
 
-def slice_last(a, start, stop):
-    a = as_tensor(a)
-    data = a.data[..., start:stop]
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
-        return (full,)
-
-    return _result(data, (a,), vjp)
-
-
 def _scatter_rows(index, rows, n):
     """(n, ...) array whose row ``k`` sums the ``rows[i]`` with
     ``index[i] == k``.  One flat ``bincount`` adds in row order, as
@@ -488,6 +451,100 @@ def take_rows(src, rows, fill):
         return (_scatter_rows(taken, g[pos], src.data.shape[0]),)
 
     return _result(data, (src,), vjp)
+
+
+def _rows2(a):
+    """A 1-D array as one row; a 2-D array as it is."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _gate_blocks(a, d):
+    """Views of the four width-``d`` column blocks of ``a``."""
+    return [a[..., k * d:(k + 1) * d] for k in range(4)]
+
+
+def _sigmoid_grad(g, s):
+    """``g * s * (1 - s)`` in place in ``g``, in that order."""
+    g *= s
+    g *= 1.0 - s
+
+
+def feedforward(x, w1, b1, w2, b2):
+    """``relu(x · w1ᵀ + b1) · w2ᵀ + b2`` as one op; ``x`` is (in,) or
+    (n, in).  Each step runs in place on one buffer and the vjp keeps only
+    the hidden activations."""
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    X = x.data
+    h = X @ w1.data.T
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    out = h @ w2.data.T
+    out += b2.data
+
+    def vjp(g):
+        g_w2 = (_rows2(h).T @ _rows2(g)).T
+        g_h = (_rows2(g) @ w2.data).reshape(h.shape)
+        g_h *= h > 0
+        g_w1 = (_rows2(X).T @ _rows2(g_h)).T
+        g_x = (_rows2(g_h) @ w1.data).reshape(X.shape) if x.requires_grad else None
+        return (g_x, g_w1, _unbroadcast(g_h, b1.data.shape), g_w2,
+                _unbroadcast(g, b2.data.shape))
+
+    return _result(out, (x, w1, b1, w2, b2), vjp)
+
+
+def recurrent_cell(x, state, w, u, b):
+    """Four-gate cell step as one op: ``z = x · wᵀ + state · uᵀ + b``
+    split into input, forget, candidate and output blocks of the state
+    width d, then ``output ⊙ tanh(forget ⊙ state + input ⊙ candidate)``.
+    ``x`` is (in,) or (n, in) and ``state`` (d,) or (n, d).
+
+    Each gate is computed from its column block of ``z`` into one
+    contiguous (4, ...) gate buffer, the rest runs in place, and the vjp
+    keeps only the gates and tanh of the cell value."""
+    x, state, w, u, b = (as_tensor(t) for t in (x, state, w, u, b))
+    X, S = x.data, state.data
+    d = S.shape[-1]
+    z = X @ w.data.T
+    z += S @ u.data.T
+    z += b.data
+    zi, zf, zc, zo = _gate_blocks(z, d)
+    gates = np.empty((4,) + S.shape)
+    gi, gf, c, go = gates
+    _expit(zi, out=gi)
+    _expit(zf, out=gf)
+    np.tanh(zc, out=c)
+    _expit(zo, out=go)
+    tc = gf * S
+    tc += gi * c
+    np.tanh(tc, out=tc)
+    new = go * tc
+
+    def vjp(g):
+        # every term is formed as the composed ops formed it, operands and
+        # order alike, and g_z is written block by block into one buffer
+        g_z = np.empty(S.shape[:-1] + (4 * d,))
+        gz_i, gz_f, gz_c, gz_o = _gate_blocks(g_z, d)
+        np.multiply(g, tc, out=gz_o)
+        _sigmoid_grad(gz_o, go)
+        g_cell = g * go
+        g_cell *= 1.0 - tc * tc
+        np.multiply(g_cell, c, out=gz_i)
+        _sigmoid_grad(gz_i, gi)
+        np.multiply(g_cell, gi, out=gz_c)
+        gz_c *= 1.0 - c * c
+        np.multiply(g_cell, S, out=gz_f)
+        _sigmoid_grad(gz_f, gf)
+        G = _rows2(g_z)
+        g_x = (G @ w.data).reshape(X.shape) if x.requires_grad else None
+        g_s = None
+        if state.requires_grad:
+            g_s = g_cell * gf
+            g_s += (G @ u.data).reshape(S.shape)
+        return (g_x, g_s, (_rows2(X).T @ G).T, (_rows2(S).T @ G).T,
+                _unbroadcast(g_z, b.data.shape))
+
+    return _result(new, (x, state, w, u, b), vjp)
 
 
 def segment_attention(queries, table, index, extra, wq, wk, wv, seg, n_q, heads):

@@ -4,6 +4,11 @@ Each function here is the reference that a batched library path is
 compared against: one event, one (node, polarity) slot, one node or one
 pair at a time, written as plainly as the maths allows.  The library keeps
 only the batched paths.
+
+The feed-forward net and the recurrent cell also have composed references
+here: one autograd node per primitive, built from the elementwise ops
+below, which the library no longer needs since both layers became fused
+ops.
 """
 
 import math
@@ -13,7 +18,78 @@ from typing import NamedTuple
 import numpy as np
 
 from dysignet.encoder import NEG, POS
-from dysignet.tensor import Tensor, concat, reshape
+from dysignet.tensor import (
+    Tensor, _result, add, as_tensor, concat, matmul, mul, reshape, transpose)
+
+
+def expit(x):
+    """Two-branch logistic sigmoid: each branch exponentiates only
+    non-positive values, so neither overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def relu(a):
+    a = as_tensor(a)
+
+    def vjp(g):
+        return (g * (a.data > 0),)
+
+    return _result(np.maximum(a.data, 0.0), (a,), vjp)
+
+
+def sigmoid(a):
+    a = as_tensor(a)
+    s = expit(a.data)
+
+    def vjp(g):
+        return (g * s * (1.0 - s),)
+
+    return _result(s, (a,), vjp)
+
+
+def tanh(a):
+    a = as_tensor(a)
+    t = np.tanh(a.data)
+
+    def vjp(g):
+        return (g * (1.0 - t * t),)
+
+    return _result(t, (a,), vjp)
+
+
+def slice_last(a, start, stop):
+    a = as_tensor(a)
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        full[..., start:stop] = g
+        return (full,)
+
+    return _result(a.data[..., start:stop], (a,), vjp)
+
+
+def feedforward(net, x) -> Tensor:
+    """``net``'s output as seven composed ops."""
+    h = relu(add(matmul(x, transpose(net.w1)), net.b1))
+    return add(matmul(h, transpose(net.w2)), net.b2)
+
+
+def cell_step(cell, x, state):
+    """``cell``'s step as about twenty composed ops; returns (new state,
+    gate name -> gate tensor)."""
+    z = add(add(matmul(x, transpose(cell.w)), matmul(state, transpose(cell.u))), cell.b)
+    d = cell.spec.out_dim
+    gate_in = sigmoid(slice_last(z, 0, d))
+    gate_forget = sigmoid(slice_last(z, d, 2 * d))
+    cand = tanh(slice_last(z, 2 * d, 3 * d))
+    gate_out = sigmoid(slice_last(z, 3 * d, 4 * d))
+    new = mul(gate_out, tanh(add(mul(gate_forget, state), mul(gate_in, cand))))
+    return new, dict(zip(cell.GATES, (gate_in, gate_forget, cand, gate_out)))
 
 
 class Route(NamedTuple):

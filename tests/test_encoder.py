@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from dysignet.encoder import NEG, POS, EncoderState
 from dysignet.events import SignedEvent
 from dysignet.harness import build_model
-from dysignet.tensor import no_grad
+from dysignet.layers import Feedforward, RecurrentCell
+from dysignet.tensor import Tensor, backward, mul, no_grad, tsum
 
 from helpers import tiny_config
 from oracles import (
     aggregate_messages,
     attention,
+    cell_step,
     compute_embedding,
+    feedforward,
     generate_messages,
     log_history,
     route_event,
@@ -536,6 +539,33 @@ def test_ba_message_ignores_sign_routing():
     assert len(plus) == 2
     for a, b in zip(plus, minus):
         assert np.array_equal(a.payload.data, b.payload.data)
+
+
+def test_chained_memory_gradients_equal_composed_layers(monkeypatch):
+    # two batches without detach_: the second batch's cell reads the first
+    # batch's fresh memories as its state (``own``), which also feed its
+    # message net, so gradient reaches the parameters along both paths
+    enc, params, _ = make_encoder(seed=23)
+    rng = np.random.default_rng(24)
+    batches = [[_ev(k * 10 + t + 1, int(rng.integers(5)), int(rng.integers(5)),
+                    float(rng.choice([-2, 1]))) for t in range(6)] for k in range(2)]
+    w = Tensor(rng.normal(size=(5, enc.config.embedding_dim)))
+
+    def grads():
+        state = EncoderState(enc.config)
+        for batch in batches:
+            enc.process_batch(batch, state)
+        z, _ = enc.compute_embeddings(list(range(5)), 30.0, state)
+        g = backward(tsum(mul(z, w)), leaves=params.tensors())
+        return [g[p] for p in params.tensors()]
+
+    fused = grads()
+    monkeypatch.setattr(Feedforward, "apply", feedforward)
+    monkeypatch.setattr(RecurrentCell, "apply", lambda cell, x, s: cell_step(cell, x, s)[0])
+    composed = grads()
+    assert any(np.any(g != 0.0) for name, g in zip(params.names(), fused) if ".mem_" in name)
+    for got, expected in zip(fused, composed):
+        assert np.array_equal(got, expected)
 
 
 # ------------------------------------------------------- misc encoder state

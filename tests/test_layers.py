@@ -9,7 +9,7 @@ from dysignet.params import ParameterSet
 from dysignet.tensor import Tensor
 
 from helpers import max_grad_error
-from oracles import attention
+from oracles import attention, cell_step, feedforward, tanh
 
 
 def _ffn(in_dim, out_dim, hidden=None, seed=0):
@@ -152,10 +152,55 @@ def test_cell_gate_ranges(seed):
         ps[name].data[...] = rng.uniform(-1.0, 1.0, size=ps[name].data.shape)
     x = Tensor(rng.uniform(-1.0, 1.0, size=in_dim))
     s = Tensor(rng.uniform(-1.0, 1.0, size=d))
-    _, gates = cell.apply(x, s, return_gates=True)
+    new, gates = cell_step(cell, x, s)
     for key in ("input", "forget", "output"):
         assert np.all(gates[key].data > 0.0) and np.all(gates[key].data < 1.0)
     assert np.all(np.abs(gates["candidate"].data) < 1.0)
+    assert np.array_equal(cell.apply(x, s).data, new.data)
+
+
+# --------------------------------------------------------------- fused ops
+
+def test_fused_ffn_batched_gradcheck():
+    rng = np.random.default_rng(31)
+    ps, net = _ffn(3, 2, hidden=4, seed=32)
+    x = ps.add("x", rng.normal(size=(4, 3)))
+    w = Tensor(rng.normal(size=(4, 2)))
+    assert max_grad_error(lambda: T.tsum(T.mul(net.apply(x), w)), ps) < 1e-6
+
+
+def test_fused_cell_batched_gradcheck():
+    rng = np.random.default_rng(33)
+    ps, cell = _cell(2, 3, seed=34)
+    x = ps.add("x", rng.normal(size=(3, 2)))
+    s = ps.add("state", rng.normal(size=(3, 3)))
+    w = Tensor(rng.normal(size=(3, 3)))
+    assert max_grad_error(lambda: T.tsum(T.mul(cell.apply(x, s), w)), ps) < 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([(), (1,), (3,), (17,)]))
+def test_fused_ops_bitwise_equal_composed_oracle(seed, lead):
+    # the fused ops keep the composed ops' summation order, so values and
+    # gradients agree bit for bit, 1-D and batched, saturated or not
+    rng = np.random.default_rng(seed)
+    in_dim, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    ps = ParameterSet()
+    net = Feedforward(ps, "net", in_dim, d, hidden_dim=int(rng.integers(1, 7)), rng=rng)
+    cell = RecurrentCell(ps, "cell", d, d, rng=rng)
+    x = ps.add("x", rng.normal(scale=10.0 ** rng.uniform(-2.0, 2.0), size=lead + (in_dim,)))
+    s = ps.add("state", rng.normal(size=lead + (d,)))
+    w = Tensor(rng.normal(size=lead + (d,)))
+    runs = []
+    for msg, step in ((net.apply, cell.apply),
+                      (lambda v: feedforward(net, v), lambda v, old: cell_step(cell, v, old)[0])):
+        h = msg(x)
+        out = step(h, s)
+        grads = T.backward(T.tsum(T.mul(out, w)), leaves=ps.tensors())
+        runs.append([h.data, out.data] + [grads[p] for p in ps.tensors()])
+    for got, expected in zip(*runs):
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 def _attn(q_dim, out_dim, heads, kv_dim=None, seed=0):
@@ -288,7 +333,7 @@ def _factored(extra_dim, seed):
 
     def loss():
         out, _ = att.apply(q, table, TABLE_INDEX, extra, SEGMENTS)
-        return T.tsum(T.tanh(T.mul(out, w)))
+        return T.tsum(tanh(T.mul(out, w)))
 
     return ps, att, q, table, extra, loss
 

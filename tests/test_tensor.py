@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 import dysignet.tensor as T
 from dysignet.tensor import Tensor, backward
 
+from oracles import expit, relu, sigmoid, slice_last, tanh
+
 
 def test_leaf_rejects_nonfinite():
     with pytest.raises(ValueError):
@@ -109,8 +111,8 @@ def test_elementwise_and_matmul_gradients():
 
     def f():
         y = T.matmul(T.add(a, b), c)          # (3, 2)
-        z = T.mul(T.mul(y, y), T.sigmoid(T.neg(b.sum())))   # y² / (e^Σb + 1)
-        return T.tmean(T.tanh(z))
+        z = T.mul(T.mul(y, y), sigmoid(T.neg(b.sum())))   # y² / (e^Σb + 1)
+        return T.tmean(tanh(z))
 
     _fd_check(f, [a, b, c])
 
@@ -133,7 +135,7 @@ def test_unary_gradients():
     x = Tensor(rng.uniform(0.5, 2.0, size=6), requires_grad=True)
 
     def f():
-        y = T.concat([T.relu(x), T.sigmoid(x), T.log(x), T.sqrt(x), T.softplus(x)])
+        y = T.concat([relu(x), sigmoid(x), T.log(x), T.sqrt(x), T.softplus(x)])
         return T.tmean(T.mul(y, y))
 
     _fd_check(f, [x])
@@ -144,7 +146,7 @@ def test_slice_row_transpose_reshape_gradients():
     m = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
 
     def f():
-        a = T.slice_last(m, 1, 4)             # (4, 3)
+        a = slice_last(m, 1, 4)             # (4, 3)
         b = T.take_rows(m, [2], np.zeros((1, 6)))   # (1, 6)
         c = T.transpose(T.reshape(a, (2, 2, 3)), (1, 0, 2))
         return T.add(T.tsum(T.mul(c, c)), T.tsum(T.mul(b, b)))
@@ -186,8 +188,8 @@ def test_segment_attention_repeated_row_accumulates():
     out1, _ = T.segment_attention(q, shared, [0, 0, 0], np.zeros((3, 0)), wq, wk, wv, seg, 2, 2)
     out3, _ = T.segment_attention(q, copies, [0, 1, 2], np.zeros((3, 0)), wq, wk, wv, seg, 2, 2)
     assert np.abs(out1.data - out3.data).max() < 1e-14
-    g1 = backward(T.tsum(T.tanh(out1)), leaves=[shared])[shared]
-    g3 = backward(T.tsum(T.tanh(out3)), leaves=[copies])[copies]
+    g1 = backward(T.tsum(tanh(out1)), leaves=[shared])[shared]
+    g3 = backward(T.tsum(tanh(out3)), leaves=[copies])[copies]
     assert np.abs(g1[0] - g3.sum(axis=0)).max() < 1e-12
 
 
@@ -205,6 +207,27 @@ def test_scatter_rows_equals_add_at_bitwise(seed):
     got = T._scatter_rows(index, rows, n)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+_SPECIAL = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 709.0, -745.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_expit_bitwise_equals_two_branch_form(seed):
+    rng = np.random.default_rng(seed)
+    scale = [1.0, 30.0, 1e3][seed % 3]   # 1e3 saturates both tails
+    m = rng.uniform(-scale, scale, size=(int(rng.integers(1, 9)), 6))
+    m.ravel()[rng.integers(0, m.size, size=4)] = rng.choice(_SPECIAL, size=4)
+    cases = [m, m[:, 2:4], m[:, ::3], m[0], _SPECIAL, np.array(m[0, 0])]
+    for x in cases:
+        got, expected = T._expit(x), expit(x)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected, equal_nan=True)
+    block = m.copy()
+    T._expit(block[:, 1:3], out=block[:, 1:3])   # in place on a column block
+    assert np.array_equal(block[:, 1:3], expit(m[:, 1:3]), equal_nan=True)
+    assert np.array_equal(block[:, 3:], m[:, 3:], equal_nan=True)
 
 
 def test_take_rows_mixes_taken_and_fill_rows():
@@ -234,7 +257,7 @@ def test_take_rows_gradients():
 
     def f():
         out = T.take_rows(src, rows, fill)
-        return T.tsum(T.tanh(T.mul(T.mul(out, out), w)))
+        return T.tsum(tanh(T.mul(T.mul(out, out), w)))
 
     _fd_check(f, [src])
 
@@ -280,7 +303,7 @@ def test_forward_determinism():
 
     def run():
         t = Tensor(a, requires_grad=True)
-        out = T.tsum(T.tanh(T.matmul(t, T.transpose(t))))
+        out = T.tsum(tanh(T.matmul(t, T.transpose(t))))
         return out.data.copy(), backward(out)[t].copy()
 
     v1, g1 = run()
