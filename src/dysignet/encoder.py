@@ -49,7 +49,17 @@ neighbour once into a table, keeps the time gap and magnitude of each row
 as per-row extras, and runs the whole segmented attention as one fused op
 (:func:`tensor.segment_attention`) over ``[table[index], extras]``: every
 distinct neighbour is read and projected once per call, and its gradient
-is summed back onto its table row.
+is summed back onto its table row.  The rows come packed position-major
+straight from :meth:`HistoryLog.recent`: queries ordered by row count,
+longest first, and block p holding every query's p-th newest row, so each
+per-query sum in the op is at most ``neighbor_cap`` in-place adds over a
+shrinking prefix, with no sort and no ``reduceat``.  Those sums run newest
+row first and sequentially, which is not the order of the segment-major
+reduction before, so embeddings and gradients moved in the last bits.
+The two constant extras (time gap, magnitude) enter through per-query
+projections of ``wk`` and ``wv`` rather than as (n, 2D) projected rows;
+the op builds no (n, 2D) row temporary and reuses one (n, D) row buffer
+across its forward and backward passes.
 
 Ablations: ``ba`` collapses the two memories into one sign-blind slot,
 ``emb`` uses concatenated memories directly as embeddings, and ``mem``
@@ -58,6 +68,7 @@ drops memories entirely and attends over raw node features.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -233,22 +244,30 @@ class HistoryLog:
 
     def recent(self, nodes: np.ndarray, cap: int | None):
         """Each node's ``cap`` most recent rows (all of them for None),
-        oldest first, nodes one after another; returns (counts, rows)."""
+        packed position-major for :func:`tensor.segment_attention`.
+
+        ``order`` lists the positions in ``nodes`` of the nodes with rows,
+        by row count descending (ties keep their order in ``nodes``), and
+        block p of ``rows``, ``sizes[p]`` long, holds the p-th newest row of
+        each of the first ``sizes[p]`` nodes in ``order``.  The walk back
+        from the heads visits the rows in exactly this order: a step's
+        survivors are a prefix of the last step's.  Returns (order, sizes,
+        rows)."""
         counts = np.zeros(nodes.size, dtype=np.intp)
         known = nodes < self.deg.size
         counts[known] = self.deg[nodes[known]]
         if cap is not None:
             np.minimum(counts, cap, out=counts)
-        rows = np.empty(int(counts.sum()), dtype=np.intp)
         live = np.flatnonzero(counts)
-        cur = self.head[nodes[live]]
-        at = np.cumsum(counts)[live] - 1   # where each node's newest row goes
-        left = counts[live]
-        while cur.size:
-            rows[at] = cur
-            more = left > 1
-            cur, at, left = self.prev[cur[more]], at[more] - 1, left[more] - 1
-        return counts, rows
+        order = live[np.argsort(-counts[live], kind="stable")]
+        # sizes[p] = how many nodes have more than p rows
+        sizes = order.size - np.cumsum(np.bincount(counts[order]))[:-1]
+        cur = self.head[nodes[order]]
+        blocks = [cur]
+        for m in sizes[1:].tolist():
+            cur = self.prev[cur[:m]]
+            blocks.append(cur)
+        return order, sizes, np.concatenate(blocks)
 
     def tuples(self, rows: np.ndarray) -> list[tuple[int, float, float]]:
         return list(zip(self.nbr[rows].tolist(), self.t[rows].tolist(),
@@ -257,10 +276,15 @@ class HistoryLog:
     def items(self) -> list[tuple[int, list[tuple[int, float, float]]]]:
         """(node, time-ordered rows) for every node with history."""
         nodes = np.flatnonzero(self.deg)
-        counts, rows = self.recent(nodes, None)
-        flat = self.tuples(rows)
-        ends = np.cumsum(counts).tolist()
-        return [(n, flat[e - c:e]) for n, c, e in zip(nodes.tolist(), counts.tolist(), ends)]
+        order, sizes, rows = self.recent(nodes, None)
+        ends = np.cumsum(sizes)
+        owner = order[np.arange(rows.size) - np.repeat(ends - sizes, sizes)]
+        # reversed, the packed rows run oldest first per node; a stable
+        # sort by owner then groups them node by node
+        flat = self.tuples(rows[::-1][np.argsort(owner[::-1], kind="stable")])
+        counts = self.deg[nodes].tolist()
+        return [(n, flat[e - c:e])
+                for n, c, e in zip(nodes.tolist(), counts, itertools.accumulate(counts))]
 
     def values(self) -> list[list[tuple[int, float, float]]]:
         return [rows for _, rows in self.items()]
@@ -365,8 +389,8 @@ class EncoderState:
 
     def node_history(self, node: int) -> list[tuple[int, float, float]]:
         """The node's most recent ``neighbor_cap`` rows, oldest first."""
-        _, rows = self.history.recent(np.array([node]), self.config.neighbor_cap)
-        return self.history.tuples(rows)
+        _, _, rows = self.history.recent(np.array([node]), self.config.neighbor_cap)
+        return self.history.tuples(rows[::-1])
 
     def detach_(self) -> None:
         """Freeze all memory values as constants, truncating gradient flow.
@@ -423,6 +447,14 @@ class EncoderState:
         return state
 
 
+def _event_columns(batch_events) -> np.ndarray:
+    """(time, src, dst, weight) columns of a batch of ``SignedEvent``
+    tuples, as float64; the same values as ``np.array(batch_events).T``
+    without converting tuple by tuple."""
+    flat = itertools.chain.from_iterable(batch_events)
+    return np.fromiter(flat, np.float64, 4 * len(batch_events)).reshape(-1, 4).T
+
+
 def _encode_dt(config: EncoderConfig, dt: np.ndarray) -> np.ndarray:
     # math.log1p, not np.log1p: the two can differ in the last bit
     gaps = np.fromiter(map(math.log1p, np.maximum(dt, 0.0).tolist()), np.float64, dt.size)
@@ -460,8 +492,7 @@ class EncoderModel:
                 uniform_init(rng, (config.embedding_dim, h), h))
             self.attn = MultiHeadAttention(
                 params, f"{name}.emb.attn", query_dim=h, out_dim=config.embedding_dim,
-                heads=config.heads, key_dim=config.key_dim, value_dim=config.key_dim,
-                rng=rng)
+                heads=config.heads, key_dim=config.key_dim, rng=rng)
 
     # ------------------------------------------------------------------
     # message generation and memory update
@@ -476,7 +507,7 @@ class EncoderModel:
             raise ValueError(
                 f"out-of-order batch: starts at {batch_events[0].time} before "
                 f"already-ingested time {state.watermark}")
-        time, src, dst, weight = np.array(batch_events, dtype=np.float64).T
+        time, src, dst, weight = _event_columns(batch_events)
         src, dst = src.astype(np.intp), dst.astype(np.intp)
         # one row per endpoint, (src -> dst, dst -> src) for each event
         owner = np.column_stack([src, dst]).ravel()
@@ -553,11 +584,11 @@ class EncoderModel:
         hq = self._node_state_matrix(ids, state)
         base = matmul(hq, transpose(self.self_proj))
         hist = state.history
-        counts, rows = hist.recent(ids, self.config.neighbor_cap)
+        order, sizes, rows = hist.recent(ids, self.config.neighbor_cap)
         if not rows.size:
             return base, index
         uniq, inv = np.unique(hist.nbr[rows], return_inverse=True)
         extras = np.column_stack([_encode_dt(self.config, t - hist.t[rows]), hist.mag[rows]])
         att, _ = self.attn.apply(hq, self._node_state_matrix(uniq, state), inv, extras,
-                                 np.repeat(np.arange(ids.size), counts))
+                                 order, sizes)
         return add(base, att), index

@@ -25,7 +25,6 @@ class LayerSpec:
     hidden_dim: int | None = None
     heads: int = 1
     key_dim: int | None = None
-    value_dim: int | None = None
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
@@ -35,8 +34,6 @@ class LayerSpec:
             dims.append(self.hidden_dim)
         if self.key_dim is not None:
             dims.append(self.key_dim)
-        if self.value_dim is not None:
-            dims.append(self.value_dim)
         if any(d <= 0 for d in dims):
             raise ValueError("layer dims must be positive")
         if self.kind == "attention":
@@ -108,43 +105,51 @@ class RecurrentCell:
 
 
 class MultiHeadAttention:
-    """Segmented multi-head dot-product attention: query ``i`` attends over
-    the rows whose segment id is ``i``; each row serves as both key and value.
+    """Segmented multi-head dot-product attention: each query attends over
+    its own rows; each row serves as both key and value.
 
     Rows are factored as ``[table[index], extra]``: a table of distinct
     states, an index into it per row, and per-row extra columns.  Per head:
-    weights = softmax(q · kᵀ / sqrt(d_head)) within a segment, output is the
-    weight-combined value projections, heads concatenated.  A query whose
-    segment has no rows gets a zero output.
+    weights = softmax(q · kᵀ / sqrt(d_head)) over a query's rows, output is
+    the weight-combined value projections, heads concatenated.  A query
+    with no rows gets a zero output.
+
+    Rows come packed position-major (:func:`tensor.segment_attention`):
+    ``order`` lists the queries with rows, longest first, and block p of
+    ``sizes[p]`` rows holds one row of each of the first ``sizes[p]``
+    queries in ``order``.  Every per-query sum is then a few in-place adds
+    over a shrinking prefix; it runs block by block, newest row first when
+    the blocks hold the rows newest first, so values differ in the last
+    bits from a segment-by-segment reduction.  The extra columns act
+    through per-query projections of ``wk`` and ``wv``, and no (n, 2D) row
+    temporary is built.
     """
 
     def __init__(self, params: ParameterSet, name: str, query_dim: int, out_dim: int,
-                 heads: int, key_dim: int | None = None, value_dim: int | None = None,
+                 heads: int, key_dim: int | None = None,
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         key_dim = query_dim if key_dim is None else key_dim
-        value_dim = key_dim if value_dim is None else value_dim
-        self.spec = LayerSpec("attention", query_dim, out_dim, heads=heads,
-                              key_dim=key_dim, value_dim=value_dim)
+        self.spec = LayerSpec("attention", query_dim, out_dim, heads=heads, key_dim=key_dim)
         self.name = name
         self.wq = params.add(f"{name}.wq", uniform_init(rng, (out_dim, query_dim), query_dim))
         self.wk = params.add(f"{name}.wk", uniform_init(rng, (out_dim, key_dim), key_dim))
-        self.wv = params.add(f"{name}.wv", uniform_init(rng, (out_dim, value_dim), value_dim))
+        self.wv = params.add(f"{name}.wv", uniform_init(rng, (out_dim, key_dim), key_dim))
 
     def apply(self, queries: Tensor, table: Tensor, index: np.ndarray, extra: np.ndarray,
-              seg: np.ndarray):
+              order: np.ndarray, sizes: np.ndarray):
         """queries (n_q, d_q), table (u, d_s), ``index`` (n,) rows of the
-        table, constant ``extra`` (n, d_e) with d_s + d_e the key and value
-        dim, ``seg`` (n,) non-decreasing query ids.  Returns (output
-        (n_q, out_dim), weights (n, heads))."""
+        table, constant ``extra`` (n, d_e) with d_s + d_e the key dim, and
+        the packed layout ``order``/``sizes`` of the n rows.  Returns
+        (output (n_q, out_dim), weights (n, heads))."""
         n = np.shape(index)[0]
-        if np.shape(extra)[0] != n or np.shape(seg) != (n,):
-            raise DimensionError("index, extra rows and segment ids must have equal length")
+        if np.shape(extra)[0] != n or np.sum(sizes) != n:
+            raise DimensionError("index, extra rows and block sizes must cover the same rows")
         if queries.data.ndim != 2 or queries.data.shape[1] != self.spec.in_dim:
             raise DimensionError(
                 f"{self.name}: query shape {queries.data.shape} != (n, {self.spec.in_dim})")
         width = table.data.shape[1] + np.shape(extra)[1]
-        if not width == self.spec.key_dim == self.spec.value_dim:
+        if width != self.spec.key_dim:
             raise DimensionError(f"{self.name}: row width {width} does not match layer spec")
         return segment_attention(queries, table, index, extra, self.wq, self.wk, self.wv,
-                                 seg, queries.data.shape[0], self.spec.heads)
+                                 order, sizes, self.spec.heads)

@@ -379,9 +379,14 @@ def _scatter_rows(index, rows, n):
     ``np.add.at`` does, so the sums are bitwise equal at a fraction of its
     cost."""
     width = int(np.prod(rows.shape[1:]))
-    flat = (np.asarray(index, dtype=np.intp)[:, None] * width + np.arange(width)).ravel()
-    out = np.bincount(flat, weights=rows.ravel(), minlength=n * width)
+    out = np.bincount(_flat_index(index, width), weights=rows.ravel(), minlength=n * width)
     return out.reshape((n,) + rows.shape[1:])
+
+
+def _flat_index(index, width):
+    """Flat positions of the ``width`` entries of rows ``index`` in an
+    array ``width`` wide."""
+    return np.add.outer(np.asarray(index, dtype=np.intp) * width, np.arange(width)).ravel()
 
 
 def gather_stack(items):
@@ -393,45 +398,36 @@ def gather_stack(items):
     """
     if not items:
         raise DimensionError("gather_stack needs at least one item")
-    groups = {}  # id -> [tensor, positions, rows]
-    order = []
-    for pos, (t, r) in enumerate(items):
-        key = id(t)
-        if key not in groups:
-            groups[key] = [t, [], [] if r is not None else None]
-            order.append(key)
-        grp = groups[key]
-        grp[1].append(pos)
-        if r is not None:
-            if grp[2] is None:
-                raise DimensionError("tensor used both whole and by row")
-            grp[2].append(r)
-
-    first = items[0]
-    d = first[0].data.shape[-1]
+    # one pass: a group id per distinct tensor, and a row per item (-1: whole)
+    group_of, parents, gid, rows = {}, [], [], []
+    for t, r in items:
+        k = group_of.get(id(t))
+        if k is None:
+            k = group_of[id(t)] = len(parents)
+            parents.append(t)
+        gid.append(k)
+        rows.append(-1 if r is None else r)
+    gid, rows = np.array(gid, dtype=np.intp), np.array(rows, dtype=np.intp)
+    d = parents[0].data.shape[-1]
     data = np.empty((len(items), d), dtype=np.float64)
-    for pos, (t, r) in enumerate(items):
-        v = t.data if r is None else t.data[r]
-        if v.shape != (d,):
-            raise DimensionError(f"gathered row has shape {v.shape}, expected ({d},)")
-        data[pos] = v
-
-    parents = tuple(groups[k][0] for k in order)
-    packed = [
-        (np.asarray(groups[k][1]), None if groups[k][2] is None else np.asarray(groups[k][2]))
-        for k in order
-    ]
+    by_group = np.argsort(gid, kind="stable")
+    groups = []   # (positions, rows or None) per parent, positions ascending
+    for t, pos in zip(parents, np.split(by_group, np.flatnonzero(np.diff(gid[by_group])) + 1)):
+        r = rows[pos]
+        whole = r < 0
+        if whole.any() and not whole.all():
+            raise DimensionError("tensor used both whole and by row")
+        shape = t.data.shape if whole[0] else t.data.shape[1:]
+        if shape != (d,):
+            raise DimensionError(f"gathered row has shape {shape}, expected ({d},)")
+        data[pos] = t.data if whole[0] else t.data[r]
+        groups.append((pos, None if whole[0] else r))
 
     def vjp(g):
-        out = []
-        for t, (positions, rows) in zip(parents, packed):
-            if rows is None:
-                out.append(g[positions].sum(axis=0))
-            else:
-                out.append(_scatter_rows(rows, g[positions], t.data.shape[0]))
-        return tuple(out)
+        return tuple(g[pos].sum(axis=0) if r is None else _scatter_rows(r, g[pos], t.data.shape[0])
+                     for t, (pos, r) in zip(parents, groups))
 
-    return _result(data, parents, vjp)
+    return _result(data, tuple(parents), vjp)
 
 
 def take_rows(src, rows, fill):
@@ -547,72 +543,150 @@ def recurrent_cell(x, state, w, u, b):
     return _result(new, (x, state, w, u, b), vjp)
 
 
-def segment_attention(queries, table, index, extra, wq, wk, wv, seg, n_q, heads):
+def _prefix_sum(rows, spans, m0):
+    """Per-query sums of packed ``rows``: block (s, e, m) adds its rows
+    onto the first m queries, newest block first."""
+    out = np.zeros((m0,) + rows.shape[1:])
+    for s, e, m in spans:
+        out[:m] += rows[s:e]
+    return out
+
+
+def segment_attention(queries, table, index, extra, wq, wk, wv, order, sizes, heads):
     """Segmented multi-head dot-product attention as one op.
 
     Key/value row ``i`` is ``[table[index[i]], extra[i]]``: a row of a
     table of distinct states followed by constant extra columns, so each
-    table row is projected once however many rows point at it.  Query
-    ``j`` attends over the rows whose segment id ``seg[i]`` (non-decreasing)
-    is ``j``.  Per head the weights are softmax(q · kᵀ / sqrt(d_head))
-    within the segment and the output is the weight-combined value
-    projections, heads concatenated; a query with no rows gets zeros.
+    table row is projected once however many rows point at it.  Per head
+    the weights are softmax(q · kᵀ / sqrt(d_head)) over a query's rows and
+    the output is the weight-combined value projections, heads
+    concatenated; a query with no rows gets zeros.
 
-    Returns (output (n_q, out_dim), weights (n, heads)).  The weights are
-    constants; gradients flow to queries, table, wq, wk and wv.
+    Rows come packed position-major.  ``order`` lists the queries that
+    have rows, longest segment first, and block p holds ``sizes[p]`` rows
+    (non-increasing, ``sizes[0] == len(order)``): one row of each of the
+    first ``sizes[p]`` queries in ``order``, in that order.  Each per-query
+    reduction (softmax max and denominator, the weighted value sum and the
+    backward ``g_q`` sum) is then at most ``len(sizes)`` in-place adds onto
+    a shrinking contiguous prefix, and sums run block by block: newest
+    first and sequential when block p holds the p-th newest rows, as
+    ``HistoryLog.recent`` lays them out.  That order differs from a
+    segment-major reduction, so values move in the last bits.
+
+    The extra columns enter through per-query projections: for column c,
+    ``q · wk_c`` per query and head scales ``extra[:, c]`` into the
+    logits, and ``Σ alpha · extra[:, c]`` per query and head scales
+    ``wv_c`` into the output; the backward pass mirrors this.  No (n, 2D)
+    row temporary is built: one (n, D) row buffer serves the forward pass
+    and is reused by the backward pass, which recomputes the per-row
+    query terms block by block instead of keeping them.
+
+    Returns (output (n_q, out_dim), weights (n, heads)) with the weights
+    in the given row order.  The weights are constants; gradients flow to
+    queries, table, wq, wk and wv.
     """
     queries, table, wq, wk, wv = (as_tensor(x) for x in (queries, table, wq, wk, wv))
     index = np.asarray(index, dtype=np.intp)
-    seg = np.asarray(seg, dtype=np.intp)
     extra = np.asarray(extra, dtype=np.float64)
-    n = index.size
+    order = np.asarray(order, dtype=np.intp)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    n, m0 = index.size, order.size
+    n_q, u = queries.data.shape[0], table.data.shape[0]
     if n == 0:
         raise ValueError("attention requires a non-empty key set")
-    if np.any(np.diff(seg) < 0):
-        raise ValueError("segment ids must be non-decreasing")
+    if (sizes.sum() != n or sizes[0] != m0 or sizes[-1] <= 0
+            or np.any(np.diff(sizes) > 0)):
+        raise ValueError("block sizes must be positive, non-increasing, start at the "
+                         "number of queries with rows and sum to the row count")
+    if order.min() < 0 or order.max() >= n_q or np.unique(order).size != m0:
+        raise ValueError("query order must list distinct query rows")
+    if index.min() < 0 or index.max() >= u:
+        raise IndexError(f"row index out of range for a table of {u} rows")
     D = wq.data.shape[0]
     dh = D // heads
     scale = 1.0 / np.sqrt(dh)
-    counts = np.bincount(seg, minlength=n_q)
-    live = counts > 0
-    starts = (np.cumsum(counts) - counts)[live]
-    ds = table.data.shape[1]
-    w_state = np.concatenate([wk.data[:, :ds], wv.data[:, :ds]])
-    w_extra = np.concatenate([wk.data[:, ds:], wv.data[:, ds:]])
+    ds, ne = table.data.shape[1], extra.shape[1]
+    ends = np.cumsum(sizes)
+    spans = list(zip((ends - sizes).tolist(), ends.tolist(), sizes.tolist()))
+    slot = np.arange(n) - np.repeat(ends - sizes, sizes)   # row -> position in order
+    ex = [extra[:, c:c + 1] for c in range(ne)]
+    wk_s, wv_s = wk.data[:, :ds], wv.data[:, :ds]
+    wk_x = wk.data[:, ds:].T.reshape(ne, heads, dh)
+    wv_x = wv.data[:, ds:].T.reshape(ne, heads, dh)
 
-    q = (queries.data @ wq.data.T).reshape(n_q, heads, dh)
-    kv = (table.data @ w_state.T)[index] + extra @ w_extra.T      # (n, 2D)
-    k = kv[:, :D].reshape(n, heads, dh)
-    v = kv[:, D:].reshape(n, heads, dh)
-    logits = np.einsum("nhd,nhd->nh", q[seg], k) * scale
-    shift = np.zeros((n_q, heads))
-    shift[live] = np.maximum.reduceat(logits, starts, axis=0)
-    e = np.exp(logits - shift[seg])
-    denom = np.zeros((n_q, heads))
-    denom[live] = np.add.reduceat(e, starts, axis=0)
-    alpha = e / denom[seg]
-    out = np.zeros((n_q, heads, dh))
-    out[live] = np.add.reduceat(v * alpha[:, :, None], starts, axis=0)
+    X = queries.data[order]
+    Q = X @ wq.data.T
+    Q3 = Q.reshape(m0, heads, dh)
+    Kt, Vt = table.data @ wk_s.T, table.data @ wv_s.T
+    # the one (n, D) row buffer; "clip" skips take's buffered bounds check,
+    # which the index check above has made
+    rows = np.take(Kt, index, axis=0, mode="clip")
+    rows3 = rows.reshape(n, heads, dh)
+    for s, e, m in spans:
+        rows[s:e] *= Q[:m]
+    logits = np.einsum("nhd->nh", rows3)
+    for c in range(ne):
+        logits += ex[c] * np.einsum("mhd,hd->mh", Q3, wk_x[c])[slot]
+    logits *= scale
+    shift = logits[:m0].copy()
+    for s, e, m in spans[1:]:
+        np.maximum(shift[:m], logits[s:e], out=shift[:m])
+    logits -= shift[slot]
+    alpha = np.exp(logits, out=logits)
+    alpha /= _prefix_sum(alpha, spans, m0)[slot]
+    np.take(Vt, index, axis=0, out=rows, mode="clip")
+    rows3 *= alpha[:, :, None]
+    out = _prefix_sum(rows, spans, m0)
+    out3 = out.reshape(m0, heads, dh)
+    alpha_ex = [_prefix_sum(alpha * ex[c], spans, m0) for c in range(ne)]
+    for c in range(ne):
+        out3 += alpha_ex[c][:, :, None] * wv_x[c]
+    full = np.zeros((n_q, D))
+    full[order] = out
 
     def vjp(g):
-        g = g.reshape(n_q, heads, dh)
-        g_rows = g[seg]
-        # softmax backward; a segment's sum of alpha * d(alpha) is <g, out>
-        g_alpha = np.einsum("nhd,nhd->nh", g_rows, v) - np.einsum("nhd,nhd->nh", g, out)[seg]
-        g_logits = (alpha * g_alpha * scale)[:, :, None]
-        g_kv = np.empty((n, 2, heads, dh))
-        np.multiply(g_logits, q[seg], out=g_kv[:, 0])
-        np.multiply(alpha[:, :, None], g_rows, out=g_kv[:, 1])
-        g_kv = g_kv.reshape(n, 2 * D)
-        g_q = np.zeros((n_q, heads, dh))
-        g_q[live] = np.add.reduceat(g_logits * k, starts, axis=0)
-        g_q = g_q.reshape(n_q, D)
-        g_table = _scatter_rows(index, g_kv, table.data.shape[0])
-        g_w = np.concatenate([g_table.T @ table.data, g_kv.T @ extra], axis=1)
-        return g_q @ wq.data, g_table @ w_state, g_q.T @ queries.data, g_w[:D], g_w[D:]
+        gq = g[order]
+        gq3 = gq.reshape(m0, heads, dh)
+        # softmax backward: d(alpha) is g · v, and a segment's sum of
+        # alpha * d(alpha) is <g, out>
+        np.take(Vt, index, axis=0, out=rows, mode="clip")
+        for s, e, m in spans:
+            rows[s:e] *= gq[:m]
+        g_logits = np.einsum("nhd->nh", rows3)
+        for c in range(ne):
+            g_logits += ex[c] * np.einsum("mhd,hd->mh", gq3, wv_x[c])[slot]
+        g_logits -= np.einsum("mhd,mhd->mh", gq3, out3)[slot]
+        g_logits *= alpha
+        g_logits *= scale
+        flat = _flat_index(index, D)
+        # keys: g_logits ⊗ q per row, summed onto table rows
+        for s, e, m in spans:
+            np.multiply(g_logits[s:e, :, None], Q3[:m], out=rows3[s:e])
+        g_kt = np.bincount(flat, weights=rows.ravel(), minlength=u * D).reshape(u, D)
+        # queries: g_logits ⊗ k summed per query
+        np.take(Kt, index, axis=0, out=rows, mode="clip")
+        np.multiply(rows3, g_logits[:, :, None], out=rows3)
+        g_q = _prefix_sum(rows, spans, m0)
+        g_q3 = g_q.reshape(m0, heads, dh)
+        g_wk_x = np.empty((ne, heads, dh))
+        g_wv_x = np.empty((ne, heads, dh))
+        for c in range(ne):
+            b = _prefix_sum(g_logits * ex[c], spans, m0)
+            g_q3 += b[:, :, None] * wk_x[c]
+            g_wk_x[c] = np.einsum("mh,mhd->hd", b, Q3)
+            g_wv_x[c] = np.einsum("mh,mhd->hd", alpha_ex[c], gq3)
+        # values: alpha ⊗ g per row, summed onto table rows
+        for s, e, m in spans:
+            np.multiply(alpha[s:e, :, None], gq3[:m], out=rows3[s:e])
+        g_vt = np.bincount(flat, weights=rows.ravel(), minlength=u * D).reshape(u, D)
+        g_queries = np.zeros(queries.data.shape)
+        g_queries[order] = g_q @ wq.data
+        g_wk = np.concatenate([g_kt.T @ table.data, g_wk_x.reshape(ne, D).T], axis=1)
+        g_wv = np.concatenate([g_vt.T @ table.data, g_wv_x.reshape(ne, D).T], axis=1)
+        return g_queries, g_kt @ wk_s + g_vt @ wv_s, g_q.T @ X, g_wk, g_wv
 
     weights = _result(alpha, (), None)
-    return _result(out.reshape(n_q, D), (queries, table, wq, wk, wv), vjp), weights
+    return _result(full, (queries, table, wq, wk, wv), vjp), weights
 
 
 def logsumexp(a, axis=-1, keepdims=False):

@@ -5,7 +5,7 @@ import numpy as np
 from dysignet.encoder import AblationConfig
 from dysignet.harness import TrainConfig
 from dysignet.heads import TaskKind
-from dysignet.tensor import backward
+from dysignet.tensor import Tensor, backward
 
 
 def fd_gradients(build_loss, params, eps=1e-5):
@@ -46,6 +46,35 @@ def max_grad_error(build_loss, params, eps=1e-5):
                 continue
             worst = max(worst, abs(x - y) / scale)
     return worst
+
+
+def pack_rows(seg, n_q):
+    """The packed position-major layout of rows that belong to queries
+    ``seg[i]``, given in any order.  Each query's rows go last row first,
+    as ``HistoryLog.recent`` packs a history newest first.  Returns
+    (perm, order, sizes): packed row k is given row ``perm[k]``."""
+    seg = np.asarray(seg, dtype=np.intp)
+    counts = np.bincount(seg, minlength=n_q)
+    live = np.flatnonzero(counts)
+    order = live[np.argsort(-counts[live], kind="stable")]
+    by_query = [np.flatnonzero(seg == q)[::-1] for q in order]
+    sizes = np.array([sum(len(r) > p for r in by_query) for p in range(counts.max(initial=0))],
+                     dtype=np.intp)
+    perm = np.array([r[p] for p in range(sizes.size) for r in by_query[:sizes[p]]],
+                    dtype=np.intp)
+    return perm, order, sizes
+
+
+def attend_segments(attend, n_q, index, extra, seg):
+    """Run ``attend(index, extra, order, sizes)``, an attention op or layer
+    bound to its other inputs, on rows given with query ids ``seg`` in any
+    order: packs them with :func:`pack_rows` and returns (output, weights
+    in the given row order)."""
+    perm, order, sizes = pack_rows(seg, n_q)
+    out, w = attend(np.asarray(index)[perm], np.asarray(extra)[perm], order, sizes)
+    weights = np.empty_like(w.data)
+    weights[perm] = w.data
+    return out, Tensor(weights)
 
 
 def tiny_config(task=TaskKind.SIGN, ablation="none", **overrides) -> TrainConfig:

@@ -254,3 +254,18 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.size - n_pos
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def gather_stack(items, g):
+    """Per-item gather: the stacked rows, and each tensor's gradient (keyed
+    by ``id``) for an output gradient ``g``, summed item by item in item
+    order.  A whole tensor's sum starts from its first item; a row
+    tensor's starts from zeros."""
+    values = np.array([t.data if r is None else t.data[r] for t, r in items])
+    grads = {}
+    for (t, r), gi in zip(items, g):
+        if r is None:
+            grads[id(t)] = gi.copy() if id(t) not in grads else grads[id(t)] + gi
+        else:
+            grads.setdefault(id(t), np.zeros_like(t.data))[r] += gi
+    return values, grads

@@ -103,13 +103,14 @@ def test_criterion_2_gradient_suite():
         assert max_grad_error(lambda: T.tsum(T.mul(cell.apply(xi, si), wc)), ps) < tol
 
         ps = ParameterSet()
-        att = MultiHeadAttention(ps, "att", 4, 4, 2, key_dim=5, value_dim=5, rng=rng)
+        att = MultiHeadAttention(ps, "att", 4, 4, 2, key_dim=5, rng=rng)
         q, kv = Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(3, 5)))
         wa = Tensor(rng.normal(size=4))
 
         def att_loss():
+            # one query over three rows, packed: three blocks of one row
             out, _ = att.apply(q, kv, np.arange(3), np.zeros((3, 0)),
-                               np.zeros(3, dtype=np.intp))
+                               np.array([0]), np.ones(3, dtype=np.intp))
             return T.tsum(T.mul(out, wa))
 
         assert max_grad_error(att_loss, ps) < tol

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dysignet.encoder import NEG, POS, EncoderState
+from dysignet.encoder import NEG, POS, EncoderState, HistoryLog, _event_columns
 from dysignet.events import SignedEvent
 from dysignet.harness import build_model
 from dysignet.layers import Feedforward, RecurrentCell
@@ -436,7 +436,7 @@ def test_embedding_reads_each_distinct_neighbour_once(monkeypatch):
                 float(rng.choice([-2, 1]))) for t in range(30)]
     state = seeded_state(enc, warm)
     nodes = list(range(8))
-    _, rows = state.history.recent(np.array(nodes), enc.config.neighbor_cap)
+    _, _, rows = state.history.recent(np.array(nodes), enc.config.neighbor_cap)
     distinct = len(np.unique(state.history.nbr[rows]))
     assert distinct < rows.size   # neighbours repeat across history rows
     reads = []
@@ -678,3 +678,42 @@ def test_node_memory_view():
     enc_ba.process_batch([_ev(4, 0, 1, -1)], state_ba)
     view_ba = state_ba.node_memory(0)
     assert view_ba.s_minus is None and view_ba.s_plus.shape == (8,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([None, 1, 3]))
+def test_history_recent_packs_newest_rows_position_major(seed, cap):
+    rng = np.random.default_rng(seed)
+    log, logged = HistoryLog(), {}
+    for _ in range(int(rng.integers(0, 5))):
+        owners = rng.integers(0, 6, size=int(rng.integers(1, 8)))
+        nbrs = rng.integers(0, 6, size=owners.size)
+        log.append(owners, nbrs, rng.uniform(size=owners.size), rng.uniform(size=owners.size))
+        for o, v in zip(owners.tolist(), nbrs.tolist()):
+            logged.setdefault(o, []).append(v)
+    nodes = rng.permutation(8)[:int(rng.integers(1, 9))]   # ids 6, 7 never logged
+    order, sizes, rows = log.recent(nodes, cap)
+    wanted = {j: logged.get(n, [])[::-1][:cap] for j, n in enumerate(nodes.tolist())}
+    counts = [len(wanted[j]) for j in order.tolist()]
+    assert sorted(order.tolist()) == [j for j in wanted if wanted[j]]
+    assert counts == sorted(counts, reverse=True)
+    assert all(a <= b for a, b in zip(order.tolist(), order[1:].tolist())
+               if len(wanted[a]) == len(wanted[b]))   # ties keep their order
+    assert np.all(np.diff(sizes) <= 0) and sizes.sum() == rows.size
+    starts = np.cumsum(sizes) - sizes
+    for k, j in enumerate(order.tolist()):
+        mine = rows[[s + k for s, m in zip(starts, sizes) if m > k]]
+        assert log.nbr[mine].tolist() == wanted[j]   # newest first
+
+
+def test_event_columns_equal_array_conversion_bitwise():
+    batches = [
+        [SignedEvent(1, 0, 1, 2)],
+        [SignedEvent(0.1, 3, 7, -1.5), SignedEvent(2, 7, 3, -3), SignedEvent(2.5, 10**6, 0, 0.3)],
+        [SignedEvent(1e9 + 0.25, 2, 5, -1e-3)] * 5,
+    ]
+    for batch in batches:
+        got = _event_columns(batch)
+        expected = np.array(batch, dtype=np.float64).T
+        assert got.shape == expected.shape
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()

@@ -8,7 +8,7 @@ from dysignet.layers import Feedforward, LayerSpec, MultiHeadAttention, Recurren
 from dysignet.params import ParameterSet
 from dysignet.tensor import Tensor
 
-from helpers import max_grad_error
+from helpers import attend_segments, max_grad_error, pack_rows
 from oracles import attention, cell_step, feedforward, tanh
 
 
@@ -206,7 +206,7 @@ def test_fused_ops_bitwise_equal_composed_oracle(seed, lead):
 def _attn(q_dim, out_dim, heads, kv_dim=None, seed=0):
     ps = ParameterSet()
     att = MultiHeadAttention(ps, "att", q_dim, out_dim, heads, key_dim=kv_dim,
-                             value_dim=kv_dim, rng=np.random.default_rng(seed))
+                             rng=np.random.default_rng(seed))
     return ps, att
 
 
@@ -218,7 +218,12 @@ def _apply_rows(att, q, kv, seg):
     """Attention over plain rows: each row is its own table entry and no
     row has extra columns."""
     n = kv.data.shape[0]
-    return att.apply(q, kv, np.arange(n), np.zeros((n, 0)), seg)
+    return _apply(att, q, kv, np.arange(n), np.zeros((n, 0)), seg)
+
+
+def _apply(att, q, table, index, extra, seg):
+    return attend_segments(lambda *rows: att.apply(q, table, *rows), q.data.shape[0],
+                           index, extra, seg)
 
 
 def test_attention_singleton_weight_one():
@@ -262,7 +267,7 @@ def test_attention_mismatched_lengths_rejected():
     _, att = _attn(4, 4, 2, seed=10)
     with pytest.raises(T.DimensionError):
         att.apply(Tensor(np.ones((1, 4))), Tensor(np.ones((2, 4))), np.arange(2),
-                  np.zeros((3, 0)), _one_segment(2))
+                  np.zeros((3, 0)), np.zeros(1, dtype=np.intp), np.array([2]))
 
 
 def test_attention_gradcheck():
@@ -332,7 +337,7 @@ def _factored(extra_dim, seed):
     w = Tensor(rng.normal(size=(4, 4)))
 
     def loss():
-        out, _ = att.apply(q, table, TABLE_INDEX, extra, SEGMENTS)
+        out, _ = _apply(att, q, table, TABLE_INDEX, extra, SEGMENTS)
         return T.tsum(tanh(T.mul(out, w)))
 
     return ps, att, q, table, extra, loss
@@ -346,7 +351,7 @@ def test_factored_attention_gradcheck(extra_dim):
 
 def test_factored_attention_equals_explicit_rows_oracle():
     _, att, q, table, extra, _ = _factored(2, seed=18)
-    out, w = att.apply(q, table, TABLE_INDEX, extra, SEGMENTS)
+    out, w = _apply(att, q, table, TABLE_INDEX, extra, SEGMENTS)
     rows = np.concatenate([table.data[TABLE_INDEX], extra], axis=1)
     assert np.array_equal(out.data[2], np.zeros(4))
     for i in (0, 1, 3):
@@ -367,9 +372,65 @@ def test_attention_weights_normalized(seed):
     n = int(rng.integers(1, 9))
     ps = ParameterSet()
     att = MultiHeadAttention(ps, "att", q_dim, heads * dh, heads,
-                             key_dim=kv_dim, value_dim=kv_dim, rng=rng)
+                             key_dim=kv_dim, rng=rng)
     q = Tensor(rng.normal(scale=3.0, size=(1, q_dim)))
     kv = Tensor(rng.normal(scale=3.0, size=(n, kv_dim)))
     _, w = _apply_rows(att, q, kv, _one_segment(n))
     assert np.all(w.data >= 0.0)
     assert np.abs(w.data.sum(axis=0) - 1.0).max() < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_packed_attention_matches_per_query_oracle(seed):
+    # unsorted segment lengths with empty ones and one at the cap, a
+    # small table so rows repeat, and 0 or 2 extra columns
+    rng = np.random.default_rng(seed)
+    cap = 6
+    n_q = int(rng.integers(1, 8))
+    lengths = rng.integers(0, cap + 1, size=n_q)
+    lengths[rng.integers(n_q)] = cap
+    extra_dim = 2 * (seed % 2)
+    heads, dh = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    _, att = _attn(3, heads * dh, heads, kv_dim=4 + extra_dim, seed=seed % 1000)
+    q = rng.normal(scale=2.0, size=(n_q, 3))
+    table = rng.normal(scale=2.0, size=(int(rng.integers(1, 5)), 4))
+    seg = rng.permutation(np.repeat(np.arange(n_q), lengths))
+    perm, order, sizes = pack_rows(seg, n_q)
+    n = seg.size
+    index = rng.integers(0, table.shape[0], size=n)
+    extra = rng.normal(size=(n, extra_dim))
+    out, w = att.apply(Tensor(q), Tensor(table), index, extra, order, sizes)
+    assert w.data.shape == (n, heads)
+    rows = np.concatenate([table[index], extra], axis=1)
+    query_of = seg[perm]   # the query of each row as passed
+    for i in range(n_q):
+        mine = query_of == i
+        if not mine.any():
+            assert np.array_equal(out.data[i], np.zeros(heads * dh))
+            continue
+        expected_out, expected_w = attention(att, q[i], rows[mine])
+        assert np.abs(out.data[i] - expected_out).max() < 1e-12
+        assert np.abs(w.data[mine] - expected_w.T).max() < 1e-12
+        assert np.abs(w.data[mine].sum(axis=0) - 1.0).max() < 1e-12
+
+
+def test_packed_attention_batched_gradcheck():
+    # six segments of unequal, unsorted lengths (one empty) and two extra
+    # columns, so the per-query projections of wk's and wv's extra
+    # columns are checked against finite differences too
+    rng = np.random.default_rng(19)
+    seg = rng.permutation(np.repeat(np.arange(6), [2, 5, 0, 1, 4, 3]))
+    perm, order, sizes = pack_rows(seg, 6)
+    ps, att = _attn(3, 4, 2, kv_dim=6, seed=19)
+    q = ps.add("queries", rng.normal(size=(6, 3)))
+    table = ps.add("table", rng.normal(size=(4, 4)))
+    index = rng.integers(0, 4, size=seg.size)
+    extra = rng.normal(size=(seg.size, 2))
+    w = Tensor(rng.normal(size=(6, 4)))
+
+    def loss():
+        out, _ = att.apply(q, table, index, extra, order, sizes)
+        return T.tsum(tanh(T.mul(out, w)))
+
+    assert max_grad_error(loss, ps) < 1e-6

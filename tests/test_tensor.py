@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 import dysignet.tensor as T
 from dysignet.tensor import Tensor, backward
 
+from helpers import attend_segments
 from oracles import expit, relu, sigmoid, slice_last, tanh
+from oracles import gather_stack as oracle_gather_stack
 
 
 def test_leaf_rejects_nonfinite():
@@ -159,6 +161,14 @@ def _attention_weights(rng, q_dim, row_dim, out_dim=4):
             for d in (q_dim, row_dim, row_dim)]
 
 
+def _attend(q, table, index, extra, wq, wk, wv, seg, n_q, heads):
+    """``segment_attention`` on rows given with query ids ``seg``."""
+    return attend_segments(
+        lambda i, x, order, sizes: T.segment_attention(q, table, i, x, wq, wk, wv,
+                                                       order, sizes, heads),
+        n_q, index, extra, seg)
+
+
 def test_gather_attention_repeated_row_gradients():
     rng = np.random.default_rng(5)
     m = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -170,7 +180,7 @@ def test_gather_attention_repeated_row_gradients():
 
     def f():
         g = T.gather_stack([(m, 0), (v, None), (m, 2), (m, 0), (v, None)])
-        out, _ = T.segment_attention(g, m, index, extra, wq, wk, wv, seg, 5, 2)
+        out, _ = _attend(g, m, index, extra, wq, wk, wv, seg, 5, 2)
         return T.tmean(T.mul(out, out))
 
     _fd_check(f, [m, v, wq, wk, wv])
@@ -185,8 +195,8 @@ def test_segment_attention_repeated_row_accumulates():
     seg = np.array([0, 0, 1])
     shared = Tensor(row, requires_grad=True)
     copies = Tensor(np.repeat(row, 3, axis=0), requires_grad=True)
-    out1, _ = T.segment_attention(q, shared, [0, 0, 0], np.zeros((3, 0)), wq, wk, wv, seg, 2, 2)
-    out3, _ = T.segment_attention(q, copies, [0, 1, 2], np.zeros((3, 0)), wq, wk, wv, seg, 2, 2)
+    out1, _ = _attend(q, shared, [0, 0, 0], np.zeros((3, 0)), wq, wk, wv, seg, 2, 2)
+    out3, _ = _attend(q, copies, [0, 1, 2], np.zeros((3, 0)), wq, wk, wv, seg, 2, 2)
     assert np.abs(out1.data - out3.data).max() < 1e-14
     g1 = backward(T.tsum(tanh(out1)), leaves=[shared])[shared]
     g3 = backward(T.tsum(tanh(out3)), leaves=[copies])[copies]
@@ -262,13 +272,31 @@ def test_take_rows_gradients():
     _fd_check(f, [src])
 
 
-def test_segment_attention_requires_sorted_ids():
+@pytest.mark.parametrize("order, sizes", [
+    ([1, 0], [1, 2]),        # blocks grow
+    ([1, 0], [2, 2]),        # blocks cover four rows, not three
+    ([1, 0, 2], [2, 1]),     # more queries than the first block holds
+    ([1, 1], [2, 1]),        # a query listed twice
+    ([1, 3], [2, 1]),        # a query that does not exist
+    ([1, 0], [2, 1, 0]),     # an empty block
+])
+def test_segment_attention_rejects_bad_packing(order, sizes):
     rng = np.random.default_rng(9)
     wq, wk, wv = _attention_weights(rng, 2, 2)
     q, table = Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2)))
+    T.segment_attention(q, table, [0, 1, 2], np.zeros((3, 0)), wq, wk, wv, [1, 0], [2, 1], 2)
     with pytest.raises(ValueError):
         T.segment_attention(q, table, [0, 1, 2], np.zeros((3, 0)), wq, wk, wv,
-                            np.array([1, 0, 2]), 3, 2)
+                            order, sizes, 2)
+
+
+def test_segment_attention_rejects_out_of_range_index():
+    rng = np.random.default_rng(9)
+    wq, wk, wv = _attention_weights(rng, 2, 2)
+    q, table = Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2)))
+    for index in ([0, 1, 3], [0, -1, 2]):
+        with pytest.raises(IndexError):
+            T.segment_attention(q, table, index, np.zeros((3, 0)), wq, wk, wv, [1, 0], [2, 1], 2)
 
 
 def test_segment_attention_empty_segments_get_zeros():
@@ -276,8 +304,8 @@ def test_segment_attention_empty_segments_get_zeros():
     wq, wk, wv = _attention_weights(rng, 2, 4)
     q = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
     table = Tensor(np.arange(6.0).reshape(2, 3))
-    out, w = T.segment_attention(q, table, [0, 1, 1], rng.normal(size=(3, 1)), wq, wk, wv,
-                                 np.array([0, 0, 3]), 5, 2)
+    out, w = _attend(q, table, [0, 1, 1], rng.normal(size=(3, 1)), wq, wk, wv,
+                     np.array([0, 0, 3]), 5, 2)
     assert np.all(out.data[[1, 2, 4]] == 0.0)
     assert np.all(out.data[[0, 3]] != 0.0)
     assert np.allclose(w.data[:2].sum(axis=0), 1.0) and np.allclose(w.data[2], 1.0)
@@ -286,9 +314,10 @@ def test_segment_attention_empty_segments_get_zeros():
 
 
 def test_gather_stack_rejects_mixed_use():
-    m = Tensor(np.ones((2, 3)))
-    with pytest.raises(T.DimensionError):
-        T.gather_stack([(m, 0), (m, None)])
+    m, v = Tensor(np.ones((2, 3))), Tensor(np.ones(3))
+    for items in ([(m, 0), (m, None)], [(m, None), (m, 1)], [(v, None), (m, 0), (v, 0)]):
+        with pytest.raises(T.DimensionError):
+            T.gather_stack(items)
 
 
 def test_repeated_parent_accumulates():
@@ -325,3 +354,40 @@ def test_matmul_gradient_property(m, k, seed):
     grads = backward(f(), leaves=[a, b])
     assert np.allclose(grads[a], np.outer(w, b.data))
     assert np.allclose(grads[b], a.data.T @ w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_gather_stack_equals_per_item_oracle_bitwise(seed):
+    # whole 1-D tensors mixed with rows of several 2-D tensors; at least two
+    # columns, since numpy sums a one-column stack pairwise, not item by item
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    whole = [Tensor(rng.normal(size=d), requires_grad=True) for _ in range(rng.integers(0, 3))]
+    mats = [Tensor(rng.normal(size=(rng.integers(1, 5), d)), requires_grad=True)
+            for _ in range(rng.integers(1, 4))]
+    items = []
+    for _ in range(int(rng.integers(1, 40))):
+        if whole and rng.uniform() < 0.3:
+            items.append((whole[rng.integers(len(whole))], None))
+        else:
+            m = mats[rng.integers(len(mats))]
+            items.append((m, int(rng.integers(m.data.shape[0]))))
+    g = rng.choice([-1.0, 1.0], size=(len(items), d)) * 10.0 ** rng.uniform(-3, 3, (len(items), d))
+    out = T.gather_stack(items)
+    grads = backward(T.tsum(T.mul(out, Tensor(g))), leaves=whole + mats)
+    values, expected = oracle_gather_stack(items, g)
+    assert out.data.tobytes() == values.tobytes()
+    for t in whole + mats:
+        want = expected.get(id(t), np.zeros_like(t.data))
+        assert grads[t].shape == want.shape
+        assert grads[t].tobytes() == want.tobytes()
+
+
+def test_gather_stack_rejects_bad_shapes():
+    # a row of another width, a 2-D tensor used whole, a row of a 1-D tensor
+    m, v = Tensor(np.ones((2, 3))), Tensor(np.ones(3))
+    for items in ([(m, 0), (Tensor(np.ones(4)), None)], [(v, None), (Tensor(np.ones((2, 3))), None)],
+                  [(m, 1), (Tensor(np.ones(3)), 0)], [(Tensor(np.ones((2, 2, 3))), 0)]):
+        with pytest.raises(T.DimensionError):
+            T.gather_stack(items)
