@@ -716,4 +716,4 @@ def test_event_columns_equal_array_conversion_bitwise():
         got = _event_columns(batch)
         expected = np.array(batch, dtype=np.float64).T
         assert got.shape == expected.shape
-        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert got.tobytes() == expected.tobytes()

@@ -273,13 +273,14 @@ def test_take_rows_gradients():
 
 
 @pytest.mark.parametrize("order, sizes", [
-    ([1, 0], [1, 2]),        # blocks grow
-    ([1, 0], [2, 2]),        # blocks cover four rows, not three
-    ([1, 0, 2], [2, 1]),     # more queries than the first block holds
-    ([1, 1], [2, 1]),        # a query listed twice
-    ([1, 3], [2, 1]),        # a query that does not exist
-    ([1, 0], [2, 1, 0]),     # an empty block
-])
+    ([1, 0], [1, 2]),
+    ([1, 0], [2, 2]),
+    ([1, 0, 2], [2, 1]),
+    ([1, 1], [2, 1]),
+    ([1, 3], [2, 1]),
+    ([1, 0], [2, 1, 0]),
+], ids=["growing-blocks", "too-many-rows", "first-block-short", "repeated-query",
+        "unknown-query", "empty-block"])
 def test_segment_attention_rejects_bad_packing(order, sizes):
     rng = np.random.default_rng(9)
     wq, wk, wv = _attention_weights(rng, 2, 2)
