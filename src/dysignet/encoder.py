@@ -61,9 +61,13 @@ projections of ``wk`` and ``wv`` rather than as (n, 2D) projected rows;
 the op builds no (n, 2D) row temporary and reuses one (n, D) row buffer
 across its forward and backward passes.
 
-Ablations: ``ba`` collapses the two memories into one sign-blind slot,
-``emb`` uses concatenated memories directly as embeddings, and ``mem``
-drops memories entirely and attends over raw node features.
+Ablations: a node's state is exactly its memories, ``[s+, s−]``.  ``ba``
+collapses them into one sign-blind slot, and ``emb`` uses the state
+directly as the embedding.  ``mem`` drops memories, so the node state is
+empty: the query has no columns, every history row of a query weighs the
+same, and the embedding is the history mean of the value projection of
+``[time gap, |w|]``.  Dropping both memories and the embedding layer
+would leave no node representation, so that combination is rejected.
 """
 
 from __future__ import annotations
@@ -102,6 +106,11 @@ class AblationConfig:
     _PARTS = {"ba": "balanced_aggregation", "emb": "use_embedding_layer",
               "mem": "use_memory"}
 
+    def __post_init__(self):
+        if not (self.use_embedding_layer or self.use_memory):
+            raise ValueError(f"ablation {self.name!r} leaves no node representation "
+                             f"(a node's state is its memories)")
+
     @classmethod
     def from_name(cls, name: str) -> "AblationConfig":
         if name == "none":
@@ -123,7 +132,6 @@ class EncoderConfig:
     memory_dim: int = 32          # per polarity; the joint memory is twice this
     embedding_dim: int = 64
     heads: int = 8
-    feature_dim: int = 8
     neighbor_cap: int | None = None   # keep only the most recent N history rows
     time_scale: float = 1.0           # time gaps enter as time_scale * log1p(dt)
     ablation: AblationConfig = field(default_factory=AblationConfig)
@@ -143,9 +151,7 @@ class EncoderConfig:
 
     @property
     def node_state_dim(self) -> int:
-        if self.ablation.use_memory:
-            return self.joint_dim + self.feature_dim
-        return self.feature_dim
+        return self.joint_dim if self.ablation.use_memory else 0
 
     @property
     def key_dim(self) -> int:
@@ -158,37 +164,15 @@ class EncoderConfig:
 
     @property
     def embedding_out_dim(self) -> int:
-        ab = self.ablation
-        if ab.use_embedding_layer:
-            return self.embedding_dim
-        if ab.use_memory:
-            return self.joint_dim
-        return self.feature_dim
+        return self.embedding_dim if self.ablation.use_embedding_layer else self.joint_dim
 
     @property
     def embedding_source(self) -> str:
-        ab = self.ablation
-        if ab.use_embedding_layer:
-            return "attention over past interactions" if ab.use_memory else "attention over raw features"
-        if ab.use_memory:
+        if not self.ablation.use_embedding_layer:
             return "concatenated memories"
-        return "raw features"
-
-
-@dataclass
-class ProvenanceRecord:
-    node: int
-    slot: int
-    source: tuple[int, int] | None
-    source_record: "ProvenanceRecord | None"
-    prev_self: "ProvenanceRecord | None"
-
-
-@dataclass
-class NodeMemoryState:
-    s_plus: np.ndarray
-    s_minus: np.ndarray | None
-    last_update: float
+        if self.ablation.use_memory:
+            return "attention over past interactions"
+        return "attention over interaction time and magnitude"
 
 
 def _grown(arr: np.ndarray, length: int, fill) -> np.ndarray:
@@ -293,8 +277,7 @@ class HistoryLog:
 class EncoderState:
     """Mutable per-stream state: memories, histories, last-update times."""
 
-    def __init__(self, config: EncoderConfig, features: np.ndarray | None = None,
-                 track_provenance: bool = False):
+    def __init__(self, config: EncoderConfig):
         self.config = config
         slots = config.slot_count if config.ablation.use_memory else 0
         self.size = 0
@@ -307,9 +290,6 @@ class EncoderState:
         self.history = HistoryLog()
         self.watermark = 0.0
         self.events_ingested = 0
-        self.features = features
-        self.provenance: dict[tuple[int, int], ProvenanceRecord] | None = (
-            {} if track_provenance else None)
 
     @property
     def last_update(self) -> np.ndarray:
@@ -370,23 +350,6 @@ class EncoderState:
             return self.mem[node, slot].copy()
         return np.zeros(self.config.slot_dim)
 
-    def node_memory(self, node: int) -> NodeMemoryState:
-        last = float(self.last_update_at(np.array([node]))[0])
-        if self.config.slot_count == 2:
-            return NodeMemoryState(self.memory_value(node, POS), self.memory_value(node, NEG),
-                                   last)
-        return NodeMemoryState(self.memory_value(node, 0), None, last)
-
-    def feature_row(self, node: int) -> np.ndarray:
-        if self.features is None:
-            return np.zeros(self.config.feature_dim)
-        return self.features[node]
-
-    def feature_rows(self, nodes: np.ndarray) -> np.ndarray:
-        if self.features is None:
-            return np.zeros((nodes.size, self.config.feature_dim))
-        return self.features[nodes]
-
     def node_history(self, node: int) -> list[tuple[int, float, float]]:
         """The node's most recent ``neighbor_cap`` rows, oldest first."""
         _, _, rows = self.history.recent(np.array([node]), self.config.neighbor_cap)
@@ -418,8 +381,7 @@ class EncoderState:
         Path(path).write_text(json.dumps(doc))
 
     @classmethod
-    def load(cls, path, config: EncoderConfig, features: np.ndarray | None = None,
-             track_provenance: bool = False) -> "EncoderState":
+    def load(cls, path, config: EncoderConfig) -> "EncoderState":
         doc = json.loads(Path(path).read_text())
         if doc.get("format") != STATE_FORMAT:
             raise ValueError(f"{path}: not an encoder state snapshot")
@@ -427,7 +389,7 @@ class EncoderState:
             raise ValueError(f"{path}: unsupported snapshot version")
         if doc["slot_dim"] != config.slot_dim:
             raise ValueError(f"{path}: snapshot slot dim {doc['slot_dim']} != {config.slot_dim}")
-        state = cls(config, features=features, track_provenance=track_provenance)
+        state = cls(config)
         state.watermark = float(doc["watermark"])
         state.events_ingested = int(doc["events_ingested"])
         memory = {tuple(int(x) for x in key.split(":")): _decode(text, (-1,))
@@ -535,40 +497,25 @@ class EncoderModel:
         extras = Tensor(np.column_stack([
             _encode_dt(self.config, t - state.last_update_at(nodes)), np.abs(sign)]))
         balanced = self.config.ablation.balanced_aggregation
-        news, routed = [], []
+        news = []
         for slot in range(self.config.slot_count):
             own = state.read_memory(nodes, slot)
             other_slot = np.where(sign > 0, slot, 1 - slot) if balanced else slot
             x = concat([own, state.read_memory(others, other_slot), extras], axis=1)
             news.append(self._mem_cells[slot].apply(self._msg_nets[slot].apply(x), own))
-            routed.append(np.broadcast_to(other_slot, nodes.shape))
-        if state.provenance is not None:
-            self._record_provenance(nodes, others, routed, state.provenance)
         # written only now, so that no slot read another slot's fresh memory
         for slot, new in enumerate(news):
             state.write_memory(nodes, slot, new, t)
 
-    @staticmethod
-    def _record_provenance(nodes, others, routed, provenance) -> None:
-        records = {}
-        for i, (node, other) in enumerate(zip(nodes.tolist(), others.tolist())):
-            for slot, other_slots in enumerate(routed):
-                source = (other, int(other_slots[i]))
-                records[(node, slot)] = ProvenanceRecord(
-                    node, slot, source, provenance.get(source), provenance.get((node, slot)))
-        provenance.update(records)
-
     # ------------------------------------------------------------------
     # embeddings
 
-    def _node_state_matrix(self, nodes: np.ndarray, state: EncoderState,
-                           features: bool = True) -> Tensor:
-        cfg = self.config
-        parts = []
-        if cfg.ablation.use_memory:
-            parts = [state.read_memory(nodes, slot) for slot in range(cfg.slot_count)]
-        if features and (cfg.feature_dim or not parts):
-            parts.append(Tensor(state.feature_rows(nodes)))
+    def _node_state_matrix(self, nodes: np.ndarray, state: EncoderState) -> Tensor:
+        """Each node's memory slots side by side: ``[s+, s−]``, the one
+        sign-blind slot, or no columns at all without memory."""
+        if not self.config.ablation.use_memory:
+            return Tensor(np.zeros((nodes.size, 0)))
+        parts = [state.read_memory(nodes, slot) for slot in range(self.config.slot_count)]
         return parts[0] if len(parts) == 1 else concat(parts, axis=1)
 
     def compute_embeddings(self, nodes: Sequence[int], t: float,
@@ -577,9 +524,8 @@ class EncoderModel:
         nodes = list(dict.fromkeys(nodes))
         index = {n: i for i, n in enumerate(nodes)}
         ids = np.asarray(nodes, dtype=np.intp)
-        ab = self.config.ablation
-        if not ab.use_embedding_layer:
-            return self._node_state_matrix(ids, state, features=not ab.use_memory), index
+        if not self.config.ablation.use_embedding_layer:
+            return self._node_state_matrix(ids, state), index
 
         hq = self._node_state_matrix(ids, state)
         base = matmul(hq, transpose(self.self_proj))

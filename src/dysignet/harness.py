@@ -37,7 +37,6 @@ class TrainConfig:
     embedding_dim: int = 64
     memory_dim: int = 32
     heads: int = 8
-    feature_dim: int = 8
     neighbor_cap: int | None = None
     time_scale: float | None = None   # None: set from the training span
     lr: float = 1e-3
@@ -59,7 +58,6 @@ class TrainConfig:
             memory_dim=self.memory_dim,
             embedding_dim=self.embedding_dim,
             heads=self.heads,
-            feature_dim=self.feature_dim,
             neighbor_cap=self.neighbor_cap,
             time_scale=1.0 if self.time_scale is None else self.time_scale,
             ablation=self.ablation,
@@ -92,9 +90,8 @@ class ModelBundle:
     encoder: EncoderModel
     decoder: PairDecoder
 
-    def new_state(self, features=None, track_provenance=False) -> EncoderState:
-        return EncoderState(self.config.encoder_config(), features=features,
-                            track_provenance=track_provenance)
+    def new_state(self) -> EncoderState:
+        return EncoderState(self.config.encoder_config())
 
 
 def build_model(config: TrainConfig) -> ModelBundle:
@@ -335,7 +332,11 @@ def _run_split(bundle, state, universe, events, task, rng, records, counters,
 def train(config: TrainConfig, split: DatasetSplit | None = None,
           log_progress: bool = False) -> TrainResult:
     """Train with early stopping on the validation metric; returns the
-    parameters of the best validation epoch."""
+    parameters of the best validation epoch.
+
+    Each epoch is validated as :func:`evaluate_sequential` validates, on a
+    state warmed with the epoch's final parameters, not on the state built
+    while they moved, so the returned parameters reproduce their value."""
     t_start = _time.perf_counter()
     if split is None:
         split = load_dataset(config)
@@ -384,13 +385,8 @@ def train(config: TrainConfig, split: DatasetSplit | None = None,
         loss_trace.append(epoch_losses)
         last_train_records = epoch_records
 
-        val_records: list[PairRecord] = []
-        counters = {"causality": 0}
-        val_rng = np.random.default_rng((config.seed, 202, epoch))
-        _run_split(bundle, state, universe, split.val.events, task, val_rng,
-                   val_records, counters, scaler)
-        val_metrics = metric_bundle(task, val_records)
-        value = val_metrics.get(metric_name, float("nan"))
+        val = evaluate_sequential(bundle, split, "val", neg_seed=(config.seed, 202, epoch))
+        value = val.metrics.get(metric_name, float("nan"))
         val_trace.append(value)
         scored = direction * value if np.isfinite(value) else -np.inf
         if log_progress:

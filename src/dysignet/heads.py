@@ -12,7 +12,6 @@ from .layers import Feedforward
 from .params import ParameterSet
 from .tensor import (
     Tensor,
-    add,
     _expit,
     concat,
     gather_stack,

@@ -29,13 +29,11 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        dims = [self.in_dim, self.out_dim]
-        if self.hidden_dim is not None:
-            dims.append(self.hidden_dim)
-        if self.key_dim is not None:
-            dims.append(self.key_dim)
-        if any(d <= 0 for d in dims):
-            raise ValueError("layer dims must be positive")
+        dims = [self.out_dim] + [d for d in (self.hidden_dim, self.key_dim) if d is not None]
+        # an attention query may have no columns: its rows then weigh the same
+        min_in = 0 if self.kind == "attention" else 1
+        if any(d <= 0 for d in dims) or self.in_dim < min_in:
+            raise ValueError("layer dims must be positive (an attention query may be empty)")
         if self.kind == "attention":
             if self.heads <= 0:
                 raise ValueError("head count must be positive")
@@ -44,6 +42,8 @@ class LayerSpec:
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    if fan_in == 0:   # only an empty shape has no inputs
+        return np.zeros(shape)
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 

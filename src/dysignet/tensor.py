@@ -21,14 +21,12 @@ import numpy as np
 __all__ = [
     "DimensionError",
     "Tensor",
-    "as_tensor",
     "no_grad",
     "grad_enabled",
     "backward",
     "add",
     "sub",
     "mul",
-    "neg",
     "matmul",
     "exp",
     "log",
@@ -86,59 +84,11 @@ class Tensor:
         self._vjp = None
         self._seq = next(_seq)
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """A constant leaf sharing this tensor's values."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
-        out._seq = next(_seq)
-        return out
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic operators delegate to the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self):
-        return tmean(self)
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -205,15 +155,6 @@ def mul(a, b):
         return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
     return _result(data, (a, b), vjp)
-
-
-def neg(a):
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (-g,)
-
-    return _result(-a.data, (a,), vjp)
 
 
 def matmul(a, b):

@@ -84,7 +84,6 @@ def tiny_config(task=TaskKind.SIGN, ablation="none", **overrides) -> TrainConfig
         embedding_dim=8,
         memory_dim=4,
         heads=2,
-        feature_dim=2,
         neighbor_cap=16,
         time_scale=0.25,
         lr=1e-2,

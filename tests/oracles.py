@@ -8,7 +8,7 @@ only the batched paths.
 The feed-forward net and the recurrent cell also have composed references
 here: one autograd node per primitive, built from the elementwise ops
 below, which the library no longer needs since both layers became fused
-ops.
+ops.  So do ``neg`` and ``detach``, which only tests use.
 """
 
 import math
@@ -31,6 +31,20 @@ def expit(x):
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+def neg(a):
+    a = as_tensor(a)
+
+    def vjp(g):
+        return (-g,)
+
+    return _result(-a.data, (a,), vjp)
+
+
+def detach(a):
+    """A constant leaf with ``a``'s values: gradient stops here."""
+    return Tensor(a.data)
 
 
 def relu(a):
@@ -129,7 +143,7 @@ def route_event(encoder, event, state) -> list[Route]:
     mag = abs(w)
     routes = []
     for a, b in ((event.src, event.dst), (event.dst, event.src)):
-        dt = event.time - state.node_memory(a).last_update
+        dt = event.time - state.last_update_at(np.array([a]))[0]
         if encoder.config.ablation.balanced_aggregation:
             routes.append(Route(a, POS, (a, POS), (b, POS if w > 0 else NEG),
                                 dt, event.time, mag))
@@ -174,6 +188,37 @@ def update_memories(encoder, aggregated: dict, state) -> None:
         state.write_memory(np.array([node]), slot, reshape(new, (1, -1)), np.array([m.time]))
 
 
+@dataclass
+class Provenance:
+    """Where one (node, slot) memory's last update read from: the routed
+    partner slot, that slot's own record at the time, and this slot's
+    record before the update."""
+    node: int
+    slot: int
+    source: tuple[int, int]
+    source_record: "Provenance | None"
+    prev_self: "Provenance | None"
+
+
+def trace_provenance(encoder, events, state) -> dict:
+    """Ingest ``events`` one at a time along the reference path and return
+    (node, slot) -> :class:`Provenance` of its last update, built from the
+    ``sources`` each message records.  Every record of an event links to
+    the records from before that event, as its messages read pre-event
+    memories."""
+    provenance: dict[tuple[int, int], Provenance] = {}
+    for ev in events:
+        aggregated = aggregate_messages(generate_messages(encoder, ev, state))
+        provenance.update({
+            key: Provenance(*key, m.sources[1], provenance.get(m.sources[1]),
+                            provenance.get(key))
+            for key, m in aggregated.items()})
+        update_memories(encoder, aggregated, state)
+        log_history(state, [ev])
+        state.watermark = ev.time
+    return provenance
+
+
 def log_history(state, events) -> None:
     """Append each event to both endpoints' histories, source first."""
     for ev in events:
@@ -182,14 +227,11 @@ def log_history(state, events) -> None:
 
 
 def node_state(encoder, node: int, state) -> np.ndarray:
-    """[s+, s-, features] of one node; memories only when the model has them."""
+    """A node's memory slots side by side; no columns without memory."""
     cfg = encoder.config
-    parts = []
-    if cfg.ablation.use_memory:
-        parts.extend(state.memory_value(node, slot) for slot in range(cfg.slot_count))
-    if cfg.feature_dim:
-        parts.append(state.feature_row(node))
-    return np.concatenate(parts)
+    if not cfg.ablation.use_memory:
+        return np.zeros(0)
+    return np.concatenate([state.memory_value(node, slot) for slot in range(cfg.slot_count)])
 
 
 def attention(attn, query: np.ndarray, rows: np.ndarray):
@@ -214,13 +256,9 @@ def attention(attn, query: np.ndarray, rows: np.ndarray):
 def compute_embedding(encoder, node: int, t: float, state) -> np.ndarray:
     """Long-term embedding of one node at query time ``t``."""
     cfg = encoder.config
-    ab = cfg.ablation
-    if not ab.use_embedding_layer:
-        if ab.use_memory:
-            return np.concatenate([state.memory_value(node, slot)
-                                   for slot in range(cfg.slot_count)])
-        return state.feature_row(node)
     h = node_state(encoder, node, state)
+    if not cfg.ablation.use_embedding_layer:
+        return h
     base = encoder.self_proj.data @ h
     hist = state.node_history(node)
     if not hist:

@@ -162,7 +162,7 @@ def test_criterion_4_constructive_synthetic_oracle():
         split = chronological_split(log)
         base = TrainConfig(
             task=TaskKind.SIGN, batch_size=200, embedding_dim=32, memory_dim=16,
-            heads=4, feature_dim=8, neighbor_cap=32, lr=3e-3, max_epochs=20,
+            heads=4, neighbor_cap=32, lr=3e-3, max_epochs=20,
             patience=5, seed=0)
 
         results = {}
@@ -202,7 +202,7 @@ def test_criterion_5_btc_alpha_floors(task, metric, floor, direction):
         start = time.perf_counter()
         config = TrainConfig(
             dataset=str(path), task=task, batch_size=1000, embedding_dim=64,
-            memory_dim=32, heads=8, feature_dim=8, neighbor_cap=128,
+            memory_dim=32, heads=8, neighbor_cap=128,
             lr=1e-3, max_epochs=50, patience=5, seed=0)
         split = chronological_split(parse_csv(path))
         trained = train(config, split=split)

@@ -12,6 +12,7 @@ from dysignet.events import compute_stats, parse_csv
 from dysignet.harness import TrainConfig
 from dysignet.heads import TaskKind
 from dysignet.metrics import auroc, f1_binary, kl_divergence_hist
+from dysignet.params import _encode
 from dysignet.synthetic import generate_balanced_stream
 
 
@@ -32,7 +33,7 @@ def dataset(tmp_path_factory):
 def _config_file(tmp_path, dataset, **extra):
     lines = ["[run]", f"dataset = {dataset}", "task = sign",
              "[model]", "embedding_dim = 8", "memory_dim = 4", "heads = 2",
-             "feature_dim = 2", "neighbor_cap = 16",
+             "neighbor_cap = 16",
              "[train]", "batch_size = 50", "lr = 0.01", "max_epochs = 1",
              "patience = 1", "seed = 0"]
     for k, v in extra.items():
@@ -77,7 +78,7 @@ def test_stats_nonfinite_only_exits_2(tmp_path, capsys):
 def test_config_file_sets_every_field(tmp_path):
     config = TrainConfig(
         dataset="x.csv", task=TaskKind.SIGNED_WEIGHT, batch_size=7, embedding_dim=12,
-        memory_dim=3, heads=3, feature_dim=5, neighbor_cap=9, time_scale=0.5, lr=0.02,
+        memory_dim=3, heads=3, neighbor_cap=9, time_scale=0.5, lr=0.02,
         max_epochs=4, patience=3, seed=11, ablation=AblationConfig.from_name("ba"),
         split_fractions=(0.6, 0.25, 0.15), standardize_weights=True)
     defaults = TrainConfig()
@@ -95,9 +96,17 @@ def test_config_file_sets_every_field(tmp_path):
 
 
 def test_unknown_config_key_exits_1(dataset, tmp_path, capsys):
-    cfg = _config_file(tmp_path, dataset, message_dim=4)
-    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "unknown config key" in capsys.readouterr().err
+    for key in ("message_dim", "feature_dim"):   # both were keys once
+        cfg = _config_file(tmp_path, dataset, **{key: 4})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_ablation_without_node_representation_exits_1(dataset, tmp_path, capsys):
+    for name in ("emb+mem", "ba+emb+mem"):
+        cfg = _config_file(tmp_path, dataset, ablation=name)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "no node representation" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text,value", [("yes", True), (" On ", True), ("1", True),
@@ -160,7 +169,7 @@ def trained_run(tmp_path_factory, dataset):
     cfg_path.write_text("\n".join([
         "[run]", f"dataset = {dataset}", "task = sign",
         "[model]", "embedding_dim = 8", "memory_dim = 4", "heads = 2",
-        "feature_dim = 2", "neighbor_cap = 16",
+        "neighbor_cap = 16",
         "[train]", "batch_size = 50", "lr = 0.01", "max_epochs = 2",
         "patience = 2", "seed = 0",
     ]) + "\n")
@@ -195,6 +204,18 @@ def test_eval_checkpoint_config_mismatch_exits_2(trained_run, dataset, tmp_path,
     bad_cfg = _config_file(tmp_path, dataset, embedding_dim=16)
     assert main(["eval", "--config", bad_cfg, "--checkpoint", ckpt,
                  "--out", str(tmp_path / "x")]) == 2
+    # a checkpoint from when each node state carried two feature columns
+    doc = json.loads(Path(ckpt).read_text())
+    wide = np.zeros((8, 10))
+    doc["params"]["encoder.emb.self_proj"] = {
+        "shape": [8, 10], "data": _encode(wide), "m": _encode(wide), "v": _encode(wide)}
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--checkpoint", str(old),
+                 "--out", str(tmp_path / "y")]) == 2
+    err = capsys.readouterr().err
+    assert "'encoder.emb.self_proj'" in err and "(8, 10)" in err and "(8, 8)" in err
 
 
 def test_predict_dumps_csv(trained_run, tmp_path, capsys):
@@ -214,7 +235,7 @@ def weight_run(tmp_path_factory, dataset):
     cfg_path.write_text("\n".join([
         "[run]", f"dataset = {dataset}", "task = signed-weight",
         "[model]", "embedding_dim = 8", "memory_dim = 4", "heads = 2",
-        "feature_dim = 2", "neighbor_cap = 16",
+        "neighbor_cap = 16",
         "[train]", "batch_size = 50", "lr = 0.01", "max_epochs = 1",
         "patience = 1", "seed = 0",
     ]) + "\n")

@@ -21,6 +21,7 @@ from oracles import (
     generate_messages,
     log_history,
     route_event,
+    trace_provenance,
     update_memories,
 )
 
@@ -31,9 +32,9 @@ def make_encoder(ablation="none", seed=0, **overrides):
     return bundle.encoder, bundle.params, config
 
 
-def seeded_state(encoder, events, seed=0, track_provenance=False):
+def seeded_state(encoder, events, seed=0):
     """State with distinguishable (non-zero) memories: ingest a warmup batch."""
-    state = EncoderState(encoder.config, track_provenance=track_provenance)
+    state = EncoderState(encoder.config)
     if events:
         encoder.process_batch(events, state)
     return state
@@ -252,7 +253,7 @@ def test_single_event_batch_equals_reference_ops():
         for slot in (POS, NEG):
             assert np.allclose(fast.memory_value(n, slot), ref.memory_value(n, slot),
                                atol=1e-15)
-        assert fast.node_memory(n).last_update == ref.node_memory(n).last_update
+    assert np.array_equal(fast.last_update, ref.last_update)
     assert fast.history.items() == ref.history.items()
 
 
@@ -334,7 +335,7 @@ def test_array_state_equals_per_event_oracle_state(batches, ablation, cap, seed)
     for n in range(7):
         for slot in range(enc.config.slot_count):
             assert np.abs(fast.memory_value(n, slot) - ref.memory_value(n, slot)).max() <= 1e-12
-        assert fast.node_memory(n).last_update == ref.node_memory(n).last_update
+        assert fast.last_update_at(np.array([n])) == ref.last_update_at(np.array([n]))
         expected = rows[n] if cap is None else rows[n][-cap:]
         assert fast.node_history(n) == ref.node_history(n) == expected
 
@@ -361,13 +362,20 @@ def test_higher_order_balance_provenance_chain():
     # events (1,2,+) then (1,3,-): node 3's minus memory consumed node 1's
     # plus memory, which had consumed node 2's plus memory
     enc, _, _ = make_encoder()
-    state = EncoderState(enc.config, track_provenance=True)
-    enc.process_batch([_ev(1.0, 1, 2, 1.0)], state)
-    enc.process_batch([_ev(2.0, 1, 3, -1.0)], state)
-    rec = state.provenance[(3, NEG)]
+    events = [_ev(1.0, 1, 2, 1.0), _ev(2.0, 1, 3, -1.0)]
+    ref = EncoderState(enc.config)
+    provenance = trace_provenance(enc, events, ref)
+    rec = provenance[(3, NEG)]
     assert rec.source == (1, POS)
     assert rec.source_record is not None
     assert rec.source_record.source == (2, POS)
+    assert rec.prev_self is None and rec.source_record.prev_self is None
+    # the traced reference reaches the memories the batched path computes
+    state = EncoderState(enc.config)
+    for ev in events:
+        enc.process_batch([ev], state)
+    for slot in (POS, NEG):
+        assert np.allclose(state.memory_value(3, slot), ref.memory_value(3, slot), atol=1e-15)
 
 
 # ------------------------------------------------------------ embeddings
@@ -376,8 +384,7 @@ def test_embedding_empty_history_is_projection():
     enc, params, _ = make_encoder(seed=9)
     state = seeded_state(enc, [_ev(1, 1, 2, 1)])  # node 0 never seen
     z = embed(enc, 0, 5.0, state)
-    h = np.concatenate([state.memory_value(0, POS), state.memory_value(0, NEG),
-                        state.feature_row(0)])
+    h = np.concatenate([state.memory_value(0, POS), state.memory_value(0, NEG)])
     assert np.array_equal(z, params["encoder.emb.self_proj"].data @ h)
 
 
@@ -386,10 +393,8 @@ def test_embedding_single_neighbor_formula():
     state = seeded_state(enc, [_ev(1.0, 0, 1, -2.0)])
     t = 4.0
     z = embed(enc, 0, t, state)
-    h_u = np.concatenate([state.memory_value(0, POS), state.memory_value(0, NEG),
-                          state.feature_row(0)])
-    h_i = np.concatenate([state.memory_value(1, POS), state.memory_value(1, NEG),
-                          state.feature_row(1)])
+    h_u = np.concatenate([state.memory_value(0, POS), state.memory_value(0, NEG)])
+    h_i = np.concatenate([state.memory_value(1, POS), state.memory_value(1, NEG)])
     row = np.concatenate([h_i, [config.time_scale * np.log1p(t - 1.0), 2.0]])
     wv = params["encoder.emb.attn.wv"].data
     expected = params["encoder.emb.self_proj"].data @ h_u + wv @ row
@@ -404,8 +409,7 @@ def test_embedding_matches_straight_line_oracle_three_neighbors():
     z = embed(enc, 0, t, state)
 
     def h(n):
-        return np.concatenate([state.memory_value(n, POS), state.memory_value(n, NEG),
-                               state.feature_row(n)])
+        return np.concatenate([state.memory_value(n, POS), state.memory_value(n, NEG)])
 
     rows = np.array([
         np.concatenate([h(i), [config.time_scale * np.log1p(t - tau), mag]])
@@ -417,16 +421,18 @@ def test_embedding_matches_straight_line_oracle_three_neighbors():
 
 
 def test_embedding_batch_path_equals_reference_path():
-    enc, _, _ = make_encoder(seed=12)
-    rng = np.random.default_rng(13)
-    warm = [_ev(t + 1, int(rng.integers(4)), 4 + int(rng.integers(4)),
-                float(rng.choice([-2, 1]))) for t in range(10)]
-    state = seeded_state(enc, warm)
-    nodes = list(range(8))  # includes untouched nodes with empty histories
-    z, index = enc.compute_embeddings(nodes, 20.0, state)
-    for n in nodes:
-        single = compute_embedding(enc, n, 20.0, state)
-        assert np.allclose(z.data[index[n]], single, atol=1e-12)
+    # one test id over the three ablations that keep the attention layer
+    for ablation in ("none", "ba", "mem"):
+        enc, _, _ = make_encoder(ablation=ablation, seed=12)
+        rng = np.random.default_rng(13)
+        warm = [_ev(t + 1, int(rng.integers(4)), 4 + int(rng.integers(4)),
+                    float(rng.choice([-2, 1]))) for t in range(10)]
+        state = seeded_state(enc, warm)
+        nodes = list(range(8))  # includes untouched nodes with empty histories
+        z, index = enc.compute_embeddings(nodes, 20.0, state)
+        for n in nodes:
+            single = compute_embedding(enc, n, 20.0, state)
+            assert np.allclose(z.data[index[n]], single, atol=1e-12), ablation
 
 
 def test_embedding_reads_each_distinct_neighbour_once(monkeypatch):
@@ -462,12 +468,8 @@ def test_embedding_empty_history_property(seed):
     state = seeded_state(enc, warm)
     node = 7  # never an endpoint
     z = embed(enc, node, 30.0, state)
-    if enc.config.ablation.use_memory:
-        h = np.concatenate([state.memory_value(node, s)
-                            for s in range(enc.config.slot_count)]
-                           + [state.feature_row(node)])
-    else:
-        h = state.feature_row(node)
+    h = np.concatenate([state.memory_value(node, s)
+                        for s in range(state.mem.shape[1])] + [np.zeros(0)])
     assert np.allclose(z, params["encoder.emb.self_proj"].data @ h, atol=1e-14)
 
 
@@ -510,6 +512,35 @@ def test_mem_ablation_has_no_memory_state():
     assert state.node_history(0) == [(1, 1.0, 1.0)]
     z = embed(enc, 0, 3.0, state)
     assert z.shape == (enc.config.embedding_dim,)
+
+
+def test_mem_embedding_is_history_mean_of_time_and_magnitude(monkeypatch):
+    # without memory the query has no columns, so every row of a query
+    # weighs the same and the embedding is wv · mean([dt, |w|]) over the
+    # capped history; a node without history embeds as zeros
+    enc, params, config = make_encoder(ablation="mem", seed=25, neighbor_cap=3)
+    events = [_ev(1, 0, 1, 2), _ev(2, 0, 2, -1), _ev(3, 2, 0, 4), _ev(5, 0, 3, -3),
+              _ev(6, 1, 2, 1)]
+    state = seeded_state(enc, events)
+    calls = []
+    apply = enc.attn.apply
+    monkeypatch.setattr(enc.attn, "apply", lambda *a: calls.append(apply(*a)) or calls[-1])
+    t = 9.0
+    nodes = [0, 1, 2, 7]
+    z, index = enc.compute_embeddings(nodes, t, state)
+    _, sizes, _ = state.history.recent(np.array(nodes), 3)
+    position = np.concatenate([np.arange(m) for m in sizes])   # row -> its query
+    count = (sizes[None, :] > position[:, None]).sum(axis=1)
+    weights = calls[0][1].data
+    assert np.array_equal(weights, np.broadcast_to(1.0 / count[:, None], weights.shape))
+    wv = params["encoder.emb.attn.wv"].data
+    assert wv.shape == (config.embedding_dim, 2)
+    for n in nodes:
+        rows = state.node_history(n)
+        assert len(rows) == min(3, sum(n in (ev.src, ev.dst) for ev in events))
+        mean = (np.mean([[config.time_scale * np.log1p(t - tau), mag] for _, tau, mag in rows],
+                        axis=0) if rows else np.zeros(2))
+        assert np.allclose(z.data[index[n]], wv @ mean, atol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -668,16 +699,14 @@ def test_snapshot_rejects_mismatched_config(tmp_path):
 
 
 def test_node_memory_view():
-    enc, _, _ = make_encoder(seed=24)
-    state = seeded_state(enc, [_ev(4, 0, 1, -1)])
-    view = state.node_memory(0)
-    assert view.last_update == 4.0
-    assert view.s_plus.shape == (4,) and view.s_minus.shape == (4,)
-    enc_ba, _, _ = make_encoder(ablation="ba", seed=24)
-    state_ba = EncoderState(enc_ba.config)
-    enc_ba.process_batch([_ev(4, 0, 1, -1)], state_ba)
-    view_ba = state_ba.node_memory(0)
-    assert view_ba.s_minus is None and view_ba.s_plus.shape == (8,)
+    # slots per node and their width by ablation, and the last update time
+    for ablation, slots, width in (("none", 2, 4), ("ba", 1, 8), ("mem", 0, 4)):
+        enc, _, _ = make_encoder(ablation=ablation, seed=24)
+        state = seeded_state(enc, [_ev(4, 0, 1, -1)])
+        assert state.mem.shape[1:] == (slots, width), ablation
+        written = [0, 1] if slots else []
+        assert state.last_update.tolist() == [4.0] * len(written)
+        assert state.written_nodes().tolist() == written
 
 
 @settings(max_examples=100, deadline=None)

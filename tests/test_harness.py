@@ -206,7 +206,7 @@ def test_run_ablation_structure():
     reports = run_ablation(base, split=split)
     assert list(reports) == ["none", "ba", "emb", "mem"]
     assert reports["emb"].embedding_source == "concatenated memories"
-    assert reports["mem"].embedding_source == "attention over raw features"
+    assert reports["mem"].embedding_source == "attention over interaction time and magnitude"
     for rep in reports.values():
         assert rep.seed == base.seed
         assert rep.params_frozen
@@ -241,6 +241,15 @@ def test_config_roundtrip_through_dict():
 
 @pytest.mark.parametrize("flags", list(itertools.product((True, False), repeat=3)))
 def test_every_ablation_combination_roundtrips_by_name(flags):
+    balanced, embedding, memory = flags
+    if not (embedding or memory):
+        # no memories and no embedding layer: no node representation is left
+        with pytest.raises(ValueError, match="no node representation"):
+            AblationConfig(*flags)
+        name = "+".join(p for p, on in zip(("ba", "emb", "mem"), flags) if not on)
+        with pytest.raises(ValueError, match="no node representation"):
+            AblationConfig.from_name(name)
+        return
     ablation = AblationConfig(*flags)
     assert AblationConfig.from_name(ablation.name) == ablation
     config = replace(tiny_config(), ablation=ablation)

@@ -23,6 +23,11 @@ def test_layer_spec_validation():
     with pytest.raises(ValueError):
         LayerSpec("feedforward", 0, 3)
     with pytest.raises(ValueError):
+        LayerSpec("recurrent-cell", 0, 3)
+    with pytest.raises(ValueError):
+        LayerSpec("attention", -1, 4, heads=2, key_dim=2)
+    LayerSpec("attention", 0, 4, heads=2, key_dim=2)   # an empty query is allowed
+    with pytest.raises(ValueError):
         LayerSpec("attention", 4, 6, heads=4)
     with pytest.raises(ValueError):
         LayerSpec("perceptron", 4, 4)
