@@ -19,12 +19,10 @@ import types
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from .encoder import AblationConfig
 from .events import DataError, compute_stats, parse_csv
 from .harness import (
-    EvalReport,
+    Predictions,
     TrainConfig,
     build_model,
     evaluate_sequential,
@@ -151,16 +149,16 @@ def _load_bundle(args):
     return config, bundle, split
 
 
-def _write_raw_csv(path: Path, report: EvalReport) -> None:
+def _write_raw_csv(path: Path, preds: Predictions) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        n_out = len(report.raw[0].output) if report.raw else 1
         writer.writerow(["src", "dst", "time"]
-                        + [f"output_{i}" for i in range(n_out)] + ["label", "is_real"])
-        for r in report.raw:
-            writer.writerow([r.src, r.dst, repr(r.time)]
-                            + [repr(x) for x in r.output]
-                            + [repr(r.label), int(r.is_real)])
+                        + [f"output_{i}" for i in range(preds.output.shape[1])]
+                        + ["label", "is_real"])
+        for u, v, t, out, label, real in zip(
+                preds.src.tolist(), preds.dst.tolist(), preds.time.tolist(),
+                preds.output.tolist(), preds.label.tolist(), preds.is_real.tolist()):
+            writer.writerow([u, v, repr(t)] + [repr(x) for x in out] + [repr(label), int(real)])
 
 
 def cmd_stats(args) -> int:
@@ -202,14 +200,13 @@ def cmd_eval(args) -> int:
         breakdown=args.breakdown in ("trans", "ind", "both"),
     )
     doc = report.to_dict()
-    doc.pop("raw", None)
     if args.breakdown == "trans":
         doc["inductive"] = None
     elif args.breakdown == "ind":
         doc["transductive"] = None
     (out_dir / "eval_report.json").write_text(json.dumps(doc, indent=2))
     if args.dump_raw:
-        _write_raw_csv(out_dir / "predictions.csv", report)
+        _write_raw_csv(out_dir / "predictions.csv", report.raw)
     print(json.dumps(doc, indent=2))
     return 0
 
@@ -219,7 +216,7 @@ def cmd_predict(args) -> int:
     out_dir = make_out_dir(args, "predict")
     write_manifest(out_dir, "predict", args, config.to_dict())
     report = evaluate_sequential(bundle, split, which=args.split, collect_raw=True)
-    _write_raw_csv(out_dir / "predictions.csv", report)
+    _write_raw_csv(out_dir / "predictions.csv", report.raw)
     print(json.dumps({"predictions": str(out_dir / "predictions.csv"),
                       "n_real": report.n_real, "n_negative": report.n_negative}, indent=2))
     return 0
@@ -231,8 +228,7 @@ def cmd_plot_weights(args) -> int:
     out_dir = make_out_dir(args, "plot-weights")
     write_manifest(out_dir, "plot-weights", args, config.to_dict())
     report = evaluate_sequential(bundle, split, which=args.split, collect_raw=True)
-    actual = np.array([r.label for r in report.raw])
-    predicted = np.array([r.output[0] for r in report.raw])
+    actual, predicted = report.raw.label, report.raw.output[:, 0]
     bins, true_counts, pred_counts = weight_histograms(actual, predicted)
     path = out_dir / "weights_hist.csv"
     with open(path, "w", newline="") as fh:

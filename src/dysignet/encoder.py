@@ -81,6 +81,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .events import event_columns
 from .layers import Feedforward, MultiHeadAttention, RecurrentCell, uniform_init
 from .params import ParameterSet, _decode, _encode
 # gather_stack is not called here, but bench/spans.py patches this module's name
@@ -409,14 +410,6 @@ class EncoderState:
         return state
 
 
-def _event_columns(batch_events) -> np.ndarray:
-    """(time, src, dst, weight) columns of a batch of ``SignedEvent``
-    tuples, as float64; the same values as ``np.array(batch_events).T``
-    without converting tuple by tuple."""
-    flat = itertools.chain.from_iterable(batch_events)
-    return np.fromiter(flat, np.float64, 4 * len(batch_events)).reshape(-1, 4).T
-
-
 def _encode_dt(config: EncoderConfig, dt: np.ndarray) -> np.ndarray:
     # math.log1p, not np.log1p: the two can differ in the last bit
     gaps = np.fromiter(map(math.log1p, np.maximum(dt, 0.0).tolist()), np.float64, dt.size)
@@ -469,7 +462,7 @@ class EncoderModel:
             raise ValueError(
                 f"out-of-order batch: starts at {batch_events[0].time} before "
                 f"already-ingested time {state.watermark}")
-        time, src, dst, weight = _event_columns(batch_events)
+        time, src, dst, weight = event_columns(batch_events)
         src, dst = src.astype(np.intp), dst.astype(np.intp)
         # one row per endpoint, (src -> dst, dst -> src) for each event
         owner = np.column_stack([src, dst]).ravel()

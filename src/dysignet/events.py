@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import csv
 import gzip
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -27,6 +30,14 @@ class SignedEvent(NamedTuple):
     weight: float
 
 
+def event_columns(events) -> np.ndarray:
+    """(time, src, dst, weight) columns of a sequence of ``SignedEvent``
+    tuples, as float64; the same values as ``np.array(events).T`` without
+    converting tuple by tuple."""
+    flat = itertools.chain.from_iterable(events)
+    return np.fromiter(flat, np.float64, 4 * len(events)).reshape(-1, 4).T
+
+
 @dataclass
 class EventLog:
     """Time-ordered signed edge additions over dense integer node ids."""
@@ -43,13 +54,6 @@ class EventLog:
 
     def slice(self, start: int, stop: int) -> "EventLog":
         return EventLog(self.events[start:stop], self.node_count, self.id_map)
-
-    def nodes(self) -> set[int]:
-        out = set()
-        for ev in self.events:
-            out.add(ev.src)
-            out.add(ev.dst)
-        return out
 
     def time_span(self) -> tuple[float, float]:
         if not self.events:
@@ -146,11 +150,6 @@ class DatasetSplit:
     val: EventLog
     test: EventLog
     fractions: tuple[float, float, float]
-
-    @property
-    def full(self) -> EventLog:
-        return EventLog(self.train.events + self.val.events + self.test.events,
-                        self.train.node_count, self.train.id_map)
 
 
 def chronological_split(logdata: EventLog,

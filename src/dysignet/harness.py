@@ -1,11 +1,16 @@
 """Training and online sequential evaluation over temporal batches.
 
 Protocol: for every batch, pairs are scored against the state built from
-all *earlier* batches only; the batch is ingested afterwards.  At test
-time parameters are frozen but the state keeps advancing, so predictions
-for late test events see earlier test events.  Gradients are truncated at
-batch boundaries: the loss of batch k+1 reaches back through the memory
-update of batch k and stops at the detached state before it.
+all *earlier* batches only; the batch is ingested afterwards.  One
+generator, :func:`_online`, runs that loop for both callers: per batch it
+scores the pairs, yields them, and ingests the batch when resumed.
+Between the yield and the resume ``train`` takes its loss, backward pass
+and Adam step and detaches the state; ``evaluate_sequential`` only
+collects the predictions.  At test time parameters are frozen but the
+state keeps advancing, so predictions for late test events see earlier
+test events.  Gradients are truncated at batch boundaries: the loss of
+batch k+1 reaches back through the memory update of batch k and stops at
+the detached state before it.
 """
 
 from __future__ import annotations
@@ -13,12 +18,11 @@ from __future__ import annotations
 import logging
 import time as _time
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .encoder import AblationConfig, EncoderConfig, EncoderModel, EncoderState
-from .events import DataError, DatasetSplit, EventLog, batches, chronological_split, parse_csv
+from .events import DataError, DatasetSplit, batches, chronological_split, event_columns, parse_csv
 from .heads import PairDecoder, TaskKind, negative_sample, sigmoid_np, task_loss
 from .metrics import accuracy, auroc, f1_binary, f1_multiclass, regression_metrics
 from .params import NumericError, ParameterSet, adam_step
@@ -103,117 +107,125 @@ def build_model(config: TrainConfig) -> ModelBundle:
     return ModelBundle(config, params, encoder, decoder)
 
 
-class PairRecord(NamedTuple):
-    src: int
-    dst: int
-    time: float
-    output: tuple
-    label: float
-    is_real: bool
+@dataclass
+class Predictions:
+    """Scored pairs as columns, one row per pair, in scoring order: each
+    batch's events, then their negatives.  ``output`` is ``(n, arity)``:
+    probabilities, or weights in raw units for the regression task."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    time: np.ndarray
+    output: np.ndarray
+    label: np.ndarray
+    is_real: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def __getitem__(self, rows) -> "Predictions":
+        return Predictions(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @classmethod
+    def concat(cls, parts: list["Predictions"]) -> "Predictions":
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
 
-class _Universe:
-    """Insertion-ordered set of node ids seen so far."""
-
-    def __init__(self):
-        self._seen: dict[int, None] = {}
-
-    def extend(self, nodes):
-        for n in nodes:
-            self._seen.setdefault(n, None)
-
-    def extend_events(self, events):
-        for ev in events:
-            self._seen.setdefault(ev.src, None)
-            self._seen.setdefault(ev.dst, None)
-
-    def array(self) -> np.ndarray:
-        return np.fromiter(self._seen.keys(), dtype=np.int64, count=len(self._seen))
-
-
-def _build_pairs(task: TaskKind, events, universe: _Universe, rng):
-    """Ordered pairs with labels/targets for one batch, negatives included
-    for the tasks that consume them."""
-    pairs = [(ev.src, ev.dst) for ev in events]
-    times = [ev.time for ev in events]
-    reality = [True] * len(events)
+def _labels(task: TaskKind, weight: np.ndarray) -> np.ndarray:
     if task is TaskKind.EXISTENCE:
-        labels = [1.0] * len(events)
-    elif task is TaskKind.SIGN:
-        labels = [1.0 if ev.weight > 0 else 0.0 for ev in events]
-    elif task is TaskKind.SIGNED_EXISTENCE:
-        labels = [0.0 if ev.weight > 0 else 1.0 for ev in events]
-    else:
-        labels = [ev.weight for ev in events]
-    if task.needs_negatives:
-        fake_label = 0.0 if task is TaskKind.EXISTENCE else 2.0
-        for (u, v), ev in zip(negative_sample(events, universe.array(), rng), events):
-            pairs.append((u, v))
-            times.append(ev.time)
-            labels.append(fake_label)
-            reality.append(False)
-    return pairs, np.asarray(labels), times, reality
+        return np.ones_like(weight)
+    if task is TaskKind.SIGN:
+        return np.where(weight > 0, 1.0, 0.0)
+    if task is TaskKind.SIGNED_EXISTENCE:
+        return np.where(weight > 0, 0.0, 1.0)
+    return weight
 
 
 def _weight_scaler(config: TrainConfig, split: DatasetSplit):
     """(mean, std) of the train-split weights, or None when disabled."""
     if config.task is not TaskKind.SIGNED_WEIGHT or not config.standardize_weights:
         return None
-    weights = np.array([ev.weight for ev in split.train.events])
+    weights = event_columns(split.train.events)[3]
     std = float(weights.std())
     return float(weights.mean()), (std if std > 0 else 1.0)
 
 
-def _score_batch(bundle: ModelBundle, state: EncoderState, pairs, qtime: float):
-    nodes = [n for pair in pairs for n in pair]
-    z, index = bundle.encoder.compute_embeddings(nodes, qtime, state)
-    return bundle.decoder.score_rows(z, index, pairs)
-
-
-def _records_from(task: TaskKind, pairs, times, labels, reality, outputs,
-                  scaler=None) -> list[PairRecord]:
-    data = outputs.data
+def _output_rows(task: TaskKind, data: np.ndarray, scaler) -> np.ndarray:
     if task is TaskKind.SIGNED_EXISTENCE:
         e = np.exp(data - data.max(axis=-1, keepdims=True))
-        rows = e / e.sum(axis=-1, keepdims=True)
-    elif task is TaskKind.SIGNED_WEIGHT:
+        return e / e.sum(axis=-1, keepdims=True)
+    if task is TaskKind.SIGNED_WEIGHT:
         rows = data.reshape(-1, 1)
-        if scaler is not None:  # back to raw weight units
-            rows = rows * scaler[1] + scaler[0]
-    else:
-        rows = sigmoid_np(data.reshape(-1, 1))
-    return [
-        PairRecord(u, v, t, tuple(row), label, real)
-        for (u, v), t, row, label, real in zip(
-            pairs, times, rows.tolist(), np.asarray(labels, dtype=np.float64).tolist(), reality)
-    ]
+        return rows * scaler[1] + scaler[0] if scaler is not None else rows  # raw units
+    return sigmoid_np(data.reshape(-1, 1))
 
 
-def metric_bundle(task: TaskKind, records: Sequence[PairRecord]) -> dict:
+def _endpoints(src: np.ndarray, dst: np.ndarray) -> list[int]:
+    """``src[0], dst[0], src[1], dst[1], ...`` as Python ints."""
+    return np.column_stack([src, dst]).astype(np.int64).ravel().tolist()
+
+
+def _online(bundle: ModelBundle, state: EncoderState, universe: dict, events, rng,
+            scaler, counters):
+    """Predict-then-ingest over ``events`` in batches.
+
+    Per batch: add its endpoints to ``universe`` (the seen node ids in
+    first-seen order, the pool negatives are drawn from), build the pairs
+    and labels, score them against ``state`` as built from earlier batches
+    only, yield ``(outputs, targets, predictions)``, and ingest the batch
+    into ``state`` when resumed.  ``targets`` are the labels in training
+    units (standardized weights under ``scaler``)."""
+    task = bundle.config.task
+    for batch in batches(events, bundle.config.batch_size):
+        qtime = state.watermark
+        if qtime > batch.start_time:
+            counters["causality"] += 1
+        time, src, dst, weight = event_columns(batch.events)
+        src, dst = src.astype(np.int64), dst.astype(np.int64)
+        nodes = _endpoints(src, dst)
+        universe.update(dict.fromkeys(nodes))
+        label = _labels(task, weight)
+        is_real = np.ones(len(batch), dtype=bool)
+        if task.needs_negatives:
+            pool = np.fromiter(universe, np.int64, len(universe))
+            neg = np.array(negative_sample(batch.events, pool, rng), dtype=np.int64).reshape(-1, 2)
+            k = len(neg)
+            nodes += neg.ravel().tolist()
+            src, dst = np.concatenate([src, neg[:, 0]]), np.concatenate([dst, neg[:, 1]])
+            time = np.concatenate([time, time[:k]])
+            label = np.concatenate([label, np.full(k, 0.0 if task is TaskKind.EXISTENCE else 2.0)])
+            is_real = np.concatenate([is_real, np.zeros(k, dtype=bool)])
+        z, index = bundle.encoder.compute_embeddings(nodes, qtime, state)
+        outputs = bundle.decoder.score_rows(z, index, list(zip(nodes[::2], nodes[1::2])))
+        targets = (label - scaler[0]) / scaler[1] if scaler else label
+        yield outputs, targets, Predictions(src, dst, time, _output_rows(task, outputs.data, scaler),
+                                            label, is_real)
+        bundle.encoder.process_batch(batch.events, state)
+
+
+def metric_bundle(task: TaskKind, preds: Predictions) -> dict:
     """Task-appropriate metrics over recorded predictions."""
-    if not records:
+    if not len(preds):
         return {"n": 0}
-    labels = np.array([r.label for r in records])
+    labels = preds.label
     if task in (TaskKind.EXISTENCE, TaskKind.SIGN):
-        scores = np.array([r.output[0] for r in records])
+        scores = preds.output[:, 0]
         return {
-            "n": len(records),
+            "n": len(preds),
             "f1": f1_binary(scores, labels.astype(int)),
             "auroc": auroc(scores, labels.astype(int)),
         }
     if task is TaskKind.SIGNED_EXISTENCE:
-        probs = np.array([r.output for r in records])
         y = labels.astype(int)
         return {
-            "n": len(records),
-            "f1_weighted": f1_multiclass(probs, y, "weighted"),
-            "f1_macro": f1_multiclass(probs, y, "macro"),
-            "accuracy": accuracy(probs, y),
+            "n": len(preds),
+            "f1_weighted": f1_multiclass(preds.output, y, "weighted"),
+            "f1_macro": f1_multiclass(preds.output, y, "macro"),
+            "accuracy": accuracy(preds.output, y),
         }
-    preds = np.array([r.output[0] for r in records])
-    reg = regression_metrics(preds, labels)
+    reg = regression_metrics(preds.output[:, 0], labels)
     return {
-        "n": len(records),
+        "n": len(preds),
         "rmse": reg.rmse,
         "r2": reg.r2,
         "kl_div": reg.kl_div,
@@ -227,6 +239,15 @@ VALIDATION_METRIC = {
     TaskKind.SIGNED_EXISTENCE: ("f1_weighted", 1),
     TaskKind.SIGNED_WEIGHT: ("rmse", -1),
 }
+
+
+def _nan_to_none(x):
+    """NaN floats as None (JSON null), inside dicts and lists too."""
+    if isinstance(x, dict):
+        return {k: _nan_to_none(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_nan_to_none(v) for v in x]
+    return None if isinstance(x, float) and np.isnan(x) else x
 
 
 @dataclass
@@ -244,34 +265,12 @@ class EvalReport:
     seed: int
     embedding_source: str
     config: dict
-    raw: list | None = None
+    raw: Predictions | None = None
 
     def to_dict(self) -> dict:
-        def clean(x):
-            if isinstance(x, dict):
-                return {k: clean(v) for k, v in x.items()}
-            if isinstance(x, float) and np.isnan(x):
-                return None
-            return x
-
-        out = {
-            "task": self.task,
-            "split": self.split,
-            "metrics": clean(self.metrics),
-            "transductive": clean(self.transductive) if self.transductive else None,
-            "inductive": clean(self.inductive) if self.inductive else None,
-            "n_real": self.n_real,
-            "n_negative": self.n_negative,
-            "causality_violations": self.causality_violations,
-            "params_frozen": self.params_frozen,
-            "runtime_s": self.runtime_s,
-            "seed": self.seed,
-            "embedding_source": self.embedding_source,
-        }
-        out["config"] = self.config
-        if self.raw is not None:
-            out["raw"] = [list(r[:3]) + [list(r.output), r.label, r.is_real] for r in self.raw]
-        return out
+        """The report without its raw predictions, NaN metrics as None."""
+        return _nan_to_none({f.name: getattr(self, f.name) for f in fields(self)
+                             if f.name != "raw"})
 
 
 @dataclass
@@ -292,9 +291,8 @@ class TrainResult:
             "epochs_run": self.epochs_run,
             "epoch_mean_loss": [float(np.mean(ls)) for ls in self.loss_trace],
             "loss_trace": self.loss_trace,
-            "val_trace": [None if np.isnan(v) else v for v in self.val_trace],
-            "train_metrics": {k: (None if isinstance(v, float) and np.isnan(v) else v)
-                              for k, v in self.train_metrics.items()},
+            "val_trace": _nan_to_none(self.val_trace),
+            "train_metrics": _nan_to_none(self.train_metrics),
             "runtime_s": self.runtime_s,
         }
 
@@ -310,23 +308,6 @@ def resolve_time_scale(config: TrainConfig, split: DatasetSplit) -> TrainConfig:
         return config
     span = split.train.events[-1].time - split.train.events[0].time
     return replace(config, time_scale=1.0 / max(np.log1p(span), 1.0))
-
-
-def _run_split(bundle, state, universe, events, task, rng, records, counters,
-               scaler=None):
-    """Frozen-parameter pass over one split: predict each batch against the
-    pre-batch state, record, then ingest."""
-    with no_grad():
-        for batch in batches(events, bundle.config.batch_size):
-            qtime = state.watermark
-            if qtime > batch.start_time:
-                counters["causality"] += 1
-            universe.extend_events(batch.events)
-            pairs, labels, times, reality = _build_pairs(task, batch.events, universe, rng)
-            outputs = _score_batch(bundle, state, pairs, qtime)
-            records.extend(_records_from(task, pairs, times, labels, reality, outputs,
-                                         scaler))
-            bundle.encoder.process_batch(batch.events, state)
 
 
 def train(config: TrainConfig, split: DatasetSplit | None = None,
@@ -351,39 +332,30 @@ def train(config: TrainConfig, split: DatasetSplit | None = None,
     best_values = None
     loss_trace: list[list[float]] = []
     val_trace: list[float] = []
-    last_train_records: list[PairRecord] = []
+    epoch_preds: list[Predictions] = []
     epochs_run = 0
 
     for epoch in range(config.max_epochs):
         epochs_run = epoch + 1
         state = bundle.new_state()
-        universe = _Universe()
         rng = np.random.default_rng((config.seed, 101, epoch))
         epoch_losses: list[float] = []
-        epoch_records: list[PairRecord] = []
-        for batch in batches(split.train, config.batch_size):
-            qtime = state.watermark
-            universe.extend_events(batch.events)
-            pairs, labels, times, reality = _build_pairs(task, batch.events, universe, rng)
-            outputs = _score_batch(bundle, state, pairs, qtime)
-            targets = (labels - scaler[0]) / scaler[1] if scaler else labels
+        epoch_preds = []
+        online = _online(bundle, state, {}, split.train, rng, scaler, {"causality": 0})
+        for k, (outputs, targets, preds) in enumerate(online):
             loss = task_loss(task, outputs, targets)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
-                raise NumericError(f"non-finite loss at epoch {epoch} batch {batch.index}")
+                raise NumericError(f"non-finite loss at epoch {epoch} batch {k}")
             if loss_value > DIVERGENCE_LIMIT:
                 raise NumericError(
-                    f"training diverged (loss {loss_value:.3g}) at epoch {epoch} "
-                    f"batch {batch.index}")
+                    f"training diverged (loss {loss_value:.3g}) at epoch {epoch} batch {k}")
             epoch_losses.append(loss_value)
-            epoch_records.extend(_records_from(task, pairs, times, labels, reality,
-                                               outputs, scaler))
+            epoch_preds.append(preds)
             grads = backward(loss, leaves=bundle.params.tensors())
             adam_step(bundle.params, grads, config.lr)
             state.detach_()
-            bundle.encoder.process_batch(batch.events, state)
         loss_trace.append(epoch_losses)
-        last_train_records = epoch_records
 
         val = evaluate_sequential(bundle, split, "val", neg_seed=(config.seed, 202, epoch))
         value = val.metrics.get(metric_name, float("nan"))
@@ -408,29 +380,18 @@ def train(config: TrainConfig, split: DatasetSplit | None = None,
         epochs_run=epochs_run,
         loss_trace=loss_trace,
         val_trace=val_trace,
-        train_metrics=metric_bundle(task, last_train_records),
+        train_metrics=(metric_bundle(task, Predictions.concat(epoch_preds))
+                       if epoch_preds else {"n": 0}),
         runtime_s=_time.perf_counter() - t_start,
     )
 
 
-def split_trans_inductive(test_events, train_nodes: set[int]):
-    """Links with both endpoints seen in training vs. both unseen; links
-    mixing one seen and one unseen endpoint belong to neither view."""
-    trans, ind = [], []
-    for ev in test_events:
-        a = ev.src in train_nodes
-        b = ev.dst in train_nodes
-        if a and b:
-            trans.append(ev)
-        elif not a and not b:
-            ind.append(ev)
-    return trans, ind
-
-
-def _breakdown(records: Sequence[PairRecord], train_nodes: set[int], task: TaskKind):
-    trans = [r for r in records if r.src in train_nodes and r.dst in train_nodes]
-    ind = [r for r in records if r.src not in train_nodes and r.dst not in train_nodes]
-    return metric_bundle(task, trans), metric_bundle(task, ind)
+def _breakdown(preds: Predictions, train_nodes: np.ndarray, task: TaskKind):
+    """Metrics over the pairs with both endpoints seen in training, and
+    over those with neither; pairs mixing the two are in neither view."""
+    src_seen, dst_seen = np.isin(preds.src, train_nodes), np.isin(preds.dst, train_nodes)
+    return (metric_bundle(task, preds[src_seen & dst_seen]),
+            metric_bundle(task, preds[~src_seen & ~dst_seen]))
 
 
 def evaluate_sequential(bundle: ModelBundle, split: DatasetSplit, which: str = "test",
@@ -453,48 +414,46 @@ def evaluate_sequential(bundle: ModelBundle, split: DatasetSplit, which: str = "
     config = bundle.config
     checksum_before = bundle.params.checksum()
     state = bundle.new_state()
-    universe = _Universe()
-    with no_grad():
-        for batch in batches(prior, config.batch_size):
-            universe.extend_events(batch.events)
-            bundle.encoder.process_batch(batch.events, state)
+    _, src, dst, _ = event_columns(prior)
+    universe = dict.fromkeys(_endpoints(src, dst))
     if neg_seed is None:
         neg_seed = (config.seed, 303, 0 if which == "val" else 1)
     rng = np.random.default_rng(neg_seed)
-    records: list[PairRecord] = []
     counters = {"causality": 0}
-    _run_split(bundle, state, universe, target, config.task, rng, records, counters,
-               _weight_scaler(config, split))
+    with no_grad():
+        for batch in batches(prior, config.batch_size):
+            bundle.encoder.process_batch(batch.events, state)
+        preds = Predictions.concat([
+            p for _, _, p in _online(bundle, state, universe, target, rng,
+                                     _weight_scaler(config, split), counters)])
     params_frozen = bundle.params.checksum() == checksum_before
 
     trans = ind = None
     if breakdown:
-        train_nodes = EventLog(split.train.events, split.train.node_count).nodes()
-        trans, ind = _breakdown(records, train_nodes, config.task)
+        _, src, dst, _ = event_columns(split.train.events)
+        trans, ind = _breakdown(preds, np.concatenate([src, dst]).astype(np.int64), config.task)
 
+    n_real = int(np.count_nonzero(preds.is_real))
     return EvalReport(
         task=config.task.value,
         split=which,
-        metrics=metric_bundle(config.task, records),
+        metrics=metric_bundle(config.task, preds),
         transductive=trans,
         inductive=ind,
-        n_real=sum(1 for r in records if r.is_real),
-        n_negative=sum(1 for r in records if not r.is_real),
+        n_real=n_real,
+        n_negative=len(preds) - n_real,
         causality_violations=counters["causality"],
         params_frozen=params_frozen,
         runtime_s=_time.perf_counter() - t_start,
         seed=config.seed,
         embedding_source=config.encoder_config().embedding_source,
         config=config.to_dict(),
-        raw=records if collect_raw else None,
+        raw=preds if collect_raw else None,
     )
 
 
-ABLATION_VARIANTS = AblationConfig.NAMES
-
-
 def run_ablation(base: TrainConfig, split: DatasetSplit | None = None,
-                 variants=ABLATION_VARIANTS, which: str = "test"):
+                 variants=AblationConfig.NAMES, which: str = "test"):
     """Train and evaluate each variant under identical seeds and splits."""
     if split is None:
         split = load_dataset(base)

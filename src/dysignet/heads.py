@@ -47,12 +47,6 @@ class TaskKind(Enum):
         return self in (TaskKind.EXISTENCE, TaskKind.SIGNED_EXISTENCE)
 
 
-# class ids for the 3-way task
-CLASS_POSITIVE = 0
-CLASS_NEGATIVE = 1
-CLASS_ABSENT = 2
-
-
 class PairDecoder:
     """Scores an ordered node pair from the concatenation of its embeddings."""
 

@@ -333,13 +333,13 @@ def _flat_index(index, width):
 def gather_stack(items):
     """Stack gathered rows into an (n, d) tensor.
 
-    ``items`` is a sequence of ``(tensor, row)`` pairs where ``row`` is None
-    for a 1-D tensor used whole, or an integer row index into a 2-D tensor.
-    The same tensor may appear many times; its gradient accumulates.
+    ``items`` is a sequence of ``(tensor, row)`` pairs, ``row`` an integer
+    row index into a 2-D tensor.  The same tensor may appear many times;
+    its gradient accumulates.
     """
     if not items:
         raise DimensionError("gather_stack needs at least one item")
-    # one pass: a group id per distinct tensor, and a row per item (-1: whole)
+    # one pass: a group id per distinct tensor, and a row per item
     group_of, parents, gid, rows = {}, [], [], []
     for t, r in items:
         k = group_of.get(id(t))
@@ -347,25 +347,20 @@ def gather_stack(items):
             k = group_of[id(t)] = len(parents)
             parents.append(t)
         gid.append(k)
-        rows.append(-1 if r is None else r)
+        rows.append(r)
     gid, rows = np.array(gid, dtype=np.intp), np.array(rows, dtype=np.intp)
     d = parents[0].data.shape[-1]
     data = np.empty((len(items), d), dtype=np.float64)
     by_group = np.argsort(gid, kind="stable")
-    groups = []   # (positions, rows or None) per parent, positions ascending
+    groups = []   # (positions, rows) per parent, positions ascending
     for t, pos in zip(parents, np.split(by_group, np.flatnonzero(np.diff(gid[by_group])) + 1)):
-        r = rows[pos]
-        whole = r < 0
-        if whole.any() and not whole.all():
-            raise DimensionError("tensor used both whole and by row")
-        shape = t.data.shape if whole[0] else t.data.shape[1:]
-        if shape != (d,):
-            raise DimensionError(f"gathered row has shape {shape}, expected ({d},)")
-        data[pos] = t.data if whole[0] else t.data[r]
-        groups.append((pos, None if whole[0] else r))
+        if t.data.shape[1:] != (d,):
+            raise DimensionError(f"gathered row has shape {t.data.shape[1:]}, expected ({d},)")
+        data[pos] = t.data[rows[pos]]
+        groups.append((pos, rows[pos]))
 
     def vjp(g):
-        return tuple(g[pos].sum(axis=0) if r is None else _scatter_rows(r, g[pos], t.data.shape[0])
+        return tuple(_scatter_rows(r, g[pos], t.data.shape[0])
                      for t, (pos, r) in zip(parents, groups))
 
     return _result(data, tuple(parents), vjp)

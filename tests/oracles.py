@@ -296,14 +296,26 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def gather_stack(items, g):
     """Per-item gather: the stacked rows, and each tensor's gradient (keyed
-    by ``id``) for an output gradient ``g``, summed item by item in item
-    order.  A whole tensor's sum starts from its first item; a row
-    tensor's starts from zeros."""
-    values = np.array([t.data if r is None else t.data[r] for t, r in items])
+    by ``id``) for an output gradient ``g``, summed from zeros item by item
+    in item order."""
+    values = np.array([t.data[r] for t, r in items])
     grads = {}
     for (t, r), gi in zip(items, g):
-        if r is None:
-            grads[id(t)] = gi.copy() if id(t) not in grads else grads[id(t)] + gi
-        else:
-            grads.setdefault(id(t), np.zeros_like(t.data))[r] += gi
+        grads.setdefault(id(t), np.zeros_like(t.data))[r] += gi
     return values, grads
+
+
+def split_trans_inductive(events, train_nodes: set[int]):
+    """Per-event views of a stream against the nodes seen in training:
+    links with both endpoints seen (transductive) and with both unseen
+    (inductive); links mixing one seen and one unseen endpoint belong to
+    neither view."""
+    trans, ind = [], []
+    for ev in events:
+        a = ev.src in train_nodes
+        b = ev.dst in train_nodes
+        if a and b:
+            trans.append(ev)
+        elif not a and not b:
+            ind.append(ev)
+    return trans, ind

@@ -16,12 +16,11 @@ import pytest
 
 import dysignet.tensor as T
 from dysignet.encoder import AblationConfig
-from dysignet.events import batches, chronological_split, compute_stats, parse_csv
+from dysignet.events import SignedEvent, chronological_split, compute_stats, parse_csv
 from dysignet.harness import (
     TrainConfig,
     build_model,
     evaluate_sequential,
-    split_trans_inductive,
     train,
 )
 from dysignet.heads import TaskKind, task_loss
@@ -32,6 +31,7 @@ from dysignet.synthetic import generate_balanced_stream
 from dysignet.tensor import Tensor
 
 from helpers import max_grad_error, tiny_config
+from oracles import split_trans_inductive
 import test_encoder
 import test_layers
 
@@ -251,6 +251,14 @@ def test_criterion_6_protocol_checks():
             assert ev.src not in train_nodes and ev.dst not in train_nodes
         for ev in set(split.test.events) - set(trans) - set(ind):
             assert (ev.src in train_nodes) != (ev.dst in train_nodes)
+        # the report's views hold the scored pairs, negatives included,
+        # that the per-event rule puts in each
+        raw = report.raw
+        pairs = [SignedEvent(t, u, v, 1.0) for t, u, v in
+                 zip(raw.time.tolist(), raw.src.tolist(), raw.dst.tolist())]
+        trans, ind = split_trans_inductive(pairs, train_nodes)
+        assert report.transductive["n"] == len(trans)
+        assert report.inductive["n"] == len(ind)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dysignet.cli import main, read_config_file
+from dysignet.cli import _load_bundle, build_parser, main, read_config_file
 from dysignet.encoder import AblationConfig
 from dysignet.events import compute_stats, parse_csv
-from dysignet.harness import TrainConfig
+from dysignet.harness import TrainConfig, evaluate_sequential
 from dysignet.heads import TaskKind
 from dysignet.metrics import auroc, f1_binary, kl_divergence_hist
 from dysignet.params import _encode
@@ -197,6 +197,28 @@ def test_eval_report_and_breakdown(trained_run, tmp_path, capsys):
     labels = np.array([float(r["label"]) for r in rows]).astype(int)
     assert doc["metrics"]["auroc"] == pytest.approx(auroc(scores, labels), abs=1e-12)
     assert doc["metrics"]["f1"] == pytest.approx(f1_binary(scores, labels), abs=1e-12)
+
+
+def test_dump_raw_parses_back_to_report_columns(trained_run, tmp_path):
+    cfg, ckpt = trained_run
+    argv = ["eval", "--config", cfg, "--checkpoint", ckpt, "--split", "test",
+            "--dump-raw", "--out", str(tmp_path / "raw-out")]
+    assert main(argv) == 0
+    _, bundle, split = _load_bundle(build_parser().parse_args(argv))
+    raw = evaluate_sequential(bundle, split, which="test", collect_raw=True).raw
+    with open(tmp_path / "raw-out" / "predictions.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    arity = raw.output.shape[1]
+    assert header == (["src", "dst", "time"] + [f"output_{i}" for i in range(arity)]
+                      + ["label", "is_real"])
+    assert len(rows) == len(raw)
+    # every float is written with repr, so it parses back exactly
+    assert [int(r[0]) for r in rows] == raw.src.tolist()
+    assert [int(r[1]) for r in rows] == raw.dst.tolist()
+    assert [float(r[2]) for r in rows] == raw.time.tolist()
+    assert [[float(x) for x in r[3:3 + arity]] for r in rows] == raw.output.tolist()
+    assert [float(r[-2]) for r in rows] == raw.label.tolist()
+    assert [bool(int(r[-1])) for r in rows] == raw.is_real.tolist()
 
 
 def test_eval_checkpoint_config_mismatch_exits_2(trained_run, dataset, tmp_path, capsys):

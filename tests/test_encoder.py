@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dysignet.encoder import NEG, POS, EncoderState, HistoryLog, _event_columns
-from dysignet.events import SignedEvent
+from dysignet.encoder import NEG, POS, EncoderState, HistoryLog
+from dysignet.events import SignedEvent, event_columns
 from dysignet.harness import build_model
 from dysignet.layers import Feedforward, RecurrentCell
 from dysignet.tensor import Tensor, backward, mul, no_grad, tsum
@@ -743,7 +743,7 @@ def test_event_columns_equal_array_conversion_bitwise():
         [SignedEvent(1e9 + 0.25, 2, 5, -1e-3)] * 5,
     ]
     for batch in batches:
-        got = _event_columns(batch)
+        got = event_columns(batch)
         expected = np.array(batch, dtype=np.float64).T
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()

@@ -7,6 +7,7 @@ import pytest
 from dysignet.encoder import AblationConfig
 from dysignet.events import EventLog, SignedEvent, chronological_split
 from dysignet.harness import (
+    Predictions,
     TrainConfig,
     ablation_table,
     build_model,
@@ -14,7 +15,6 @@ from dysignet.harness import (
     metric_bundle,
     resolve_time_scale,
     run_ablation,
-    split_trans_inductive,
     train,
 )
 from dysignet.heads import TaskKind
@@ -22,6 +22,7 @@ from dysignet.params import NumericError
 from dysignet.synthetic import generate_balanced_stream
 
 from helpers import tiny_config
+from oracles import split_trans_inductive
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,10 @@ def test_evaluation_deterministic_replay(small_split):
     a = evaluate_sequential(bundle, small_split, which="test", neg_seed=123, collect_raw=True)
     b = evaluate_sequential(bundle, small_split, which="test", neg_seed=123, collect_raw=True)
     assert a.metrics == b.metrics
-    assert a.raw == b.raw
+    for name in ("src", "dst", "time", "output", "label", "is_real"):
+        x, y = getattr(a.raw, name), getattr(b.raw, name)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
 
 
 def test_replay_consistency_with_frozen_parameters(small_split):
@@ -139,9 +143,13 @@ def test_within_batch_permutation_invariance():
                  split.train.node_count, split.train.id_map))
     other = evaluate_sequential(bundle, shuffled_split, which="test", collect_raw=True)
 
-    by_pair = {(r.src, r.dst, r.time): r.output for r in base.raw}
-    for r in other.raw:
-        assert np.allclose(by_pair[(r.src, r.dst, r.time)], r.output, atol=1e-12)
+    def by_pair(raw):
+        return {key: out for key, out in zip(
+            zip(raw.src.tolist(), raw.dst.tolist(), raw.time.tolist()), raw.output)}
+
+    base_out = by_pair(base.raw)
+    for key, out in by_pair(other.raw).items():
+        assert np.allclose(base_out[key], out, atol=1e-12)
 
 
 def test_single_batch_split_predicts_before_ingesting(small_split):
@@ -170,10 +178,19 @@ def test_split_trans_inductive_all_seen():
 
 def test_breakdown_views_in_report(small_split):
     _, bundle = _trained(small_split, task=TaskKind.SIGNED_EXISTENCE)
-    report = evaluate_sequential(bundle, small_split, which="test", breakdown=True)
+    report = evaluate_sequential(bundle, small_split, which="test", breakdown=True,
+                                 collect_raw=True)
     assert report.transductive is not None and report.inductive is not None
     total = report.transductive["n"] + report.inductive["n"]
     assert total <= report.metrics["n"]
+    # the views count the scored pairs, negatives included, that the
+    # per-event rule puts in each
+    raw = report.raw
+    pairs = [SignedEvent(t, u, v, 1.0) for t, u, v in
+             zip(raw.time.tolist(), raw.src.tolist(), raw.dst.tolist())]
+    train_nodes = {n for ev in small_split.train.events for n in (ev.src, ev.dst)}
+    trans, ind = split_trans_inductive(pairs, train_nodes)
+    assert (report.transductive["n"], report.inductive["n"]) == (len(trans), len(ind))
 
 
 def test_metric_bundle_keys_per_task(small_split):
@@ -186,6 +203,21 @@ def test_metric_bundle_keys_per_task(small_split):
         _, bundle = _trained(small_split, task=task, max_epochs=1, patience=1)
         report = evaluate_sequential(bundle, small_split, which="test")
         assert set(report.metrics) == keys
+
+
+def test_predictions_select_and_concat(small_split):
+    _, bundle = _trained(small_split, task=TaskKind.EXISTENCE, max_epochs=1, patience=1)
+    raw = evaluate_sequential(bundle, small_split, which="test", collect_raw=True).raw
+    assert raw.output.shape == (len(raw), 1)
+    half = len(raw) // 2
+    again = Predictions.concat([raw[:half], raw[half:]])
+    for name in ("src", "dst", "time", "output", "label", "is_real"):
+        assert getattr(again, name).tobytes() == getattr(raw, name).tobytes()
+    assert metric_bundle(TaskKind.EXISTENCE, again) == metric_bundle(TaskKind.EXISTENCE, raw)
+    real = raw[raw.is_real]
+    assert len(real) == len(small_split.test.events)
+    assert real.label.tolist() == [1.0] * len(real)
+    assert metric_bundle(TaskKind.EXISTENCE, raw[np.zeros(len(raw), dtype=bool)]) == {"n": 0}
 
 
 def test_negatives_only_for_tasks_that_need_them(small_split):
@@ -277,13 +309,10 @@ def test_weight_standardization_keeps_raw_units(small_split):
         rep = evaluate_sequential(bundle, small_split, which="test", collect_raw=True)
         reports[config.standardize_weights] = rep
         # labels are always raw weights, whatever the training scale
-        for r, ev in zip(rep.raw, small_split.test.events):
-            assert r.label == ev.weight
+        assert rep.raw.label.tolist() == [ev.weight for ev in small_split.test.events]
         assert np.isfinite(rep.metrics["rmse"])
     # the flag changes the learned predictor
-    a = [r.output[0] for r in reports[False].raw]
-    b = [r.output[0] for r in reports[True].raw]
-    assert not np.allclose(a, b)
+    assert not np.allclose(reports[False].raw.output, reports[True].raw.output)
 
 
 def test_empty_split_rejected(small_split):
