@@ -81,7 +81,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .events import event_columns
+from .events import EventLog
 from .layers import Feedforward, MultiHeadAttention, RecurrentCell, uniform_init
 from .params import ParameterSet, _decode, _encode
 # gather_stack is not called here, but bench/spans.py patches this module's name
@@ -97,6 +97,11 @@ STATE_VERSION = 1
 
 @dataclass(frozen=True)
 class AblationConfig:
+    """Which parts of the model a variant keeps.  ``ba`` acts only on
+    memories, so ``ba+mem`` is the same model as ``mem``; and under ``mem``
+    the query is empty, every attention logit is 0 whatever ``wk`` is, and
+    ``wk`` gets zero gradient."""
+
     balanced_aggregation: bool = True
     use_embedding_layer: bool = True
     use_memory: bool = True
@@ -452,27 +457,26 @@ class EncoderModel:
     # ------------------------------------------------------------------
     # message generation and memory update
 
-    def process_batch(self, batch_events, state: EncoderState) -> None:
+    def process_batch(self, batch: EventLog, state: EncoderState) -> None:
         """Ingest one temporal batch: generate, aggregate, update, then log
         the events into the history.  Predictions for a batch must be made
         by the caller before ingesting it."""
-        if not batch_events:
+        if not len(batch):
             return
-        if batch_events[0].time < state.watermark:
+        start, end = batch.time_span()
+        if start < state.watermark:
             raise ValueError(
-                f"out-of-order batch: starts at {batch_events[0].time} before "
+                f"out-of-order batch: starts at {start} before "
                 f"already-ingested time {state.watermark}")
-        time, src, dst, weight = event_columns(batch_events)
-        src, dst = src.astype(np.intp), dst.astype(np.intp)
         # one row per endpoint, (src -> dst, dst -> src) for each event
-        owner = np.column_stack([src, dst]).ravel()
-        partner = np.column_stack([dst, src]).ravel()
-        time, weight = np.repeat(time, 2), np.repeat(weight, 2)
+        owner = np.column_stack([batch.src, batch.dst]).ravel()
+        partner = np.column_stack([batch.dst, batch.src]).ravel()
+        time, weight = np.repeat(batch.time, 2), np.repeat(batch.weight, 2)
         if self.config.ablation.use_memory:
             self._ingest_memory(owner, partner, time, weight, state)
         state.history.append(owner, partner, time, np.abs(weight))
-        state.watermark = max(state.watermark, batch_events[-1].time)
-        state.events_ingested += len(batch_events)
+        state.watermark = max(state.watermark, end)
+        state.events_ingested += len(batch)
 
     def _ingest_memory(self, owner, partner, time, weight, state: EncoderState) -> None:
         if (weight == 0.0).any():

@@ -1,13 +1,20 @@
-"""Timestamped signed edge streams: parsing, splits, batches, statistics."""
+"""Timestamped signed edge streams: parsing, splits, batches, statistics.
+
+Layout: an :class:`EventLog` is four numpy columns, ``time`` and
+``weight`` float64 and ``src`` and ``dst`` int64, so a parsed stream holds
+32 bytes per event, plus one fixed-width raw id string per node (20 bytes
+for a 5-digit id).  A split and its batches are views of that one log and
+add no bytes per event.  On the bench streams a parsed split holds 34-48
+bytes per event; as a list of ``SignedEvent`` tuples it held 138-219.
+"""
 
 from __future__ import annotations
 
 import csv
 import gzip
-import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -30,50 +37,67 @@ class SignedEvent(NamedTuple):
     weight: float
 
 
-def event_columns(events) -> np.ndarray:
-    """(time, src, dst, weight) columns of a sequence of ``SignedEvent``
-    tuples, as float64; the same values as ``np.array(events).T`` without
-    converting tuple by tuple."""
-    flat = itertools.chain.from_iterable(events)
-    return np.fromiter(flat, np.float64, 4 * len(events)).reshape(-1, 4).T
-
-
-@dataclass
+@dataclass(eq=False)
 class EventLog:
-    """Time-ordered signed edge additions over dense integer node ids."""
+    """Time-ordered signed edge additions over dense integer node ids, as
+    columns (see the module docstring); ``raw_ids[i]`` is dense node ``i``'s
+    id in the input.  Iterating a log, or ``events``, builds ``SignedEvent``
+    rows of Python numbers on demand."""
 
-    events: list[SignedEvent]
+    time: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
     node_count: int
-    id_map: dict = field(default_factory=dict)
+    raw_ids: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self.time.size
 
-    def __iter__(self):
-        return iter(self.events)
+    def __iter__(self) -> Iterator[SignedEvent]:
+        return map(SignedEvent._make, zip(self.time.tolist(), self.src.tolist(),
+                                          self.dst.tolist(), self.weight.tolist()))
+
+    @property
+    def events(self) -> list[SignedEvent]:
+        return list(self)
 
     def slice(self, start: int, stop: int) -> "EventLog":
-        return EventLog(self.events[start:stop], self.node_count, self.id_map)
+        """Events ``start:stop`` as views of these columns."""
+        cut = slice(start, stop)
+        return EventLog(self.time[cut], self.src[cut], self.dst[cut], self.weight[cut],
+                        self.node_count, self.raw_ids)
 
     def time_span(self) -> tuple[float, float]:
-        if not self.events:
+        if not len(self):
             raise DataError("empty event log has no time span")
-        return self.events[0].time, self.events[-1].time
+        return float(self.time[0]), float(self.time[-1])
 
     def write_csv(self, path) -> None:
         """Canonical ``src,dst,weight,time`` rows; re-parsing reproduces the log."""
-        path = Path(path)
-        opener = gzip.open if path.suffix == ".gz" else open
-        with opener(path, "wt", newline="") as fh:
+        with _open_text(Path(path), "wt", newline="") as fh:
             writer = csv.writer(fh)
-            for ev in self.events:
+            for ev in self:
                 writer.writerow([ev.src, ev.dst, repr(ev.weight), repr(ev.time)])
 
 
-def _open_text(path: Path):
-    if path.suffix == ".gz":
-        return gzip.open(path, "rt")
-    return open(path, "rt")
+def _open_text(path: Path, mode="rt", **kwargs):
+    return (gzip.open if path.suffix == ".gz" else open)(path, mode, **kwargs)
+
+
+def _row_problem(cells: list[str], lineno: int, needed: int, it: int, iw: int):
+    """Why a row whose time or weight did not read as a finite number is
+    dropped: ``(skip count, message)``, or None for a blank line or a
+    header (an unparsable first row)."""
+    if not cells or (len(cells) == 1 and not cells[0].strip()):
+        return None
+    if len(cells) < needed or not (cells[it].strip() and cells[iw].strip()):
+        return "short", "missing fields"
+    try:
+        float(cells[it]), float(cells[iw])
+    except ValueError:
+        return None if lineno == 1 else ("unparsable", f"unparsable row {cells!r}")
+    return "nonfinite", f"non-finite time or weight {cells!r}"
 
 
 def parse_csv(path, columns=DEFAULT_COLUMNS, delimiter=",", strict=False,
@@ -89,67 +113,72 @@ def parse_csv(path, columns=DEFAULT_COLUMNS, delimiter=",", strict=False,
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset not found: {path}")
-    idx = {name: columns.index(name) for name in DEFAULT_COLUMNS}
-    needed = max(idx.values()) + 1
+    it, iw, i_src, i_dst = (columns.index(name) for name in ("time", "weight", "src", "dst"))
+    needed = max(it, iw, i_src, i_dst) + 1
     rows = []
     skipped = {"short": 0, "unparsable": 0, "nonfinite": 0, "zero_weight": 0,
                "self_loop": 0}
     with _open_text(path) as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        for lineno, cells in enumerate(reader, start=1):
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            if len(cells) < needed or any(not cells[idx[k]].strip() for k in ("time", "weight")):
-                if strict:
-                    raise DataError(f"{path}:{lineno}: missing fields")
-                skipped["short"] += 1
-                continue
+        for lineno, cells in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
             try:
-                t = float(cells[idx["time"]])
-                w = float(cells[idx["weight"]])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
+                t, w = float(cells[it]), float(cells[iw])
+                ok = len(cells) >= needed and math.isfinite(t) and math.isfinite(w)
+            except (IndexError, ValueError):
+                ok = False
+            if ok:
+                rows.append((t, w, cells[i_src], cells[i_dst]))
+                continue
+            problem = _row_problem(cells, lineno, needed, it, iw)
+            if problem is not None:
                 if strict:
-                    raise DataError(f"{path}:{lineno}: unparsable row {cells!r}")
-                skipped["unparsable"] += 1
-                continue
-            if not (math.isfinite(t) and math.isfinite(w)):
-                if strict:
-                    raise DataError(f"{path}:{lineno}: non-finite time or weight {cells!r}")
-                skipped["nonfinite"] += 1
-                continue
-            src_raw = cells[idx["src"]].strip()
-            dst_raw = cells[idx["dst"]].strip()
-            if w == 0.0:
-                skipped["zero_weight"] += 1
-                continue
-            if src_raw == dst_raw and not keep_self_loops:
-                skipped["self_loop"] += 1
-                continue
-            rows.append((t, src_raw, dst_raw, w))
+                    raise DataError(f"{path}:{lineno}: {problem[1]}")
+                skipped[problem[0]] += 1
+    time, weight, src_raw, dst_raw = zip(*rows) if rows else ((),) * 4
+    time, weight = np.array(time, dtype=np.float64), np.array(weight, dtype=np.float64)
+    ends = np.empty((len(rows), 2), dtype=object)
+    ends[:, 0], ends[:, 1] = list(map(str.strip, src_raw)), list(map(str.strip, dst_raw))
+    drop = weight == 0.0
+    skipped["zero_weight"] = int(np.count_nonzero(drop))
+    if not keep_self_loops:
+        loops = (ends[:, 0] == ends[:, 1]) & ~drop
+        skipped["self_loop"] = int(np.count_nonzero(loops))
+        drop |= loops
     dropped = sum(skipped.values())
     if dropped:
         log.warning("%s: dropped %d rows (%s)", path.name, dropped,
                     ", ".join(f"{k}={v}" for k, v in skipped.items() if v))
-    if not rows:
+    keep = np.flatnonzero(~drop)
+    if not keep.size:
         raise DataError(f"{path}: no usable events after filtering")
-    rows.sort(key=lambda r: r[0])  # stable: ties keep file order
-    id_map: dict = {}
-    events = []
-    for t, s_raw, d_raw, w in rows:
-        s = id_map.setdefault(s_raw, len(id_map))
-        d = id_map.setdefault(d_raw, len(id_map))
-        events.append(SignedEvent(t, s, d, w))
-    return EventLog(events, len(id_map), id_map)
+    order = keep[np.argsort(time[keep], kind="stable")]  # stable: ties keep file order
+    seq = ends[order].ravel().tolist()
+    raw_ids = list(dict.fromkeys(seq))  # in order of first appearance
+    dense = dict(zip(raw_ids, range(len(raw_ids))))
+    ids = np.fromiter(map(dense.__getitem__, seq), np.int64, len(seq))
+    return EventLog(time[order], ids[0::2].copy(), ids[1::2].copy(), weight[order],
+                    len(raw_ids), np.array(raw_ids))
 
 
 @dataclass
 class DatasetSplit:
-    train: EventLog
-    val: EventLog
-    test: EventLog
+    """Train, val and test as views of one log: ``[0, a)``, ``[a, b)`` and
+    ``[b, n)`` for ``cuts = (a, b)``."""
+
+    log: EventLog
+    cuts: tuple[int, int]
     fractions: tuple[float, float, float]
+
+    def bounds(self, which: str) -> tuple[int, int]:
+        """(start, stop) of the part named ``which``."""
+        a, b = self.cuts
+        parts = {"train": (0, a), "val": (a, b), "test": (b, len(self.log))}
+        if which not in parts:
+            raise ValueError(f"unknown split {which!r}")
+        return parts[which]
+
+    train = property(lambda self: self.log.slice(*self.bounds("train")))
+    val = property(lambda self: self.log.slice(*self.bounds("val")))
+    test = property(lambda self: self.log.slice(*self.bounds("test")))
 
 
 def chronological_split(logdata: EventLog,
@@ -162,48 +191,26 @@ def chronological_split(logdata: EventLog,
     b = math.floor((fractions[0] + fractions[1]) * n)
     if a == 0 or b == a or b == n:
         raise DataError(f"split of {n} events with fractions {fractions} leaves an empty part")
-    return DatasetSplit(logdata.slice(0, a), logdata.slice(a, b), logdata.slice(b, n),
-                        tuple(fractions))
+    return DatasetSplit(logdata, (a, b), tuple(fractions))
 
 
-@dataclass
-class TemporalBatch:
-    events: list[SignedEvent]
-    start_time: float
-    end_time: float
-    index: int
-
-    def __len__(self):
-        return len(self.events)
-
-
-def batches(events, batch_size: int) -> Iterator[TemporalBatch]:
-    """Consecutive disjoint slices of at most ``batch_size`` events."""
+def batches(logdata: EventLog, batch_size: int) -> Iterator[EventLog]:
+    """Consecutive disjoint views of at most ``batch_size`` events."""
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
-    if isinstance(events, EventLog):
-        events = events.events
-    for k, start in enumerate(range(0, len(events), batch_size)):
-        chunk = events[start:start + batch_size]
-        yield TemporalBatch(chunk, chunk[0].time, chunk[-1].time, k)
+    for start in range(0, len(logdata), batch_size):
+        yield logdata.slice(start, start + batch_size)
 
 
 def collapse_directed(events) -> dict[tuple[int, int], float]:
     """Latest weight per directed pair (input must be time-ordered)."""
-    out: dict[tuple[int, int], float] = {}
-    for ev in events:
-        out[(ev.src, ev.dst)] = ev.weight
-    return out
+    return {(ev.src, ev.dst): ev.weight for ev in events}
 
 
 def collapse_undirected(events) -> dict[tuple[int, int], float]:
     """Latest weight per unordered pair; a later event overrides either
     direction, so conflicting reciprocal signs resolve to the newest one."""
-    out: dict[tuple[int, int], float] = {}
-    for ev in events:
-        key = (ev.src, ev.dst) if ev.src < ev.dst else (ev.dst, ev.src)
-        out[key] = ev.weight
-    return out
+    return {(min(ev.src, ev.dst), max(ev.src, ev.dst)): ev.weight for ev in events}
 
 
 def triangle_census(edge_signs: dict[tuple[int, int], float]) -> tuple[int, int]:
@@ -262,10 +269,10 @@ class DatasetStats:
 
 
 def compute_stats(logdata: EventLog) -> DatasetStats:
-    if not logdata.events:
+    if not len(logdata):
         raise DataError("cannot compute statistics of an empty log")
-    directed = collapse_directed(logdata.events)
-    undirected = collapse_undirected(logdata.events)
+    directed = collapse_directed(logdata)
+    undirected = collapse_undirected(logdata)
     n_pos = sum(1 for w in directed.values() if w > 0)
     f_plus = n_pos / len(directed)
     triangles, unbalanced = triangle_census(undirected)

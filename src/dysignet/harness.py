@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .encoder import AblationConfig, EncoderConfig, EncoderModel, EncoderState
-from .events import DataError, DatasetSplit, batches, chronological_split, event_columns, parse_csv
+from .events import DataError, DatasetSplit, batches, chronological_split, parse_csv
 from .heads import PairDecoder, TaskKind, negative_sample, sigmoid_np, task_loss
 from .metrics import accuracy, auroc, f1_binary, f1_multiclass, regression_metrics
 from .params import NumericError, ParameterSet, adam_step
@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if min(self.embedding_dim, self.memory_dim, self.heads) <= 0:
             raise ValueError("model dims must be positive")
+        if self.max_epochs < 1 or self.patience < 0:
+            raise ValueError("max_epochs must be >= 1 and patience >= 0")
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(
@@ -145,7 +147,7 @@ def _weight_scaler(config: TrainConfig, split: DatasetSplit):
     """(mean, std) of the train-split weights, or None when disabled."""
     if config.task is not TaskKind.SIGNED_WEIGHT or not config.standardize_weights:
         return None
-    weights = event_columns(split.train.events)[3]
+    weights = split.train.weight
     std = float(weights.std())
     return float(weights.mean()), (std if std > 0 else 1.0)
 
@@ -158,11 +160,6 @@ def _output_rows(task: TaskKind, data: np.ndarray, scaler) -> np.ndarray:
         rows = data.reshape(-1, 1)
         return rows * scaler[1] + scaler[0] if scaler is not None else rows  # raw units
     return sigmoid_np(data.reshape(-1, 1))
-
-
-def _endpoints(src: np.ndarray, dst: np.ndarray) -> list[int]:
-    """``src[0], dst[0], src[1], dst[1], ...`` as Python ints."""
-    return np.column_stack([src, dst]).astype(np.int64).ravel().tolist()
 
 
 def _online(bundle: ModelBundle, state: EncoderState, universe: dict, events, rng,
@@ -178,17 +175,16 @@ def _online(bundle: ModelBundle, state: EncoderState, universe: dict, events, rn
     task = bundle.config.task
     for batch in batches(events, bundle.config.batch_size):
         qtime = state.watermark
-        if qtime > batch.start_time:
+        if qtime > batch.time[0]:
             counters["causality"] += 1
-        time, src, dst, weight = event_columns(batch.events)
-        src, dst = src.astype(np.int64), dst.astype(np.int64)
-        nodes = _endpoints(src, dst)
+        time, src, dst = batch.time, batch.src, batch.dst
+        nodes = np.column_stack([src, dst]).ravel().tolist()  # src0, dst0, src1, ...
         universe.update(dict.fromkeys(nodes))
-        label = _labels(task, weight)
+        label = _labels(task, batch.weight)
         is_real = np.ones(len(batch), dtype=bool)
         if task.needs_negatives:
             pool = np.fromiter(universe, np.int64, len(universe))
-            neg = np.array(negative_sample(batch.events, pool, rng), dtype=np.int64).reshape(-1, 2)
+            neg = negative_sample(batch, pool, rng)
             k = len(neg)
             nodes += neg.ravel().tolist()
             src, dst = np.concatenate([src, neg[:, 0]]), np.concatenate([dst, neg[:, 1]])
@@ -200,7 +196,7 @@ def _online(bundle: ModelBundle, state: EncoderState, universe: dict, events, rn
         targets = (label - scaler[0]) / scaler[1] if scaler else label
         yield outputs, targets, Predictions(src, dst, time, _output_rows(task, outputs.data, scaler),
                                             label, is_real)
-        bundle.encoder.process_batch(batch.events, state)
+        bundle.encoder.process_batch(batch, state)
 
 
 def metric_bundle(task: TaskKind, preds: Predictions) -> dict:
@@ -306,7 +302,7 @@ def resolve_time_scale(config: TrainConfig, split: DatasetSplit) -> TrainConfig:
     """Normalize encoded time gaps to roughly [0, 1] over the train span."""
     if config.time_scale is not None:
         return config
-    span = split.train.events[-1].time - split.train.events[0].time
+    span = split.train.time[-1] - split.train.time[0]
     return replace(config, time_scale=1.0 / max(np.log1p(span), 1.0))
 
 
@@ -400,29 +396,22 @@ def evaluate_sequential(bundle: ModelBundle, split: DatasetSplit, which: str = "
     """Online evaluation: warm the state on all pre-split events with frozen
     parameters, then predict/ingest split batches sequentially."""
     t_start = _time.perf_counter()
-    if which == "val":
-        prior, target = split.train.events, split.val.events
-    elif which == "test":
-        prior, target = split.train.events + split.val.events, split.test.events
-    elif which == "train":
-        prior, target = [], split.train.events
-    else:
-        raise ValueError(f"unknown split {which!r}")
-    if not target:
+    start, stop = split.bounds(which)
+    prior, target = split.log.slice(0, start), split.log.slice(start, stop)
+    if not len(target):
         raise DataError(f"{which} split is empty")
 
     config = bundle.config
     checksum_before = bundle.params.checksum()
     state = bundle.new_state()
-    _, src, dst, _ = event_columns(prior)
-    universe = dict.fromkeys(_endpoints(src, dst))
+    universe = dict.fromkeys(np.column_stack([prior.src, prior.dst]).ravel().tolist())
     if neg_seed is None:
         neg_seed = (config.seed, 303, 0 if which == "val" else 1)
     rng = np.random.default_rng(neg_seed)
     counters = {"causality": 0}
     with no_grad():
         for batch in batches(prior, config.batch_size):
-            bundle.encoder.process_batch(batch.events, state)
+            bundle.encoder.process_batch(batch, state)
         preds = Predictions.concat([
             p for _, _, p in _online(bundle, state, universe, target, rng,
                                      _weight_scaler(config, split), counters)])
@@ -430,8 +419,8 @@ def evaluate_sequential(bundle: ModelBundle, split: DatasetSplit, which: str = "
 
     trans = ind = None
     if breakdown:
-        _, src, dst, _ = event_columns(split.train.events)
-        trans, ind = _breakdown(preds, np.concatenate([src, dst]).astype(np.int64), config.task)
+        train_nodes = np.concatenate([split.train.src, split.train.dst])
+        trans, ind = _breakdown(preds, train_nodes, config.task)
 
     n_real = int(np.count_nonzero(preds.is_real))
     return EvalReport(
@@ -468,7 +457,8 @@ def run_ablation(base: TrainConfig, split: DatasetSplit | None = None,
 
 
 def ablation_table(reports: dict[str, EvalReport]) -> str:
-    """Consolidated CSV comparison across ablation variants."""
+    """Consolidated CSV comparison across ablation variants.  ``ba+mem``
+    reads as ``mem`` does, and ``mem`` never trains ``wk`` (AblationConfig)."""
     metric_keys: list[str] = []
     for rep in reports.values():
         for key in rep.metrics:

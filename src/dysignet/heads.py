@@ -65,20 +65,24 @@ class PairDecoder:
         return self.net.apply(concat([left, right], axis=1))
 
 
-def negative_sample(events, universe: np.ndarray, rng: np.random.Generator):
-    """One corrupted pair per event: the source is kept and the destination
-    redrawn uniformly from seen nodes until it differs from the true one."""
-    universe = np.asarray(universe)
+def negative_sample(events, universe: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One corrupted pair per event of a log or batch, as (k, 2) node ids:
+    the source kept, the destination drawn uniformly from ``universe`` and
+    redrawn while it equals the true one.  Draws come in blocks of one per
+    open event; pairs and generator state equal those of one-at-a-time draws."""
+    universe, dst = np.asarray(universe), events.dst
     if universe.size <= 1:
         log.warning("negative sampling skipped: universe has %d node(s)", universe.size)
-        return []
-    out = []
-    for ev in events:
-        v = int(universe[rng.integers(universe.size)])
-        while v == ev.dst:
-            v = int(universe[rng.integers(universe.size)])
-        out.append((ev.src, v))
-    return out
+        return np.empty((0, 2), dtype=np.int64)
+    out, done, stream = np.empty_like(dst), 0, dst[:0]
+    while done < dst.size:
+        if not stream.size:
+            stream = universe[rng.integers(universe.size, size=dst.size - done)]
+        hit = np.flatnonzero(stream == dst[done:done + stream.size])
+        take = hit[0] if hit.size else stream.size
+        out[done:done + take] = stream[:take]
+        done, stream = done + take, stream[take + 1:]
+    return np.column_stack([events.src, out])
 
 
 def loss_bce(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -49,9 +49,6 @@ class ParameterSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __len__(self) -> int:
         return len(self._params)
 
@@ -63,9 +60,6 @@ class ParameterSet:
 
     def items(self):
         return self._params.items()
-
-    def n_values(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
     def moments(self, name: str):
         return self._m[name], self._v[name]

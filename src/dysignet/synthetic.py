@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .events import EventLog, SignedEvent
+from .events import EventLog
 
 
 def generate_balanced_stream(n_nodes: int = 500, n_events: int = 6000, seed: int = 0,
@@ -28,13 +28,12 @@ def generate_balanced_stream(n_nodes: int = 500, n_events: int = 6000, seed: int
     factions = np.where(rng.random(n_nodes) < major_fraction, 1, -1)
     if np.all(factions == factions[0]):  # degenerate draw on tiny graphs
         factions[0] = -factions[0]
-    events = []
+    ends = np.empty((n_events, 2), dtype=np.int64)
     for i in range(n_events):
         u = int(rng.integers(n_nodes))
         v = int(rng.integers(n_nodes - 1))
-        if v >= u:
-            v += 1
-        sign = int(factions[u] * factions[v])
-        events.append(SignedEvent(float(i + 1), u, v, sign * magnitude))
-    log = EventLog(events, n_nodes, {i: i for i in range(n_nodes)})
+        ends[i] = u, v + (v >= u)
+    src, dst = ends.T.copy()
+    weight = factions[src] * factions[dst] * magnitude
+    log = EventLog(np.arange(1.0, n_events + 1), src, dst, weight, n_nodes, np.arange(n_nodes))
     return log, factions

@@ -3,6 +3,7 @@
 import numpy as np
 
 from dysignet.encoder import AblationConfig
+from dysignet.events import EventLog
 from dysignet.harness import TrainConfig
 from dysignet.heads import TaskKind
 from dysignet.tensor import Tensor, backward
@@ -94,3 +95,13 @@ def tiny_config(task=TaskKind.SIGN, ablation="none", **overrides) -> TrainConfig
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def log_of(events, node_count=None) -> EventLog:
+    """An ``EventLog`` holding ``SignedEvent`` rows (or ``(time, src, dst,
+    weight)`` tuples) in the given order; ``node_count`` defaults to the
+    largest id plus one."""
+    time, src, dst, weight = np.array(list(events), dtype=np.float64).reshape(-1, 4).T
+    if node_count is None:
+        node_count = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
+    return EventLog(time, src.astype(np.int64), dst.astype(np.int64), weight, node_count)

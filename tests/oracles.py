@@ -5,12 +5,17 @@ compared against: one event, one (node, polarity) slot, one node or one
 pair at a time, written as plainly as the maths allows.  The library keeps
 only the batched paths.
 
+The negative sampler and the CSV parser have per-event references too:
+one draw, one row at a time.
+
 The feed-forward net and the recurrent cell also have composed references
 here: one autograd node per primitive, built from the elementwise ops
 below, which the library no longer needs since both layers became fused
 ops.  So do ``neg`` and ``detach``, which only tests use.
 """
 
+import csv
+import gzip
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from dysignet.encoder import NEG, POS
+from dysignet.events import DataError, SignedEvent
 from dysignet.tensor import (
     Tensor, _result, add, as_tensor, concat, matmul, mul, reshape, transpose)
 
@@ -319,3 +325,74 @@ def split_trans_inductive(events, train_nodes: set[int]):
         elif not a and not b:
             ind.append(ev)
     return trans, ind
+
+
+def negative_sample(events, universe, rng):
+    """Per-event negative sampler: one corrupted pair per event, its
+    destination drawn one value at a time until it differs from the true
+    one."""
+    universe = np.asarray(universe)
+    if universe.size <= 1:
+        return []
+    out = []
+    for ev in events:
+        v = int(universe[rng.integers(universe.size)])
+        while v == ev.dst:
+            v = int(universe[rng.integers(universe.size)])
+        out.append((ev.src, v))
+    return out
+
+
+def parse_rows(path, columns=("src", "dst", "weight", "time"), delimiter=",",
+               strict=False, keep_self_loops=False):
+    """Row-by-row parse of a signed edge list: returns (events, raw ids in
+    dense-id order, skip counts), applying the filters one row at a time.
+    Raises ``DataError`` at the first bad row in strict mode, and when no
+    row survives."""
+    idx = {name: columns.index(name) for name in ("src", "dst", "weight", "time")}
+    needed = max(idx.values()) + 1
+    rows = []
+    skipped = {"short": 0, "unparsable": 0, "nonfinite": 0, "zero_weight": 0,
+               "self_loop": 0}
+    with (gzip.open(path, "rt") if str(path).endswith(".gz") else open(path, "rt")) as fh:
+        for lineno, cells in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
+            if not cells or (len(cells) == 1 and not cells[0].strip()):
+                continue
+            if len(cells) < needed or any(not cells[idx[k]].strip() for k in ("time", "weight")):
+                if strict:
+                    raise DataError(f"{path}:{lineno}: missing fields")
+                skipped["short"] += 1
+                continue
+            try:
+                t = float(cells[idx["time"]])
+                w = float(cells[idx["weight"]])
+            except ValueError:
+                if lineno == 1:
+                    continue  # header row
+                if strict:
+                    raise DataError(f"{path}:{lineno}: unparsable row {cells!r}")
+                skipped["unparsable"] += 1
+                continue
+            if not (math.isfinite(t) and math.isfinite(w)):
+                if strict:
+                    raise DataError(f"{path}:{lineno}: non-finite time or weight {cells!r}")
+                skipped["nonfinite"] += 1
+                continue
+            src_raw, dst_raw = cells[idx["src"]].strip(), cells[idx["dst"]].strip()
+            if w == 0.0:
+                skipped["zero_weight"] += 1
+                continue
+            if src_raw == dst_raw and not keep_self_loops:
+                skipped["self_loop"] += 1
+                continue
+            rows.append((t, src_raw, dst_raw, w))
+    if not rows:
+        raise DataError(f"{path}: no usable events after filtering")
+    rows.sort(key=lambda r: r[0])  # stable: ties keep file order
+    id_map: dict = {}
+    events = []
+    for t, s_raw, d_raw, w in rows:
+        s = id_map.setdefault(s_raw, len(id_map))
+        d = id_map.setdefault(d_raw, len(id_map))
+        events.append(SignedEvent(t, s, d, w))
+    return events, list(id_map), skipped

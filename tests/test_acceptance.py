@@ -30,7 +30,7 @@ from dysignet.params import ParameterSet
 from dysignet.synthetic import generate_balanced_stream
 from dysignet.tensor import Tensor
 
-from helpers import max_grad_error, tiny_config
+from helpers import log_of, max_grad_error, tiny_config
 from oracles import split_trans_inductive
 import test_encoder
 import test_layers
@@ -126,8 +126,8 @@ def test_criterion_2_gradient_suite():
 
         def full_loss():
             state = bundle.new_state()
-            bundle.encoder.process_batch([e1], state)
-            bundle.encoder.process_batch([e2], state)
+            bundle.encoder.process_batch(log_of([e1]), state)
+            bundle.encoder.process_batch(log_of([e2]), state)
             z, index = bundle.encoder.compute_embeddings([0, 1, 2], 3.0, state)
             out = bundle.decoder.score_rows(z, index, [(0, 1), (2, 0)])
             return task_loss(TaskKind.EXISTENCE, out, labels)

@@ -123,6 +123,17 @@ def test_bad_config_boolean_exits_1(dataset, tmp_path, capsys):
     assert "standardize_weights" in capsys.readouterr().err
 
 
+def test_train_without_epochs_exits_1(dataset, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["train", "--dataset", dataset, "--epochs", "0", "--out", str(out)]) == 1
+    assert "max_epochs must be >= 1" in capsys.readouterr().err
+    assert not (out / "checkpoint.json").exists()
+    cfg = tmp_path / "p.ini"
+    cfg.write_text("[train]\npatience = -1\n")
+    assert main(["train", "--config", str(cfg), "--dataset", dataset, "--out", str(out)]) == 1
+    assert "patience >= 0" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["train"]) == 1  # no dataset anywhere
     assert main(["bogus-command"]) == 1

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dysignet.encoder import NEG, POS, EncoderState, HistoryLog
-from dysignet.events import SignedEvent, event_columns
+from dysignet.events import SignedEvent
 from dysignet.harness import build_model
 from dysignet.layers import Feedforward, RecurrentCell
 from dysignet.tensor import Tensor, backward, mul, no_grad, tsum
 
-from helpers import tiny_config
+from helpers import log_of, tiny_config
 from oracles import (
     aggregate_messages,
     attention,
@@ -36,7 +36,7 @@ def seeded_state(encoder, events, seed=0):
     """State with distinguishable (non-zero) memories: ingest a warmup batch."""
     state = EncoderState(encoder.config)
     if events:
-        encoder.process_batch(events, state)
+        encoder.process_batch(log_of(events), state)
     return state
 
 
@@ -190,7 +190,7 @@ def test_untouched_node_absent_and_memory_unchanged():
     warm = [_ev(1, 0, 1, 1), _ev(2, 2, 3, -1)]
     state = seeded_state(enc, warm)
     before = state.memory_value(2, POS)
-    enc.process_batch([_ev(5.0, 0, 1, 1.0)], state)
+    enc.process_batch(log_of([_ev(5.0, 0, 1, 1.0)]), state)
     assert np.array_equal(state.memory_value(2, POS), before)
 
 
@@ -219,7 +219,7 @@ def test_polarity_isolation_property(seed):
     u, v = 0, 4 + int(rng.integers(4))
     others = [n for n in range(8) if n not in (u, v)]
     before = {(n, s): state.memory_value(n, s) for n in others for s in (POS, NEG)}
-    enc.process_batch([_ev(9.0, u, v, float(rng.choice([-3, 2])))], state)
+    enc.process_batch(log_of([_ev(9.0, u, v, float(rng.choice([-3, 2])))]), state)
     for key, val in before.items():
         assert np.array_equal(state.memory_value(*key), val)
 
@@ -230,7 +230,7 @@ def test_zero_cell_parameters_keep_memory_zero():
         if ".mem_" in name:
             params[name].data[...] = 0.0
     state = seeded_state(enc, [])
-    enc.process_batch([_ev(1, 0, 1, 5), _ev(2, 0, 2, -7)], state)
+    enc.process_batch(log_of([_ev(1, 0, 1, 5), _ev(2, 0, 2, -7)]), state)
     for slot in (POS, NEG):
         assert np.array_equal(state.memory_value(0, slot), np.zeros(4))
 
@@ -242,7 +242,7 @@ def test_single_event_batch_equals_reference_ops():
     ref = seeded_state(enc, warm)
     event = _ev(6.0, 0, 2, -2.0)
 
-    enc.process_batch([event], fast)
+    enc.process_batch(log_of([event]), fast)
 
     msgs = generate_messages(enc, event, ref)
     update_memories(enc, aggregate_messages(msgs), ref)
@@ -267,7 +267,7 @@ def test_batch_path_equals_reference_path_on_random_batch():
     batch = [_ev(20 + t, int(rng.integers(4)), 4 + int(rng.integers(4)),
                  float(rng.choice([-1, 3]))) for t in range(6)]
 
-    enc.process_batch(batch, fast)
+    enc.process_batch(log_of(batch), fast)
 
     msgs = []
     for ev in batch:
@@ -288,9 +288,9 @@ def test_two_batches_differ_from_one_batch():
     one = seeded_state(enc, [])
     two = seeded_state(enc, [])
     e1, e2 = _ev(1.0, 0, 1, 1.0), _ev(2.0, 0, 2, 1.0)
-    enc.process_batch([e1, e2], one)
-    enc.process_batch([e1], two)
-    enc.process_batch([e2], two)
+    enc.process_batch(log_of([e1, e2]), one)
+    enc.process_batch(log_of([e1]), two)
+    enc.process_batch(log_of([e2]), two)
     assert not np.allclose(one.memory_value(0, POS), two.memory_value(0, POS))
 
     # the two-step result equals explicit sequential reference processing
@@ -325,7 +325,7 @@ def test_array_state_equals_per_event_oracle_state(batches, ablation, cap, seed)
     ref = EncoderState(enc.config)
     rows = {n: [] for n in range(7)}   # plain per-node history lists
     for batch in batches:
-        enc.process_batch(batch, fast)
+        enc.process_batch(log_of(batch), fast)
         msgs = [m for ev in batch for m in generate_messages(enc, ev, ref)]
         update_memories(enc, aggregate_messages(msgs), ref)
         log_history(ref, batch)
@@ -344,13 +344,13 @@ def test_out_of_order_batch_rejected():
     enc, _, _ = make_encoder()
     state = seeded_state(enc, [_ev(5, 0, 1, 1)])
     with pytest.raises(ValueError):
-        enc.process_batch([_ev(3.0, 1, 2, 1.0)], state)
+        enc.process_batch(log_of([_ev(3.0, 1, 2, 1.0)]), state)
 
 
 def test_last_update_tracks_most_recent_contribution():
     enc, _, _ = make_encoder()
     state = seeded_state(enc, [])
-    enc.process_batch([_ev(1, 0, 1, 1), _ev(4, 0, 2, -1), _ev(9, 1, 2, 1)], state)
+    enc.process_batch(log_of([_ev(1, 0, 1, 1), _ev(4, 0, 2, -1), _ev(9, 1, 2, 1)]), state)
     assert state.last_update[0] == 4.0
     assert state.last_update[1] == 9.0
     assert state.last_update[2] == 9.0
@@ -373,7 +373,7 @@ def test_higher_order_balance_provenance_chain():
     # the traced reference reaches the memories the batched path computes
     state = EncoderState(enc.config)
     for ev in events:
-        enc.process_batch([ev], state)
+        enc.process_batch(log_of([ev]), state)
     for slot in (POS, NEG):
         assert np.allclose(state.memory_value(3, slot), ref.memory_value(3, slot), atol=1e-15)
 
@@ -479,7 +479,7 @@ def test_staleness_mitigation_neighbor_activity_moves_embedding():
     state = seeded_state(enc, [_ev(1.0, 0, 1, 1.0)])
     z_before = embed(enc, 1, 10.0, state)
     s_before = state.memory_value(1, POS)
-    enc.process_batch([_ev(10.0, 0, 2, -1.0)], state)  # node 1 not involved
+    enc.process_batch(log_of([_ev(10.0, 0, 2, -1.0)]), state)  # node 1 not involved
     z_after = embed(enc, 1, 10.0, state)
     assert np.array_equal(state.memory_value(1, POS), s_before)
     assert not np.allclose(z_before, z_after)
@@ -586,7 +586,7 @@ def test_chained_memory_gradients_equal_composed_layers(monkeypatch):
     def grads():
         state = EncoderState(enc.config)
         for batch in batches:
-            enc.process_batch(batch, state)
+            enc.process_batch(log_of(batch), state)
         z, _ = enc.compute_embeddings(list(range(5)), 30.0, state)
         g = backward(tsum(mul(z, w)), leaves=params.tensors())
         return [g[p] for p in params.tensors()]
@@ -610,7 +610,7 @@ def test_stream_determinism_bitwise():
         for k in range(3):
             batch = [_ev(10 * k + t + 1, int(rng.integers(4)), 4 + int(rng.integers(4)),
                          float(rng.choice([-1, 2]))) for t in range(5)]
-            enc.process_batch(batch, state)
+            enc.process_batch(log_of(batch), state)
         return np.concatenate([state.memory_value(n, s)
                                for n in range(8) for s in (POS, NEG)])
 
@@ -662,7 +662,7 @@ def test_snapshot_save_load_save_is_byte_identical(tmp_path):
     enc, _, _ = make_encoder(seed=22)
     state = EncoderState(enc.config)
     for batch in FIXTURE_BATCHES:
-        enc.process_batch(batch, state)
+        enc.process_batch(log_of(batch), state)
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     state.save(first)
     EncoderState.load(first, enc.config).save(second)
@@ -673,7 +673,7 @@ def test_v1_fixture_loads_to_identical_memories_and_embeddings():
     enc, _, _ = make_encoder(seed=22)
     state = EncoderState(enc.config)
     for batch in FIXTURE_BATCHES:
-        enc.process_batch(batch, state)
+        enc.process_batch(log_of(batch), state)
     loaded = EncoderState.load(FIXTURE, enc.config)
     assert loaded.watermark == state.watermark
     assert loaded.events_ingested == state.events_ingested
@@ -735,15 +735,3 @@ def test_history_recent_packs_newest_rows_position_major(seed, cap):
         mine = rows[[s + k for s, m in zip(starts, sizes) if m > k]]
         assert log.nbr[mine].tolist() == wanted[j]   # newest first
 
-
-def test_event_columns_equal_array_conversion_bitwise():
-    batches = [
-        [SignedEvent(1, 0, 1, 2)],
-        [SignedEvent(0.1, 3, 7, -1.5), SignedEvent(2, 7, 3, -3), SignedEvent(2.5, 10**6, 0, 0.3)],
-        [SignedEvent(1e9 + 0.25, 2, 5, -1e-3)] * 5,
-    ]
-    for batch in batches:
-        got = event_columns(batch)
-        expected = np.array(batch, dtype=np.float64).T
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()

@@ -1,4 +1,7 @@
 import gzip
+import logging
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +10,6 @@ from hypothesis import strategies as st
 
 from dysignet.events import (
     DataError,
-    EventLog,
     SignedEvent,
     batches,
     chronological_split,
@@ -17,6 +19,9 @@ from dysignet.events import (
     parse_csv,
     triangle_census,
 )
+
+import oracles
+from helpers import log_of
 
 
 def write_rows(path, rows):
@@ -133,17 +138,132 @@ def test_csv_roundtrip_property(tmp_path_factory, seed, n):
                 next_id += 1
         w = float(np.round(rng.normal() * 10, 6)) or 1.0
         events.append(SignedEvent(float(t), ids[u_raw], ids[v_raw], w))
-    log = EventLog(events, next_id)
+    log = log_of(events, next_id)
     path = tmp_path_factory.mktemp("rt") / "log.csv"
     log.write_csv(path)
     again = parse_csv(path)
     assert again.events == log.events
 
 
+_COLUMNS = ("time", "src", "dst", "weight")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 60), size=st.integers(1, 9))
+def test_columns_roundtrip_and_batches_are_views(tmp_path_factory, seed, n, size):
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.choice([rng.uniform(-1e9, 1e9), 0.1, 1e-300, 2.0 ** 60], size=n))
+    src = rng.integers(0, 30, size=n)
+    dst = (src + rng.integers(1, 30, size=n)) % 30
+    weights = rng.choice([-1e-7, 0.1, 3.0, -2.5e15], size=n) * rng.uniform(0.5, 2.0, size=n)
+    _, dense = np.unique(np.column_stack([src, dst]).ravel(), return_inverse=True)
+    first = np.unique(dense, return_index=True)[1]   # ids by first appearance
+    dense = np.argsort(np.argsort(first))[dense]
+    log = log_of(np.column_stack([times, dense.reshape(-1, 2), weights]))
+    path = tmp_path_factory.mktemp("cols") / "log.csv"
+    log.write_csv(path)
+    again = parse_csv(path)
+    for name in _COLUMNS:  # write_csv -> parse_csv is bitwise on every column
+        a, b = getattr(log, name), getattr(again, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    parts = list(batches(again, size))
+    for name in _COLUMNS:  # views whose rows concatenate back to the log
+        column = getattr(again, name)
+        assert all(np.shares_memory(getattr(b, name), column) for b in parts)
+        assert np.concatenate([getattr(b, name) for b in parts]).tobytes() == column.tobytes()
+    rows = [ev for b in parts for ev in b]
+    assert rows == again.events
+    for ev in rows:  # rows hold Python numbers, not numpy scalars
+        assert isinstance(ev, SignedEvent)
+        assert [type(x) for x in ev] == [float, int, int, float]
+
+
+def test_split_parts_are_views_of_one_log():
+    log = _mklog([(i, i % 3, 3 + i % 4, 1 - 2 * (i % 2)) for i in range(40)])
+    split = chronological_split(log)
+    for part in (split.train, split.val, split.test):
+        assert all(np.shares_memory(getattr(part, c), getattr(log, c)) for c in _COLUMNS)
+    assert [split.bounds(p) for p in ("train", "val", "test")] == [(0, 28), (28, 34), (34, 40)]
+    with pytest.raises(ValueError, match="unknown split"):
+        split.bounds("all")
+
+
+def test_parsed_split_holds_at_most_48_bytes_per_event(tmp_path):
+    rng = np.random.default_rng(0)
+    n = 20_000
+    src = rng.integers(0, 3000, size=n)
+    dst = (src + rng.integers(1, 3000, size=n)) % 3000
+    path = tmp_path / "big.csv"
+    with open(path, "w") as fh:
+        fh.write("src,dst,weight,time\n")
+        for u, v, w, t in zip(src.tolist(), dst.tolist(), rng.choice([-3, -1, 1, 2, 5], n).tolist(),
+                              np.sort(rng.integers(1_300_000_000, 1_450_000_000, n)).tolist()):
+            fh.write(f"u{u},u{v},{w},{t}\n")
+    tracemalloc.start()
+    try:
+        split = chronological_split(parse_csv(path))
+        with_split = tracemalloc.get_traced_memory()[0]
+        events = len(split.log)
+        del split
+        held = with_split - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert events == n
+    # four 8-byte columns plus one raw id per node; a list of SignedEvent
+    # tuples held 138-219 bytes per event
+    assert held / events <= 48, f"{held / events:.1f} bytes per event"
+
+
+def _write_messy_csv(path, rng, n):
+    """Rows with every kind of flaw parse_csv filters: blanks, a header,
+    short rows, empty or unparsable or non-finite fields, zero weights,
+    self-loops, padded ids and tied times."""
+    cells = ["", " ", "nan", "inf", "-inf", "x", "0", "-0.0", "1", "-2", " 3 ", "1e308", "2.5"]
+    ids = ["a", "b", " a", "c ", "d", "e"]
+    lines = ["src,dst,weight,time"] if rng.random() < 0.5 else []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.05:
+            lines.append("")
+        elif kind < 0.1:
+            lines.append(",".join(rng.choice(ids, size=int(rng.integers(1, 4)))))
+        else:
+            u, v = rng.choice(ids, size=2)
+            w = rng.choice(cells) if rng.random() < 0.3 else str(rng.choice([-2, -1, 1, 4]))
+            t = rng.choice(cells) if rng.random() < 0.2 else str(int(rng.integers(0, 6)))
+            lines.append(",".join([u, v, w, t]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(0, 40), strict=st.booleans(),
+       loops=st.booleans())
+def test_parse_equals_row_by_row_oracle(tmp_path_factory, seed, n, strict, loops):
+    path = tmp_path_factory.mktemp("messy") / "d.csv"
+    _write_messy_csv(path, np.random.default_rng(seed), n)
+    try:
+        events, raw_ids, skipped = oracles.parse_rows(path, strict=strict, keep_self_loops=loops)
+    except DataError as exc:
+        with pytest.raises(DataError, match=re.escape(str(exc))):
+            parse_csv(path, strict=strict, keep_self_loops=loops)
+        return
+    logger = logging.getLogger("dysignet.events")
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger.addHandler(handler)
+    try:
+        log = parse_csv(path, strict=strict, keep_self_loops=loops)
+    finally:
+        logger.removeHandler(handler)
+    assert log.events == events
+    assert log.raw_ids.tolist() == raw_ids and log.node_count == len(raw_ids)
+    counts = ", ".join(f"{k}={v}" for k, v in skipped.items() if v)
+    assert [r.getMessage().split("(")[-1] for r in records] == ([counts + ")"] if counts else [])
+
+
 def _mklog(rows, n=None):
-    events = [SignedEvent(float(t), u, v, float(w)) for t, u, v, w in rows]
-    nodes = {x for ev in events for x in (ev.src, ev.dst)}
-    return EventLog(events, n if n is not None else max(nodes) + 1)
+    return log_of([SignedEvent(float(t), u, v, float(w)) for t, u, v, w in rows], n)
 
 
 def test_split_floor_arithmetic_10():
@@ -200,8 +320,7 @@ def test_batches_partition_law():
     log = _mklog([(i, 0, 1, 1) for i in range(103)])
     rebuilt = [ev for b in batches(log, 10) for ev in b.events]
     assert rebuilt == log.events
-    idx = [b.index for b in batches(log, 10)]
-    assert idx == list(range(11))
+    assert [len(b) for b in batches(log, 10)] == [10] * 10 + [3]
 
 
 def test_batches_reject_bad_size():
@@ -291,4 +410,4 @@ def test_stats_day_span():
 
 def test_stats_empty_rejected():
     with pytest.raises(DataError):
-        compute_stats(EventLog([], 0))
+        compute_stats(log_of([], 0))

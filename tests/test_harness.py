@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dysignet.encoder import AblationConfig
-from dysignet.events import EventLog, SignedEvent, chronological_split
+from dysignet.events import SignedEvent, chronological_split
 from dysignet.harness import (
     Predictions,
     TrainConfig,
@@ -21,7 +21,7 @@ from dysignet.heads import TaskKind
 from dysignet.params import NumericError
 from dysignet.synthetic import generate_balanced_stream
 
-from helpers import tiny_config
+from helpers import log_of, tiny_config
 from oracles import split_trans_inductive
 
 
@@ -139,8 +139,7 @@ def test_within_batch_permutation_invariance():
     rng.shuffle(mid)
     shuffled = events[:20] + mid + events[40:]
     shuffled_split = chronological_split(
-        EventLog(split.train.events + split.val.events + shuffled,
-                 split.train.node_count, split.train.id_map))
+        log_of(split.train.events + split.val.events + shuffled, split.train.node_count))
     other = evaluate_sequential(bundle, shuffled_split, which="test", collect_raw=True)
 
     def by_pair(raw):
@@ -265,6 +264,25 @@ def test_report_includes_resolved_time_scale(small_split):
     assert result.config.time_scale == pytest.approx(1.0 / np.log1p(span))
 
 
+@pytest.mark.parametrize("bad", [dict(max_epochs=0), dict(max_epochs=-3), dict(patience=-1)])
+def test_config_rejects_no_epochs_and_negative_patience(bad):
+    with pytest.raises(ValueError, match="max_epochs must be >= 1 and patience >= 0"):
+        tiny_config(**bad)
+    tiny_config(max_epochs=1, patience=0)   # the smallest valid values
+
+
+def test_mem_and_ba_mem_are_the_same_model(small_split):
+    """Balanced aggregation acts only on memories, so without memories it
+    changes nothing: same parameters, losses and metrics."""
+    runs = {}
+    for name in ("mem", "ba+mem"):
+        result, bundle = _trained(small_split, ablation=name)
+        report = evaluate_sequential(bundle, small_split, which="test")
+        runs[name] = (result.loss_trace, result.val_trace, report.metrics,
+                      {k: v.tobytes() for k, v in result.params.copy_values().items()})
+    assert runs["mem"] == runs["ba+mem"]
+
+
 def test_config_roundtrip_through_dict():
     config = tiny_config(task=TaskKind.SIGNED_EXISTENCE, ablation="emb")
     again = TrainConfig.from_dict(config.to_dict())
@@ -318,7 +336,8 @@ def test_weight_standardization_keeps_raw_units(small_split):
 def test_empty_split_rejected(small_split):
     _, bundle = _trained(small_split)
     from dysignet.events import DataError, DatasetSplit
-    bad = DatasetSplit(small_split.train, small_split.val,
-                       EventLog([], small_split.train.node_count), (0.7, 0.15, 0.15))
+    n = len(small_split.log)
+    bad = DatasetSplit(small_split.log.slice(0, n - 20), (n - 40, n - 20), (0.7, 0.15, 0.15))
+    assert len(bad.test) == 0
     with pytest.raises(DataError):
         evaluate_sequential(bundle, bad, which="test")

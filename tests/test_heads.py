@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 import dysignet.tensor as T
@@ -18,7 +20,8 @@ from dysignet.heads import (
 from dysignet.params import ParameterSet
 from dysignet.tensor import Tensor, backward
 
-from helpers import max_grad_error
+import oracles
+from helpers import log_of, max_grad_error
 from oracles import score_pair
 
 
@@ -79,7 +82,7 @@ def test_score_rows_matches_score_pair():
 
 
 def _events(pairs):
-    return [SignedEvent(float(i), u, v, 1.0) for i, (u, v) in enumerate(pairs)]
+    return log_of(SignedEvent(float(i), u, v, 1.0) for i, (u, v) in enumerate(pairs))
 
 
 def test_negative_sample_counts():
@@ -95,26 +98,44 @@ def test_negative_sample_counts():
 def test_negative_sample_two_node_universe():
     rng = np.random.default_rng(1)
     fakes = negative_sample(_events([(0, 1)]), np.array([0, 1]), rng)
-    assert fakes == [(0, 0)]  # the only alternative destination
+    assert fakes.tolist() == [[0, 0]]  # the only alternative destination
 
 
 def test_negative_sample_singleton_universe_skips(caplog):
     rng = np.random.default_rng(2)
     with caplog.at_level(logging.WARNING):
         fakes = negative_sample(_events([(0, 0)]), np.array([0]), rng)
-    assert fakes == []
+    assert fakes.shape == (0, 2)
     assert any("skipped" in r.message for r in caplog.records)
 
 
 def test_negative_sample_uniformity_chi_squared():
     rng = np.random.default_rng(3)
     universe = np.arange(20)
-    events = _events([(0, 5)]) * 100_000
+    events = _events([(0, 5)] * 100_000)
     draws = np.array([v for _, v in negative_sample(events, universe, rng)])
     counts = np.bincount(draws, minlength=20)
     assert counts[5] == 0
     _, p = scipy_stats.chisquare(counts[np.arange(20) != 5])
     assert p > 0.01
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12), k=st.integers(0, 80))
+def test_negative_sample_equals_per_event_oracle(seed, n, k):
+    """Random universes of 2-12 nodes: the same pairs and the same
+    generator state after the call as drawing one value at a time."""
+    setup = np.random.default_rng(seed)
+    universe = setup.permutation(n + 3)[:n]
+    # destinations mostly from the universe (redraws), some outside it
+    dst = np.where(setup.random(k) < 0.8, setup.choice(universe, k), n + 3)
+    events = log_of((float(i), int(setup.integers(n + 4)), int(v), 1.0)
+                    for i, v in enumerate(dst))
+    mine, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = negative_sample(events, universe, mine)
+    assert got.shape == (k, 2) and got.dtype == np.int64
+    assert got.tolist() == [list(p) for p in oracles.negative_sample(events, universe, ref)]
+    assert mine.bit_generator.state == ref.bit_generator.state
 
 
 def test_bce_zero_logits_is_ln2():
