@@ -75,7 +75,10 @@ class _Parser(argparse.ArgumentParser):
 def read_config_file(path) -> dict:
     """Flat key=value settings, organized in arbitrary INI sections."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise UsageError(f"bad config file {path}: {exc}") from None
     if not read:
         raise DataError(f"config file not found: {path}")
     values: dict = {}
@@ -140,7 +143,10 @@ def _load_bundle(args):
     split = load_dataset(config)
     config = resolve_time_scale(config, split)
     bundle = build_model(config)
-    checkpoint = ParameterSet.load(args.checkpoint)
+    try:
+        checkpoint = ParameterSet.load(args.checkpoint)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
     try:
         bundle.params.load_values(checkpoint.copy_values())
     except ValueError as exc:

@@ -22,6 +22,20 @@ State layout (:class:`EncoderState`):
   (event, endpoint) with a pointer to the owner's previous row, so a
   node's most recent rows are a walk back from its head.
 
+A snapshot (:meth:`EncoderState.save`, version 2) is these arrays as
+they are, after the line ``dysignet-encoder-state 2``: one ``np.save``
+record each of ``mem[:size]``, ``last_update``, the history's ``nbr``,
+``t``, ``mag`` and ``prev`` up to ``length`` and ``head`` and ``deg`` up to
+the last node with rows, then ``watermark`` and ``events_ingested``.  The
+overlay is not saved.  ``load`` converts a version-1 snapshot (one JSON
+document of per-node base64 strings) into the same arrays.
+
+Signs: the message extra and the history magnitude column carry ``|w|``,
+so the sign acts only through balanced routing (which partner slot a
+message reads), and the sign-blind ``ba`` and ``mem`` variants never see
+it.  ``PAPER.md`` does not say whether the paper's message carries ``w``
+or ``|w|``; ``|w|`` keeps routing the model's only access to the sign.
+
 A temporal batch is ingested in one batched pass per polarity slot, which
 keeps two invariants:
 
@@ -30,36 +44,14 @@ keeps two invariants:
 - per (node, polarity) the most recent message wins, and a time tie goes
   to the message generated later in the batch.
 
-Memory-update path: per slot, the message net and the recurrent cell are
-each one autograd op (:func:`tensor.feedforward`,
-:func:`tensor.recurrent_cell`) with a hand-written vjp, not a chain of
-primitives.  The saving is in memory traffic, not arithmetic: the composed
-cell built about twenty graph nodes, each allocating a fresh (n, d) or
-(n, 4d) temporary whose first touch costs page faults.  The fused cell
-reads each gate's column block once into one contiguous gate buffer, runs
-the rest in place and keeps only the gates and tanh of the cell value for
-the backward pass.  Both ops add and multiply in the composed order
-(``x·wᵀ``, then ``+ state·uᵀ``, then ``+ b``; each gradient term as its
-primitive formed it), so values and gradients keep their bits; a stacked
-``[w; u]`` matmul would reorder the sums and is not used.
-
-Embedding path: a query's history rows often point at the same few
-neighbours, so ``compute_embeddings`` reads the state of each distinct
-neighbour once into a table, keeps the time gap and magnitude of each row
-as per-row extras, and runs the whole segmented attention as one fused op
-(:func:`tensor.segment_attention`) over ``[table[index], extras]``: every
-distinct neighbour is read and projected once per call, and its gradient
-is summed back onto its table row.  The rows come packed position-major
-straight from :meth:`HistoryLog.recent`: queries ordered by row count,
-longest first, and block p holding every query's p-th newest row, so each
-per-query sum in the op is at most ``neighbor_cap`` in-place adds over a
-shrinking prefix, with no sort and no ``reduceat``.  Those sums run newest
-row first and sequentially, which is not the order of the segment-major
-reduction before, so embeddings and gradients moved in the last bits.
-The two constant extras (time gap, magnitude) enter through per-query
-projections of ``wk`` and ``wv`` rather than as (n, 2D) projected rows;
-the op builds no (n, 2D) row temporary and reuses one (n, D) row buffer
-across its forward and backward passes.
+Per slot, the message net and the recurrent cell are each one fused op
+(:func:`tensor.feedforward`, :func:`tensor.recurrent_cell`) that adds and
+multiplies in the order of the primitives it replaces, so values and
+gradients keep their bits; a stacked ``[w; u]`` matmul would reorder the
+sums.  Embeddings read each distinct history neighbour's state once into
+a table and run the whole segmented attention over ``[table[index], time
+gap, |w|]`` as one op (:func:`tensor.segment_attention`), on rows that
+:meth:`HistoryLog.recent` returns packed position-major, newest first.
 
 Ablations: a node's state is exactly its memories, ``[s+, s−]``.  ``ba``
 collapses them into one sign-blind slot, and ``emb`` uses the state
@@ -76,14 +68,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .events import EventLog
 from .layers import Feedforward, MultiHeadAttention, RecurrentCell, uniform_init
-from .params import ParameterSet, _decode, _encode
+from .params import ParameterSet, _decode
 # gather_stack is not called here, but bench/spans.py patches this module's name
 from .tensor import gather_stack  # noqa: F401
 from .tensor import Tensor, add, concat, grad_enabled, matmul, take_rows, transpose
@@ -92,7 +83,11 @@ POS = 0
 NEG = 1
 
 STATE_FORMAT = "dysignet-encoder-state"
-STATE_VERSION = 1
+STATE_VERSION = 2
+# the arrays of a version-2 snapshot, in file order, with their dtypes
+_SNAPSHOT = {"mem": np.float64, "last_update": np.float64, "nbr": np.intp, "t": np.float64,
+             "mag": np.float64, "prev": np.intp, "head": np.intp, "deg": np.intp,
+             "watermark": np.float64, "events_ingested": np.intp}
 
 
 @dataclass(frozen=True)
@@ -259,6 +254,14 @@ class HistoryLog:
             blocks.append(cur)
         return order, sizes, np.concatenate(blocks)
 
+    def columns(self) -> list[np.ndarray]:
+        """``nbr``, ``t``, ``mag`` and ``prev`` up to ``length``, then ``head``
+        and ``deg`` up to the last node with rows."""
+        live = np.flatnonzero(self.deg)
+        nodes = live[-1] + 1 if live.size else 0
+        return ([a[:self.length] for a in (self.nbr, self.t, self.mag, self.prev)]
+                + [self.head[:nodes], self.deg[:nodes]])
+
     def tuples(self, rows: np.ndarray) -> list[tuple[int, float, float]]:
         return list(zip(self.nbr[rows].tolist(), self.t[rows].tolist(),
                         self.mag[rows].tolist()))
@@ -289,7 +292,6 @@ class EncoderState:
         self.size = 0
         self.mem = np.zeros((0, slots, config.slot_dim))
         self._last_update = np.zeros(0)
-        self._written = np.zeros(0, dtype=bool)
         self._fresh: Tensor | None = None
         self._fresh_row = np.zeros((0, slots), dtype=np.intp)
         self._fresh_nodes: list[np.ndarray] = []
@@ -307,7 +309,6 @@ class EncoderState:
             cap = max(need, 2 * self._last_update.size)
             self.mem = _grown(self.mem, cap, 0.0)
             self._last_update = _grown(self._last_update, cap, 0.0)
-            self._written = _grown(self._written, cap, False)
             self._fresh_row = _grown(self._fresh_row, cap, -1)
         self.size = max(self.size, need)
 
@@ -338,7 +339,6 @@ class EncoderState:
         self._reserve(int(nodes.max()) + 1)
         self.mem[nodes, slot] = new.data
         self._last_update[nodes] = np.maximum(self._last_update[nodes], times)
-        self._written[nodes] = True
         if new.requires_grad:
             base = 0 if self._fresh is None else self._fresh.data.shape[0]
             self._fresh = new if self._fresh is None else concat([self._fresh, new])
@@ -346,20 +346,6 @@ class EncoderState:
             self._fresh_nodes.append(nodes)
         else:
             self._fresh_row[nodes, slot] = -1
-
-    def written_nodes(self) -> np.ndarray:
-        """Ids of the nodes whose memory has been written, ascending."""
-        return np.flatnonzero(self._written)
-
-    def memory_value(self, node: int, slot: int) -> np.ndarray:
-        if node < self.size:
-            return self.mem[node, slot].copy()
-        return np.zeros(self.config.slot_dim)
-
-    def node_history(self, node: int) -> list[tuple[int, float, float]]:
-        """The node's most recent ``neighbor_cap`` rows, oldest first."""
-        _, _, rows = self.history.recent(np.array([node]), self.config.neighbor_cap)
-        return self.history.tuples(rows[::-1])
 
     def detach_(self) -> None:
         """Freeze all memory values as constants, truncating gradient flow.
@@ -370,49 +356,80 @@ class EncoderState:
         self._fresh = None
 
     def save(self, path) -> None:
-        written = self.written_nodes().tolist()
-        doc = {
-            "format": STATE_FORMAT,
-            "version": STATE_VERSION,
-            "slot_dim": self.config.slot_dim,
-            "watermark": self.watermark,
-            "events_ingested": self.events_ingested,
-            "memory": {
-                f"{node}:{slot}": _encode(self.mem[node, slot])
-                for node in written for slot in range(self.mem.shape[1])
-            },
-            "last_update": {str(node): float(self._last_update[node]) for node in written},
-            "history": {str(node): rows for node, rows in self.history.items()},
-        }
-        Path(path).write_text(json.dumps(doc))
+        """Write the state's arrays as they are (layout in the module docstring)."""
+        with open(path, "wb") as fh:
+            fh.write(f"{STATE_FORMAT} {STATE_VERSION}\n".encode())
+            for a in (self.mem[:self.size], self.last_update, *self.history.columns(),
+                      np.float64(self.watermark), np.intp(self.events_ingested)):
+                np.save(fh, a, allow_pickle=False)
 
     @classmethod
     def load(cls, path, config: EncoderConfig) -> "EncoderState":
-        doc = json.loads(Path(path).read_text())
-        if doc.get("format") != STATE_FORMAT:
-            raise ValueError(f"{path}: not an encoder state snapshot")
-        if doc.get("version") != STATE_VERSION:
-            raise ValueError(f"{path}: unsupported snapshot version")
-        if doc["slot_dim"] != config.slot_dim:
-            raise ValueError(f"{path}: snapshot slot dim {doc['slot_dim']} != {config.slot_dim}")
+        """Read a snapshot of either version.  Raises ValueError naming
+        ``path`` unless its arrays fit ``config`` and each other, are
+        finite, and link history rows inside the log."""
+        slots = config.slot_count if config.ablation.use_memory else 0
+        with open(path, "rb") as fh:
+            tag = fh.readline()
+            try:
+                if tag.startswith(b"{"):
+                    arrays = _v1_arrays(json.loads(tag + fh.read()), slots)
+                elif not tag.startswith(f"{STATE_FORMAT} ".encode()):
+                    raise ValueError("not an encoder state snapshot")
+                elif tag != f"{STATE_FORMAT} {STATE_VERSION}\n".encode():
+                    raise ValueError("unsupported snapshot version")
+                else:
+                    arrays = [np.load(fh, allow_pickle=False) for _ in _SNAPSHOT]
+                mem, last, nbr, t, mag, prev, head, deg, watermark, ingested = arrays
+                if mem.ndim == 3 and mem.shape[2] != config.slot_dim:
+                    raise ValueError(f"slot dim {mem.shape[2]} != {config.slot_dim}")
+                n, rows, nodes = (a.shape[:1] for a in (mem, nbr, head))
+                if ([a.shape for a in arrays] != [n + (slots, config.slot_dim), n, *[rows] * 4,
+                                                  nodes, nodes, (), ()]
+                        or [a.dtype for a in arrays] != list(map(np.dtype, _SNAPSHOT.values()))):
+                    raise ValueError("arrays do not fit the config or each other")
+                if not all(np.isfinite(a).all() for a in (mem, last, t, mag, watermark)):
+                    raise ValueError("non-finite values")
+                links, ids = np.concatenate([prev, head]), np.concatenate([nbr, deg])
+                if (links < -1).any() or (links >= nbr.size).any() or (ids < 0).any():
+                    raise ValueError(f"history links outside [-1, {nbr.size}) "
+                                     f"or negative node ids or counts")
+                h = HistoryLog()
+                h.length, h.nbr, h.t, h.mag, h.prev, h.head, h.deg = nbr.size, *arrays[2:8]
+                # walking deg[n] rows back from each head stays on rows and visits each once
+                walked = h.recent(np.flatnonzero(deg), None)[2]
+                if (walked < 0).any() or np.unique(walked).size != nbr.size:
+                    raise ValueError("history row counts disagree with the links")
+            except (ValueError, KeyError, TypeError, IndexError, AttributeError, EOFError) as exc:
+                raise ValueError(f"{path}: bad snapshot: {exc}") from None
         state = cls(config)
-        state.watermark = float(doc["watermark"])
-        state.events_ingested = int(doc["events_ingested"])
-        memory = {tuple(int(x) for x in key.split(":")): _decode(text, (-1,))
-                  for key, text in doc["memory"].items()}
-        last = {int(k): float(v) for k, v in doc["last_update"].items()}
-        written = sorted(last.keys() | {node for node, _ in memory})
-        if written:
-            state._reserve(written[-1] + 1)
-        state._written[written] = True
-        for (node, slot), value in memory.items():
-            state.mem[node, slot] = value
-        for node, value in last.items():
-            state._last_update[node] = value
-        for node, rows in doc["history"].items():
-            nbrs, times, mags = zip(*rows)
-            state.history.append(np.full(len(rows), int(node)), nbrs, times, mags)
+        state._reserve(len(mem))
+        state.mem[:len(mem)], state._last_update[:len(mem)] = mem, last
+        state.history = h
+        state.watermark, state.events_ingested = float(watermark), int(ingested)
         return state
+
+
+def _v1_arrays(doc: dict, slots: int) -> list:
+    """A version-1 snapshot document as the arrays of version 2, in order."""
+    if doc.get("format") != STATE_FORMAT or doc.get("version") != 1:
+        raise ValueError("not an encoder state snapshot of version 1 or 2")
+    memory = {tuple(map(int, key.split(":"))): _decode(text, (-1,))
+              for key, text in doc["memory"].items()}
+    last = {int(node): float(value) for node, value in doc["last_update"].items()}
+    n = max(last.keys() | {node for node, _ in memory}, default=-1) + 1
+    mem, last_update = np.zeros((n, slots, doc["slot_dim"])), np.zeros(n)
+    for (node, slot), value in memory.items():
+        mem[node, slot] = value
+    for node, value in last.items():
+        last_update[node] = value
+    # each node's rows come oldest first, so one append links them in order
+    rows = [(int(node), *row) for node, hist in doc["history"].items() for row in hist]
+    h = HistoryLog()
+    if rows:
+        h.append(*map(np.array, zip(*rows)))
+    return [mem, last_update, *h.columns(), np.float64(doc["watermark"]),
+            np.intp(doc["events_ingested"])]
 
 
 def _encode_dt(config: EncoderConfig, dt: np.ndarray) -> np.ndarray:

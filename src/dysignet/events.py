@@ -184,8 +184,8 @@ class DatasetSplit:
 def chronological_split(logdata: EventLog,
                         fractions=(0.70, 0.15, 0.15)) -> DatasetSplit:
     """Split by index at floor(cumulative fraction * n); ties stay split."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
+    if abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) <= 0:
+        raise ValueError("split fractions must be > 0 and sum to 1")
     n = len(logdata)
     a = math.floor(fractions[0] * n)
     b = math.floor((fractions[0] + fractions[1]) * n)

@@ -58,6 +58,14 @@ class TrainConfig:
             raise ValueError("model dims must be positive")
         if self.max_epochs < 1 or self.patience < 0:
             raise ValueError("max_epochs must be >= 1 and patience >= 0")
+        if self.neighbor_cap is not None and self.neighbor_cap < 1:
+            raise ValueError("neighbor_cap must be None or >= 1")
+        # lr = 0 is allowed: it freezes the parameters while the state still runs
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError("lr must be finite and >= 0")
+        fractions = self.split_fractions
+        if len(fractions) != 3 or min(fractions) <= 0 or abs(sum(fractions) - 1.0) > 1e-9:
+            raise ValueError("split_fractions must be three fractions > 0 that sum to 1")
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(

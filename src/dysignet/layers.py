@@ -114,15 +114,8 @@ class MultiHeadAttention:
     the weight-combined value projections, heads concatenated.  A query
     with no rows gets a zero output.
 
-    Rows come packed position-major (:func:`tensor.segment_attention`):
-    ``order`` lists the queries with rows, longest first, and block p of
-    ``sizes[p]`` rows holds one row of each of the first ``sizes[p]``
-    queries in ``order``.  Every per-query sum is then a few in-place adds
-    over a shrinking prefix; it runs block by block, newest row first when
-    the blocks hold the rows newest first, so values differ in the last
-    bits from a segment-by-segment reduction.  The extra columns act
-    through per-query projections of ``wk`` and ``wv``, and no (n, 2D) row
-    temporary is built.
+    Rows come packed position-major; :func:`tensor.segment_attention`
+    gives the layout and the order of its sums.
     """
 
     def __init__(self, params: ParameterSet, name: str, query_dim: int, out_dim: int,

@@ -106,18 +106,23 @@ class ParameterSet:
 
     @classmethod
     def load(cls, path) -> "ParameterSet":
-        doc = json.loads(Path(path).read_text())
-        if doc.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: not a parameter checkpoint")
-        if doc.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-        ps = cls()
-        ps.step = int(doc["step"])
-        for name, entry in doc["params"].items():
-            shape = tuple(entry["shape"])
-            ps.add(name, _decode(entry["data"], shape))
-            ps._m[name] = _decode(entry["m"], shape)
-            ps._v[name] = _decode(entry["v"], shape)
+        """Read a checkpoint written by :meth:`save`.  Raises ValueError
+        naming ``path`` when it is missing, malformed or non-finite."""
+        try:
+            doc = json.loads(Path(path).read_text())
+            if (doc.get("format"), doc.get("version")) != (CHECKPOINT_FORMAT, CHECKPOINT_VERSION):
+                raise ValueError(f"not a version-{CHECKPOINT_VERSION} parameter checkpoint")
+            ps = cls()
+            ps.step = int(doc["step"])
+            for name, entry in doc["params"].items():
+                shape = tuple(entry["shape"])
+                data, m, v = (_decode(entry[k], shape) for k in ("data", "m", "v"))
+                if not all(np.isfinite(a).all() for a in (data, m, v)):
+                    raise ValueError(f"non-finite values in parameter {name!r}")
+                ps.add(name, data)
+                ps._m[name], ps._v[name] = m, v
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{path}: bad checkpoint: {exc}") from None
         return ps
 
 

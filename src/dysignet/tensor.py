@@ -18,33 +18,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = [
-    "DimensionError",
-    "Tensor",
-    "no_grad",
-    "grad_enabled",
-    "backward",
-    "add",
-    "sub",
-    "mul",
-    "matmul",
-    "exp",
-    "log",
-    "sqrt",
-    "softplus",
-    "tsum",
-    "tmean",
-    "reshape",
-    "transpose",
-    "concat",
-    "gather_stack",
-    "take_rows",
-    "feedforward",
-    "recurrent_cell",
-    "segment_attention",
-    "logsumexp",
-]
-
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
@@ -74,10 +47,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise ValueError("leaf tensor values must be finite")
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()

@@ -131,9 +131,22 @@ class SignedMessage:
     sources: tuple[tuple[int, int], tuple[int, int]]  # (own slot read, routed slot read)
 
 
+def memory_value(state, node: int, slot: int) -> np.ndarray:
+    """A copy of one (node, slot) memory; zeros for a node never written."""
+    if node < state.size:
+        return state.mem[node, slot].copy()
+    return np.zeros(state.config.slot_dim)
+
+
+def node_history(state, node: int) -> list[tuple[int, float, float]]:
+    """The node's most recent ``neighbor_cap`` history rows, oldest first."""
+    _, _, rows = state.history.recent(np.array([node]), state.config.neighbor_cap)
+    return state.history.tuples(rows[::-1])
+
+
 def memory_tensor(state, node: int, slot: int) -> Tensor:
     """One (node, slot) memory as a constant 1-D tensor."""
-    return Tensor(state.memory_value(node, slot))
+    return Tensor(memory_value(state, node, slot))
 
 
 def _encode_dt(config, dt: float) -> float:
@@ -237,7 +250,7 @@ def node_state(encoder, node: int, state) -> np.ndarray:
     cfg = encoder.config
     if not cfg.ablation.use_memory:
         return np.zeros(0)
-    return np.concatenate([state.memory_value(node, slot) for slot in range(cfg.slot_count)])
+    return np.concatenate([memory_value(state, node, slot) for slot in range(cfg.slot_count)])
 
 
 def attention(attn, query: np.ndarray, rows: np.ndarray):
@@ -266,7 +279,7 @@ def compute_embedding(encoder, node: int, t: float, state) -> np.ndarray:
     if not cfg.ablation.use_embedding_layer:
         return h
     base = encoder.self_proj.data @ h
-    hist = state.node_history(node)
+    hist = node_history(state, node)
     if not hist:
         return base
     rows = np.array([

@@ -134,6 +134,23 @@ def test_train_without_epochs_exits_1(dataset, tmp_path, capsys):
     assert "patience >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("neighbor_cap", "-1"), ("split_fractions", "0.5,0.2,0.2"), ("lr", "nan")])
+def test_bad_config_value_exits_1(dataset, tmp_path, capsys, key, value):
+    cfg = _config_file(tmp_path, dataset)
+    with open(cfg, "a") as fh:
+        fh.write(f"[bad]\n{key} = {value}\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and key in err
+
+
+def test_duplicate_config_key_exits_1(dataset, tmp_path, capsys):
+    cfg = _config_file(tmp_path, dataset, lr=0.5)   # [train] already sets lr
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "'lr'" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["train"]) == 1  # no dataset anywhere
     assert main(["bogus-command"]) == 1
@@ -249,6 +266,45 @@ def test_eval_checkpoint_config_mismatch_exits_2(trained_run, dataset, tmp_path,
                  "--out", str(tmp_path / "y")]) == 2
     err = capsys.readouterr().err
     assert "'encoder.emb.self_proj'" in err and "(8, 10)" in err and "(8, 8)" in err
+
+
+def _missing(doc):
+    return None
+
+
+def _not_json(doc):
+    return "not json"
+
+
+def _empty(doc):
+    return "{}"
+
+
+def _truncated_payload(doc):
+    entry = next(iter(doc["params"].values()))
+    entry["data"] = entry["data"][:8]   # 6 bytes: not a whole float64
+    return json.dumps(doc)
+
+
+def _nan_values(doc):
+    entry = next(iter(doc["params"].values()))
+    entry["m"] = _encode(np.full(entry["shape"], np.nan))
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "plot-weights"])
+@pytest.mark.parametrize("content", [_missing, _not_json, _empty, _truncated_payload,
+                                     _nan_values])
+def test_bad_checkpoint_exits_2(trained_run, tmp_path, capsys, command, content):
+    cfg, ckpt = trained_run
+    bad = tmp_path / "bad.json"
+    text = content(json.loads(Path(ckpt).read_text()))
+    if text is not None:
+        bad.write_text(text)
+    assert main([command, "--config", cfg, "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}: bad checkpoint: ")
 
 
 def test_predict_dumps_csv(trained_run, tmp_path, capsys):

@@ -20,6 +20,8 @@ from oracles import (
     feedforward,
     generate_messages,
     log_history,
+    memory_value,
+    node_history,
     route_event,
     trace_provenance,
     update_memories,
@@ -115,8 +117,8 @@ def test_message_payload_matches_concat_oracle():
     msgs = generate_messages(enc, event, state)
     m = {(g.node, g.polarity): g for g in msgs}[(0, POS)]
     vec = np.concatenate([
-        state.memory_value(0, POS),
-        state.memory_value(2, NEG),
+        memory_value(state, 0, POS),
+        memory_value(state, 2, NEG),
         [config.time_scale * np.log1p(7.0 - state.last_update[0]), 3.0],
     ])
     w1, b1 = params["encoder.msg_plus.w1"].data, params["encoder.msg_plus.b1"].data
@@ -189,9 +191,9 @@ def test_untouched_node_absent_and_memory_unchanged():
     enc, _, _ = make_encoder()
     warm = [_ev(1, 0, 1, 1), _ev(2, 2, 3, -1)]
     state = seeded_state(enc, warm)
-    before = state.memory_value(2, POS)
+    before = memory_value(state, 2, POS)
     enc.process_batch(log_of([_ev(5.0, 0, 1, 1.0)]), state)
-    assert np.array_equal(state.memory_value(2, POS), before)
+    assert np.array_equal(memory_value(state, 2, POS), before)
 
 
 # ------------------------------------------------------- memory updates
@@ -199,12 +201,12 @@ def test_untouched_node_absent_and_memory_unchanged():
 def test_update_polarity_isolation():
     enc, _, _ = make_encoder(seed=2)
     state = seeded_state(enc, [_ev(1, 0, 1, 1), _ev(2, 0, 2, -2)])
-    minus_before = state.memory_value(0, NEG)
+    minus_before = memory_value(state, 0, NEG)
     msgs = generate_messages(enc, _ev(9.0, 0, 1, 1.0), state)
     plus_only = {k: v for k, v in aggregate_messages(msgs).items() if k[1] == POS}
     update_memories(enc, plus_only, state)
-    assert np.array_equal(state.memory_value(0, NEG), minus_before)
-    assert not np.array_equal(state.memory_value(0, POS), minus_before)
+    assert np.array_equal(memory_value(state, 0, NEG), minus_before)
+    assert not np.array_equal(memory_value(state, 0, POS), minus_before)
 
 
 @settings(max_examples=200, deadline=None)
@@ -218,10 +220,10 @@ def test_polarity_isolation_property(seed):
     state = seeded_state(enc, warm)
     u, v = 0, 4 + int(rng.integers(4))
     others = [n for n in range(8) if n not in (u, v)]
-    before = {(n, s): state.memory_value(n, s) for n in others for s in (POS, NEG)}
+    before = {(n, s): memory_value(state, n, s) for n in others for s in (POS, NEG)}
     enc.process_batch(log_of([_ev(9.0, u, v, float(rng.choice([-3, 2])))]), state)
     for key, val in before.items():
-        assert np.array_equal(state.memory_value(*key), val)
+        assert np.array_equal(memory_value(state, *key), val)
 
 
 def test_zero_cell_parameters_keep_memory_zero():
@@ -232,7 +234,7 @@ def test_zero_cell_parameters_keep_memory_zero():
     state = seeded_state(enc, [])
     enc.process_batch(log_of([_ev(1, 0, 1, 5), _ev(2, 0, 2, -7)]), state)
     for slot in (POS, NEG):
-        assert np.array_equal(state.memory_value(0, slot), np.zeros(4))
+        assert np.array_equal(memory_value(state, 0, slot), np.zeros(4))
 
 
 def test_single_event_batch_equals_reference_ops():
@@ -251,7 +253,7 @@ def test_single_event_batch_equals_reference_ops():
 
     for n in (0, 1, 2):
         for slot in (POS, NEG):
-            assert np.allclose(fast.memory_value(n, slot), ref.memory_value(n, slot),
+            assert np.allclose(memory_value(fast, n, slot), memory_value(ref, n, slot),
                                atol=1e-15)
     assert np.array_equal(fast.last_update, ref.last_update)
     assert fast.history.items() == ref.history.items()
@@ -278,7 +280,7 @@ def test_batch_path_equals_reference_path_on_random_batch():
 
     for n in range(8):
         for slot in (POS, NEG):
-            assert np.allclose(fast.memory_value(n, slot), ref.memory_value(n, slot),
+            assert np.allclose(memory_value(fast, n, slot), memory_value(ref, n, slot),
                                atol=1e-12)
 
 
@@ -291,7 +293,7 @@ def test_two_batches_differ_from_one_batch():
     enc.process_batch(log_of([e1, e2]), one)
     enc.process_batch(log_of([e1]), two)
     enc.process_batch(log_of([e2]), two)
-    assert not np.allclose(one.memory_value(0, POS), two.memory_value(0, POS))
+    assert not np.allclose(memory_value(one, 0, POS), memory_value(two, 0, POS))
 
     # the two-step result equals explicit sequential reference processing
     ref = seeded_state(enc, [])
@@ -299,7 +301,7 @@ def test_two_batches_differ_from_one_batch():
         update_memories(enc, aggregate_messages(generate_messages(enc, ev, ref)), ref)
         log_history(ref, [ev])
         ref.watermark = ev.time
-    assert np.allclose(two.memory_value(0, POS), ref.memory_value(0, POS), atol=1e-15)
+    assert np.allclose(memory_value(two, 0, POS), memory_value(ref, 0, POS), atol=1e-15)
 
 
 @st.composite
@@ -334,9 +336,9 @@ def test_array_state_equals_per_event_oracle_state(batches, ablation, cap, seed)
             rows[ev.dst].append((ev.src, ev.time, abs(ev.weight)))
     for n in range(7):
         for slot in range(enc.config.slot_count):
-            assert np.abs(fast.memory_value(n, slot) - ref.memory_value(n, slot)).max() <= 1e-12
+            assert np.abs(memory_value(fast, n, slot) - memory_value(ref, n, slot)).max() <= 1e-12
         expected = rows[n] if cap is None else rows[n][-cap:]
-        assert fast.node_history(n) == ref.node_history(n) == expected
+        assert node_history(fast, n) == node_history(ref, n) == expected
     assert np.array_equal(fast.last_update_at(np.arange(7)), ref.last_update_at(np.arange(7)))
 
 
@@ -375,7 +377,7 @@ def test_higher_order_balance_provenance_chain():
     for ev in events:
         enc.process_batch(log_of([ev]), state)
     for slot in (POS, NEG):
-        assert np.allclose(state.memory_value(3, slot), ref.memory_value(3, slot), atol=1e-15)
+        assert np.allclose(memory_value(state, 3, slot), memory_value(ref, 3, slot), atol=1e-15)
 
 
 # ------------------------------------------------------------ embeddings
@@ -384,7 +386,7 @@ def test_embedding_empty_history_is_projection():
     enc, params, _ = make_encoder(seed=9)
     state = seeded_state(enc, [_ev(1, 1, 2, 1)])  # node 0 never seen
     z = embed(enc, 0, 5.0, state)
-    h = np.concatenate([state.memory_value(0, POS), state.memory_value(0, NEG)])
+    h = np.concatenate([memory_value(state, 0, POS), memory_value(state, 0, NEG)])
     assert np.array_equal(z, params["encoder.emb.self_proj"].data @ h)
 
 
@@ -393,8 +395,8 @@ def test_embedding_single_neighbor_formula():
     state = seeded_state(enc, [_ev(1.0, 0, 1, -2.0)])
     t = 4.0
     z = embed(enc, 0, t, state)
-    h_u = np.concatenate([state.memory_value(0, POS), state.memory_value(0, NEG)])
-    h_i = np.concatenate([state.memory_value(1, POS), state.memory_value(1, NEG)])
+    h_u = np.concatenate([memory_value(state, 0, POS), memory_value(state, 0, NEG)])
+    h_i = np.concatenate([memory_value(state, 1, POS), memory_value(state, 1, NEG)])
     row = np.concatenate([h_i, [config.time_scale * np.log1p(t - 1.0), 2.0]])
     wv = params["encoder.emb.attn.wv"].data
     expected = params["encoder.emb.self_proj"].data @ h_u + wv @ row
@@ -409,11 +411,11 @@ def test_embedding_matches_straight_line_oracle_three_neighbors():
     z = embed(enc, 0, t, state)
 
     def h(n):
-        return np.concatenate([state.memory_value(n, POS), state.memory_value(n, NEG)])
+        return np.concatenate([memory_value(state, n, POS), memory_value(state, n, NEG)])
 
     rows = np.array([
         np.concatenate([h(i), [config.time_scale * np.log1p(t - tau), mag]])
-        for i, tau, mag in state.node_history(0)
+        for i, tau, mag in node_history(state, 0)
     ])
     expected = (params["encoder.emb.self_proj"].data @ h(0)
                 + attention(enc.attn, h(0), rows)[0])
@@ -469,7 +471,7 @@ def test_embedding_empty_history_property(seed):
     node = 7  # never an endpoint
     z = embed(enc, node, 30.0, state)
     # the node's memory slots side by side; no columns without memory
-    h = np.concatenate([np.zeros(0)] + [state.memory_value(node, s)
+    h = np.concatenate([np.zeros(0)] + [memory_value(state, node, s)
                                         for s in range(state.mem.shape[1])])
     assert np.allclose(z, params["encoder.emb.self_proj"].data @ h, atol=1e-14)
 
@@ -478,10 +480,10 @@ def test_staleness_mitigation_neighbor_activity_moves_embedding():
     enc, _, _ = make_encoder(seed=14)
     state = seeded_state(enc, [_ev(1.0, 0, 1, 1.0)])
     z_before = embed(enc, 1, 10.0, state)
-    s_before = state.memory_value(1, POS)
+    s_before = memory_value(state, 1, POS)
     enc.process_batch(log_of([_ev(10.0, 0, 2, -1.0)]), state)  # node 1 not involved
     z_after = embed(enc, 1, 10.0, state)
-    assert np.array_equal(state.memory_value(1, POS), s_before)
+    assert np.array_equal(memory_value(state, 1, POS), s_before)
     assert not np.allclose(z_before, z_after)
 
 
@@ -489,8 +491,8 @@ def test_neighbor_cap_limits_history_rows():
     enc, _, _ = make_encoder(seed=15, neighbor_cap=2)
     events = [_ev(t + 1, 0, t + 1, 1.0) for t in range(5)]
     state = seeded_state(enc, events)
-    assert len(state.node_history(0)) == 2
-    assert state.node_history(0)[-1][0] == 5
+    assert len(node_history(state, 0)) == 2
+    assert node_history(state, 0)[-1][0] == 5
 
 
 # -------------------------------------------------------------- ablations
@@ -499,7 +501,7 @@ def test_emb_ablation_embedding_is_concatenated_memories():
     enc, _, _ = make_encoder(ablation="emb", seed=16)
     state = seeded_state(enc, [_ev(1, 0, 1, 1), _ev(2, 0, 2, -1)])
     z = compute_embedding(enc, 0, 5.0, state)
-    expected = np.concatenate([state.memory_value(0, POS), state.memory_value(0, NEG)])
+    expected = np.concatenate([memory_value(state, 0, POS), memory_value(state, 0, NEG)])
     assert np.array_equal(z, expected)
     zb, index = enc.compute_embeddings([0, 1], 5.0, state)
     assert np.array_equal(zb.data[index[0]], expected)
@@ -508,9 +510,9 @@ def test_emb_ablation_embedding_is_concatenated_memories():
 def test_mem_ablation_has_no_memory_state():
     enc, params, _ = make_encoder(ablation="mem", seed=17)
     state = seeded_state(enc, [_ev(1, 0, 1, 1)])
-    assert state.written_nodes().size == 0 and state.mem.shape[1] == 0
+    assert state.size == 0 and state.mem.shape[1] == 0
     assert not any(".msg" in n or ".mem" in n for n in params.names())
-    assert state.node_history(0) == [(1, 1.0, 1.0)]
+    assert node_history(state, 0) == [(1, 1.0, 1.0)]
     z = embed(enc, 0, 3.0, state)
     assert z.shape == (enc.config.embedding_dim,)
 
@@ -537,7 +539,7 @@ def test_mem_embedding_is_history_mean_of_time_and_magnitude(monkeypatch):
     wv = params["encoder.emb.attn.wv"].data
     assert wv.shape == (config.embedding_dim, 2)
     for n in nodes:
-        rows = state.node_history(n)
+        rows = node_history(state, n)
         assert len(rows) == min(3, sum(n in (ev.src, ev.dst) for ev in events))
         mean = (np.mean([[config.time_scale * np.log1p(t - tau), mag] for _, tau, mag in rows],
                         axis=0) if rows else np.zeros(2))
@@ -556,7 +558,9 @@ def test_ba_ablation_single_memory_per_node(seed):
                   float(rng.choice([-2, 1]))) for t in range(int(rng.integers(1, 7)))]
     state = seeded_state(enc, events)
     touched = {n for ev in events for n in (ev.src, ev.dst)}
-    slots = {(n, s) for n in state.written_nodes().tolist() for s in range(state.mem.shape[1])}
+    # event times are >= 1, so a written node has a non-zero last update
+    written = np.flatnonzero(state.last_update).tolist()
+    slots = {(n, s) for n in written for s in range(state.mem.shape[1])}
     assert slots == {(n, 0) for n in touched}
     for ev in events:
         routes = route_event(enc, ev, state)
@@ -611,7 +615,7 @@ def test_stream_determinism_bitwise():
             batch = [_ev(10 * k + t + 1, int(rng.integers(4)), 4 + int(rng.integers(4)),
                          float(rng.choice([-1, 2]))) for t in range(5)]
             enc.process_batch(log_of(batch), state)
-        return np.concatenate([state.memory_value(n, s)
+        return np.concatenate([memory_value(state, n, s)
                                for n in range(8) for s in (POS, NEG)])
 
     assert np.array_equal(run(), run())
@@ -620,7 +624,7 @@ def test_stream_determinism_bitwise():
 def test_detach_freezes_values():
     enc, params, _ = make_encoder(seed=21)
     state = seeded_state(enc, [_ev(1, 0, 1, 1)])
-    val = state.memory_value(0, POS)
+    val = memory_value(state, 0, POS)
     assert state.read_memory(np.array([0]), POS).requires_grad
     state.detach_()
     tensor = state.read_memory(np.array([0]), POS)
@@ -631,17 +635,23 @@ def test_detach_freezes_values():
 def test_state_snapshot_roundtrip(tmp_path):
     enc, _, _ = make_encoder(seed=22)
     state = seeded_state(enc, [_ev(1, 0, 1, 1), _ev(2, 1, 2, -2), _ev(3, 0, 2, 1)])
-    path = tmp_path / "state.json"
+    path = tmp_path / "state.snap"
     state.save(path)
     loaded = EncoderState.load(path, enc.config)
     assert loaded.watermark == state.watermark
     assert loaded.events_ingested == state.events_ingested
-    assert np.array_equal(loaded.last_update, state.last_update)
     assert loaded.history.items() == state.history.items()
-    assert np.array_equal(loaded.written_nodes(), state.written_nodes())
-    for n in state.written_nodes().tolist():
-        for slot in (POS, NEG):
-            assert np.array_equal(loaded.memory_value(n, slot), state.memory_value(n, slot))
+    # every saved array comes back with its dtype and bytes; head and deg
+    # are saved up to the last node with history
+    h, g = state.history, loaded.history
+    pairs = {"mem": (state.mem[:state.size], loaded.mem[:loaded.size]),
+             "last_update": (state.last_update, loaded.last_update),
+             **{k: (getattr(h, k)[:h.length], getattr(g, k)[:g.length])
+                for k in ("nbr", "t", "mag", "prev")},
+             **{k: (getattr(h, k)[:g.head.size], getattr(g, k)) for k in ("head", "deg")}}
+    for name, (want, got) in pairs.items():
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert not h.deg[g.deg.size:].any()
     # embeddings computed from the restored state agree exactly
     with no_grad():
         a = embed(enc, 0, 9.0, state)
@@ -663,7 +673,7 @@ def test_snapshot_save_load_save_is_byte_identical(tmp_path):
     state = EncoderState(enc.config)
     for batch in FIXTURE_BATCHES:
         enc.process_batch(log_of(batch), state)
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first, second = tmp_path / "a.snap", tmp_path / "b.snap"
     state.save(first)
     EncoderState.load(first, enc.config).save(second)
     assert first.read_bytes() == second.read_bytes()
@@ -677,12 +687,10 @@ def test_v1_fixture_loads_to_identical_memories_and_embeddings():
     loaded = EncoderState.load(FIXTURE, enc.config)
     assert loaded.watermark == state.watermark
     assert loaded.events_ingested == state.events_ingested
-    assert np.array_equal(loaded.written_nodes(), [0, 1, 2, 3, 9])
+    assert np.array_equal(np.flatnonzero(loaded.last_update), [0, 1, 2, 3, 9])
     assert np.array_equal(loaded.last_update, state.last_update)
+    assert np.array_equal(loaded.mem[:loaded.size], state.mem[:state.size])
     assert loaded.history.items() == state.history.items()
-    for n in range(11):
-        for slot in (POS, NEG):
-            assert np.array_equal(loaded.memory_value(n, slot), state.memory_value(n, slot))
     with no_grad():
         a, _ = enc.compute_embeddings(list(range(11)), 9.0, state)
         b, _ = enc.compute_embeddings(list(range(11)), 9.0, loaded)
@@ -692,11 +700,86 @@ def test_v1_fixture_loads_to_identical_memories_and_embeddings():
 def test_snapshot_rejects_mismatched_config(tmp_path):
     enc, _, _ = make_encoder(seed=23)
     state = seeded_state(enc, [_ev(1, 0, 1, 1)])
-    path = tmp_path / "state.json"
+    path = tmp_path / "state.snap"
     state.save(path)
     other, _, _ = make_encoder(seed=23, memory_dim=6)
     with pytest.raises(ValueError):
         EncoderState.load(path, other.config)
+
+
+def _saved_state(tmp_path):
+    enc, _, _ = make_encoder(seed=23)
+    state = seeded_state(enc, [_ev(1, 0, 1, 1), _ev(2, 1, 2, -2), _ev(3, 0, 2, 1)])
+    path = tmp_path / "state.snap"
+    state.save(path)
+    return enc, path
+
+
+@pytest.mark.parametrize("content, message", [
+    (lambda data: data[:-20], "bad snapshot: "),
+    (lambda data: b"dysignet-encoder-state 3\n", "unsupported snapshot version"),
+    (lambda data: b"not a snapshot\n", "not an encoder state snapshot"),
+])
+def test_snapshot_load_rejects_damaged_files(tmp_path, content, message):
+    enc, path = _saved_state(tmp_path)
+    path.write_bytes(content(path.read_bytes()))
+    with pytest.raises(ValueError, match=message) as info:
+        EncoderState.load(path, enc.config)
+    assert str(path) in str(info.value)
+
+
+def _nan_memory(a):
+    a[0][0, 0, 0] = np.nan
+
+
+def _inf_history_time(a):
+    a[3][0] = np.inf
+
+
+def _prev_past_the_rows(a):
+    a[5][0] = a[5].size
+
+
+def _head_below_minus_one(a):
+    a[6][0] = -2
+
+
+def _deg_past_its_rows(a):
+    a[7][0] += 1
+
+
+def _deg_moved_between_nodes(a):
+    a[7][0] += 1
+    a[7][1] -= 1
+
+
+def _short_last_update(a):
+    a[1] = a[1][:-1]
+
+
+def _float_neighbours(a):
+    a[2] = a[2].astype(np.float64)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_nan_memory, "non-finite"), (_inf_history_time, "non-finite"),
+    (_prev_past_the_rows, "history links"), (_head_below_minus_one, "history links"),
+    (_deg_past_its_rows, "row counts"), (_deg_moved_between_nodes, "row counts"),
+    (_short_last_update, "do not fit"), (_float_neighbours, "do not fit"),
+])
+def test_snapshot_load_rejects_inconsistent_arrays(tmp_path, edit, message):
+    enc, path = _saved_state(tmp_path)
+    with open(path, "rb") as fh:
+        tag = fh.readline()
+        arrays = [np.load(fh) for _ in range(10)]
+    edit(arrays)
+    with open(path, "wb") as fh:
+        fh.write(tag)
+        for a in arrays:
+            np.save(fh, a)
+    with pytest.raises(ValueError, match=message) as info:
+        EncoderState.load(path, enc.config)
+    assert str(path) in str(info.value)
 
 
 def test_node_memory_view():
@@ -707,7 +790,7 @@ def test_node_memory_view():
         assert state.mem.shape[1:] == (slots, width), ablation
         written = [0, 1] if slots else []
         assert state.last_update.tolist() == [4.0] * len(written)
-        assert state.written_nodes().tolist() == written
+        assert state.size == len(written)
 
 
 @settings(max_examples=100, deadline=None)

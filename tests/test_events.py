@@ -288,6 +288,14 @@ def test_split_is_chronological_and_partitions():
     assert max(e.time for e in split.val.events) <= min(e.time for e in split.test.events)
 
 
+@pytest.mark.parametrize("fractions", [(0.8, -0.1, 0.3), (0.7, 0.3, 0.0), (0.5, 0.2, 0.2)])
+def test_split_rejects_nonpositive_or_unsummed_fractions(fractions):
+    # (0.8, -0.1, 0.3) sums to 1 but would cut the val part backwards
+    log = _mklog([(i, 0, 1, 1) for i in range(100)])
+    with pytest.raises(ValueError, match="split fractions must be > 0 and sum to 1"):
+        chronological_split(log, fractions)
+
+
 def test_split_ties_cut_by_index():
     # four events at the same timestamp: the boundary falls inside the tie
     log = _mklog([(1, 0, 1, 1), (5, 1, 2, 1), (5, 2, 3, 1), (5, 3, 4, 1), (5, 4, 5, 1),

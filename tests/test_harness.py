@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dysignet import harness
 from dysignet.encoder import AblationConfig
-from dysignet.events import SignedEvent, chronological_split
+from dysignet.events import DatasetSplit, SignedEvent, chronological_split
 from dysignet.harness import (
     Predictions,
     TrainConfig,
@@ -119,6 +120,66 @@ def test_replay_consistency_with_frozen_parameters(small_split):
                               neg_seed=(config.seed, 101, 0))
     for key in ("f1", "auroc"):
         assert rep.metrics[key] == pytest.approx(result.train_metrics[key], abs=1e-9)
+
+
+def _changed_from(split, which, k, batch_size, delete):
+    """``split`` with every event of part ``which`` from its batch ``k`` on
+    sign-flipped and scaled by 3, and, if ``delete``, the events of its
+    batches after ``k`` removed."""
+    start, stop = split.bounds(which)
+    end = start + (k + 1) * batch_size
+    weight = split.log.weight.copy()
+    weight[start + k * batch_size:stop] *= -3.0
+    log, cuts = replace(split.log, weight=weight), split.cuts
+    if delete:
+        keep = np.r_[0:end, stop:len(log)]
+        log = replace(log, **{c: getattr(log, c)[keep] for c in ("time", "src", "dst", "weight")})
+        cuts = tuple(c - (stop - end) if c >= stop else c for c in cuts)
+    return DatasetSplit(log, cuts, split.fractions)
+
+
+@pytest.mark.parametrize("task", [TaskKind.SIGN, TaskKind.EXISTENCE])
+def test_predictions_ignore_changes_from_the_scored_batch_on(small_split, task, monkeypatch):
+    """Metamorphic leakage check: changing the events of batches >= k and
+    then deleting those of batches > k leaves the outputs of every pair
+    scored in batches <= k bit-identical, in the first training epoch and in
+    sequential evaluation.  Pairs of batch k are scored before it is
+    ingested, so its changed weights must not reach its own outputs."""
+    batch_size = 10
+    config = tiny_config(task=task, batch_size=batch_size, max_epochs=1, patience=1)
+    bundle = build_model(config)
+    recorded = []
+    online = harness._online
+
+    def recording(*args):
+        for item in online(*args):
+            recorded.append(item[2])
+            yield item
+
+    monkeypatch.setattr(harness, "_online", recording)
+
+    def scored(split, which):
+        recorded.clear()
+        if which == "train":   # the epoch's batches come before validation's
+            train(config, split=split)
+            return recorded[:-(-len(split.train) // batch_size)]
+        evaluate_sequential(bundle, split, which)
+        return list(recorded)
+
+    for which in ("train", "test"):
+        before = scored(small_split, which)
+        assert len(before) >= 6
+        for k in (0, 2, 4):
+            for delete in (False, True):
+                after = scored(_changed_from(small_split, which, k, batch_size, delete), which)
+                assert len(after) == (k + 1 if delete else len(before))
+                for old, new in zip(before[:k + 1], after):
+                    assert np.array_equal(old.src, new.src) and np.array_equal(old.dst, new.dst)
+                    assert old.output.tobytes() == new.output.tobytes()
+                if task is TaskKind.SIGN:
+                    assert np.array_equal(after[k].label, 1.0 - before[k].label)
+                if not delete:   # the change does reach the later batches
+                    assert not np.array_equal(after[k + 1].output, before[k + 1].output)
 
 
 def test_within_batch_permutation_invariance():
@@ -264,11 +325,29 @@ def test_report_includes_resolved_time_scale(small_split):
     assert result.config.time_scale == pytest.approx(1.0 / np.log1p(span))
 
 
-@pytest.mark.parametrize("bad", [dict(max_epochs=0), dict(max_epochs=-3), dict(patience=-1)])
+CONFIG_ERRORS = {
+    "max_epochs": "max_epochs must be >= 1 and patience >= 0",
+    "patience": "max_epochs must be >= 1 and patience >= 0",
+    "neighbor_cap": "neighbor_cap must be None or >= 1",
+    "lr": "lr must be finite and >= 0",
+    "split_fractions": "split_fractions must be three fractions > 0 that sum to 1",
+}
+
+
+@pytest.mark.parametrize("bad", [
+    dict(max_epochs=0), dict(max_epochs=-3), dict(patience=-1),
+    dict(neighbor_cap=0), dict(neighbor_cap=-1),
+    dict(lr=float("nan")), dict(lr=float("inf")), dict(lr=-1e-3),
+    dict(split_fractions=(0.5, 0.2, 0.2)), dict(split_fractions=(0.8, -0.1, 0.3)),
+    dict(split_fractions=(1.0, 0.0, 0.0)), dict(split_fractions=(0.5, 0.5)),
+])
 def test_config_rejects_no_epochs_and_negative_patience(bad):
-    with pytest.raises(ValueError, match="max_epochs must be >= 1 and patience >= 0"):
+    (name,) = bad
+    with pytest.raises(ValueError, match=CONFIG_ERRORS[name]):
         tiny_config(**bad)
-    tiny_config(max_epochs=1, patience=0)   # the smallest valid values
+    # the smallest valid values
+    tiny_config(max_epochs=1, patience=0, neighbor_cap=1, lr=0.0,
+                split_fractions=(0.98, 0.01, 0.01))
 
 
 def test_mem_and_ba_mem_are_the_same_model(small_split):
