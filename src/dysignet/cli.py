@@ -184,7 +184,7 @@ def cmd_train(args) -> int:
         raise UsageError("a dataset is required (--dataset or config file)")
     out_dir = make_out_dir(args, "train")
     write_manifest(out_dir, "train", args, config.to_dict())
-    result = train(config, log_progress=True)
+    result = train(config)
     result.params.save(out_dir / "checkpoint.json")
     (out_dir / "train_report.json").write_text(json.dumps(result.report(), indent=2))
     print(json.dumps({
@@ -200,11 +200,8 @@ def cmd_eval(args) -> int:
     config, bundle, split = _load_bundle(args)
     out_dir = make_out_dir(args, "eval")
     write_manifest(out_dir, "eval", args, config.to_dict())
-    report = evaluate_sequential(
-        bundle, split, which=args.split,
-        collect_raw=args.dump_raw,
-        breakdown=args.breakdown in ("trans", "ind", "both"),
-    )
+    report = evaluate_sequential(bundle, split, which=args.split,
+                                 breakdown=args.breakdown in ("trans", "ind", "both"))
     doc = report.to_dict()
     if args.breakdown == "trans":
         doc["inductive"] = None
@@ -221,7 +218,7 @@ def cmd_predict(args) -> int:
     config, bundle, split = _load_bundle(args)
     out_dir = make_out_dir(args, "predict")
     write_manifest(out_dir, "predict", args, config.to_dict())
-    report = evaluate_sequential(bundle, split, which=args.split, collect_raw=True)
+    report = evaluate_sequential(bundle, split, which=args.split)
     _write_raw_csv(out_dir / "predictions.csv", report.raw)
     print(json.dumps({"predictions": str(out_dir / "predictions.csv"),
                       "n_real": report.n_real, "n_negative": report.n_negative}, indent=2))
@@ -233,7 +230,7 @@ def cmd_plot_weights(args) -> int:
     config, bundle, split = _load_bundle(args)
     out_dir = make_out_dir(args, "plot-weights")
     write_manifest(out_dir, "plot-weights", args, config.to_dict())
-    report = evaluate_sequential(bundle, split, which=args.split, collect_raw=True)
+    report = evaluate_sequential(bundle, split, which=args.split)
     actual, predicted = report.raw.label, report.raw.output[:, 0]
     bins, true_counts, pred_counts = weight_histograms(actual, predicted)
     path = out_dir / "weights_hist.csv"

@@ -53,13 +53,13 @@ a table and run the whole segmented attention over ``[table[index], time
 gap, |w|]`` as one op (:func:`tensor.segment_attention`), on rows that
 :meth:`HistoryLog.recent` returns packed position-major, newest first.
 
-Ablations: a node's state is exactly its memories, ``[s+, s−]``.  ``ba``
-collapses them into one sign-blind slot, and ``emb`` uses the state
-directly as the embedding.  ``mem`` drops memories, so the node state is
-empty: the query has no columns, every history row of a query weighs the
-same, and the embedding is the history mean of the value projection of
-``[time gap, |w|]``.  Dropping both memories and the embedding layer
-would leave no node representation, so that combination is rejected.
+Ablations: the run's ``TrainConfig.ablation`` is one of the paper's four
+models (:class:`AblationConfig`).  A node's state is exactly its
+memories, ``[s+, s−]``.  ``ba`` collapses them into one sign-blind slot,
+and ``emb`` uses the state directly as the embedding.  ``mem`` drops
+memories, so the node state is empty: the query has no columns, every
+history row of a query weighs the same, and the embedding is the history
+mean of the value projection of ``[time gap, |w|]``.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -90,90 +90,41 @@ _SNAPSHOT = {"mem": np.float64, "last_update": np.float64, "nbr": np.intp, "t": 
              "watermark": np.float64, "events_ingested": np.intp}
 
 
-@dataclass(frozen=True)
-class AblationConfig:
-    """Which parts of the model a variant keeps.  ``ba`` acts only on
-    memories, so ``ba+mem`` is the same model as ``mem``; and under ``mem``
-    the query is empty, every attention logit is 0 whatever ``wk`` is, and
-    ``wk`` gets zero gradient."""
+class AblationConfig(Enum):
+    """The four models of the paper's ablation study: the full model
+    ``none`` and the three that each drop one part.  ``ba`` merges the two
+    polarity memories into one sign-blind slot, ``emb`` uses the memories
+    as the embedding, and ``mem`` keeps no memories: its query is empty,
+    every attention logit is 0 whatever ``wk`` is, and ``wk`` gets zero
+    gradient.  Dropping two parts is no variant: without memories balanced
+    aggregation changes nothing, and without memories and the embedding
+    layer no node representation is left."""
 
-    balanced_aggregation: bool = True
-    use_embedding_layer: bool = True
-    use_memory: bool = True
-
-    NAMES = ("none", "ba", "emb", "mem")
-    # name part -> the flag that part switches off; combined names join
-    # their parts with "+" in this order, e.g. "ba+mem"
-    _PARTS = {"ba": "balanced_aggregation", "emb": "use_embedding_layer",
-              "mem": "use_memory"}
-
-    def __post_init__(self):
-        if not (self.use_embedding_layer or self.use_memory):
-            raise ValueError(f"ablation {self.name!r} leaves no node representation "
-                             f"(a node's state is its memories)")
+    none = "none"
+    ba = "ba"
+    emb = "emb"
+    mem = "mem"
 
     @classmethod
     def from_name(cls, name: str) -> "AblationConfig":
-        if name == "none":
-            return cls()
-        parts = name.split("+")
-        if len(set(parts)) != len(parts) or not set(parts) <= cls._PARTS.keys():
-            raise ValueError(f"unknown ablation {name!r} (choose from {cls.NAMES} "
-                             f"or a '+'-joined combination)")
-        return cls(**{cls._PARTS[p]: False for p in parts})
+        if name not in cls.NAMES:
+            raise ValueError(f"unknown ablation {name!r} (choose from {cls.NAMES})")
+        return cls[name]
 
     @property
-    def name(self) -> str:
-        return "+".join(p for p, flag in self._PARTS.items()
-                        if not getattr(self, flag)) or "none"
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    memory_dim: int = 32          # per polarity; the joint memory is twice this
-    embedding_dim: int = 64
-    heads: int = 8
-    neighbor_cap: int | None = None   # keep only the most recent N history rows
-    time_scale: float = 1.0           # time gaps enter as time_scale * log1p(dt)
-    ablation: AblationConfig = field(default_factory=AblationConfig)
+    def balanced_aggregation(self) -> bool:
+        return self is not AblationConfig.ba
 
     @property
-    def slot_count(self) -> int:
-        return 2 if self.ablation.balanced_aggregation else 1
+    def use_embedding_layer(self) -> bool:
+        return self is not AblationConfig.emb
 
     @property
-    def slot_dim(self) -> int:
-        # the sign-blind variant keeps one slot sized like the joint memory
-        return self.memory_dim if self.slot_count == 2 else 2 * self.memory_dim
+    def use_memory(self) -> bool:
+        return self is not AblationConfig.mem
 
-    @property
-    def joint_dim(self) -> int:
-        return 2 * self.memory_dim
 
-    @property
-    def node_state_dim(self) -> int:
-        return self.joint_dim if self.ablation.use_memory else 0
-
-    @property
-    def key_dim(self) -> int:
-        # node state plus scalar time-gap and interaction-magnitude channels
-        return self.node_state_dim + 2
-
-    @property
-    def message_in_dim(self) -> int:
-        return 2 * self.slot_dim + 2
-
-    @property
-    def embedding_out_dim(self) -> int:
-        return self.embedding_dim if self.ablation.use_embedding_layer else self.joint_dim
-
-    @property
-    def embedding_source(self) -> str:
-        if not self.ablation.use_embedding_layer:
-            return "concatenated memories"
-        if self.ablation.use_memory:
-            return "attention over past interactions"
-        return "attention over interaction time and magnitude"
+AblationConfig.NAMES = tuple(AblationConfig.__members__)
 
 
 def _grown(arr: np.ndarray, length: int, fill) -> np.ndarray:
@@ -284,9 +235,10 @@ class HistoryLog:
 
 
 class EncoderState:
-    """Mutable per-stream state: memories, histories, last-update times."""
+    """Mutable per-stream state: memories, histories, last-update times,
+    shaped by ``config``, the run's :class:`~dysignet.harness.TrainConfig`."""
 
-    def __init__(self, config: EncoderConfig):
+    def __init__(self, config):
         self.config = config
         slots = config.slot_count if config.ablation.use_memory else 0
         self.size = 0
@@ -364,7 +316,7 @@ class EncoderState:
                 np.save(fh, a, allow_pickle=False)
 
     @classmethod
-    def load(cls, path, config: EncoderConfig) -> "EncoderState":
+    def load(cls, path, config) -> "EncoderState":
         """Read a snapshot of either version.  Raises ValueError naming
         ``path`` unless its arrays fit ``config`` and each other, are
         finite, and link history rows inside the log."""
@@ -432,16 +384,19 @@ def _v1_arrays(doc: dict, slots: int) -> list:
             np.intp(doc["events_ingested"])]
 
 
-def _encode_dt(config: EncoderConfig, dt: np.ndarray) -> np.ndarray:
+def _encode_dt(config, dt: np.ndarray) -> np.ndarray:
     # math.log1p, not np.log1p: the two can differ in the last bit
     gaps = np.fromiter(map(math.log1p, np.maximum(dt, 0.0).tolist()), np.float64, dt.size)
-    return config.time_scale * gaps
+    # time_scale is None or > 0 (TrainConfig checks), and None means 1.0
+    return (config.time_scale or 1.0) * gaps
 
 
 class EncoderModel:
-    """Owns the learned encoder layers; operates on an :class:`EncoderState`."""
+    """Owns the learned encoder layers, shaped by ``config``, the run's
+    :class:`~dysignet.harness.TrainConfig`; operates on an
+    :class:`EncoderState`."""
 
-    def __init__(self, params: ParameterSet, config: EncoderConfig,
+    def __init__(self, params: ParameterSet, config,
                  rng: np.random.Generator | None = None, name: str = "encoder"):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.config = config
@@ -452,8 +407,9 @@ class EncoderModel:
             # zero initialization: both slots of a node always update together,
             # and at equal slot values the routed inputs coincide.
             slot_tag = {POS: "plus", NEG: "minus"} if ab.balanced_aggregation else {0: "all"}
+            # a message reads the own slot, the partner slot, the time gap and |w|
             self._msg_nets = [
-                Feedforward(params, f"{name}.msg_{slot_tag[slot]}", config.message_in_dim,
+                Feedforward(params, f"{name}.msg_{slot_tag[slot]}", 2 * config.slot_dim + 2,
                             config.slot_dim, rng=rng)
                 for slot in range(config.slot_count)
             ]
@@ -463,13 +419,14 @@ class EncoderModel:
                 for slot in range(config.slot_count)
             ]
         if ab.use_embedding_layer:
+            # keys and values are the node state plus a time-gap and a |w| column
             h = config.node_state_dim
             self.self_proj = params.add(
                 f"{name}.emb.self_proj",
                 uniform_init(rng, (config.embedding_dim, h), h))
             self.attn = MultiHeadAttention(
                 params, f"{name}.emb.attn", query_dim=h, out_dim=config.embedding_dim,
-                heads=config.heads, key_dim=config.key_dim, rng=rng)
+                heads=config.heads, key_dim=h + 2, rng=rng)
 
     # ------------------------------------------------------------------
     # message generation and memory update

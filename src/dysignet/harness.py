@@ -15,39 +15,41 @@ the detached state before it.
 
 from __future__ import annotations
 
-import logging
 import time as _time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .encoder import AblationConfig, EncoderConfig, EncoderModel, EncoderState
+from .encoder import AblationConfig, EncoderModel, EncoderState
 from .events import DataError, DatasetSplit, batches, chronological_split, parse_csv
 from .heads import PairDecoder, TaskKind, negative_sample, sigmoid_np, task_loss
 from .metrics import accuracy, auroc, f1_binary, f1_multiclass, regression_metrics
 from .params import NumericError, ParameterSet, adam_step
 from .tensor import backward, no_grad
 
-log = logging.getLogger(__name__)
-
 DIVERGENCE_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings: the data, the model and its training.  The
+    encoder reads the model's shape from the properties below."""
+
     dataset: str = ""
     task: TaskKind = TaskKind.SIGN
     batch_size: int = 1000
     embedding_dim: int = 64
-    memory_dim: int = 32
+    memory_dim: int = 32          # per polarity; the joint memory is twice this
     heads: int = 8
-    neighbor_cap: int | None = None
-    time_scale: float | None = None   # None: set from the training span
+    neighbor_cap: int | None = None   # keep only the most recent N history rows
+    # time gaps enter as time_scale * log1p(dt); None: set from the training
+    # span by resolve_time_scale, and 1.0 in an encoder built without it
+    time_scale: float | None = None
     lr: float = 1e-3
     max_epochs: int = 50
     patience: int = 5
     seed: int = 0
-    ablation: AblationConfig = field(default_factory=AblationConfig)
+    ablation: AblationConfig = AblationConfig.none
     split_fractions: tuple[float, float, float] = (0.70, 0.15, 0.15)
     standardize_weights: bool = False  # regression targets scaled by train stats
 
@@ -60,6 +62,9 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1 and patience >= 0")
         if self.neighbor_cap is not None and self.neighbor_cap < 1:
             raise ValueError("neighbor_cap must be None or >= 1")
+        if self.time_scale is not None and not (np.isfinite(self.time_scale)
+                                                and self.time_scale > 0):
+            raise ValueError("time_scale must be None or finite and > 0")
         # lr = 0 is allowed: it freezes the parameters while the state still runs
         if not (np.isfinite(self.lr) and self.lr >= 0):
             raise ValueError("lr must be finite and >= 0")
@@ -67,21 +72,32 @@ class TrainConfig:
         if len(fractions) != 3 or min(fractions) <= 0 or abs(sum(fractions) - 1.0) > 1e-9:
             raise ValueError("split_fractions must be three fractions > 0 that sum to 1")
 
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            memory_dim=self.memory_dim,
-            embedding_dim=self.embedding_dim,
-            heads=self.heads,
-            neighbor_cap=self.neighbor_cap,
-            time_scale=1.0 if self.time_scale is None else self.time_scale,
-            ablation=self.ablation,
-        )
+    @property
+    def slot_count(self) -> int:
+        return 2 if self.ablation.balanced_aggregation else 1
+
+    @property
+    def slot_dim(self) -> int:
+        # the sign-blind variant keeps one slot sized like the joint memory
+        return self.memory_dim if self.slot_count == 2 else 2 * self.memory_dim
+
+    @property
+    def node_state_dim(self) -> int:
+        return 2 * self.memory_dim if self.ablation.use_memory else 0
+
+    @property
+    def embedding_source(self) -> str:
+        if not self.ablation.use_embedding_layer:
+            return "concatenated memories"
+        if self.ablation.use_memory:
+            return "attention over past interactions"
+        return "attention over interaction time and magnitude"
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out.update(task=self.task.value, ablation=self.ablation.name,
                    split_fractions=list(self.split_fractions),
-                   embedding_source=self.encoder_config().embedding_source)
+                   embedding_source=self.embedding_source)
         return out
 
     @classmethod
@@ -105,15 +121,16 @@ class ModelBundle:
     decoder: PairDecoder
 
     def new_state(self) -> EncoderState:
-        return EncoderState(self.config.encoder_config())
+        return EncoderState(self.config)
 
 
 def build_model(config: TrainConfig) -> ModelBundle:
     rng = np.random.default_rng(config.seed)
     params = ParameterSet()
-    enc_cfg = config.encoder_config()
-    encoder = EncoderModel(params, enc_cfg, rng=rng)
-    decoder = PairDecoder(params, "decoder", enc_cfg.embedding_out_dim, config.task, rng=rng)
+    encoder = EncoderModel(params, config, rng=rng)
+    # without the embedding layer the embedding is the joint memory
+    dim = config.embedding_dim if config.ablation.use_embedding_layer else 2 * config.memory_dim
+    decoder = PairDecoder(params, "decoder", dim, config.task, rng=rng)
     return ModelBundle(config, params, encoder, decoder)
 
 
@@ -269,7 +286,7 @@ class EvalReport:
     seed: int
     embedding_source: str
     config: dict
-    raw: Predictions | None = None
+    raw: Predictions
 
     def to_dict(self) -> dict:
         """The report without its raw predictions, NaN metrics as None."""
@@ -314,8 +331,7 @@ def resolve_time_scale(config: TrainConfig, split: DatasetSplit) -> TrainConfig:
     return replace(config, time_scale=1.0 / max(np.log1p(span), 1.0))
 
 
-def train(config: TrainConfig, split: DatasetSplit | None = None,
-          log_progress: bool = False) -> TrainResult:
+def train(config: TrainConfig, split: DatasetSplit | None = None) -> TrainResult:
     """Train with early stopping on the validation metric; returns the
     parameters of the best validation epoch.
 
@@ -365,9 +381,6 @@ def train(config: TrainConfig, split: DatasetSplit | None = None,
         value = val.metrics.get(metric_name, float("nan"))
         val_trace.append(value)
         scored = direction * value if np.isfinite(value) else -np.inf
-        if log_progress:
-            log.info("epoch %d: mean loss %.4f, val %s %.4f", epoch,
-                     float(np.mean(epoch_losses)), metric_name, value)
         if scored > best_value:
             best_value = scored
             best_epoch = epoch
@@ -399,10 +412,10 @@ def _breakdown(preds: Predictions, train_nodes: np.ndarray, task: TaskKind):
 
 
 def evaluate_sequential(bundle: ModelBundle, split: DatasetSplit, which: str = "test",
-                        neg_seed=None, collect_raw: bool = False,
-                        breakdown: bool = False) -> EvalReport:
+                        neg_seed=None, breakdown: bool = False) -> EvalReport:
     """Online evaluation: warm the state on all pre-split events with frozen
-    parameters, then predict/ingest split batches sequentially."""
+    parameters, then predict/ingest split batches sequentially.  The
+    report's ``raw`` holds the scored pairs."""
     t_start = _time.perf_counter()
     start, stop = split.bounds(which)
     prior, target = split.log.slice(0, start), split.log.slice(start, stop)
@@ -443,9 +456,9 @@ def evaluate_sequential(bundle: ModelBundle, split: DatasetSplit, which: str = "
         params_frozen=params_frozen,
         runtime_s=_time.perf_counter() - t_start,
         seed=config.seed,
-        embedding_source=config.encoder_config().embedding_source,
+        embedding_source=config.embedding_source,
         config=config.to_dict(),
-        raw=preds if collect_raw else None,
+        raw=preds,
     )
 
 
@@ -465,8 +478,8 @@ def run_ablation(base: TrainConfig, split: DatasetSplit | None = None,
 
 
 def ablation_table(reports: dict[str, EvalReport]) -> str:
-    """Consolidated CSV comparison across ablation variants.  ``ba+mem``
-    reads as ``mem`` does, and ``mem`` never trains ``wk`` (AblationConfig)."""
+    """Consolidated CSV comparison across ablation variants; ``mem`` never
+    trains ``wk`` (AblationConfig)."""
     metric_keys: list[str] = []
     for rep in reports.values():
         for key in rep.metrics:

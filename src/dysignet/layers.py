@@ -7,38 +7,16 @@ name prefix, so a whole model checkpoints as one flat map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .params import ParameterSet
 from .tensor import DimensionError, Tensor, feedforward, recurrent_cell, segment_attention
 
-VALID_KINDS = ("feedforward", "recurrent-cell", "attention")
 
-
-@dataclass(frozen=True)
-class LayerSpec:
-    kind: str
-    in_dim: int
-    out_dim: int
-    hidden_dim: int | None = None
-    heads: int = 1
-    key_dim: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in VALID_KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        dims = [self.out_dim] + [d for d in (self.hidden_dim, self.key_dim) if d is not None]
-        # an attention query may have no columns: its rows then weigh the same
-        min_in = 0 if self.kind == "attention" else 1
-        if any(d <= 0 for d in dims) or self.in_dim < min_in:
-            raise ValueError("layer dims must be positive (an attention query may be empty)")
-        if self.kind == "attention":
-            if self.heads <= 0:
-                raise ValueError("head count must be positive")
-            if self.out_dim % self.heads:
-                raise ValueError("attention output dim must be divisible by head count")
+def _check_positive(name: str, **dims) -> None:
+    bad = {k: v for k, v in dims.items() if v <= 0}
+    if bad:
+        raise ValueError(f"{name}: layer dims must be positive, got {bad}")
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -57,17 +35,17 @@ class Feedforward:
                  hidden_dim: int | None = None, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         hidden = out_dim if hidden_dim is None else hidden_dim
-        self.spec = LayerSpec("feedforward", in_dim, out_dim, hidden_dim=hidden)
-        self.name = name
+        _check_positive(name, in_dim=in_dim, out_dim=out_dim, hidden_dim=hidden)
+        self.name, self.in_dim, self.out_dim = name, in_dim, out_dim
         self.w1 = params.add(f"{name}.w1", uniform_init(rng, (hidden, in_dim), in_dim))
         self.b1 = params.add(f"{name}.b1", uniform_init(rng, (hidden,), in_dim))
         self.w2 = params.add(f"{name}.w2", uniform_init(rng, (out_dim, hidden), hidden))
         self.b2 = params.add(f"{name}.b2", uniform_init(rng, (out_dim,), hidden))
 
     def apply(self, x: Tensor) -> Tensor:
-        if x.data.shape[-1] != self.spec.in_dim:
+        if x.data.shape[-1] != self.in_dim:
             raise DimensionError(
-                f"{self.name}: input dim {x.data.shape[-1]} != {self.spec.in_dim}")
+                f"{self.name}: input dim {x.data.shape[-1]} != {self.in_dim}")
         return feedforward(x, self.w1, self.b1, self.w2, self.b2)
 
 
@@ -89,18 +67,18 @@ class RecurrentCell:
     def __init__(self, params: ParameterSet, name: str, in_dim: int, state_dim: int,
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.spec = LayerSpec("recurrent-cell", in_dim, state_dim)
-        self.name = name
+        _check_positive(name, in_dim=in_dim, state_dim=state_dim)
+        self.name, self.in_dim, self.out_dim = name, in_dim, state_dim
         k = 4 * state_dim
         self.w = params.add(f"{name}.w", uniform_init(rng, (k, in_dim), in_dim))
         self.u = params.add(f"{name}.u", uniform_init(rng, (k, state_dim), state_dim))
         self.b = params.add(f"{name}.b", uniform_init(rng, (k,), state_dim))
 
     def apply(self, x: Tensor, state: Tensor) -> Tensor:
-        if x.data.shape[-1] != self.spec.in_dim or state.data.shape[-1] != self.spec.out_dim:
+        if x.data.shape[-1] != self.in_dim or state.data.shape[-1] != self.out_dim:
             raise DimensionError(
                 f"{self.name}: got input dim {x.data.shape[-1]} / state dim "
-                f"{state.data.shape[-1]}, expected {self.spec.in_dim} / {self.spec.out_dim}")
+                f"{state.data.shape[-1]}, expected {self.in_dim} / {self.out_dim}")
         return recurrent_cell(x, state, self.w, self.u, self.b)
 
 
@@ -123,8 +101,14 @@ class MultiHeadAttention:
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         key_dim = query_dim if key_dim is None else key_dim
-        self.spec = LayerSpec("attention", query_dim, out_dim, heads=heads, key_dim=key_dim)
-        self.name = name
+        # an empty query is allowed: its rows then weigh the same
+        if query_dim < 0:
+            raise ValueError(f"{name}: query dim must be >= 0, got {query_dim}")
+        _check_positive(name, out_dim=out_dim, key_dim=key_dim, heads=heads)
+        if out_dim % heads:
+            raise ValueError(f"{name}: output dim {out_dim} is not divisible by {heads} heads")
+        self.name, self.in_dim, self.out_dim = name, query_dim, out_dim
+        self.heads, self.key_dim = heads, key_dim
         self.wq = params.add(f"{name}.wq", uniform_init(rng, (out_dim, query_dim), query_dim))
         self.wk = params.add(f"{name}.wk", uniform_init(rng, (out_dim, key_dim), key_dim))
         self.wv = params.add(f"{name}.wv", uniform_init(rng, (out_dim, key_dim), key_dim))
@@ -138,11 +122,11 @@ class MultiHeadAttention:
         n = np.shape(index)[0]
         if np.shape(extra)[0] != n or np.sum(sizes) != n:
             raise DimensionError("index, extra rows and block sizes must cover the same rows")
-        if queries.data.ndim != 2 or queries.data.shape[1] != self.spec.in_dim:
+        if queries.data.ndim != 2 or queries.data.shape[1] != self.in_dim:
             raise DimensionError(
-                f"{self.name}: query shape {queries.data.shape} != (n, {self.spec.in_dim})")
+                f"{self.name}: query shape {queries.data.shape} != (n, {self.in_dim})")
         width = table.data.shape[1] + np.shape(extra)[1]
-        if width != self.spec.key_dim:
-            raise DimensionError(f"{self.name}: row width {width} does not match layer spec")
+        if width != self.key_dim:
+            raise DimensionError(f"{self.name}: row width {width} != key dim {self.key_dim}")
         return segment_attention(queries, table, index, extra, self.wq, self.wk, self.wv,
-                                 order, sizes, self.spec.heads)
+                                 order, sizes, self.heads)

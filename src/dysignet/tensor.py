@@ -303,37 +303,19 @@ def _flat_index(index, width):
 def gather_stack(items):
     """Stack gathered rows into an (n, d) tensor.
 
-    ``items`` is a sequence of ``(tensor, row)`` pairs, ``row`` an integer
-    row index into a 2-D tensor.  The same tensor may appear many times;
-    its gradient accumulates.
+    ``items`` is a sequence of ``(tensor, row)`` pairs that all name one
+    2-D tensor, ``row`` a non-negative row index into it.  A row may
+    repeat; its gradient accumulates.
     """
     if not items:
         raise DimensionError("gather_stack needs at least one item")
-    # one pass: a group id per distinct tensor, and a row per item
-    group_of, parents, gid, rows = {}, [], [], []
-    for t, r in items:
-        k = group_of.get(id(t))
-        if k is None:
-            k = group_of[id(t)] = len(parents)
-            parents.append(t)
-        gid.append(k)
-        rows.append(r)
-    gid, rows = np.array(gid, dtype=np.intp), np.array(rows, dtype=np.intp)
-    d = parents[0].data.shape[-1]
-    data = np.empty((len(items), d), dtype=np.float64)
-    by_group = np.argsort(gid, kind="stable")
-    groups = []   # (positions, rows) per parent, positions ascending
-    for t, pos in zip(parents, np.split(by_group, np.flatnonzero(np.diff(gid[by_group])) + 1)):
-        if t.data.shape[1:] != (d,):
-            raise DimensionError(f"gathered row has shape {t.data.shape[1:]}, expected ({d},)")
-        data[pos] = t.data[rows[pos]]
-        groups.append((pos, rows[pos]))
-
-    def vjp(g):
-        return tuple(_scatter_rows(r, g[pos], t.data.shape[0])
-                     for t, (pos, r) in zip(parents, groups))
-
-    return _result(data, tuple(parents), vjp)
+    src = items[0][0]
+    if any(t is not src for t, _ in items):
+        raise DimensionError("gather_stack gathers the rows of one tensor")
+    if src.data.ndim != 2:
+        raise DimensionError(f"gather_stack needs a 2-D tensor, got shape {src.data.shape}")
+    rows = np.fromiter((r for _, r in items), np.intp, len(items))
+    return take_rows(src, rows, np.zeros((len(items), src.data.shape[1])))
 
 
 def take_rows(src, rows, fill):

@@ -103,7 +103,7 @@ def cell_step(cell, x, state):
     """``cell``'s step as about twenty composed ops; returns (new state,
     gate name -> gate tensor)."""
     z = add(add(matmul(x, transpose(cell.w)), matmul(state, transpose(cell.u))), cell.b)
-    d = cell.spec.out_dim
+    d = cell.out_dim
     gate_in = sigmoid(slice_last(z, 0, d))
     gate_forget = sigmoid(slice_last(z, d, 2 * d))
     cand = tanh(slice_last(z, 2 * d, 3 * d))
@@ -150,7 +150,7 @@ def memory_tensor(state, node: int, slot: int) -> Tensor:
 
 
 def _encode_dt(config, dt: float) -> float:
-    return config.time_scale * math.log1p(max(dt, 0.0))
+    return (config.time_scale or 1.0) * math.log1p(max(dt, 0.0))
 
 
 def route_event(encoder, event, state) -> list[Route]:
@@ -256,8 +256,8 @@ def node_state(encoder, node: int, state) -> np.ndarray:
 def attention(attn, query: np.ndarray, rows: np.ndarray):
     """Single-query multi-head attention in plain numpy; returns
     (output (out_dim,), weights (heads, n))."""
-    heads = attn.spec.heads
-    dh = attn.spec.out_dim // heads
+    heads = attn.heads
+    dh = attn.out_dim // heads
     q = attn.wq.data @ query
     k = rows @ attn.wk.data.T
     v = rows @ attn.wv.data.T

@@ -234,8 +234,7 @@ def test_criterion_6_protocol_checks():
         bundle.params.load_values(trained.params.copy_values())
 
         checksum_before = bundle.params.checksum()
-        report = evaluate_sequential(bundle, split, which="test",
-                                     breakdown=True, collect_raw=True)
+        report = evaluate_sequential(bundle, split, which="test", breakdown=True)
         assert report.causality_violations == 0
         assert report.params_frozen
         assert bundle.params.checksum() == checksum_before

@@ -102,13 +102,6 @@ def test_unknown_config_key_exits_1(dataset, tmp_path, capsys):
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
-def test_ablation_without_node_representation_exits_1(dataset, tmp_path, capsys):
-    for name in ("emb+mem", "ba+emb+mem"):
-        cfg = _config_file(tmp_path, dataset, ablation=name)
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "no node representation" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("text,value", [("yes", True), (" On ", True), ("1", True),
                                         ("off", False), ("FALSE", False), ("0", False)])
 def test_config_boolean_spellings(tmp_path, text, value):
@@ -135,7 +128,11 @@ def test_train_without_epochs_exits_1(dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("neighbor_cap", "-1"), ("split_fractions", "0.5,0.2,0.2"), ("lr", "nan")])
+    ("neighbor_cap", "-1"), ("split_fractions", "0.5,0.2,0.2"), ("lr", "nan"),
+    ("time_scale", "nan"), ("time_scale", "inf"), ("time_scale", "0"), ("time_scale", "-1"),
+    # the paper's ablation variants drop one part each; combinations are no variant
+    ("ablation", "ba+emb"), ("ablation", "ba+mem"), ("ablation", "emb+mem"),
+    ("ablation", "ba+emb+mem")])
 def test_bad_config_value_exits_1(dataset, tmp_path, capsys, key, value):
     cfg = _config_file(tmp_path, dataset)
     with open(cfg, "a") as fh:
@@ -233,7 +230,7 @@ def test_dump_raw_parses_back_to_report_columns(trained_run, tmp_path):
             "--dump-raw", "--out", str(tmp_path / "raw-out")]
     assert main(argv) == 0
     _, bundle, split = _load_bundle(build_parser().parse_args(argv))
-    raw = evaluate_sequential(bundle, split, which="test", collect_raw=True).raw
+    raw = evaluate_sequential(bundle, split, which="test").raw
     with open(tmp_path / "raw-out" / "predictions.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
     arity = raw.output.shape[1]

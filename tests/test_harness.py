@@ -99,8 +99,8 @@ def test_evaluation_freezes_parameters_and_counts_violations(small_split):
 
 def test_evaluation_deterministic_replay(small_split):
     _, bundle = _trained(small_split, task=TaskKind.EXISTENCE)
-    a = evaluate_sequential(bundle, small_split, which="test", neg_seed=123, collect_raw=True)
-    b = evaluate_sequential(bundle, small_split, which="test", neg_seed=123, collect_raw=True)
+    a = evaluate_sequential(bundle, small_split, which="test", neg_seed=123)
+    b = evaluate_sequential(bundle, small_split, which="test", neg_seed=123)
     assert a.metrics == b.metrics
     for name in ("src", "dst", "time", "output", "label", "is_real"):
         x, y = getattr(a.raw, name), getattr(b.raw, name)
@@ -192,7 +192,7 @@ def test_within_batch_permutation_invariance():
     bundle = build_model(result.config)
     bundle.params.load_values(result.params.copy_values())
 
-    base = evaluate_sequential(bundle, split, which="test", collect_raw=True)
+    base = evaluate_sequential(bundle, split, which="test")
 
     events = list(split.test.events)
     rng = np.random.default_rng(0)
@@ -201,7 +201,7 @@ def test_within_batch_permutation_invariance():
     shuffled = events[:20] + mid + events[40:]
     shuffled_split = chronological_split(
         log_of(split.train.events + split.val.events + shuffled, split.train.node_count))
-    other = evaluate_sequential(bundle, shuffled_split, which="test", collect_raw=True)
+    other = evaluate_sequential(bundle, shuffled_split, which="test")
 
     def by_pair(raw):
         return {key: out for key, out in zip(
@@ -238,8 +238,7 @@ def test_split_trans_inductive_all_seen():
 
 def test_breakdown_views_in_report(small_split):
     _, bundle = _trained(small_split, task=TaskKind.SIGNED_EXISTENCE)
-    report = evaluate_sequential(bundle, small_split, which="test", breakdown=True,
-                                 collect_raw=True)
+    report = evaluate_sequential(bundle, small_split, which="test", breakdown=True)
     assert report.transductive is not None and report.inductive is not None
     total = report.transductive["n"] + report.inductive["n"]
     assert total <= report.metrics["n"]
@@ -267,7 +266,7 @@ def test_metric_bundle_keys_per_task(small_split):
 
 def test_predictions_select_and_concat(small_split):
     _, bundle = _trained(small_split, task=TaskKind.EXISTENCE, max_epochs=1, patience=1)
-    raw = evaluate_sequential(bundle, small_split, which="test", collect_raw=True).raw
+    raw = evaluate_sequential(bundle, small_split, which="test").raw
     assert raw.output.shape == (len(raw), 1)
     half = len(raw) // 2
     again = Predictions.concat([raw[:half], raw[half:]])
@@ -331,6 +330,7 @@ CONFIG_ERRORS = {
     "neighbor_cap": "neighbor_cap must be None or >= 1",
     "lr": "lr must be finite and >= 0",
     "split_fractions": "split_fractions must be three fractions > 0 that sum to 1",
+    "time_scale": "time_scale must be None or finite and > 0",
 }
 
 
@@ -340,6 +340,8 @@ CONFIG_ERRORS = {
     dict(lr=float("nan")), dict(lr=float("inf")), dict(lr=-1e-3),
     dict(split_fractions=(0.5, 0.2, 0.2)), dict(split_fractions=(0.8, -0.1, 0.3)),
     dict(split_fractions=(1.0, 0.0, 0.0)), dict(split_fractions=(0.5, 0.5)),
+    dict(time_scale=float("nan")), dict(time_scale=float("inf")), dict(time_scale=0.0),
+    dict(time_scale=-1.0),
 ])
 def test_config_rejects_no_epochs_and_negative_patience(bad):
     (name,) = bad
@@ -350,18 +352,6 @@ def test_config_rejects_no_epochs_and_negative_patience(bad):
                 split_fractions=(0.98, 0.01, 0.01))
 
 
-def test_mem_and_ba_mem_are_the_same_model(small_split):
-    """Balanced aggregation acts only on memories, so without memories it
-    changes nothing: same parameters, losses and metrics."""
-    runs = {}
-    for name in ("mem", "ba+mem"):
-        result, bundle = _trained(small_split, ablation=name)
-        report = evaluate_sequential(bundle, small_split, which="test")
-        runs[name] = (result.loss_trace, result.val_trace, report.metrics,
-                      {k: v.tobytes() for k, v in result.params.copy_values().items()})
-    assert runs["mem"] == runs["ba+mem"]
-
-
 def test_config_roundtrip_through_dict():
     config = tiny_config(task=TaskKind.SIGNED_EXISTENCE, ablation="emb")
     again = TrainConfig.from_dict(config.to_dict())
@@ -370,27 +360,29 @@ def test_config_roundtrip_through_dict():
 
 @pytest.mark.parametrize("flags", list(itertools.product((True, False), repeat=3)))
 def test_every_ablation_combination_roundtrips_by_name(flags):
-    balanced, embedding, memory = flags
-    if not (embedding or memory):
-        # no memories and no embedding layer: no node representation is left
-        with pytest.raises(ValueError, match="no node representation"):
-            AblationConfig(*flags)
-        name = "+".join(p for p, on in zip(("ba", "emb", "mem"), flags) if not on)
-        with pytest.raises(ValueError, match="no node representation"):
+    # flags keep (balanced aggregation, embedding layer, memory); the paper's
+    # variants drop at most one, and a name dropping two or three is rejected
+    name = "+".join(p for p, on in zip(("ba", "emb", "mem"), flags) if not on) or "none"
+    if flags.count(False) > 1:
+        with pytest.raises(ValueError, match="unknown ablation"):
             AblationConfig.from_name(name)
         return
-    ablation = AblationConfig(*flags)
-    assert AblationConfig.from_name(ablation.name) == ablation
+    ablation = AblationConfig.from_name(name)
+    assert (ablation.balanced_aggregation, ablation.use_embedding_layer,
+            ablation.use_memory) == flags
     config = replace(tiny_config(), ablation=ablation)
+    assert config.to_dict()["ablation"] == name
     assert TrainConfig.from_dict(config.to_dict()) == config
 
 
 def test_ablation_names_are_canonical():
-    assert AblationConfig(balanced_aggregation=False, use_memory=False).name == "ba+mem"
+    assert AblationConfig.NAMES == ("none", "ba", "emb", "mem")
     assert [AblationConfig.from_name(n).name for n in AblationConfig.NAMES] == list(
         AblationConfig.NAMES)
-    for bad in ("custom", "ba+ba", "none+ba", "ba+", ""):
-        with pytest.raises(ValueError):
+    assert list(AblationConfig) == [AblationConfig.from_name(n) for n in AblationConfig.NAMES]
+    assert TrainConfig().ablation is AblationConfig.from_name("none")
+    for bad in ("custom", "ba+ba", "none+ba", "ba+", "", "NONE", "Ba"):
+        with pytest.raises(ValueError, match="unknown ablation"):
             AblationConfig.from_name(bad)
 
 
@@ -403,7 +395,7 @@ def test_weight_standardization_keeps_raw_units(small_split):
         result = train(config, split=small_split)
         bundle = build_model(result.config)
         bundle.params.load_values(result.params.copy_values())
-        rep = evaluate_sequential(bundle, small_split, which="test", collect_raw=True)
+        rep = evaluate_sequential(bundle, small_split, which="test")
         reports[config.standardize_weights] = rep
         # labels are always raw weights, whatever the training scale
         assert rep.raw.label.tolist() == [ev.weight for ev in small_split.test.events]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dysignet.tensor as T
-from dysignet.layers import Feedforward, LayerSpec, MultiHeadAttention, RecurrentCell
+from dysignet.layers import Feedforward, MultiHeadAttention, RecurrentCell
 from dysignet.params import ParameterSet
 from dysignet.tensor import Tensor
 
@@ -19,18 +19,18 @@ def _ffn(in_dim, out_dim, hidden=None, seed=0):
     return ps, net
 
 
-def test_layer_spec_validation():
-    with pytest.raises(ValueError):
-        LayerSpec("feedforward", 0, 3)
-    with pytest.raises(ValueError):
-        LayerSpec("recurrent-cell", 0, 3)
-    with pytest.raises(ValueError):
-        LayerSpec("attention", -1, 4, heads=2, key_dim=2)
-    LayerSpec("attention", 0, 4, heads=2, key_dim=2)   # an empty query is allowed
-    with pytest.raises(ValueError):
-        LayerSpec("attention", 4, 6, heads=4)
-    with pytest.raises(ValueError):
-        LayerSpec("perceptron", 4, 4)
+def test_layer_constructors_validate_dims():
+    ps = ParameterSet()
+    for bad in (lambda: Feedforward(ps, "f", 0, 3), lambda: Feedforward(ps, "f", 3, 3, 0),
+                lambda: RecurrentCell(ps, "c", 0, 3), lambda: RecurrentCell(ps, "c", 3, 0),
+                lambda: MultiHeadAttention(ps, "a", -1, 4, heads=2, key_dim=2),
+                lambda: MultiHeadAttention(ps, "a", 4, 4, heads=0),
+                lambda: MultiHeadAttention(ps, "a", 4, 6, heads=4)):
+        with pytest.raises(ValueError):
+            bad()
+    assert len(ps) == 0   # a rejected layer registers nothing
+    attn = MultiHeadAttention(ps, "a", 0, 4, heads=2, key_dim=2)   # an empty query is allowed
+    assert (attn.in_dim, attn.out_dim, attn.heads, attn.key_dim) == (0, 4, 2, 2)
 
 
 def test_ffn_zero_weights_returns_bias():
