@@ -147,6 +147,11 @@ def _load_bundle(args):
         checkpoint = ParameterSet.load(args.checkpoint)
     except ValueError as exc:
         raise DataError(str(exc)) from None
+    # a checkpoint that records its run must match this one's task and ablation
+    for key, value in checkpoint.meta.items():
+        if bundle.params.meta.get(key, value) != value:
+            raise DataError(f"checkpoint was trained with {key} {value!r}, "
+                            f"not {bundle.params.meta[key]!r}")
     try:
         bundle.params.load_values(checkpoint.copy_values())
     except ValueError as exc:

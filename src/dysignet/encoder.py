@@ -30,6 +30,15 @@ the last node with rows, then ``watermark`` and ``events_ingested``.  The
 overlay is not saved.  ``load`` converts a version-1 snapshot (one JSON
 document of per-node base64 strings) into the same arrays.
 
+Dtypes: the model computes in ``tensor.DTYPE``, float32, so ``mem``, the
+fresh overlay and every activation are float32.  Times stay float64: the
+event log's ``time``, ``HistoryLog.t``, ``last_update`` and ``watermark``.
+Float32 spacing at 1.3e9 unix seconds is 128 s, which would erase
+minute-scale gaps, so a gap is taken in float64 and cast only once
+encoded (``_encode_dt``).  ``HistoryLog.mag`` keeps the log's float64
+weights.  A snapshot records ``mem`` in its own dtype (the ``.npy`` header
+says which), and ``load`` reads float32 or float64 and casts it.
+
 Signs: the message extra and the history magnitude column carry ``|w|``,
 so the sign acts only through balanced routing (which partner slot a
 message reads), and the sign-blind ``ba`` and ``mem`` variants never see
@@ -66,12 +75,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
+from . import tensor
 from .events import EventLog
 from .layers import Feedforward, MultiHeadAttention, RecurrentCell, uniform_init
 from .params import ParameterSet, _decode
@@ -84,10 +93,12 @@ NEG = 1
 
 STATE_FORMAT = "dysignet-encoder-state"
 STATE_VERSION = 2
-# the arrays of a version-2 snapshot, in file order, with their dtypes
-_SNAPSHOT = {"mem": np.float64, "last_update": np.float64, "nbr": np.intp, "t": np.float64,
-             "mag": np.float64, "prev": np.intp, "head": np.intp, "deg": np.intp,
-             "watermark": np.float64, "events_ingested": np.intp}
+# the arrays of a version-2 snapshot, in file order, with the dtypes they
+# may have: mem is saved as tensor.DTYPE and read in either float width
+_F8, _IP = (np.dtype(np.float64),), (np.dtype(np.intp),)
+_SNAPSHOT = {"mem": (np.dtype(np.float32),) + _F8, "last_update": _F8, "nbr": _IP, "t": _F8,
+             "mag": _F8, "prev": _IP, "head": _IP, "deg": _IP, "watermark": _F8,
+             "events_ingested": _IP}
 
 
 class AblationConfig(Enum):
@@ -242,7 +253,7 @@ class EncoderState:
         self.config = config
         slots = config.slot_count if config.ablation.use_memory else 0
         self.size = 0
-        self.mem = np.zeros((0, slots, config.slot_dim))
+        self.mem = np.zeros((0, slots, config.slot_dim), dtype=tensor.DTYPE)
         self._last_update = np.zeros(0)
         self._fresh: Tensor | None = None
         self._fresh_row = np.zeros((0, slots), dtype=np.intp)
@@ -277,7 +288,7 @@ class EncoderState:
         ``detach_`` carry it; the rest are constants."""
         slots = np.broadcast_to(slots, nodes.shape)
         known = nodes < self.size
-        fill = np.zeros((nodes.size, self.config.slot_dim))
+        fill = np.zeros((nodes.size, self.config.slot_dim), dtype=tensor.DTYPE)
         fill[known] = self.mem[nodes[known], slots[known]]
         if self._fresh is None or not grad_enabled():
             return Tensor(fill)
@@ -338,8 +349,11 @@ class EncoderState:
                 n, rows, nodes = (a.shape[:1] for a in (mem, nbr, head))
                 if ([a.shape for a in arrays] != [n + (slots, config.slot_dim), n, *[rows] * 4,
                                                   nodes, nodes, (), ()]
-                        or [a.dtype for a in arrays] != list(map(np.dtype, _SNAPSHOT.values()))):
+                        or any(a.dtype not in dtypes
+                               for a, dtypes in zip(arrays, _SNAPSHOT.values()))):
                     raise ValueError("arrays do not fit the config or each other")
+                with np.errstate(over="ignore"):   # overflow fails the check below
+                    mem = mem.astype(tensor.DTYPE)
                 if not all(np.isfinite(a).all() for a in (mem, last, t, mag, watermark)):
                     raise ValueError("non-finite values")
                 links, ids = np.concatenate([prev, head]), np.concatenate([nbr, deg])
@@ -385,10 +399,9 @@ def _v1_arrays(doc: dict, slots: int) -> list:
 
 
 def _encode_dt(config, dt: np.ndarray) -> np.ndarray:
-    # math.log1p, not np.log1p: the two can differ in the last bit
-    gaps = np.fromiter(map(math.log1p, np.maximum(dt, 0.0).tolist()), np.float64, dt.size)
+    """Encoded float64 time gaps; the model casts them to its dtype."""
     # time_scale is None or > 0 (TrainConfig checks), and None means 1.0
-    return (config.time_scale or 1.0) * gaps
+    return (config.time_scale or 1.0) * np.log1p(np.maximum(dt, 0.0))
 
 
 class EncoderModel:

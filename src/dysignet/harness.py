@@ -127,6 +127,7 @@ class ModelBundle:
 def build_model(config: TrainConfig) -> ModelBundle:
     rng = np.random.default_rng(config.seed)
     params = ParameterSet()
+    params.meta = {"task": config.task.value, "ablation": config.ablation.name}
     encoder = EncoderModel(params, config, rng=rng)
     # without the embedding layer the embedding is the joint memory
     dim = config.embedding_dim if config.ablation.use_embedding_layer else 2 * config.memory_dim
@@ -178,6 +179,7 @@ def _weight_scaler(config: TrainConfig, split: DatasetSplit):
 
 
 def _output_rows(task: TaskKind, data: np.ndarray, scaler) -> np.ndarray:
+    data = data.astype(np.float64)
     if task is TaskKind.SIGNED_EXISTENCE:
         e = np.exp(data - data.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)

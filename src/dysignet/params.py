@@ -1,4 +1,10 @@
-"""Named parameter registry with Adam state and bit-exact checkpoints."""
+"""Named parameter registry with Adam state and bit-exact checkpoints.
+
+Parameters and both Adam moments are ``tensor.DTYPE``.  A checkpoint
+stores every array as little-endian float64, which holds a float32 value
+exactly, so a round trip keeps the bits at either width; ``load`` casts to
+``tensor.DTYPE``.  A checkpoint may also record the run it came from
+(``meta``, string to string), for callers to check on load."""
 
 from __future__ import annotations
 
@@ -9,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensor
 from .tensor import Tensor
 
 CHECKPOINT_FORMAT = "dysignet-params"
@@ -36,11 +43,12 @@ class ParameterSet:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self.step = 0
+        self.meta: dict[str, str] = {}
 
     def add(self, name: str, value) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter {name!r}")
-        t = Tensor(np.array(value, dtype=np.float64), requires_grad=True)
+        t = Tensor(np.array(value, dtype=tensor.DTYPE), requires_grad=True)
         self._params[name] = t
         self._m[name] = np.zeros_like(t.data)
         self._v[name] = np.zeros_like(t.data)
@@ -102,6 +110,8 @@ class ParameterSet:
                 "m": _encode(self._m[name]),
                 "v": _encode(self._v[name]),
             }
+        if self.meta:
+            doc["meta"] = self.meta
         Path(path).write_text(json.dumps(doc))
 
     @classmethod
@@ -114,9 +124,14 @@ class ParameterSet:
                 raise ValueError(f"not a version-{CHECKPOINT_VERSION} parameter checkpoint")
             ps = cls()
             ps.step = int(doc["step"])
+            ps.meta = doc.get("meta", {})
+            if not all(isinstance(x, str) for item in ps.meta.items() for x in item):
+                raise ValueError("meta must map strings to strings")
             for name, entry in doc["params"].items():
                 shape = tuple(entry["shape"])
-                data, m, v = (_decode(entry[k], shape) for k in ("data", "m", "v"))
+                with np.errstate(over="ignore"):   # overflow fails the check below
+                    data, m, v = (_decode(entry[k], shape).astype(tensor.DTYPE)
+                                  for k in ("data", "m", "v"))
                 if not all(np.isfinite(a).all() for a in (data, m, v)):
                     raise ValueError(f"non-finite values in parameter {name!r}")
                 ps.add(name, data)

@@ -1,4 +1,12 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense single-precision tensors with reverse-mode automatic
+differentiation.
+
+Every array the model computes with is ``DTYPE``, float32: parameters,
+activations, gradients and every buffer the fused ops allocate.  Python
+floats mix in without widening an array (NEP 50), so constants are written
+as Python floats, and ``np.bincount``, which sums in float64, has its
+result cast back.  ``DTYPE`` is read where an array is made, never copied,
+so setting it to float64 runs the same code in double precision.
 
 Every tensor produced by an operation keeps references to its parents, the
 local vector-Jacobian product, and a monotonically increasing sequence
@@ -14,9 +22,12 @@ passes carry no bookkeeping cost.
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
+
+DTYPE = np.float32
 
 
 class DimensionError(ValueError):
@@ -47,7 +58,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=DTYPE)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -163,12 +174,13 @@ def _expit(x, out=None):
     """Logistic sigmoid without masks.  ``e = exp(-|x|)`` is at most 1, so
     the numerator ``max(e, x >= 0)`` is 1 where x >= 0 and ``e`` elsewhere,
     and ``num / (1 + e)`` is bitwise the two-branch form, for ±inf, -0.0
-    and 0-d input too; NaN stays NaN.  ``out`` may be ``x`` itself."""
-    e = np.abs(x, out=np.empty(np.shape(x)))
+    and 0-d input too; NaN stays NaN.  ``out`` may be ``x`` itself.  The
+    result has the dtype of ``x``."""
+    e = np.abs(x, out=np.empty(np.shape(x), dtype=np.result_type(x, DTYPE)))
     np.negative(e, out=e)
     np.exp(e, out=e)
     if out is None:
-        out = np.empty(np.shape(x))
+        out = np.empty_like(e)
     np.maximum(e, np.greater_equal(x, 0), out=out)
     e += 1.0
     out /= e
@@ -284,20 +296,22 @@ def concat(tensors, axis=0):
     return _result(data, tuple(tensors), vjp)
 
 
+def _scatter_cols(index, cols, n):
+    """(d, n) array whose column ``k`` sums the columns ``cols[:, i]`` with
+    ``index[i] == k``, for a feature-major (d, len(index)) ``cols``.  One
+    ``bincount`` per feature adds in row order, as ``np.add.at`` does, so
+    under float64 the sums are bitwise equal at a fraction of its cost."""
+    out = np.empty((cols.shape[0], n), dtype=DTYPE)
+    for j, col in enumerate(cols):
+        out[j] = np.bincount(index, weights=col, minlength=n)
+    return out
+
+
 def _scatter_rows(index, rows, n):
     """(n, ...) array whose row ``k`` sums the ``rows[i]`` with
-    ``index[i] == k``.  One flat ``bincount`` adds in row order, as
-    ``np.add.at`` does, so the sums are bitwise equal at a fraction of its
-    cost."""
-    width = int(np.prod(rows.shape[1:]))
-    out = np.bincount(_flat_index(index, width), weights=rows.ravel(), minlength=n * width)
-    return out.reshape((n,) + rows.shape[1:])
-
-
-def _flat_index(index, width):
-    """Flat positions of the ``width`` entries of rows ``index`` in an
-    array ``width`` wide."""
-    return np.add.outer(np.asarray(index, dtype=np.intp) * width, np.arange(width)).ravel()
+    ``index[i] == k``, bitwise as ``np.add.at`` under float64."""
+    cols = rows.reshape(rows.shape[0], math.prod(rows.shape[1:])).T
+    return _scatter_cols(index, cols, n).T.reshape((n,) + rows.shape[1:])
 
 
 def gather_stack(items):
@@ -315,7 +329,7 @@ def gather_stack(items):
     if src.data.ndim != 2:
         raise DimensionError(f"gather_stack needs a 2-D tensor, got shape {src.data.shape}")
     rows = np.fromiter((r for _, r in items), np.intp, len(items))
-    return take_rows(src, rows, np.zeros((len(items), src.data.shape[1])))
+    return take_rows(src, rows, np.zeros((len(items), src.data.shape[1]), dtype=DTYPE))
 
 
 def take_rows(src, rows, fill):
@@ -324,7 +338,7 @@ def take_rows(src, rows, fill):
     a row taken many times accumulates."""
     src = as_tensor(src)
     rows = np.asarray(rows, dtype=np.intp)
-    data = np.array(fill, dtype=np.float64)
+    data = np.array(fill, dtype=DTYPE)
     if data.shape != (rows.size,) + src.data.shape[1:]:
         raise DimensionError(f"fill shape {data.shape} does not match {rows.size} rows of src")
     pos = np.flatnonzero(rows >= 0)
@@ -393,7 +407,7 @@ def recurrent_cell(x, state, w, u, b):
     z += S @ u.data.T
     z += b.data
     zi, zf, zc, zo = _gate_blocks(z, d)
-    gates = np.empty((4,) + S.shape)
+    gates = np.empty((4,) + S.shape, dtype=DTYPE)
     gi, gf, c, go = gates
     _expit(zi, out=gi)
     _expit(zf, out=gf)
@@ -407,7 +421,7 @@ def recurrent_cell(x, state, w, u, b):
     def vjp(g):
         # every term is formed as the composed ops formed it, operands and
         # order alike, and g_z is written block by block into one buffer
-        g_z = np.empty(S.shape[:-1] + (4 * d,))
+        g_z = np.empty(S.shape[:-1] + (4 * d,), dtype=DTYPE)
         gz_i, gz_f, gz_c, gz_o = _gate_blocks(g_z, d)
         np.multiply(g, tc, out=gz_o)
         _sigmoid_grad(gz_o, go)
@@ -434,7 +448,7 @@ def recurrent_cell(x, state, w, u, b):
 def _prefix_sum(rows, spans, m0):
     """Per-query sums of packed ``rows``: block (s, e, m) adds its rows
     onto the first m queries, newest block first."""
-    out = np.zeros((m0,) + rows.shape[1:])
+    out = np.zeros((m0,) + rows.shape[1:], dtype=DTYPE)
     for s, e, m in spans:
         out[:m] += rows[s:e]
     return out
@@ -467,7 +481,9 @@ def segment_attention(queries, table, index, extra, wq, wk, wv, order, sizes, he
     ``wv_c`` into the output; the backward pass mirrors this.  No (n, 2D)
     row temporary is built: one (n, D) row buffer serves the forward pass
     and is reused by the backward pass, which recomputes the per-row
-    query terms block by block instead of keeping them.
+    query terms block by block instead of keeping them.  Its two scatters
+    onto table rows read the same memory feature-major, as (D, n), so each
+    is one ``bincount`` per feature with no flat index.
 
     Returns (output (n_q, out_dim), weights (n, heads)) with the weights
     in the given row order.  The weights are constants; gradients flow to
@@ -475,7 +491,7 @@ def segment_attention(queries, table, index, extra, wq, wk, wv, order, sizes, he
     """
     queries, table, wq, wk, wv = (as_tensor(x) for x in (queries, table, wq, wk, wv))
     index = np.asarray(index, dtype=np.intp)
-    extra = np.asarray(extra, dtype=np.float64)
+    extra = np.asarray(extra, dtype=DTYPE)
     order = np.asarray(order, dtype=np.intp)
     sizes = np.asarray(sizes, dtype=np.intp)
     n, m0 = index.size, order.size
@@ -492,7 +508,7 @@ def segment_attention(queries, table, index, extra, wq, wk, wv, order, sizes, he
         raise IndexError(f"row index out of range for a table of {u} rows")
     D = wq.data.shape[0]
     dh = D // heads
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / math.sqrt(dh)
     ds, ne = table.data.shape[1], extra.shape[1]
     ends = np.cumsum(sizes)
     spans = list(zip((ends - sizes).tolist(), ends.tolist(), sizes.tolist()))
@@ -529,7 +545,7 @@ def segment_attention(queries, table, index, extra, wq, wk, wv, order, sizes, he
     alpha_ex = [_prefix_sum(alpha * ex[c], spans, m0) for c in range(ne)]
     for c in range(ne):
         out3 += alpha_ex[c][:, :, None] * wv_x[c]
-    full = np.zeros((n_q, D))
+    full = np.zeros((n_q, D), dtype=DTYPE)
     full[order] = out
 
     def vjp(g):
@@ -546,28 +562,34 @@ def segment_attention(queries, table, index, extra, wq, wk, wv, order, sizes, he
         g_logits -= np.einsum("mhd,mhd->mh", gq3, out3)[slot]
         g_logits *= alpha
         g_logits *= scale
-        flat = _flat_index(index, D)
+        # the table scatters sum feature by feature, so they fill the row
+        # buffer's memory feature-major, as cols (D, n), from feature-major
+        # copies of their factors
+        cols = rows.reshape(D, n)
+        cols3 = cols.reshape(heads, dh, n)
         # keys: g_logits ⊗ q per row, summed onto table rows
+        g_logits_t, q_t = g_logits.T.copy(), Q3.transpose(1, 2, 0).copy()
         for s, e, m in spans:
-            np.multiply(g_logits[s:e, :, None], Q3[:m], out=rows3[s:e])
-        g_kt = np.bincount(flat, weights=rows.ravel(), minlength=u * D).reshape(u, D)
+            np.multiply(g_logits_t[:, None, s:e], q_t[:, :, :m], out=cols3[:, :, s:e])
+        g_kt = _scatter_cols(index, cols, u).T
         # queries: g_logits ⊗ k summed per query
         np.take(Kt, index, axis=0, out=rows, mode="clip")
         np.multiply(rows3, g_logits[:, :, None], out=rows3)
         g_q = _prefix_sum(rows, spans, m0)
         g_q3 = g_q.reshape(m0, heads, dh)
-        g_wk_x = np.empty((ne, heads, dh))
-        g_wv_x = np.empty((ne, heads, dh))
+        g_wk_x = np.empty((ne, heads, dh), dtype=DTYPE)
+        g_wv_x = np.empty((ne, heads, dh), dtype=DTYPE)
         for c in range(ne):
             b = _prefix_sum(g_logits * ex[c], spans, m0)
             g_q3 += b[:, :, None] * wk_x[c]
             g_wk_x[c] = np.einsum("mh,mhd->hd", b, Q3)
             g_wv_x[c] = np.einsum("mh,mhd->hd", alpha_ex[c], gq3)
         # values: alpha ⊗ g per row, summed onto table rows
+        alpha_t, gq_t = alpha.T.copy(), gq3.transpose(1, 2, 0).copy()
         for s, e, m in spans:
-            np.multiply(alpha[s:e, :, None], gq3[:m], out=rows3[s:e])
-        g_vt = np.bincount(flat, weights=rows.ravel(), minlength=u * D).reshape(u, D)
-        g_queries = np.zeros(queries.data.shape)
+            np.multiply(alpha_t[:, None, s:e], gq_t[:, :, :m], out=cols3[:, :, s:e])
+        g_vt = _scatter_cols(index, cols, u).T
+        g_queries = np.zeros(queries.data.shape, dtype=DTYPE)
         g_queries[order] = g_q @ wq.data
         g_wk = np.concatenate([g_kt.T @ table.data, g_wk_x.reshape(ne, D).T], axis=1)
         g_wv = np.concatenate([g_vt.T @ table.data, g_wv_x.reshape(ne, D).T], axis=1)

@@ -1,12 +1,25 @@
 """Shared test utilities: finite-difference oracles and tiny model configs."""
 
-import numpy as np
+from contextlib import contextmanager
 
+import numpy as np
+import pytest
+
+import dysignet.tensor
 from dysignet.encoder import AblationConfig
 from dysignet.events import EventLog
 from dysignet.harness import TrainConfig
 from dysignet.heads import TaskKind
 from dysignet.tensor import Tensor, backward
+
+
+@contextmanager
+def model_dtype(dtype):
+    """Run the model at ``dtype`` inside the block: monkeypatch
+    ``dysignet.tensor.DTYPE``, which every array the model makes reads."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dysignet.tensor, "DTYPE", dtype)
+        yield
 
 
 def fd_gradients(build_loss, params, eps=1e-5):

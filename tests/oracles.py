@@ -150,7 +150,7 @@ def memory_tensor(state, node: int, slot: int) -> Tensor:
 
 
 def _encode_dt(config, dt: float) -> float:
-    return (config.time_scale or 1.0) * math.log1p(max(dt, 0.0))
+    return (config.time_scale or 1.0) * float(np.log1p(max(dt, 0.0)))
 
 
 def route_event(encoder, event, state) -> list[Route]:

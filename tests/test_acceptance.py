@@ -84,6 +84,7 @@ def test_criterion_1_dataset_statistics(stem, nodes, links, f_plus, f_ub):
 # 2. finite-difference gradient suite
 
 
+@pytest.mark.usefixtures("float64")
 def test_criterion_2_gradient_suite():
     with criterion(2, "finite-difference gradient suite"):
         start = time.perf_counter()
@@ -141,6 +142,7 @@ def test_criterion_2_gradient_suite():
 # 3. randomized property suite (>= 1000 cases over six properties)
 
 
+@pytest.mark.usefixtures("float64")
 def test_criterion_3_property_suite():
     with criterion(3, "balance-routing property suite, >=1200 randomized cases"):
         test_encoder.test_routing_law_property()                  # 200 cases

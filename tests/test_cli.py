@@ -265,6 +265,25 @@ def test_eval_checkpoint_config_mismatch_exits_2(trained_run, dataset, tmp_path,
     assert "'encoder.emb.self_proj'" in err and "(8, 10)" in err and "(8, 8)" in err
 
 
+def test_checkpoint_of_another_task_or_ablation_exits_2(trained_run, dataset, tmp_path,
+                                                       capsys):
+    cfg, ckpt = trained_run
+    # plot-weights forces the signed-weight task on a sign checkpoint
+    assert main(["plot-weights", "--config", cfg, "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "w")]) == 2
+    assert "trained with task 'sign', not 'signed-weight'" in capsys.readouterr().err
+    assert main(["eval", "--config", cfg, "--checkpoint", ckpt, "--ablation", "emb",
+                 "--out", str(tmp_path / "e")]) == 2
+    assert "trained with ablation 'none', not 'emb'" in capsys.readouterr().err
+    # a checkpoint that records no run loads as before
+    doc = json.loads(Path(ckpt).read_text())
+    assert doc.pop("meta") == {"task": "sign", "ablation": "none"}
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    assert main(["plot-weights", "--config", cfg, "--checkpoint", str(bare),
+                 "--out", str(tmp_path / "b")]) == 0
+
+
 def _missing(doc):
     return None
 

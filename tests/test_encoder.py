@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -5,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dysignet.encoder import NEG, POS, EncoderState, HistoryLog
+import dysignet.tensor as T
+from dysignet.encoder import NEG, POS, EncoderState, HistoryLog, _encode_dt
 from dysignet.events import SignedEvent
 from dysignet.harness import build_model
 from dysignet.layers import Feedforward, RecurrentCell
+from dysignet.params import _decode
 from dysignet.tensor import Tensor, backward, mul, no_grad, tsum
 
-from helpers import log_of, tiny_config
+from helpers import log_of, model_dtype, tiny_config
 from oracles import (
     aggregate_messages,
     attention,
@@ -26,6 +29,7 @@ from oracles import (
     trace_provenance,
     update_memories,
 )
+from oracles import _encode_dt as oracle_encode_dt
 
 
 def make_encoder(ablation="none", seed=0, **overrides):
@@ -109,6 +113,7 @@ def test_zero_state_sign_symmetry():
         assert np.array_equal(a.payload.data, b.payload.data)
 
 
+@pytest.mark.usefixtures("float64")
 def test_message_payload_matches_concat_oracle():
     enc, params, config = make_encoder(seed=5)
     warm = [_ev(1, 0, 1, 2), _ev(2, 1, 2, -1), _ev(3, 0, 2, 1)]
@@ -125,6 +130,19 @@ def test_message_payload_matches_concat_oracle():
     w2, b2 = params["encoder.msg_plus.w2"].data, params["encoder.msg_plus.b2"].data
     expected = w2 @ np.maximum(w1 @ vec + b1, 0.0) + b2
     assert np.abs(m.payload.data - expected).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_encoded_gaps_equal_per_event_oracle_bitwise(seed):
+    # negative gaps clamp to 0; np.log1p gives an array's elements the bits
+    # it gives each one alone, so the oracle encodes one gap at a time
+    rng = np.random.default_rng(seed)
+    config = tiny_config(time_scale=float(rng.uniform(0.01, 2.0)))
+    dt = rng.choice([-1.0, 1.0], size=500) * 10.0 ** rng.uniform(-4.0, 9.0, size=500)
+    got = _encode_dt(config, dt)
+    assert got.dtype == np.float64
+    assert got.tolist() == [oracle_encode_dt(config, x) for x in dt.tolist()]
 
 
 def test_zero_weight_event_rejected():
@@ -318,6 +336,7 @@ def _streams(draw):
     return batches
 
 
+@pytest.mark.usefixtures("float64")
 @settings(max_examples=60, deadline=None)
 @given(_streams(), st.sampled_from(["none", "ba"]), st.sampled_from([None, 2]),
        st.integers(0, 1000))
@@ -390,6 +409,7 @@ def test_embedding_empty_history_is_projection():
     assert np.array_equal(z, params["encoder.emb.self_proj"].data @ h)
 
 
+@pytest.mark.usefixtures("float64")
 def test_embedding_single_neighbor_formula():
     enc, params, config = make_encoder(seed=10)
     state = seeded_state(enc, [_ev(1.0, 0, 1, -2.0)])
@@ -403,6 +423,7 @@ def test_embedding_single_neighbor_formula():
     assert np.abs(z - expected).max() < 1e-12
 
 
+@pytest.mark.usefixtures("float64")
 def test_embedding_matches_straight_line_oracle_three_neighbors():
     enc, params, config = make_encoder(seed=11)
     warm = [_ev(1, 0, 1, 1), _ev(2, 0, 2, -3), _ev(3, 0, 3, 2), _ev(4, 1, 2, 1)]
@@ -517,6 +538,7 @@ def test_mem_ablation_has_no_memory_state():
     assert z.shape == (enc.config.embedding_dim,)
 
 
+@pytest.mark.usefixtures("float64")
 def test_mem_embedding_is_history_mean_of_time_and_magnitude(monkeypatch):
     # without memory the query has no columns, so every row of a query
     # weighs the same and the embedding is wv · mean([dt, |w|]) over the
@@ -577,7 +599,13 @@ def test_ba_message_ignores_sign_routing():
         assert np.array_equal(a.payload.data, b.payload.data)
 
 
-def test_chained_memory_gradients_equal_composed_layers(monkeypatch):
+def test_chained_memory_gradients_equal_composed_layers():
+    for dtype in (np.float32, np.float64):
+        with model_dtype(dtype):
+            _check_chained_memory_gradients()
+
+
+def _check_chained_memory_gradients():
     # two batches without detach_: the second batch's cell reads the first
     # batch's fresh memories as its state (``own``), which also feed its
     # message net, so gradient reaches the parameters along both paths
@@ -596,10 +624,12 @@ def test_chained_memory_gradients_equal_composed_layers(monkeypatch):
         return [g[p] for p in params.tensors()]
 
     fused = grads()
-    monkeypatch.setattr(Feedforward, "apply", feedforward)
-    monkeypatch.setattr(RecurrentCell, "apply", lambda cell, x, s: cell_step(cell, x, s)[0])
-    composed = grads()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Feedforward, "apply", feedforward)
+        patch.setattr(RecurrentCell, "apply", lambda cell, x, s: cell_step(cell, x, s)[0])
+        composed = grads()
     assert any(np.any(g != 0.0) for name, g in zip(params.names(), fused) if ".mem_" in name)
+    assert {g.dtype for g in fused} == {np.dtype(T.DTYPE)}
     for got, expected in zip(fused, composed):
         assert np.array_equal(got, expected)
 
@@ -679,7 +709,7 @@ def test_snapshot_save_load_save_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_v1_fixture_loads_to_identical_memories_and_embeddings():
+def test_v1_fixture_loads_its_memories_and_matches_a_replay():
     enc, _, _ = make_encoder(seed=22)
     state = EncoderState(enc.config)
     for batch in FIXTURE_BATCHES:
@@ -689,12 +719,34 @@ def test_v1_fixture_loads_to_identical_memories_and_embeddings():
     assert loaded.events_ingested == state.events_ingested
     assert np.array_equal(np.flatnonzero(loaded.last_update), [0, 1, 2, 3, 9])
     assert np.array_equal(loaded.last_update, state.last_update)
-    assert np.array_equal(loaded.mem[:loaded.size], state.mem[:state.size])
     assert loaded.history.items() == state.history.items()
+    # the memories are the document's float64 values cast to the model's
+    # dtype, and a replay of its stream writes them again up to rounding
+    for key, text in json.loads(FIXTURE.read_text())["memory"].items():
+        node, slot = map(int, key.split(":"))
+        want = _decode(text, (-1,)).astype(T.DTYPE)
+        assert loaded.mem[node, slot].tobytes() == want.tobytes(), key
+    assert loaded.mem.dtype == state.mem.dtype == T.DTYPE
+    assert np.abs(loaded.mem[:loaded.size] - state.mem[:state.size]).max() < 1e-6
     with no_grad():
         a, _ = enc.compute_embeddings(list(range(11)), 9.0, state)
         b, _ = enc.compute_embeddings(list(range(11)), 9.0, loaded)
-    assert np.array_equal(a.data, b.data)
+    assert np.abs(a.data - b.data).max() < 1e-5
+
+
+def test_float64_snapshot_loads_cast_to_the_model_dtype(tmp_path):
+    path = tmp_path / "state.snap"
+    with model_dtype(np.float64):
+        enc, _, config = make_encoder(seed=22)
+        wide = EncoderState(config)
+        for batch in FIXTURE_BATCHES:
+            enc.process_batch(log_of(batch), wide)
+        wide.save(path)
+    loaded = EncoderState.load(path, config)
+    assert wide.mem.dtype == np.float64 and loaded.mem.dtype == T.DTYPE == np.float32
+    assert loaded.mem[:loaded.size].tobytes() == wide.mem[:wide.size].astype(T.DTYPE).tobytes()
+    assert loaded.history.items() == wide.history.items()
+    assert np.array_equal(loaded.last_update, wide.last_update)
 
 
 def test_snapshot_rejects_mismatched_config(tmp_path):
@@ -761,11 +813,21 @@ def _float_neighbours(a):
     a[2] = a[2].astype(np.float64)
 
 
+def _memory_beyond_float32(a):
+    a[0] = a[0].astype(np.float64)
+    a[0][0, 0, 0] = 1e39   # finite at float64, inf once cast to float32
+
+
+def _half_memory(a):
+    a[0] = a[0].astype(np.float16)
+
+
 @pytest.mark.parametrize("edit, message", [
     (_nan_memory, "non-finite"), (_inf_history_time, "non-finite"),
     (_prev_past_the_rows, "history links"), (_head_below_minus_one, "history links"),
     (_deg_past_its_rows, "row counts"), (_deg_moved_between_nodes, "row counts"),
     (_short_last_update, "do not fit"), (_float_neighbours, "do not fit"),
+    (_memory_beyond_float32, "non-finite"), (_half_memory, "do not fit"),
 ])
 def test_snapshot_load_rejects_inconsistent_arrays(tmp_path, edit, message):
     enc, path = _saved_state(tmp_path)

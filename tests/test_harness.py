@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dysignet.tensor as T
 from dysignet import harness
 from dysignet.encoder import AblationConfig
 from dysignet.events import DatasetSplit, SignedEvent, chronological_split
@@ -18,8 +19,8 @@ from dysignet.harness import (
     run_ablation,
     train,
 )
-from dysignet.heads import TaskKind
-from dysignet.params import NumericError
+from dysignet.heads import TaskKind, task_loss
+from dysignet.params import NumericError, adam_step
 from dysignet.synthetic import generate_balanced_stream
 
 from helpers import log_of, tiny_config
@@ -50,6 +51,39 @@ def test_zero_lr_leaves_parameters_unchanged(small_split):
     assert set(before) == set(after)
     for name in before:
         assert np.array_equal(before[name], after[name])
+
+
+@pytest.mark.parametrize("task, ablation",
+                         [(TaskKind.SIGN, name) for name in AblationConfig.NAMES]
+                         + [(task, "none") for task in TaskKind if task is not TaskKind.SIGN])
+def test_model_math_runs_in_dtype_and_times_stay_float64(small_split, monkeypatch, task,
+                                                         ablation):
+    # one train batch and one eval batch: every tensor an op makes has
+    # tensor.DTYPE, so no float64 scalar or array widened the model math
+    made = set()
+    result = T._result
+    monkeypatch.setattr(T, "_result",
+                        lambda data, *rest: made.add(data.dtype) or result(data, *rest))
+    config = tiny_config(task=task, ablation=ablation, batch_size=50)
+    bundle = build_model(config)
+    state = bundle.new_state()
+    online = harness._online(bundle, state, {}, small_split.train, np.random.default_rng(0),
+                             None, {"causality": 0})
+    outputs, targets, _ = next(online)
+    grads = T.backward(task_loss(task, outputs, targets), leaves=bundle.params.tensors())
+    assert {g.dtype for g in grads.values()} == {np.dtype(T.DTYPE)}
+    adam_step(bundle.params, grads, config.lr)
+    next(online)
+    with T.no_grad():
+        _, _, preds = next(online)
+    assert made == {np.dtype(T.DTYPE)} and T.DTYPE == np.float32
+    assert all(p.data.dtype == T.DTYPE for p in bundle.params.tensors())
+    assert all(m.dtype == T.DTYPE for name in bundle.params.names()
+               for m in bundle.params.moments(name))
+    assert state.mem.dtype == T.DTYPE
+    assert state.last_update.dtype == state.history.t.dtype == np.float64
+    assert np.result_type(state.watermark) == np.float64 and state.watermark > 0
+    assert preds.output.dtype == np.float64
 
 
 def test_same_seed_identical_loss_traces(small_split):

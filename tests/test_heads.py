@@ -58,6 +58,7 @@ def test_score_pair_is_order_sensitive():
     assert not np.allclose(score_pair(dec, z_u, z_v).data, score_pair(dec, z_v, z_u).data)
 
 
+@pytest.mark.usefixtures("float64")
 def test_score_pair_matches_feedforward_oracle():
     ps, dec = _decoder(3, TaskKind.SIGN, seed=4)
     rng = np.random.default_rng(5)
@@ -138,6 +139,7 @@ def test_negative_sample_equals_per_event_oracle(seed, n, k):
     assert mine.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.usefixtures("float64")
 def test_bce_zero_logits_is_ln2():
     logits = Tensor(np.zeros(8))
     labels = np.array([0, 1] * 4)
@@ -149,6 +151,7 @@ def test_bce_saturated_correct_is_near_zero():
     assert loss_bce(Tensor([-20.0]), np.array([0])).item() <= 1e-8
 
 
+@pytest.mark.usefixtures("float64")
 def test_bce_matches_direct_formula():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=32) * 3
@@ -159,6 +162,7 @@ def test_bce_matches_direct_formula():
     assert abs(got - expected) < 1e-10
 
 
+@pytest.mark.usefixtures("float64")
 def test_ce3_uniform_logits_is_ln3():
     logits = Tensor(np.zeros((5, 3)))
     labels = np.array([0, 1, 2, 0, 1])
@@ -171,6 +175,7 @@ def test_ce3_onehot_near_zero():
     assert loss_ce3(Tensor(logits), np.array([0, 1, 2])).item() < 1e-8
 
 
+@pytest.mark.usefixtures("float64")
 def test_ce3_matches_softmax_formula():
     rng = np.random.default_rng(5)
     logits = rng.normal(size=(20, 3)) * 2
@@ -192,6 +197,7 @@ def test_rmse_exact_zero_and_sign_case():
     assert loss_rmse(Tensor([0.0, 0.0]), np.array([-1.0, 1.0])).item() == pytest.approx(1.0)
 
 
+@pytest.mark.usefixtures("float64")
 def test_rmse_matches_direct_formula():
     rng = np.random.default_rng(6)
     preds = rng.normal(size=25)
@@ -210,6 +216,7 @@ def test_rmse_empty_rejected():
     (TaskKind.SIGN, np.array([1.0, 1.0, 0.0])),
     (TaskKind.SIGNED_WEIGHT, np.array([2.0, -1.0, 0.5])),
 ])
+@pytest.mark.usefixtures("float64")
 def test_loss_gradients_through_decoder(task, labels):
     ps, dec = _decoder(3, task, seed=8)
     rng = np.random.default_rng(9)
@@ -223,6 +230,7 @@ def test_loss_gradients_through_decoder(task, labels):
     assert max_grad_error(build, ps) < 1e-5
 
 
+@pytest.mark.usefixtures("float64")
 def test_ce3_gradients_through_decoder():
     ps, dec = _decoder(3, TaskKind.SIGNED_EXISTENCE, seed=10)
     rng = np.random.default_rng(11)

@@ -8,7 +8,7 @@ from dysignet.layers import Feedforward, MultiHeadAttention, RecurrentCell
 from dysignet.params import ParameterSet
 from dysignet.tensor import Tensor
 
-from helpers import attend_segments, max_grad_error, pack_rows
+from helpers import attend_segments, max_grad_error, model_dtype, pack_rows
 from oracles import attention, cell_step, feedforward, tanh
 
 
@@ -48,10 +48,11 @@ def test_ffn_identity_case():
     ps["net.w2"].data[...] = np.eye(3)
     ps["net.b1"].data[...] = 0.0
     ps["net.b2"].data[...] = 0.0
-    v = np.array([0.3, 1.5, 0.0])  # non-negative: the hidden relu is inactive
-    assert np.array_equal(net.apply(Tensor(v)).data, v)
+    x = Tensor([0.3, 1.5, 0.0])  # non-negative: the hidden relu is inactive
+    assert np.array_equal(net.apply(x).data, x.data)
 
 
+@pytest.mark.usefixtures("float64")
 def test_ffn_matches_manual_matmul_oracle():
     ps, net = _ffn(3, 2, seed=42)
     x = np.random.default_rng(1).normal(size=3)
@@ -75,6 +76,7 @@ def test_ffn_dim_error():
         net.apply(Tensor(np.ones(4)))
 
 
+@pytest.mark.usefixtures("float64")
 def test_ffn_gradcheck():
     ps, net = _ffn(3, 2, seed=3)
     x = Tensor(np.random.default_rng(4).normal(size=3))
@@ -106,6 +108,7 @@ def test_cell_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.usefixtures("float64")
 def test_cell_matches_gate_formula_oracle():
     ps, cell = _cell(3, 4, seed=11)
     rng = np.random.default_rng(12)
@@ -135,6 +138,7 @@ def test_cell_dim_error():
         cell.apply(Tensor(np.ones(3)), Tensor(np.ones(5)))
 
 
+@pytest.mark.usefixtures("float64")
 def test_cell_gradcheck():
     ps, cell = _cell(2, 3, seed=15)
     rng = np.random.default_rng(16)
@@ -143,6 +147,7 @@ def test_cell_gradcheck():
     assert max_grad_error(lambda: T.tsum(T.mul(cell.apply(x, s), w)), ps) < 1e-6
 
 
+@pytest.mark.usefixtures("float64")
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_cell_gate_ranges(seed):
@@ -166,6 +171,7 @@ def test_cell_gate_ranges(seed):
 
 # --------------------------------------------------------------- fused ops
 
+@pytest.mark.usefixtures("float64")
 def test_fused_ffn_batched_gradcheck():
     rng = np.random.default_rng(31)
     ps, net = _ffn(3, 2, hidden=4, seed=32)
@@ -174,6 +180,7 @@ def test_fused_ffn_batched_gradcheck():
     assert max_grad_error(lambda: T.tsum(T.mul(net.apply(x), w)), ps) < 1e-6
 
 
+@pytest.mark.usefixtures("float64")
 def test_fused_cell_batched_gradcheck():
     rng = np.random.default_rng(33)
     ps, cell = _cell(2, 3, seed=34)
@@ -184,10 +191,17 @@ def test_fused_cell_batched_gradcheck():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([(), (1,), (3,), (17,)]))
-def test_fused_ops_bitwise_equal_composed_oracle(seed, lead):
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([(), (1,), (3,), (17,)]),
+       st.sampled_from([np.float32, np.float64]))
+def test_fused_ops_bitwise_equal_composed_oracle(seed, lead, dtype):
     # the fused ops keep the composed ops' summation order, so values and
-    # gradients agree bit for bit, 1-D and batched, saturated or not
+    # gradients agree bit for bit, 1-D and batched, saturated or not, at
+    # either model dtype
+    with model_dtype(dtype):
+        _check_fused_ops_bitwise(seed, lead)
+
+
+def _check_fused_ops_bitwise(seed, lead):
     rng = np.random.default_rng(seed)
     in_dim, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
     ps = ParameterSet()
@@ -204,7 +218,7 @@ def test_fused_ops_bitwise_equal_composed_oracle(seed, lead):
         grads = T.backward(T.tsum(T.mul(out, w)), leaves=ps.tensors())
         runs.append([h.data, out.data] + [grads[p] for p in ps.tensors()])
     for got, expected in zip(*runs):
-        assert got.shape == expected.shape
+        assert got.shape == expected.shape and got.dtype == T.DTYPE
         assert np.array_equal(got, expected)
 
 
@@ -251,6 +265,7 @@ def test_attention_equal_logits_uniform():
     assert np.allclose(w.data, 0.25)
 
 
+@pytest.mark.usefixtures("float64")
 def test_attention_matches_softmax_formula_oracle():
     ps, att = _attn(5, 4, 2, kv_dim=6, seed=5)
     rng = np.random.default_rng(6)
@@ -275,6 +290,7 @@ def test_attention_mismatched_lengths_rejected():
                   np.zeros((3, 0)), np.zeros(1, dtype=np.intp), np.array([2]))
 
 
+@pytest.mark.usefixtures("float64")
 def test_attention_gradcheck():
     ps, att = _attn(3, 4, 2, kv_dim=4, seed=11)
     rng = np.random.default_rng(12)
@@ -294,6 +310,7 @@ def test_attention_gradcheck():
 SEGMENTS = np.array([0, 0, 0, 1, 3, 3], dtype=np.intp)
 
 
+@pytest.mark.usefixtures("float64")
 def test_attention_segments_match_per_segment_oracle():
     ps, att = _attn(5, 6, 3, kv_dim=4, seed=13)
     rng = np.random.default_rng(14)
@@ -312,6 +329,7 @@ def test_attention_segments_match_per_segment_oracle():
         assert np.abs(out.data[i] - expected_out).max() < 1e-12
 
 
+@pytest.mark.usefixtures("float64")
 def test_attention_segments_gradcheck():
     ps, att = _attn(3, 4, 2, kv_dim=5, seed=15)
     rng = np.random.default_rng(16)
@@ -348,12 +366,14 @@ def _factored(extra_dim, seed):
     return ps, att, q, table, extra, loss
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("extra_dim", [2, 0])
 def test_factored_attention_gradcheck(extra_dim):
     ps, _, _, _, _, loss = _factored(extra_dim, seed=17)
     assert max_grad_error(loss, ps) < 1e-6
 
 
+@pytest.mark.usefixtures("float64")
 def test_factored_attention_equals_explicit_rows_oracle():
     _, att, q, table, extra, _ = _factored(2, seed=18)
     out, w = _apply(att, q, table, TABLE_INDEX, extra, SEGMENTS)
@@ -366,6 +386,7 @@ def test_factored_attention_equals_explicit_rows_oracle():
         assert np.abs(out.data[i] - expected_out).max() < 1e-12
 
 
+@pytest.mark.usefixtures("float64")
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_attention_weights_normalized(seed):
@@ -385,6 +406,7 @@ def test_attention_weights_normalized(seed):
     assert np.abs(w.data.sum(axis=0) - 1.0).max() < 1e-9
 
 
+@pytest.mark.usefixtures("float64")
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_packed_attention_matches_per_query_oracle(seed):
@@ -421,6 +443,7 @@ def test_packed_attention_matches_per_query_oracle(seed):
         assert np.abs(w.data[mine].sum(axis=0) - 1.0).max() < 1e-12
 
 
+@pytest.mark.usefixtures("float64")
 def test_packed_attention_batched_gradcheck():
     # six segments of unequal, unsorted lengths (one empty) and two extra
     # columns, so the per-query projections of wk's and wv's extra

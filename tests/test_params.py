@@ -1,7 +1,18 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dysignet.params import NumericError, ParameterSet, adam_step
+import dysignet.tensor as T
+from dysignet.harness import build_model
+from dysignet.params import NumericError, ParameterSet, _decode, _encode, adam_step
+
+from helpers import tiny_config
+
+# Written at float64 from build_model(tiny_config()).params after one Adam
+# step on standard-normal gradients (generator seed 0) at lr 1e-2.
+FLOAT64_CHECKPOINT = Path(__file__).parent / "data" / "params_v1_float64.json"
 
 
 def _single(value):
@@ -20,6 +31,7 @@ def test_zero_gradients_leave_everything_unchanged():
     assert ps.step == 1
 
 
+@pytest.mark.usefixtures("float64")
 def test_first_step_matches_hand_evaluation():
     ps, p = _single([1.0, -2.0])
     g = np.array([0.5, -0.25])
@@ -95,3 +107,48 @@ def test_load_values_shape_mismatch():
         ps.load_values({"p": np.zeros(3)})
     with pytest.raises(ValueError):
         ps.load_values({"q": np.zeros(2)})
+
+
+def test_float64_checkpoint_loads_cast_to_the_model_dtype():
+    loaded = ParameterSet.load(FLOAT64_CHECKPOINT)
+    doc = json.loads(FLOAT64_CHECKPOINT.read_text())
+    assert loaded.step == 1 and loaded.meta == {}
+    assert loaded.names() == list(doc["params"])
+    for name, entry in doc["params"].items():
+        arrays = (loaded[name].data, *loaded.moments(name))
+        for key, got in zip(("data", "m", "v"), arrays):
+            want = _decode(entry[key], entry["shape"]).astype(T.DTYPE)
+            assert got.dtype == T.DTYPE and got.tobytes() == want.tobytes(), (name, key)
+    build_model(tiny_config()).params.load_values(loaded.copy_values())
+
+
+@pytest.mark.usefixtures("float64")
+def test_float64_checkpoint_round_trips_byte_for_byte(tmp_path):
+    path = tmp_path / "again.json"
+    ParameterSet.load(FLOAT64_CHECKPOINT).save(path)
+    assert path.read_bytes() == FLOAT64_CHECKPOINT.read_bytes()
+
+
+def test_checkpoint_value_beyond_float32_is_rejected(tmp_path):
+    # 1e39 is finite at float64, the checkpoint's width, and inf once cast
+    path = tmp_path / "ckpt.json"
+    doc = json.loads(FLOAT64_CHECKPOINT.read_text())
+    entry = next(iter(doc["params"].values()))
+    entry["v"] = _encode(np.full(entry["shape"], 1e39))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="non-finite"):
+        ParameterSet.load(path)
+
+
+def test_checkpoint_records_meta(tmp_path):
+    ps, _ = _single([1.0])
+    ps.meta = {"task": "sign", "ablation": "ba"}
+    path = tmp_path / "ckpt.json"
+    ps.save(path)
+    assert ParameterSet.load(path).meta == ps.meta
+    doc = json.loads(path.read_text())
+    for bad in ([], {"task": 1}):
+        doc["meta"] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="bad checkpoint"):
+            ParameterSet.load(path)

@@ -98,6 +98,7 @@ def _fd_check(f, tensors, eps=1e-6, tol=5e-6):
             assert abs(fd - gf[i]) <= tol * max(1.0, abs(fd)), (fd, gf[i])
 
 
+@pytest.mark.usefixtures("float64")
 def test_elementwise_and_matmul_gradients():
     rng = np.random.default_rng(1)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -112,6 +113,7 @@ def test_elementwise_and_matmul_gradients():
     _fd_check(f, [a, b, c])
 
 
+@pytest.mark.usefixtures("float64")
 def test_batched_matmul_gradients():
     rng = np.random.default_rng(2)
     k = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
@@ -125,6 +127,7 @@ def test_batched_matmul_gradients():
     _fd_check(f, [k, q])
 
 
+@pytest.mark.usefixtures("float64")
 def test_unary_gradients():
     rng = np.random.default_rng(3)
     x = Tensor(rng.uniform(0.5, 2.0, size=6), requires_grad=True)
@@ -136,6 +139,7 @@ def test_unary_gradients():
     _fd_check(f, [x])
 
 
+@pytest.mark.usefixtures("float64")
 def test_slice_row_transpose_reshape_gradients():
     rng = np.random.default_rng(4)
     m = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
@@ -162,6 +166,7 @@ def _attend(q, table, index, extra, wq, wk, wv, seg, n_q, heads):
         n_q, index, extra, seg)
 
 
+@pytest.mark.usefixtures("float64")
 def test_gather_attention_repeated_row_gradients():
     rng = np.random.default_rng(5)
     m = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -178,6 +183,7 @@ def test_gather_attention_repeated_row_gradients():
     _fd_check(f, [m, wq, wk, wv])
 
 
+@pytest.mark.usefixtures("float64")
 def test_segment_attention_repeated_row_accumulates():
     # one table row used three times gets the summed gradient of three copies
     rng = np.random.default_rng(8)
@@ -195,6 +201,7 @@ def test_segment_attention_repeated_row_accumulates():
     assert np.abs(g1[0] - g3.sum(axis=0)).max() < 1e-12
 
 
+@pytest.mark.usefixtures("float64")
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_scatter_rows_equals_add_at_bitwise(seed):
@@ -250,6 +257,7 @@ def test_take_rows_repeated_row_accumulates():
     assert np.array_equal(g, [[0.0] * 3, [3.0] * 3])
 
 
+@pytest.mark.usefixtures("float64")
 def test_take_rows_gradients():
     rng = np.random.default_rng(7)
     src = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -336,6 +344,7 @@ def test_forward_determinism():
     assert np.array_equal(v1, v2) and np.array_equal(g1, g2)
 
 
+@pytest.mark.usefixtures("float64")
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 31 - 1))
 def test_matmul_gradient_property(m, k, seed):
@@ -352,6 +361,7 @@ def test_matmul_gradient_property(m, k, seed):
     assert np.allclose(grads[b], a.data.T @ w)
 
 
+@pytest.mark.usefixtures("float64")
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_gather_stack_equals_per_item_oracle_bitwise(seed):
