@@ -1,19 +1,25 @@
+import contextlib
 import csv
+import gzip
+import io
 import json
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dysignet.cli import _load_bundle, build_parser, main, read_config_file
 from dysignet.encoder import AblationConfig
-from dysignet.events import compute_stats, parse_csv
+from dysignet.events import DataError, compute_stats, parse_csv
 from dysignet.harness import TrainConfig, evaluate_sequential
 from dysignet.heads import TaskKind
 from dysignet.metrics import auroc, f1_binary, kl_divergence_hist
 from dysignet.params import _encode
 from dysignet.synthetic import generate_balanced_stream
+from helpers import edge_list_texts
 
 
 @pytest.fixture(autouse=True)
@@ -73,6 +79,64 @@ def test_stats_nonfinite_only_exits_2(tmp_path, capsys):
     path.write_text("a,b,1,inf\nb,c,nan,5\n")
     assert main(["stats", "--dataset", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("a,b,1,5\nJosé,b,2,6\n".encode("latin-1"))
+    return path
+
+
+def _truncated_gz(tmp_path):
+    path = tmp_path / "cut.csv.gz"
+    whole = gzip.compress(b"a,b,1,5\n" * 1000)
+    path.write_bytes(whole[:len(whole) // 2])
+    return path
+
+
+def _directory(tmp_path):
+    path = tmp_path / "dir.csv"
+    path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize("make", [_not_utf8, _truncated_gz, _directory])
+def test_stats_unreadable_dataset_exits_2(tmp_path, capsys, make):
+    path = make(tmp_path)
+    assert main(["stats", "--dataset", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {path}: ")
+
+
+def _stats_run(path, out):
+    """``(exit code, stdout, stderr)`` of ``dysignet stats`` on ``path``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["stats", "--dataset", str(path), "--out", str(out)])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+# the only function-scoped fixture is the autouse DYSIGNET_OUT setting,
+# which every example may share
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=st.one_of(edge_list_texts().map(lambda case: case[0].encode()), st.binary()),
+       gz=st.booleans())
+def test_stats_on_any_file_exits_0_or_2(tmp_path_factory, content, gz):
+    """Messy edge lists and random bytes, plain or gzip-named: the library
+    gives stats or a ``DataError``, and the CLI agrees with exit 0 and the
+    stats as JSON, or exit 2 with ``data error:``."""
+    root = tmp_path_factory.mktemp("fuzz")
+    path = root / ("d.csv.gz" if gz else "d.csv")
+    path.write_bytes(content)
+    try:
+        expected = compute_stats(parse_csv(path)).to_dict()
+    except DataError:
+        expected = None
+    code, out, err = _stats_run(path, root / "o")
+    if expected is None:
+        assert code == 2 and err.startswith("data error: "), (code, err)
+    else:
+        assert code == 0 and json.loads(out) == json.loads(json.dumps(expected))
 
 
 def test_config_file_sets_every_field(tmp_path):

@@ -1,13 +1,16 @@
+import csv
 import gzip
 import logging
 import re
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dysignet.events
 from dysignet.events import (
     DataError,
     SignedEvent,
@@ -21,7 +24,7 @@ from dysignet.events import (
 )
 
 import oracles
-from helpers import log_of
+from helpers import edge_list_texts, log_of
 
 
 def write_rows(path, rows):
@@ -260,6 +263,90 @@ def test_parse_equals_row_by_row_oracle(tmp_path_factory, seed, n, strict, loops
     assert log.raw_ids.tolist() == raw_ids and log.node_count == len(raw_ids)
     counts = ", ".join(f"{k}={v}" for k, v in skipped.items() if v)
     assert [r.getMessage().split("(")[-1] for r in records] == ([counts + ")"] if counts else [])
+
+
+@contextmanager
+def _logged():
+    """The records ``dysignet.events`` logs inside the block."""
+    logger = logging.getLogger("dysignet.events")
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=edge_list_texts(), chunk=st.integers(1, 300), gz=st.booleans(),
+       strict=st.booleans(), loops=st.booleans())
+# a long and a short row whose cells add up to whole rows; a short row
+# that still holds the time and weight columns
+@example(case=("1,2,3,4\n1,2,3,4\n1,2,3,4,9\n1,2,3\n", ",", ("src", "dst", "weight", "time")),
+         chunk=300, gz=False, strict=False, loops=False)
+@example(case=("1,5,2,3,4\n1,5,2,3\n", ",", ("time", "extra", "dst", "weight", "src")),
+         chunk=300, gz=False, strict=False, loops=False)
+def test_chunked_parse_equals_row_by_row_oracle(tmp_path_factory, case, chunk, gz, strict,
+                                                loops):
+    """Chunks of 1 to 300 characters put chunk ends everywhere: inside
+    quoted fields, next to blank or flawed rows and at the quote that
+    hands the rest of the file to the csv reader."""
+    text, delimiter, columns = case
+    path = tmp_path_factory.mktemp("chunks") / ("d.csv.gz" if gz else "d.csv")
+    path.write_bytes(gzip.compress(text.encode()) if gz else text.encode())
+    kwargs = dict(columns=columns, delimiter=delimiter, strict=strict, keep_self_loops=loops)
+    try:
+        events, raw_ids, skipped = oracles.parse_rows(path, **kwargs)
+        error = None
+    except DataError as exc:
+        error = str(exc)
+    with pytest.MonkeyPatch.context() as patch, _logged() as records:
+        patch.setattr(dysignet.events, "_CHUNK_BYTES", chunk)
+        if error is not None:
+            with pytest.raises(DataError, match=re.escape(error)):
+                parse_csv(path, **kwargs)
+            return
+        log = parse_csv(path, **kwargs)
+    assert log.events == events
+    assert log.time.tobytes() == np.array([ev.time for ev in events]).tobytes()
+    assert log.weight.tobytes() == np.array([ev.weight for ev in events]).tobytes()
+    assert log.raw_ids.tolist() == raw_ids and log.raw_ids.dtype == np.array(raw_ids).dtype
+    assert log.node_count == len(raw_ids)
+    dropped = sum(skipped.values())
+    counts = ", ".join(f"{k}={v}" for k, v in skipped.items() if v)
+    assert [r.getMessage() for r in records] == (
+        [f"{path.name}: dropped {dropped} rows ({counts})"] if dropped else [])
+
+
+def test_parse_field_over_csv_limit_is_a_data_error(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,1,1\n" + "x" * (csv.field_size_limit() + 1) + ",b,1,2\n")
+    with pytest.raises(DataError, match="field larger than field limit"):
+        parse_csv(path)
+
+
+def test_parse_transient_peak_is_at_most_250_bytes_per_event(tmp_path):
+    rng = np.random.default_rng(1)
+    n = 200_000
+    src = rng.integers(0, 3000, size=n)
+    dst = (src + rng.integers(1, 3000, size=n)) % 3000
+    weight = rng.choice([-3, -1, 1, 2, 5], n)
+    time = np.sort(rng.integers(1_300_000_000, 1_450_000_000, n))
+    path = tmp_path / "big.csv"
+    path.write_text("src,dst,weight,time\n" + "".join(
+        map("u{},u{},{},{}\n".format, src.tolist(), dst.tolist(), weight.tolist(), time.tolist())))
+    tracemalloc.start()
+    try:
+        events = len(parse_csv(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert events == n
+    # the row-by-row parse held every row's tuple, ``zip(*rows)`` and an
+    # object array of raw ids at once: 367 bytes per event here
+    assert peak / events <= 250, f"{peak / events:.1f} bytes per event"
 
 
 def _mklog(rows, n=None):
