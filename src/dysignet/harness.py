@@ -22,7 +22,7 @@ import numpy as np
 
 from .encoder import AblationConfig, EncoderModel, EncoderState
 from .events import DataError, DatasetSplit, batches, chronological_split, parse_csv
-from .heads import PairDecoder, TaskKind, negative_sample, sigmoid_np, task_loss
+from .heads import PairDecoder, TaskKind, negative_sample, task_labels, task_loss, task_outputs
 from .metrics import accuracy, auroc, f1_binary, f1_multiclass, regression_metrics
 from .params import NumericError, ParameterSet, adam_step
 from .tensor import backward, no_grad
@@ -159,34 +159,13 @@ class Predictions:
         return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
 
-def _labels(task: TaskKind, weight: np.ndarray) -> np.ndarray:
-    if task is TaskKind.EXISTENCE:
-        return np.ones_like(weight)
-    if task is TaskKind.SIGN:
-        return np.where(weight > 0, 1.0, 0.0)
-    if task is TaskKind.SIGNED_EXISTENCE:
-        return np.where(weight > 0, 0.0, 1.0)
-    return weight
-
-
 def _weight_scaler(config: TrainConfig, split: DatasetSplit):
     """(mean, std) of the train-split weights, or None when disabled."""
-    if config.task is not TaskKind.SIGNED_WEIGHT or not config.standardize_weights:
+    if not (config.task.regression and config.standardize_weights):
         return None
     weights = split.train.weight
     std = float(weights.std())
     return float(weights.mean()), (std if std > 0 else 1.0)
-
-
-def _output_rows(task: TaskKind, data: np.ndarray, scaler) -> np.ndarray:
-    data = data.astype(np.float64)
-    if task is TaskKind.SIGNED_EXISTENCE:
-        e = np.exp(data - data.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
-    if task is TaskKind.SIGNED_WEIGHT:
-        rows = data.reshape(-1, 1)
-        return rows * scaler[1] + scaler[0] if scaler is not None else rows  # raw units
-    return sigmoid_np(data.reshape(-1, 1))
 
 
 def _online(bundle: ModelBundle, state: EncoderState, universe: dict, events, rng,
@@ -207,8 +186,7 @@ def _online(bundle: ModelBundle, state: EncoderState, universe: dict, events, rn
         time, src, dst = batch.time, batch.src, batch.dst
         nodes = np.column_stack([src, dst]).ravel().tolist()  # src0, dst0, src1, ...
         universe.update(dict.fromkeys(nodes))
-        label = _labels(task, batch.weight)
-        is_real = np.ones(len(batch), dtype=bool)
+        k = 0
         if task.needs_negatives:
             pool = np.fromiter(universe, np.int64, len(universe))
             neg = negative_sample(batch, pool, rng)
@@ -216,13 +194,14 @@ def _online(bundle: ModelBundle, state: EncoderState, universe: dict, events, rn
             nodes += neg.ravel().tolist()
             src, dst = np.concatenate([src, neg[:, 0]]), np.concatenate([dst, neg[:, 1]])
             time = np.concatenate([time, time[:k]])
-            label = np.concatenate([label, np.full(k, 0.0 if task is TaskKind.EXISTENCE else 2.0)])
-            is_real = np.concatenate([is_real, np.zeros(k, dtype=bool)])
+        label = task_labels(task, batch.weight, k)
+        is_real = np.arange(len(label)) < len(batch)
         z, index = bundle.encoder.compute_embeddings(nodes, qtime, state)
         outputs = bundle.decoder.score_rows(z, index, list(zip(nodes[::2], nodes[1::2])))
-        targets = (label - scaler[0]) / scaler[1] if scaler else label
-        yield outputs, targets, Predictions(src, dst, time, _output_rows(task, outputs.data, scaler),
-                                            label, is_real)
+        output, targets = task_outputs(task, outputs.data), label
+        if scaler:   # standardized regression targets; predictions in raw units
+            output, targets = output * scaler[1] + scaler[0], (label - scaler[0]) / scaler[1]
+        yield outputs, targets, Predictions(src, dst, time, output, label, is_real)
         bundle.encoder.process_batch(batch, state)
 
 
@@ -365,8 +344,7 @@ def train(config: TrainConfig, split: DatasetSplit | None = None) -> TrainResult
         epoch_preds = []
         online = _online(bundle, state, {}, split.train, rng, scaler, {"causality": 0})
         for k, (outputs, targets, preds) in enumerate(online):
-            loss = task_loss(task, outputs, targets)
-            loss_value = loss.item()
+            loss_value, loss_grad = task_loss(task, outputs, targets)
             if not np.isfinite(loss_value):
                 raise NumericError(f"non-finite loss at epoch {epoch} batch {k}")
             if loss_value > DIVERGENCE_LIMIT:
@@ -374,7 +352,7 @@ def train(config: TrainConfig, split: DatasetSplit | None = None) -> TrainResult
                     f"training diverged (loss {loss_value:.3g}) at epoch {epoch} batch {k}")
             epoch_losses.append(loss_value)
             epoch_preds.append(preds)
-            grads = backward(loss, leaves=bundle.params.tensors())
+            grads = backward(outputs, loss_grad, leaves=bundle.params.tensors())
             adam_step(bundle.params, grads, config.lr)
             state.detach_()
         loss_trace.append(epoch_losses)

@@ -1,5 +1,10 @@
 """Pair decoders, task losses, and negative sampling for the four
-link-prediction tasks."""
+link-prediction tasks.
+
+Each task's loss and its gradient with respect to the decoder output are
+computed in closed form, in float64 numpy; the gradient seeds
+``tensor.backward``.  The task's label and output rules sit beside its
+loss."""
 
 from __future__ import annotations
 
@@ -10,19 +15,7 @@ import numpy as np
 
 from .layers import Feedforward
 from .params import ParameterSet
-from .tensor import (
-    Tensor,
-    _expit,
-    concat,
-    gather_stack,
-    logsumexp,
-    mul,
-    softplus,
-    sqrt,
-    sub,
-    tmean,
-    tsum,
-)
+from .tensor import Tensor, _expit, concat, gather_stack
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +33,10 @@ class TaskKind(Enum):
     @property
     def arity(self) -> int:
         return 3 if self is TaskKind.SIGNED_EXISTENCE else 1
+
+    @property
+    def regression(self) -> bool:
+        return self is TaskKind.SIGNED_WEIGHT
 
     @property
     def needs_negatives(self) -> bool:
@@ -85,43 +82,73 @@ def negative_sample(events, universe: np.ndarray, rng: np.random.Generator) -> n
     return np.column_stack([events.src, out])
 
 
-def loss_bce(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy on raw logits, log-sum-exp stabilized:
-    softplus(x) - y*x."""
-    labels = np.asarray(labels, dtype=np.float64)
-    flat = logits if logits.data.ndim == 1 else logits.reshape((-1,))
-    return tmean(sub(softplus(flat), mul(flat, Tensor(labels))))
+def loss_bce(logits: np.ndarray, labels: np.ndarray):
+    """Mean binary cross-entropy on raw logits, softplus(x) - y*x, and its
+    gradient (sigmoid(x) - y) / n."""
+    x, y = np.asarray(logits, dtype=np.float64).ravel(), np.asarray(labels, dtype=np.float64)
+    value = np.mean(np.logaddexp(0.0, x) - y * x)
+    return value, (_expit(x) - y) / x.size
 
 
-def loss_ce3(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean 3-way softmax cross-entropy."""
+def loss_ce3(logits: np.ndarray, labels: np.ndarray):
+    """Mean 3-way softmax cross-entropy and its gradient
+    (softmax - onehot) / n."""
     labels = np.asarray(labels).astype(int)
     if labels.min() < 0 or labels.max() > 2:
         raise ValueError("labels for the 3-class task must lie in {0, 1, 2}")
-    onehot = np.zeros(logits.data.shape)
-    onehot[np.arange(labels.size), labels] = 1.0
-    logp = sub(logits, logsumexp(logits, axis=1, keepdims=True))
-    picked = tsum(mul(logp, Tensor(onehot)), axis=1)
-    return tmean(mul(picked, -1.0))
+    x, rows = np.asarray(logits, dtype=np.float64), np.arange(labels.size)
+    shift = x.max(axis=1, keepdims=True)
+    e = np.exp(x - shift)
+    total = e.sum(axis=1, keepdims=True)
+    value = np.mean(np.log(total[:, 0]) + shift[:, 0] - x[rows, labels])
+    grad = e / total
+    grad[rows, labels] -= 1.0
+    return value, grad / labels.size
 
 
-def loss_rmse(preds: Tensor, targets: np.ndarray) -> Tensor:
-    """Root mean squared error against raw signed weights."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.size == 0:
+def loss_rmse(preds: np.ndarray, targets: np.ndarray):
+    """Root mean squared error against raw signed weights and its gradient
+    d / (n * rmse), zero where the error is zero."""
+    x, t = np.asarray(preds, dtype=np.float64).ravel(), np.asarray(targets, dtype=np.float64)
+    if t.size == 0:
         raise ValueError("RMSE of an empty batch is undefined")
-    flat = preds if preds.data.ndim == 1 else preds.reshape((-1,))
-    d = sub(flat, Tensor(targets))
-    return sqrt(tmean(mul(d, d)))
+    d = x - t
+    value = np.sqrt(np.mean(d * d))
+    return value, (d / (d.size * value) if value > 0 else np.zeros_like(d))
 
 
-def task_loss(task: TaskKind, outputs: Tensor, labels: np.ndarray) -> Tensor:
+def task_loss(task: TaskKind, outputs: Tensor, targets: np.ndarray):
+    """The task's loss on the decoder ``outputs`` and its gradient with
+    respect to them, in the outputs' shape and dtype: (float, array)."""
+    loss = {TaskKind.SIGNED_EXISTENCE: loss_ce3,
+            TaskKind.SIGNED_WEIGHT: loss_rmse}.get(task, loss_bce)
+    value, grad = loss(outputs.data, targets)
+    return float(value), grad.reshape(outputs.data.shape).astype(outputs.data.dtype)
+
+
+def task_labels(task: TaskKind, weight: np.ndarray, negatives: int) -> np.ndarray:
+    """Labels of a batch's events with signed weights ``weight``, then of
+    ``negatives`` corrupted pairs: existence 1 and 0; sign 1 for positive
+    and 0 otherwise; 3-way 0 positive, 1 negative, 2 no link; weights as
+    they are."""
+    if task is TaskKind.EXISTENCE:
+        real, fake = np.ones_like(weight), 0.0
+    elif task is TaskKind.SIGN:
+        real, fake = np.where(weight > 0, 1.0, 0.0), 0.0
+    elif task is TaskKind.SIGNED_EXISTENCE:
+        real, fake = np.where(weight > 0, 0.0, 1.0), 2.0
+    else:
+        real, fake = weight, 0.0
+    return np.concatenate([real, np.full(negatives, fake)])
+
+
+def task_outputs(task: TaskKind, data: np.ndarray) -> np.ndarray:
+    """Decoder outputs as (n, arity) float64 predictions: class
+    probabilities, or the regressed weight as it is."""
+    data = data.astype(np.float64)
     if task is TaskKind.SIGNED_EXISTENCE:
-        return loss_ce3(outputs, labels)
+        e = np.exp(data - data.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
     if task is TaskKind.SIGNED_WEIGHT:
-        return loss_rmse(outputs, labels)
-    return loss_bce(outputs, labels)
-
-
-def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    return _expit(np.asarray(x, dtype=np.float64))
+        return data
+    return _expit(data)

@@ -28,8 +28,8 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 class Feedforward:
     """Two-layer perceptron: relu hidden layer, linear output.  ``apply``
-    runs it as the one op :func:`tensor.feedforward` on (in,) or (n, in)
-    input, with the bits of the seven primitives it replaces."""
+    runs it as the one op :func:`tensor.feedforward` on (n, in) rows, with
+    the bits of the seven primitives it replaces."""
 
     def __init__(self, params: ParameterSet, name: str, in_dim: int, out_dim: int,
                  hidden_dim: int | None = None, rng: np.random.Generator | None = None):
@@ -43,9 +43,8 @@ class Feedforward:
         self.b2 = params.add(f"{name}.b2", uniform_init(rng, (out_dim,), hidden))
 
     def apply(self, x: Tensor) -> Tensor:
-        if x.data.shape[-1] != self.in_dim:
-            raise DimensionError(
-                f"{self.name}: input dim {x.data.shape[-1]} != {self.in_dim}")
+        if x.data.ndim != 2 or x.data.shape[1] != self.in_dim:
+            raise DimensionError(f"{self.name}: input shape {x.data.shape} != (n, {self.in_dim})")
         return feedforward(x, self.w1, self.b1, self.w2, self.b2)
 
 
@@ -54,7 +53,7 @@ class RecurrentCell:
     carried cell value: new = output ⊙ tanh(forget ⊙ state + input ⊙ cand).
 
     ``apply`` runs the step as the one op :func:`tensor.recurrent_cell` on
-    (in,)/(d,) or (n, in)/(n, d) input.  Fusing saves the fresh
+    (n, in) input rows and (n, d) state rows.  Fusing saves the fresh
     temporaries, and their page faults, of about twenty primitive ops, not
     arithmetic.  It sums in their order, x·wᵀ, then + state·uᵀ, then + b,
     so values and gradients keep their bits.
@@ -75,10 +74,11 @@ class RecurrentCell:
         self.b = params.add(f"{name}.b", uniform_init(rng, (k,), state_dim))
 
     def apply(self, x: Tensor, state: Tensor) -> Tensor:
-        if x.data.shape[-1] != self.in_dim or state.data.shape[-1] != self.out_dim:
+        n = x.data.shape[:1]
+        if x.data.shape != n + (self.in_dim,) or state.data.shape != n + (self.out_dim,):
             raise DimensionError(
-                f"{self.name}: got input dim {x.data.shape[-1]} / state dim "
-                f"{state.data.shape[-1]}, expected {self.in_dim} / {self.out_dim}")
+                f"{self.name}: got input {x.data.shape} / state {state.data.shape}, "
+                f"expected (n, {self.in_dim}) / (n, {self.out_dim})")
         return recurrent_cell(x, state, self.w, self.u, self.b)
 
 

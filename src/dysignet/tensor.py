@@ -12,7 +12,10 @@ Every tensor produced by an operation keeps references to its parents, the
 local vector-Jacobian product, and a monotonically increasing sequence
 number.  Creation order is therefore a valid topological order of the
 implicit tape, and ``backward`` replays reachable nodes in descending
-sequence order.
+sequence order.  The tape's root is the decoder output, seeded with the
+gradient of the task loss, which ``heads`` computes in closed form, so
+there is no scalar loss tensor.  ``matmul``, ``transpose`` and the fused
+ops take 2-D arrays only: every caller passes rows.
 
 Recording happens only while gradients are enabled (see ``no_grad``) and
 only for results that can reach a ``requires_grad`` leaf, so inference
@@ -71,9 +74,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def reshape(self, shape):
-        return reshape(self, shape)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -118,54 +118,16 @@ def add(a, b):
     return _result(data, (a, b), vjp)
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _result(data, (a, b), vjp)
-
-
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-
-    def vjp(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
-
-    return _result(data, (a, b), vjp)
-
-
 def matmul(a, b):
+    """Product of two 2-D tensors."""
     a, b = as_tensor(a), as_tensor(b)
     A, B = a.data, b.data
-    if A.ndim == 0 or B.ndim == 0:
-        raise DimensionError("matmul operands must be at least 1-D")
-    try:
-        data = A @ B
-    except ValueError as exc:
-        raise DimensionError(f"matmul shapes {A.shape} and {B.shape}: {exc}") from None
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        raise DimensionError(f"matmul needs (n, k) and (k, m) operands, got {A.shape} and {B.shape}")
+    data = A @ B
 
     def vjp(g):
-        A2 = A.reshape(1, -1) if A.ndim == 1 else A
-        B2 = B.reshape(-1, 1) if B.ndim == 1 else B
-        if A.ndim == 1 and B.ndim == 1:
-            g2 = g.reshape(1, 1)
-        elif A.ndim == 1:
-            g2 = np.expand_dims(g, -2)
-        elif B.ndim == 1:
-            g2 = np.expand_dims(g, -1)
-        else:
-            g2 = g
-        ga = g2 @ np.swapaxes(B2, -1, -2)
-        gb = np.swapaxes(A2, -1, -2) @ g2
-        if A.ndim == 1:
-            ga = ga.reshape(ga.shape[:-2] + (A.shape[0],))
-        if B.ndim == 1:
-            gb = gb.reshape(gb.shape[:-1])
-        return _unbroadcast(ga, A.shape), _unbroadcast(gb, B.shape)
+        return g @ B.T, A.T @ g
 
     return _result(data, (a, b), vjp)
 
@@ -187,96 +149,13 @@ def _expit(x, out=None):
     return out
 
 
-def exp(a):
-    a = as_tensor(a)
-    e = np.exp(a.data)
-
-    def vjp(g):
-        return (g * e,)
-
-    return _result(e, (a,), vjp)
-
-
-def log(a):
+def transpose(a):
     a = as_tensor(a)
 
     def vjp(g):
-        return (g / a.data,)
+        return (g.T,)
 
-    return _result(np.log(a.data), (a,), vjp)
-
-
-def sqrt(a):
-    a = as_tensor(a)
-    r = np.sqrt(a.data)
-
-    def vjp(g):
-        return (g * 0.5 / r,)
-
-    return _result(r, (a,), vjp)
-
-
-def softplus(a):
-    """log(1 + e^x), evaluated in log-sum-exp form."""
-    a = as_tensor(a)
-    data = np.logaddexp(0.0, a.data)
-
-    def vjp(g):
-        return (g * _expit(a.data),)
-
-    return _result(data, (a,), vjp)
-
-
-def tsum(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape),)
-        gg = g
-        if not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            for ax in sorted(ax % a.data.ndim for ax in axes):
-                gg = np.expand_dims(gg, ax)
-        return (np.broadcast_to(gg, a.data.shape),)
-
-    return _result(data, (a,), vjp)
-
-
-def tmean(a):
-    a = as_tensor(a)
-    n = a.data.size
-    data = a.data.mean()
-
-    def vjp(g):
-        return (np.broadcast_to(g / n, a.data.shape),)
-
-    return _result(data, (a,), vjp)
-
-
-def reshape(a, shape):
-    a = as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(a.data.shape),)
-
-    return _result(data, (a,), vjp)
-
-
-def transpose(a, axes=None):
-    a = as_tensor(a)
-    data = np.transpose(a.data, axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = np.argsort(axes)
-
-    def vjp(g):
-        return (np.transpose(g, inv),)
-
-    return _result(data, (a,), vjp)
+    return _result(a.data.T, (a,), vjp)
 
 
 def concat(tensors, axis=0):
@@ -351,14 +230,9 @@ def take_rows(src, rows, fill):
     return _result(data, (src,), vjp)
 
 
-def _rows2(a):
-    """A 1-D array as one row; a 2-D array as it is."""
-    return a.reshape(-1, a.shape[-1])
-
-
 def _gate_blocks(a, d):
     """Views of the four width-``d`` column blocks of ``a``."""
-    return [a[..., k * d:(k + 1) * d] for k in range(4)]
+    return [a[:, k * d:(k + 1) * d] for k in range(4)]
 
 
 def _sigmoid_grad(g, s):
@@ -368,9 +242,9 @@ def _sigmoid_grad(g, s):
 
 
 def feedforward(x, w1, b1, w2, b2):
-    """``relu(x · w1ᵀ + b1) · w2ᵀ + b2`` as one op; ``x`` is (in,) or
-    (n, in).  Each step runs in place on one buffer and the vjp keeps only
-    the hidden activations."""
+    """``relu(x · w1ᵀ + b1) · w2ᵀ + b2`` as one op on (n, in) rows ``x``.
+    Each step runs in place on one buffer and the vjp keeps only the
+    hidden activations."""
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     X = x.data
     h = X @ w1.data.T
@@ -380,13 +254,12 @@ def feedforward(x, w1, b1, w2, b2):
     out += b2.data
 
     def vjp(g):
-        g_w2 = (_rows2(h).T @ _rows2(g)).T
-        g_h = (_rows2(g) @ w2.data).reshape(h.shape)
+        g_w2 = (h.T @ g).T
+        g_h = g @ w2.data
         g_h *= h > 0
-        g_w1 = (_rows2(X).T @ _rows2(g_h)).T
-        g_x = (_rows2(g_h) @ w1.data).reshape(X.shape) if x.requires_grad else None
-        return (g_x, g_w1, _unbroadcast(g_h, b1.data.shape), g_w2,
-                _unbroadcast(g, b2.data.shape))
+        g_w1 = (X.T @ g_h).T
+        g_x = g_h @ w1.data if x.requires_grad else None
+        return g_x, g_w1, g_h.sum(axis=0), g_w2, g.sum(axis=0)
 
     return _result(out, (x, w1, b1, w2, b2), vjp)
 
@@ -395,14 +268,14 @@ def recurrent_cell(x, state, w, u, b):
     """Four-gate cell step as one op: ``z = x · wᵀ + state · uᵀ + b``
     split into input, forget, candidate and output blocks of the state
     width d, then ``output ⊙ tanh(forget ⊙ state + input ⊙ candidate)``.
-    ``x`` is (in,) or (n, in) and ``state`` (d,) or (n, d).
+    ``x`` is (n, in) and ``state`` (n, d).
 
     Each gate is computed from its column block of ``z`` into one
-    contiguous (4, ...) gate buffer, the rest runs in place, and the vjp
+    contiguous (4, n, d) gate buffer, the rest runs in place, and the vjp
     keeps only the gates and tanh of the cell value."""
     x, state, w, u, b = (as_tensor(t) for t in (x, state, w, u, b))
     X, S = x.data, state.data
-    d = S.shape[-1]
+    d = S.shape[1]
     z = X @ w.data.T
     z += S @ u.data.T
     z += b.data
@@ -421,7 +294,7 @@ def recurrent_cell(x, state, w, u, b):
     def vjp(g):
         # every term is formed as the composed ops formed it, operands and
         # order alike, and g_z is written block by block into one buffer
-        g_z = np.empty(S.shape[:-1] + (4 * d,), dtype=DTYPE)
+        g_z = np.empty((S.shape[0], 4 * d), dtype=DTYPE)
         gz_i, gz_f, gz_c, gz_o = _gate_blocks(g_z, d)
         np.multiply(g, tc, out=gz_o)
         _sigmoid_grad(gz_o, go)
@@ -433,14 +306,12 @@ def recurrent_cell(x, state, w, u, b):
         gz_c *= 1.0 - c * c
         np.multiply(g_cell, S, out=gz_f)
         _sigmoid_grad(gz_f, gf)
-        G = _rows2(g_z)
-        g_x = (G @ w.data).reshape(X.shape) if x.requires_grad else None
+        g_x = g_z @ w.data if x.requires_grad else None
         g_s = None
         if state.requires_grad:
             g_s = g_cell * gf
-            g_s += (G @ u.data).reshape(S.shape)
-        return (g_x, g_s, (_rows2(X).T @ G).T, (_rows2(S).T @ G).T,
-                _unbroadcast(g_z, b.data.shape))
+            g_s += g_z @ u.data
+        return g_x, g_s, (X.T @ g_z).T, (S.T @ g_z).T, g_z.sum(axis=0)
 
     return _result(new, (x, state, w, u, b), vjp)
 
@@ -599,31 +470,21 @@ def segment_attention(queries, table, index, extra, wq, wk, wv, order, sizes, he
     return _result(full, (queries, table, wq, wk, wv), vjp), weights
 
 
-def logsumexp(a, axis=-1, keepdims=False):
-    a = as_tensor(a)
-    shift = np.max(a.data, axis=axis, keepdims=True)
-    e = exp(sub(a, Tensor(shift)))
-    s = log(tsum(e, axis=axis, keepdims=True))
-    out = add(s, Tensor(shift))
-    if not keepdims:
-        out = reshape(out, np.sum(e.data, axis=axis).shape)
-    return out
-
-
-def backward(loss, leaves=None):
-    """Propagate d(loss)/d(leaf) to every reachable ``requires_grad`` leaf.
+def backward(root, grad, leaves=None):
+    """Propagate ``grad``, the gradient of a scalar objective with respect
+    to ``root``, to every reachable ``requires_grad`` leaf.
 
     Returns a map from leaf tensor to its gradient array.  When ``leaves``
-    is given, leaves the loss never touched are included with zero
+    is given, leaves the root never reaches are included with zero
     gradients.
     """
-    loss = as_tensor(loss)
-    if loss.data.size != 1:
-        raise ValueError("backward expects a scalar loss")
+    grad = np.asarray(grad, dtype=DTYPE)
+    if grad.shape != root.data.shape:
+        raise ValueError(f"seed gradient shape {grad.shape} != root shape {root.data.shape}")
 
     topo = []
-    seen = {id(loss)}
-    stack = [loss]
+    seen = {id(root)}
+    stack = [root]
     while stack:
         t = stack.pop()
         topo.append(t)
@@ -633,7 +494,7 @@ def backward(loss, leaves=None):
                 stack.append(p)
     topo.sort(key=lambda t: t._seq, reverse=True)
 
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {id(root): grad}
     result = {}
     for t in topo:
         g = grads.pop(id(t), None)

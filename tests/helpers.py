@@ -24,43 +24,36 @@ def model_dtype(dtype):
         yield
 
 
-def fd_gradients(build_loss, params, eps=1e-5):
-    """Central finite differences of a rebuildable scalar loss w.r.t. every
-    parameter.  ``build_loss`` must recompute the full forward pass."""
-    out = {}
-    for name, p in params.items():
+def weighted(out, w):
+    """``(out, value, seed)`` for the objective ``(out * w).sum()``: its
+    gradient with respect to ``out`` is ``w``."""
+    w = np.asarray(w, dtype=np.float64)
+    return out, float((out.data * w).sum()), w
+
+
+def max_grad_error(build, params, eps=1e-5):
+    """Worst relative error (absolute near zero) between ``backward(out,
+    seed)`` and central differences of ``value`` with respect to every
+    parameter.  ``build`` reruns the full forward pass and returns ``(out,
+    value, seed)``: the tape's root, a scalar objective of it and the
+    objective's gradient with respect to it, as :func:`weighted` or
+    ``task_loss`` give them."""
+    out, _, seed = build()
+    grads = backward(out, seed, leaves=params.tensors())
+    worst = 0.0
+    for p in params.tensors():
         flat = p.data.ravel()
-        g = np.empty_like(flat)
-        for i in range(flat.size):
+        for i, x in enumerate(grads[p].ravel()):
             orig = flat[i]
             flat[i] = orig + eps
-            up = build_loss().item()
+            up = build()[1]
             flat[i] = orig - eps
-            down = build_loss().item()
+            down = build()[1]
             flat[i] = orig
-            g[i] = (up - down) / (2 * eps)
-        out[name] = g.reshape(p.data.shape)
-    return out
-
-
-def analytic_gradients(build_loss, params):
-    grads = backward(build_loss(), leaves=params.tensors())
-    return {name: grads[p] for name, p in params.items()}
-
-
-def max_grad_error(build_loss, params, eps=1e-5):
-    """Worst relative error between analytic and finite-difference grads
-    (absolute near zero)."""
-    fd = fd_gradients(build_loss, params, eps=eps)
-    an = analytic_gradients(build_loss, params)
-    worst = 0.0
-    for name in fd:
-        a, f = an[name].ravel(), fd[name].ravel()
-        for x, y in zip(a, f):
+            y = (up - down) / (2 * eps)
             scale = max(abs(x), abs(y))
-            if scale < 1e-7:
-                continue
-            worst = max(worst, abs(x - y) / scale)
+            if scale >= 1e-7:
+                worst = max(worst, abs(x - y) / scale)
     return worst
 
 

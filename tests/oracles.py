@@ -11,7 +11,7 @@ one draw, one row at a time.
 The feed-forward net and the recurrent cell also have composed references
 here: one autograd node per primitive, built from the elementwise ops
 below, which the library no longer needs since both layers became fused
-ops.  So do ``neg`` and ``detach``, which only tests use.
+ops.  So do ``neg``, ``mul`` and ``detach``, which only tests use.
 """
 
 import csv
@@ -24,8 +24,7 @@ import numpy as np
 
 from dysignet.encoder import NEG, POS
 from dysignet.events import DataError, SignedEvent
-from dysignet.tensor import (
-    Tensor, _result, add, as_tensor, concat, matmul, mul, reshape, transpose)
+from dysignet.tensor import Tensor, _result, add, as_tensor, concat, matmul, transpose
 
 
 def expit(x):
@@ -46,6 +45,16 @@ def neg(a):
         return (-g,)
 
     return _result(-a.data, (a,), vjp)
+
+
+def mul(a, b):
+    """Elementwise product of two tensors of one shape."""
+    a, b = as_tensor(a), as_tensor(b)
+
+    def vjp(g):
+        return g * b.data, g * a.data
+
+    return _result(a.data * b.data, (a, b), vjp)
 
 
 def detach(a):
@@ -145,8 +154,8 @@ def node_history(state, node: int) -> list[tuple[int, float, float]]:
 
 
 def memory_tensor(state, node: int, slot: int) -> Tensor:
-    """One (node, slot) memory as a constant 1-D tensor."""
-    return Tensor(memory_value(state, node, slot))
+    """One (node, slot) memory as a constant (1, d) row."""
+    return Tensor([memory_value(state, node, slot)])
 
 
 def _encode_dt(config, dt: float) -> float:
@@ -180,8 +189,8 @@ def generate_messages(encoder, event, state) -> list[SignedMessage]:
         vec = concat([
             memory_tensor(state, *r.self_src),
             memory_tensor(state, *r.other_src),
-            Tensor([_encode_dt(encoder.config, r.dt), r.magnitude]),
-        ])
+            Tensor([[_encode_dt(encoder.config, r.dt), r.magnitude]]),
+        ], axis=1)
         out.append(SignedMessage(r.target, r.slot, r.time,
                                  encoder._msg_nets[r.slot].apply(vec),
                                  (r.self_src, r.other_src)))
@@ -204,7 +213,7 @@ def update_memories(encoder, aggregated: dict, state) -> None:
     for (node, slot), m in aggregated.items():
         old = memory_tensor(state, node, slot)
         new = encoder._mem_cells[slot].apply(m.payload, old)
-        state.write_memory(np.array([node]), slot, reshape(new, (1, -1)), np.array([m.time]))
+        state.write_memory(np.array([node]), slot, new, np.array([m.time]))
 
 
 @dataclass
@@ -289,9 +298,9 @@ def compute_embedding(encoder, node: int, t: float, state) -> np.ndarray:
     return base + attention(encoder.attn, h, rows)[0]
 
 
-def score_pair(decoder, z_u: Tensor, z_v: Tensor) -> Tensor:
+def score_pair(decoder, z_u: np.ndarray, z_v: np.ndarray) -> np.ndarray:
     """Decoder output for one ordered pair of embedding vectors."""
-    return decoder.net.apply(concat([z_u, z_v]))
+    return decoder.net.apply(Tensor([np.concatenate([z_u, z_v])])).data[0]
 
 
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:

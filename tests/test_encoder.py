@@ -12,7 +12,7 @@ from dysignet.events import SignedEvent
 from dysignet.harness import build_model
 from dysignet.layers import Feedforward, RecurrentCell
 from dysignet.params import _decode
-from dysignet.tensor import Tensor, backward, mul, no_grad, tsum
+from dysignet.tensor import Tensor, backward, no_grad
 
 from helpers import log_of, model_dtype, tiny_config
 from oracles import (
@@ -613,14 +613,14 @@ def _check_chained_memory_gradients():
     rng = np.random.default_rng(24)
     batches = [[_ev(k * 10 + t + 1, int(rng.integers(5)), int(rng.integers(5)),
                     float(rng.choice([-2, 1]))) for t in range(6)] for k in range(2)]
-    w = Tensor(rng.normal(size=(5, enc.config.embedding_dim)))
+    w = rng.normal(size=(5, enc.config.embedding_dim))
 
     def grads():
         state = EncoderState(enc.config)
         for batch in batches:
             enc.process_batch(log_of(batch), state)
         z, _ = enc.compute_embeddings(list(range(5)), 30.0, state)
-        g = backward(tsum(mul(z, w)), leaves=params.tensors())
+        g = backward(z, w, leaves=params.tensors())
         return [g[p] for p in params.tensors()]
 
     fused = grads()

@@ -8,8 +8,8 @@ from dysignet.layers import Feedforward, MultiHeadAttention, RecurrentCell
 from dysignet.params import ParameterSet
 from dysignet.tensor import Tensor
 
-from helpers import attend_segments, max_grad_error, model_dtype, pack_rows
-from oracles import attention, cell_step, feedforward, tanh
+from helpers import attend_segments, max_grad_error, model_dtype, pack_rows, weighted
+from oracles import attention, cell_step, feedforward
 
 
 def _ffn(in_dim, out_dim, hidden=None, seed=0):
@@ -39,7 +39,7 @@ def test_ffn_zero_weights_returns_bias():
         ps[name].data[...] = 0.0
     ps["net.b2"].data[...] = [5.0, -1.0]
     for x in (np.zeros(3), np.ones(3), np.array([-2.0, 7.0, 0.1])):
-        assert np.array_equal(net.apply(Tensor(x)).data, [5.0, -1.0])
+        assert np.array_equal(net.apply(Tensor([x])).data, [[5.0, -1.0]])
 
 
 def test_ffn_identity_case():
@@ -48,7 +48,7 @@ def test_ffn_identity_case():
     ps["net.w2"].data[...] = np.eye(3)
     ps["net.b1"].data[...] = 0.0
     ps["net.b2"].data[...] = 0.0
-    x = Tensor([0.3, 1.5, 0.0])  # non-negative: the hidden relu is inactive
+    x = Tensor([[0.3, 1.5, 0.0]])  # non-negative: the hidden relu is inactive
     assert np.array_equal(net.apply(x).data, x.data)
 
 
@@ -59,7 +59,7 @@ def test_ffn_matches_manual_matmul_oracle():
     w1, b1 = ps["net.w1"].data, ps["net.b1"].data
     w2, b2 = ps["net.w2"].data, ps["net.b2"].data
     expected = w2 @ np.maximum(w1 @ x + b1, 0.0) + b2
-    assert np.abs(net.apply(Tensor(x)).data - expected).max() < 1e-12
+    assert np.abs(net.apply(Tensor([x])).data[0] - expected).max() < 1e-12
 
 
 def test_ffn_batched_equals_single():
@@ -67,21 +67,22 @@ def test_ffn_batched_equals_single():
     xb = np.random.default_rng(2).normal(size=(5, 4))
     batched = net.apply(Tensor(xb)).data
     for i in range(5):
-        assert np.allclose(net.apply(Tensor(xb[i])).data, batched[i], atol=1e-14)
+        assert np.allclose(net.apply(Tensor(xb[i:i + 1])).data[0], batched[i], atol=1e-14)
 
 
 def test_ffn_dim_error():
     _, net = _ffn(3, 2)
-    with pytest.raises(T.DimensionError):
-        net.apply(Tensor(np.ones(4)))
+    for x in (np.ones((1, 4)), np.ones(3)):   # a wrong width, a 1-D vector
+        with pytest.raises(T.DimensionError):
+            net.apply(Tensor(x))
 
 
 @pytest.mark.usefixtures("float64")
 def test_ffn_gradcheck():
     ps, net = _ffn(3, 2, seed=3)
-    x = Tensor(np.random.default_rng(4).normal(size=3))
-    w = Tensor(np.array([0.7, -1.3]))
-    assert max_grad_error(lambda: T.tsum(T.mul(net.apply(x), w)), ps) < 1e-6
+    x = Tensor(np.random.default_rng(4).normal(size=(1, 3)))
+    w = np.array([[0.7, -1.3]])
+    assert max_grad_error(lambda: weighted(net.apply(x), w), ps) < 1e-6
 
 
 def _cell(in_dim, state_dim, seed=0):
@@ -94,15 +95,15 @@ def test_cell_zero_params_zero_state_fixed_point():
     ps, cell = _cell(3, 4)
     for name in ps.names():
         ps[name].data[...] = 0.0
-    zero = Tensor(np.zeros(4))
+    zero = Tensor(np.zeros((1, 4)))
     for x in (np.zeros(3), np.ones(3) * 9.0, np.array([-5.0, 2.0, 0.3])):
-        assert np.array_equal(cell.apply(Tensor(x), zero).data, np.zeros(4))
+        assert np.array_equal(cell.apply(Tensor([x]), zero).data, np.zeros((1, 4)))
 
 
 def test_cell_deterministic():
     ps, cell = _cell(3, 4, seed=5)
-    x = Tensor(np.array([0.5, -1.0, 2.0]))
-    s = Tensor(np.array([0.1, 0.2, -0.3, 0.4]))
+    x = Tensor(np.array([[0.5, -1.0, 2.0]]))
+    s = Tensor(np.array([[0.1, 0.2, -0.3, 0.4]]))
     a = cell.apply(x, s).data
     b = cell.apply(x, s).data
     assert np.array_equal(a, b)
@@ -118,7 +119,7 @@ def test_cell_matches_gate_formula_oracle():
     sig = lambda t: 1.0 / (1.0 + np.exp(-t))
     i, f, g, o = sig(z[:4]), sig(z[4:8]), np.tanh(z[8:12]), sig(z[12:])
     expected = o * np.tanh(f * s + i * g)
-    got = cell.apply(Tensor(x), Tensor(s)).data
+    got = cell.apply(Tensor([x]), Tensor([s])).data[0]
     assert np.abs(got - expected).max() < 1e-12
 
 
@@ -128,23 +129,26 @@ def test_cell_batched_equals_single():
     xb, sb = rng.normal(size=(6, 3)), rng.normal(size=(6, 4))
     batched = cell.apply(Tensor(xb), Tensor(sb)).data
     for i in range(6):
-        single = cell.apply(Tensor(xb[i]), Tensor(sb[i])).data
+        single = cell.apply(Tensor(xb[i:i + 1]), Tensor(sb[i:i + 1])).data[0]
         assert np.allclose(single, batched[i], atol=1e-14)
 
 
 def test_cell_dim_error():
     _, cell = _cell(3, 4)
-    with pytest.raises(T.DimensionError):
-        cell.apply(Tensor(np.ones(3)), Tensor(np.ones(5)))
+    # a wrong state width, a state of another row count, 1-D vectors
+    for x, s in ((np.ones((1, 3)), np.ones((1, 5))), (np.ones((2, 3)), np.ones((1, 4))),
+                 (np.ones(3), np.ones(4))):
+        with pytest.raises(T.DimensionError):
+            cell.apply(Tensor(x), Tensor(s))
 
 
 @pytest.mark.usefixtures("float64")
 def test_cell_gradcheck():
     ps, cell = _cell(2, 3, seed=15)
     rng = np.random.default_rng(16)
-    x, s = Tensor(rng.normal(size=2)), Tensor(rng.normal(size=3))
-    w = Tensor(rng.normal(size=3))
-    assert max_grad_error(lambda: T.tsum(T.mul(cell.apply(x, s), w)), ps) < 1e-6
+    x, s = Tensor(rng.normal(size=(1, 2))), Tensor(rng.normal(size=(1, 3)))
+    w = rng.normal(size=(1, 3))
+    assert max_grad_error(lambda: weighted(cell.apply(x, s), w), ps) < 1e-6
 
 
 @pytest.mark.usefixtures("float64")
@@ -160,8 +164,8 @@ def test_cell_gate_ranges(seed):
     cell = RecurrentCell(ps, "cell", in_dim, d, rng=rng)
     for name in ps.names():
         ps[name].data[...] = rng.uniform(-1.0, 1.0, size=ps[name].data.shape)
-    x = Tensor(rng.uniform(-1.0, 1.0, size=in_dim))
-    s = Tensor(rng.uniform(-1.0, 1.0, size=d))
+    x = Tensor(rng.uniform(-1.0, 1.0, size=(1, in_dim)))
+    s = Tensor(rng.uniform(-1.0, 1.0, size=(1, d)))
     new, gates = cell_step(cell, x, s)
     for key in ("input", "forget", "output"):
         assert np.all(gates[key].data > 0.0) and np.all(gates[key].data < 1.0)
@@ -176,8 +180,8 @@ def test_fused_ffn_batched_gradcheck():
     rng = np.random.default_rng(31)
     ps, net = _ffn(3, 2, hidden=4, seed=32)
     x = ps.add("x", rng.normal(size=(4, 3)))
-    w = Tensor(rng.normal(size=(4, 2)))
-    assert max_grad_error(lambda: T.tsum(T.mul(net.apply(x), w)), ps) < 1e-6
+    w = rng.normal(size=(4, 2))
+    assert max_grad_error(lambda: weighted(net.apply(x), w), ps) < 1e-6
 
 
 @pytest.mark.usefixtures("float64")
@@ -186,36 +190,36 @@ def test_fused_cell_batched_gradcheck():
     ps, cell = _cell(2, 3, seed=34)
     x = ps.add("x", rng.normal(size=(3, 2)))
     s = ps.add("state", rng.normal(size=(3, 3)))
-    w = Tensor(rng.normal(size=(3, 3)))
-    assert max_grad_error(lambda: T.tsum(T.mul(cell.apply(x, s), w)), ps) < 1e-6
+    w = rng.normal(size=(3, 3))
+    assert max_grad_error(lambda: weighted(cell.apply(x, s), w), ps) < 1e-6
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([(), (1,), (3,), (17,)]),
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 3, 17]),
        st.sampled_from([np.float32, np.float64]))
-def test_fused_ops_bitwise_equal_composed_oracle(seed, lead, dtype):
+def test_fused_ops_bitwise_equal_composed_oracle(seed, n, dtype):
     # the fused ops keep the composed ops' summation order, so values and
-    # gradients agree bit for bit, 1-D and batched, saturated or not, at
+    # gradients agree bit for bit, one row or many, saturated or not, at
     # either model dtype
     with model_dtype(dtype):
-        _check_fused_ops_bitwise(seed, lead)
+        _check_fused_ops_bitwise(seed, n)
 
 
-def _check_fused_ops_bitwise(seed, lead):
+def _check_fused_ops_bitwise(seed, n):
     rng = np.random.default_rng(seed)
     in_dim, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
     ps = ParameterSet()
     net = Feedforward(ps, "net", in_dim, d, hidden_dim=int(rng.integers(1, 7)), rng=rng)
     cell = RecurrentCell(ps, "cell", d, d, rng=rng)
-    x = ps.add("x", rng.normal(scale=10.0 ** rng.uniform(-2.0, 2.0), size=lead + (in_dim,)))
-    s = ps.add("state", rng.normal(size=lead + (d,)))
-    w = Tensor(rng.normal(size=lead + (d,)))
+    x = ps.add("x", rng.normal(scale=10.0 ** rng.uniform(-2.0, 2.0), size=(n, in_dim)))
+    s = ps.add("state", rng.normal(size=(n, d)))
+    w = rng.normal(size=(n, d))
     runs = []
     for msg, step in ((net.apply, cell.apply),
                       (lambda v: feedforward(net, v), lambda v, old: cell_step(cell, v, old)[0])):
         h = msg(x)
         out = step(h, s)
-        grads = T.backward(T.tsum(T.mul(out, w)), leaves=ps.tensors())
+        grads = T.backward(out, w, leaves=ps.tensors())
         runs.append([h.data, out.data] + [grads[p] for p in ps.tensors()])
     for got, expected in zip(*runs):
         assert got.shape == expected.shape and got.dtype == T.DTYPE
@@ -296,11 +300,11 @@ def test_attention_gradcheck():
     rng = np.random.default_rng(12)
     q = Tensor(rng.normal(size=(1, 3)))
     kv = Tensor(rng.normal(size=(3, 4)))
-    w = Tensor(rng.normal(size=(1, 4)))
+    w = rng.normal(size=(1, 4))
 
     def loss():
         out, _ = _apply_rows(att, q, kv, _one_segment(3))
-        return T.tsum(T.mul(out, w))
+        return weighted(out, w)
 
     assert max_grad_error(loss, ps) < 1e-6
 
@@ -335,11 +339,11 @@ def test_attention_segments_gradcheck():
     rng = np.random.default_rng(16)
     q = Tensor(rng.normal(size=(4, 3)))
     kv = Tensor(rng.normal(size=(SEGMENTS.size, 5)))
-    w = Tensor(rng.normal(size=(4, 4)))
+    w = rng.normal(size=(4, 4))
 
     def loss():
         out, _ = _apply_rows(att, q, kv, SEGMENTS)
-        return T.tsum(T.mul(out, w))
+        return weighted(out, w)
 
     assert max_grad_error(loss, ps) < 1e-6
 
@@ -350,18 +354,19 @@ TABLE_INDEX = np.array([1, 0, 1, 1, 2, 1], dtype=np.intp)
 
 
 def _factored(extra_dim, seed):
-    """Attention, a loss over it and its inputs, with the queries and the
-    table registered as parameters so the gradcheck covers them too."""
+    """Attention, an objective over it and its inputs, with the queries
+    and the table registered as parameters so the gradcheck covers them
+    too."""
     rng = np.random.default_rng(seed)
     ps, att = _attn(3, 4, 2, kv_dim=4 + extra_dim, seed=seed)
     q = ps.add("queries", rng.normal(size=(4, 3)))
     table = ps.add("table", rng.normal(size=(3, 4)))
     extra = rng.normal(size=(SEGMENTS.size, extra_dim))
-    w = Tensor(rng.normal(size=(4, 4)))
+    w = rng.normal(size=(4, 4))
 
     def loss():
         out, _ = _apply(att, q, table, TABLE_INDEX, extra, SEGMENTS)
-        return T.tsum(tanh(T.mul(out, w)))
+        return weighted(out, w)
 
     return ps, att, q, table, extra, loss
 
@@ -456,10 +461,10 @@ def test_packed_attention_batched_gradcheck():
     table = ps.add("table", rng.normal(size=(4, 4)))
     index = rng.integers(0, 4, size=seg.size)
     extra = rng.normal(size=(seg.size, 2))
-    w = Tensor(rng.normal(size=(6, 4)))
+    w = rng.normal(size=(6, 4))
 
     def loss():
         out, _ = att.apply(q, table, index, extra, order, sizes)
-        return T.tsum(tanh(T.mul(out, w)))
+        return weighted(out, w)
 
     assert max_grad_error(loss, ps) < 1e-6

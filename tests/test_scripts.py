@@ -1,0 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from dysignet.encoder import AblationConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(script, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_synthetic_stream_through_the_ablation_study(tmp_path):
+    stream = tmp_path / "stream.csv"
+    made = _run("make_synthetic.py", "--nodes", "20", "--events", "200", "--seed", "3",
+                "--out", str(stream), cwd=tmp_path)
+    assert made.returncode == 0, made.stderr
+    assert stream.exists() and stream.with_suffix(".factions.csv").exists()
+
+    out = tmp_path / "ablation"
+    study = _run("run_ablation_study.py", "--dataset", str(stream), "--batch-size", "50",
+                 "--epochs", "1", "--out", str(out), cwd=tmp_path)
+    assert study.returncode == 0, study.stderr
+    header, *rows = (out / "ablation_table.csv").read_text().splitlines()
+    assert header.startswith("variant,embedding_source,")
+    assert [row.split(",")[0] for row in rows] == list(AblationConfig.NAMES)
+    assert all((out / f"report_{name}.json").exists() for name in AblationConfig.NAMES)

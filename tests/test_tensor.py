@@ -6,60 +6,66 @@ from hypothesis import strategies as st
 import dysignet.tensor as T
 from dysignet.tensor import Tensor, backward
 
-from helpers import attend_segments
-from oracles import detach, expit, neg, relu, sigmoid, slice_last, tanh
+from helpers import attend_segments, weighted
+from oracles import detach, expit, mul, neg, relu, sigmoid, slice_last, tanh
 from oracles import gather_stack as oracle_gather_stack
+
+ONE = np.ones((1, 1))
 
 
 def test_simple_square_gradient():
-    x = Tensor(3.0, requires_grad=True)
-    loss = T.mul(x, x)
-    grads = backward(loss)
+    x = Tensor([[3.0]], requires_grad=True)
+    grads = backward(mul(x, x), ONE)
     assert grads[x] == pytest.approx(6.0)
 
 
+def test_seed_scales_the_gradient():
+    x = Tensor([[3.0, -1.0]], requires_grad=True)
+    grads = backward(mul(x, x), np.array([[0.5, 2.0]]))
+    assert np.array_equal(grads[x], [[3.0, -4.0]])
+
+
 def test_disconnected_leaf_gets_zero():
-    x = Tensor(3.0, requires_grad=True)
+    x = Tensor([[3.0]], requires_grad=True)
     p = Tensor(np.ones(4), requires_grad=True)
-    loss = T.mul(x, x)
-    grads = backward(loss, leaves=[x, p])
+    grads = backward(mul(x, x), ONE, leaves=[x, p])
     assert np.all(grads[p] == 0.0)
     assert grads[p].shape == (4,)
 
 
-def test_nonscalar_loss_rejected():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with pytest.raises(ValueError):
-        backward(T.mul(x, x))
+def test_seed_of_another_shape_rejected():
+    x = Tensor(np.ones((1, 3)), requires_grad=True)
+    for seed in (1.0, np.ones(3), np.ones((3, 1))):
+        with pytest.raises(ValueError):
+            backward(mul(x, x), seed)
 
 
 def test_matmul_shape_error():
-    a = Tensor(np.ones((2, 3)))
-    b = Tensor(np.ones((2, 3)))
-    with pytest.raises(T.DimensionError):
-        T.matmul(a, b)
+    # mismatched inner dims, and operands that are not 2-D
+    for a, b in ((np.ones((2, 3)), np.ones((2, 3))), (np.ones(3), np.ones((3, 2))),
+                 (np.ones((2, 3)), np.ones(3)), (np.ones((2, 2, 3)), np.ones((3, 2)))):
+        with pytest.raises(T.DimensionError):
+            T.matmul(Tensor(a), Tensor(b))
 
 
 def test_no_grad_records_nothing():
-    x = Tensor(np.ones(3), requires_grad=True)
+    x = Tensor(np.ones((1, 3)), requires_grad=True)
     with T.no_grad():
-        y = T.mul(x, x)
+        y = mul(x, x)
     assert y._parents == () and not y.requires_grad
 
 
 def test_detach_cuts_graph():
-    x = Tensor(2.0, requires_grad=True)
-    y = detach(T.mul(x, x))
-    loss = T.mul(y, Tensor(3.0))
-    grads = backward(loss, leaves=[x])
+    x = Tensor([[2.0]], requires_grad=True)
+    y = detach(mul(x, x))
+    grads = backward(mul(y, Tensor([[3.0]])), ONE, leaves=[x])
     assert np.all(grads[x] == 0.0)
 
 
 def test_creation_order_is_topological():
-    x = Tensor(np.arange(3.0), requires_grad=True)
-    y = T.mul(T.add(x, 1.0), T.exp(x))
-    loss = T.tsum(y)
-    stack, seen = [loss], set()
+    x = Tensor(np.arange(3.0).reshape(1, 3), requires_grad=True)
+    y = mul(T.add(x, 1.0), tanh(x))
+    stack, seen = [y], set()
     while stack:
         t = stack.pop()
         for p in t._parents:
@@ -73,26 +79,26 @@ def test_forward_values_match_numpy():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4,))
+    c = rng.normal(size=(4, 2))
     ta, tb = Tensor(a), Tensor(b)
     assert np.allclose(T.add(ta, tb).data, a + b)
-    assert np.allclose(T.matmul(ta, tb).data, a @ b)
-    assert np.allclose(T.softplus(tb).data, np.log1p(np.exp(b)))
-    assert np.allclose(T.logsumexp(ta, axis=1).data,
-                       np.log(np.exp(a).sum(axis=1)))
+    assert np.allclose(T.matmul(ta, Tensor(c)).data, a @ c)
+    assert np.array_equal(T.transpose(ta).data, ta.data.T)
 
 
 def _fd_check(f, tensors, eps=1e-6, tol=5e-6):
-    loss = f()
-    grads = backward(loss, leaves=tensors)
+    """``f`` returns ``(out, value, seed)`` as :func:`helpers.weighted`."""
+    out, _, seed = f()
+    grads = backward(out, seed, leaves=tensors)
     for t in tensors:
         flat = t.data.ravel()
         gf = grads[t].ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up = f().item()
+            up = f()[1]
             flat[i] = orig - eps
-            down = f().item()
+            down = f()[1]
             flat[i] = orig
             fd = (up - down) / (2 * eps)
             assert abs(fd - gf[i]) <= tol * max(1.0, abs(fd)), (fd, gf[i])
@@ -104,51 +110,40 @@ def test_elementwise_and_matmul_gradients():
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4,)), requires_grad=True)
     c = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    w = rng.normal(size=(3, 2))
 
     def f():
         y = T.matmul(T.add(a, b), c)          # (3, 2)
-        z = T.mul(T.mul(y, y), sigmoid(neg(T.tsum(b))))   # y² / (e^Σb + 1)
-        return T.tmean(tanh(z))
+        z = mul(mul(y, y), sigmoid(neg(y)))   # y² / (e^y + 1)
+        return weighted(tanh(z), w)
 
     _fd_check(f, [a, b, c])
 
 
 @pytest.mark.usefixtures("float64")
-def test_batched_matmul_gradients():
-    rng = np.random.default_rng(2)
-    k = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
-    q = Tensor(rng.normal(size=(2, 3, 1)), requires_grad=True)
-
-    def f():
-        logits = T.matmul(k, q)
-        w = T.exp(T.sub(logits, T.logsumexp(logits, axis=1, keepdims=True)))
-        return T.tsum(T.mul(w, w))
-
-    _fd_check(f, [k, q])
-
-
-@pytest.mark.usefixtures("float64")
 def test_unary_gradients():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.uniform(0.5, 2.0, size=6), requires_grad=True)
+    x = Tensor(rng.uniform(-2.0, 2.0, size=(1, 6)), requires_grad=True)
+    w = rng.normal(size=(1, 24))
 
     def f():
-        y = T.concat([relu(x), sigmoid(x), T.log(x), T.sqrt(x), T.softplus(x)])
-        return T.tmean(T.mul(y, y))
+        y = T.concat([relu(x), sigmoid(x), tanh(x), neg(x)], axis=1)
+        return weighted(mul(y, y), w)
 
     _fd_check(f, [x])
 
 
 @pytest.mark.usefixtures("float64")
-def test_slice_row_transpose_reshape_gradients():
+def test_slice_row_transpose_gradients():
     rng = np.random.default_rng(4)
     m = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    w = rng.normal(size=(4, 4))
 
     def f():
         a = slice_last(m, 1, 4)             # (4, 3)
         b = T.take_rows(m, [2], np.zeros((1, 6)))   # (1, 6)
-        c = T.transpose(T.reshape(a, (2, 2, 3)), (1, 0, 2))
-        return T.add(T.tsum(T.mul(c, c)), T.tsum(T.mul(b, b)))
+        c = T.transpose(a)                  # (3, 4)
+        return weighted(T.concat([mul(c, c), slice_last(mul(b, b), 0, 4)]), w)
 
     _fd_check(f, [m])
 
@@ -174,11 +169,12 @@ def test_gather_attention_repeated_row_gradients():
     extra = rng.normal(size=(5, 2))
     index = np.array([0, 2, 2, 1, 2])   # table row 2 serves all three segments
     seg = np.array([0, 0, 1, 2, 2])
+    w = rng.normal(size=(5, 4))
 
     def f():
         g = T.gather_stack([(m, 0), (m, 3), (m, 2), (m, 0), (m, 3)])
         out, _ = _attend(g, m, index, extra, wq, wk, wv, seg, 5, 2)
-        return T.tmean(T.mul(out, out))
+        return weighted(mul(out, out), w)
 
     _fd_check(f, [m, wq, wk, wv])
 
@@ -196,8 +192,9 @@ def test_segment_attention_repeated_row_accumulates():
     out1, _ = _attend(q, shared, [0, 0, 0], np.zeros((3, 0)), wq, wk, wv, seg, 2, 2)
     out3, _ = _attend(q, copies, [0, 1, 2], np.zeros((3, 0)), wq, wk, wv, seg, 2, 2)
     assert np.abs(out1.data - out3.data).max() < 1e-14
-    g1 = backward(T.tsum(tanh(out1)), leaves=[shared])[shared]
-    g3 = backward(T.tsum(tanh(out3)), leaves=[copies])[copies]
+    seed = rng.normal(size=out1.data.shape)
+    g1 = backward(out1, seed, leaves=[shared])[shared]
+    g3 = backward(out3, seed, leaves=[copies])[copies]
     assert np.abs(g1[0] - g3.sum(axis=0)).max() < 1e-12
 
 
@@ -244,7 +241,7 @@ def test_take_rows_mixes_taken_and_fill_rows():
     fill = np.array([[9.0, 9.0], [8.0, 8.0], [7.0, 7.0], [6.0, 6.0]])
     out = T.take_rows(src, np.array([2, -1, 0, -1]), fill)
     assert np.array_equal(out.data, [[4.0, 5.0], [8.0, 8.0], [0.0, 1.0], [6.0, 6.0]])
-    g = backward(T.tsum(T.mul(out, Tensor(np.arange(8.0).reshape(4, 2)))), leaves=[src])[src]
+    g = backward(out, np.arange(8.0).reshape(4, 2), leaves=[src])[src]
     assert np.array_equal(g, [[4.0, 5.0], [0.0, 0.0], [0.0, 1.0]])
     with pytest.raises(T.DimensionError):
         T.take_rows(src, np.array([0, 1]), np.zeros((3, 2)))
@@ -253,7 +250,7 @@ def test_take_rows_mixes_taken_and_fill_rows():
 def test_take_rows_repeated_row_accumulates():
     src = Tensor(np.ones((2, 3)), requires_grad=True)
     out = T.take_rows(src, np.array([1, 1, -1, 1]), np.zeros((4, 3)))
-    g = backward(T.tsum(out), leaves=[src])[src]
+    g = backward(out, np.ones((4, 3)), leaves=[src])[src]
     assert np.array_equal(g, [[0.0] * 3, [3.0] * 3])
 
 
@@ -263,11 +260,11 @@ def test_take_rows_gradients():
     src = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     fill = rng.normal(size=(6, 3))
     rows = np.array([3, -1, 0, 3, -1, 1])
-    w = Tensor(rng.normal(size=(6, 3)))
+    w = rng.normal(size=(6, 3))
 
     def f():
         out = T.take_rows(src, rows, fill)
-        return T.tsum(tanh(T.mul(T.mul(out, out), w)))
+        return weighted(mul(out, out), w)
 
     _fd_check(f, [src])
 
@@ -310,7 +307,7 @@ def test_segment_attention_empty_segments_get_zeros():
     assert np.all(out.data[[1, 2, 4]] == 0.0)
     assert np.all(out.data[[0, 3]] != 0.0)
     assert np.allclose(w.data[:2].sum(axis=0), 1.0) and np.allclose(w.data[2], 1.0)
-    g = backward(T.tsum(out), leaves=[q])[q]
+    g = backward(out, np.ones(out.data.shape), leaves=[q])[q]
     assert np.all(g[[1, 2, 4]] == 0.0)
 
 
@@ -325,9 +322,9 @@ def test_gather_stack_rejects_mixed_use():
 
 
 def test_repeated_parent_accumulates():
-    x = Tensor(2.0, requires_grad=True)
-    loss = T.add(T.mul(x, x), T.mul(3.0, x))
-    assert backward(loss)[x] == pytest.approx(7.0)
+    x = Tensor([[2.0]], requires_grad=True)
+    y = T.add(mul(x, x), mul(Tensor([[3.0]]), x))
+    assert backward(y, ONE)[x] == pytest.approx(7.0)
 
 
 def test_forward_determinism():
@@ -336,8 +333,8 @@ def test_forward_determinism():
 
     def run():
         t = Tensor(a, requires_grad=True)
-        out = T.tsum(tanh(T.matmul(t, T.transpose(t))))
-        return out.data.copy(), backward(out)[t].copy()
+        out = tanh(T.matmul(t, T.transpose(t)))
+        return out.data.copy(), backward(out, np.ones((5, 5)))[t].copy()
 
     v1, g1 = run()
     v2, g2 = run()
@@ -350,14 +347,10 @@ def test_forward_determinism():
 def test_matmul_gradient_property(m, k, seed):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.normal(size=(m, k)), requires_grad=True)
-    b = Tensor(rng.normal(size=(k,)), requires_grad=True)
-    w = rng.normal(size=(m,))
-
-    def f():
-        return T.tsum(T.mul(T.matmul(a, b), Tensor(w)))
-
-    grads = backward(f(), leaves=[a, b])
-    assert np.allclose(grads[a], np.outer(w, b.data))
+    b = Tensor(rng.normal(size=(k, 1)), requires_grad=True)
+    w = rng.normal(size=(m, 1))
+    grads = backward(T.matmul(a, b), w, leaves=[a, b])
+    assert np.allclose(grads[a], w @ b.data.T)
     assert np.allclose(grads[b], a.data.T @ w)
 
 
@@ -372,7 +365,7 @@ def test_gather_stack_equals_per_item_oracle_bitwise(seed):
     items = [(m, r) for r in rng.integers(m.data.shape[0], size=rng.integers(1, 40)).tolist()]
     g = rng.choice([-1.0, 1.0], size=(len(items), d)) * 10.0 ** rng.uniform(-3, 3, (len(items), d))
     out = T.gather_stack(items)
-    grads = backward(T.tsum(T.mul(out, Tensor(g))), leaves=[m])
+    grads = backward(out, g, leaves=[m])
     values, expected = oracle_gather_stack(items, g)
     assert out.data.tobytes() == values.tobytes()
     assert grads[m].shape == expected[id(m)].shape
