@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands: ``stats``, ``train``, ``eval``, ``predict``, ``plot-weights``.
+Subcommands: ``stats``, ``train``, ``eval``, ``plot-weights``.  ``eval
+--dump-raw`` also writes the per-pair predictions as ``predictions.csv``.
 Every run writes a manifest with the resolved configuration into its
 output directory before doing any work.  Exit codes: 0 ok, 1 usage,
 2 data error, 3 numeric failure.
@@ -219,17 +220,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    config, bundle, split = _load_bundle(args)
-    out_dir = make_out_dir(args, "predict")
-    write_manifest(out_dir, "predict", args, config.to_dict())
-    report = evaluate_sequential(bundle, split, which=args.split)
-    _write_raw_csv(out_dir / "predictions.csv", report.raw)
-    print(json.dumps({"predictions": str(out_dir / "predictions.csv"),
-                      "n_real": report.n_real, "n_negative": report.n_negative}, indent=2))
-    return 0
-
-
 def cmd_plot_weights(args) -> int:
     args.task = TaskKind.SIGNED_WEIGHT.value
     config, bundle, split = _load_bundle(args)
@@ -280,14 +270,9 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--split", choices=["val", "test"], default="test")
     p_eval.add_argument("--breakdown", choices=["none", "trans", "ind", "both"], default="none")
-    p_eval.add_argument("--dump-raw", action="store_true", dest="dump_raw")
+    p_eval.add_argument("--dump-raw", action="store_true", dest="dump_raw",
+                        help="also write the per-pair predictions as predictions.csv")
     p_eval.set_defaults(func=cmd_eval)
-
-    p_pred = sub.add_parser("predict", help="dump per-pair predictions as CSV")
-    add_common(p_pred)
-    p_pred.add_argument("--checkpoint", required=True)
-    p_pred.add_argument("--split", choices=["val", "test"], default="test")
-    p_pred.set_defaults(func=cmd_predict)
 
     p_plot = sub.add_parser("plot-weights",
                             help="predicted vs. true integer weight histogram CSV")

@@ -27,8 +27,7 @@ they are, after the line ``dysignet-encoder-state 2``: one ``np.save``
 record each of ``mem[:size]``, ``last_update``, the history's ``nbr``,
 ``t``, ``mag`` and ``prev`` up to ``length`` and ``head`` and ``deg`` up to
 the last node with rows, then ``watermark`` and ``events_ingested``.  The
-overlay is not saved.  ``load`` converts a version-1 snapshot (one JSON
-document of per-node base64 strings) into the same arrays.
+overlay is not saved.
 
 Dtypes: the model computes in ``tensor.DTYPE``, float32, so ``mem``, the
 fresh overlay and every activation are float32.  Times stay float64: the
@@ -58,9 +57,11 @@ Per slot, the message net and the recurrent cell are each one fused op
 multiplies in the order of the primitives it replaces, so values and
 gradients keep their bits; a stacked ``[w; u]`` matmul would reorder the
 sums.  Embeddings read each distinct history neighbour's state once into
-a table and run the whole segmented attention over ``[table[index], time
-gap, |w|]`` as one op (:func:`tensor.segment_attention`), on rows that
-:meth:`HistoryLog.recent` returns packed position-major, newest first.
+a table and run the self projection and the whole segmented attention
+over ``[table[index], time gap, |w|]`` as one op
+(:func:`tensor.segment_attention`), on rows that :meth:`HistoryLog.recent`
+returns packed position-major, newest first.  A batch whose nodes have no
+history yet passes zero rows down the same path.
 
 Ablations: the run's ``TrainConfig.ablation`` is one of the paper's four
 models (:class:`AblationConfig`).  A node's state is exactly its
@@ -74,7 +75,6 @@ mean of the value projection of ``[time gap, |w|]``.
 from __future__ import annotations
 
 import itertools
-import json
 from enum import Enum
 from typing import Sequence
 
@@ -82,11 +82,11 @@ import numpy as np
 
 from . import tensor
 from .events import EventLog
-from .layers import Feedforward, MultiHeadAttention, RecurrentCell, uniform_init
-from .params import ParameterSet, _decode
+from .layers import Feedforward, MultiHeadAttention, RecurrentCell
+from .params import ParameterSet
 # gather_stack is not called here, but bench/spans.py patches this module's name
 from .tensor import gather_stack  # noqa: F401
-from .tensor import Tensor, add, concat, grad_enabled, matmul, take_rows, transpose
+from .tensor import Tensor, concat, grad_enabled, take_rows
 
 POS = 0
 NEG = 1
@@ -328,21 +328,18 @@ class EncoderState:
 
     @classmethod
     def load(cls, path, config) -> "EncoderState":
-        """Read a snapshot of either version.  Raises ValueError naming
-        ``path`` unless its arrays fit ``config`` and each other, are
-        finite, and link history rows inside the log."""
+        """Read a version-2 snapshot.  Raises ValueError naming ``path``
+        unless its arrays fit ``config`` and each other, are finite, and
+        link history rows inside the log."""
         slots = config.slot_count if config.ablation.use_memory else 0
         with open(path, "rb") as fh:
             tag = fh.readline()
             try:
-                if tag.startswith(b"{"):
-                    arrays = _v1_arrays(json.loads(tag + fh.read()), slots)
-                elif not tag.startswith(f"{STATE_FORMAT} ".encode()):
+                if not tag.startswith(f"{STATE_FORMAT} ".encode()):
                     raise ValueError("not an encoder state snapshot")
-                elif tag != f"{STATE_FORMAT} {STATE_VERSION}\n".encode():
+                if tag != f"{STATE_FORMAT} {STATE_VERSION}\n".encode():
                     raise ValueError("unsupported snapshot version")
-                else:
-                    arrays = [np.load(fh, allow_pickle=False) for _ in _SNAPSHOT]
+                arrays = [np.load(fh, allow_pickle=False) for _ in _SNAPSHOT]
                 mem, last, nbr, t, mag, prev, head, deg, watermark, ingested = arrays
                 if mem.ndim == 3 and mem.shape[2] != config.slot_dim:
                     raise ValueError(f"slot dim {mem.shape[2]} != {config.slot_dim}")
@@ -360,6 +357,10 @@ class EncoderState:
                 if (links < -1).any() or (links >= nbr.size).any() or (ids < 0).any():
                     raise ValueError(f"history links outside [-1, {nbr.size}) "
                                      f"or negative node ids or counts")
+                # checked before the walk, whose time grows with the claimed counts
+                if deg.sum() != nbr.size:
+                    raise ValueError(f"history row counts sum to {deg.sum()}, "
+                                     f"not the log's {nbr.size} rows")
                 h = HistoryLog()
                 h.length, h.nbr, h.t, h.mag, h.prev, h.head, h.deg = nbr.size, *arrays[2:8]
                 # walking deg[n] rows back from each head stays on rows and visits each once
@@ -374,28 +375,6 @@ class EncoderState:
         state.history = h
         state.watermark, state.events_ingested = float(watermark), int(ingested)
         return state
-
-
-def _v1_arrays(doc: dict, slots: int) -> list:
-    """A version-1 snapshot document as the arrays of version 2, in order."""
-    if doc.get("format") != STATE_FORMAT or doc.get("version") != 1:
-        raise ValueError("not an encoder state snapshot of version 1 or 2")
-    memory = {tuple(map(int, key.split(":"))): _decode(text, (-1,))
-              for key, text in doc["memory"].items()}
-    last = {int(node): float(value) for node, value in doc["last_update"].items()}
-    n = max(last.keys() | {node for node, _ in memory}, default=-1) + 1
-    mem, last_update = np.zeros((n, slots, doc["slot_dim"])), np.zeros(n)
-    for (node, slot), value in memory.items():
-        mem[node, slot] = value
-    for node, value in last.items():
-        last_update[node] = value
-    # each node's rows come oldest first, so one append links them in order
-    rows = [(int(node), *row) for node, hist in doc["history"].items() for row in hist]
-    h = HistoryLog()
-    if rows:
-        h.append(*map(np.array, zip(*rows)))
-    return [mem, last_update, *h.columns(), np.float64(doc["watermark"]),
-            np.intp(doc["events_ingested"])]
 
 
 def _encode_dt(config, dt: np.ndarray) -> np.ndarray:
@@ -434,12 +413,9 @@ class EncoderModel:
         if ab.use_embedding_layer:
             # keys and values are the node state plus a time-gap and a |w| column
             h = config.node_state_dim
-            self.self_proj = params.add(
-                f"{name}.emb.self_proj",
-                uniform_init(rng, (config.embedding_dim, h), h))
             self.attn = MultiHeadAttention(
                 params, f"{name}.emb.attn", query_dim=h, out_dim=config.embedding_dim,
-                heads=config.heads, key_dim=h + 2, rng=rng)
+                heads=config.heads, key_dim=h + 2, rng=rng, self_name=f"{name}.emb.self_proj")
 
     # ------------------------------------------------------------------
     # message generation and memory update
@@ -508,17 +484,13 @@ class EncoderModel:
         nodes = list(dict.fromkeys(nodes))
         index = {n: i for i, n in enumerate(nodes)}
         ids = np.asarray(nodes, dtype=np.intp)
-        if not self.config.ablation.use_embedding_layer:
-            return self._node_state_matrix(ids, state), index
-
         hq = self._node_state_matrix(ids, state)
-        base = matmul(hq, transpose(self.self_proj))
+        if not self.config.ablation.use_embedding_layer:
+            return hq, index
         hist = state.history
         order, sizes, rows = hist.recent(ids, self.config.neighbor_cap)
-        if not rows.size:
-            return base, index
         uniq, inv = np.unique(hist.nbr[rows], return_inverse=True)
         extras = np.column_stack([_encode_dt(self.config, t - hist.t[rows]), hist.mag[rows]])
-        att, _ = self.attn.apply(hq, self._node_state_matrix(uniq, state), inv, extras,
+        out, _ = self.attn.apply(hq, self._node_state_matrix(uniq, state), inv, extras,
                                  order, sizes)
-        return add(base, att), index
+        return out, index

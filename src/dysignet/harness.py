@@ -58,6 +58,9 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if min(self.embedding_dim, self.memory_dim, self.heads) <= 0:
             raise ValueError("model dims must be positive")
+        if self.ablation.use_embedding_layer and self.embedding_dim % self.heads:
+            raise ValueError(f"embedding_dim {self.embedding_dim} is not divisible by "
+                             f"{self.heads} heads")
         if self.max_epochs < 1 or self.patience < 0:
             raise ValueError("max_epochs must be >= 1 and patience >= 0")
         if self.neighbor_cap is not None and self.neighbor_cap < 1:

@@ -14,8 +14,9 @@ number.  Creation order is therefore a valid topological order of the
 implicit tape, and ``backward`` replays reachable nodes in descending
 sequence order.  The tape's root is the decoder output, seeded with the
 gradient of the task loss, which ``heads`` computes in closed form, so
-there is no scalar loss tensor.  ``matmul``, ``transpose`` and the fused
-ops take 2-D arrays only: every caller passes rows.
+there is no scalar loss tensor.  The module holds only the ops the model
+runs, each on ``Tensor`` operands, and the fused ops take 2-D rows only:
+every caller passes rows.
 
 Recording happens only while gradients are enabled (see ``no_grad``) and
 only for results that can reach a ``requires_grad`` leaf, so inference
@@ -68,15 +69,8 @@ class Tensor:
         self._vjp = None
         self._seq = next(_seq)
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _result(data, parents, vjp) -> Tensor:
@@ -93,43 +87,6 @@ def _result(data, parents, vjp) -> Tensor:
         out._parents = ()
         out._vjp = None
     return out
-
-
-def _unbroadcast(g, shape):
-    """Sum a gradient down to ``shape`` (reverses numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _result(data, (a, b), vjp)
-
-
-def matmul(a, b):
-    """Product of two 2-D tensors."""
-    a, b = as_tensor(a), as_tensor(b)
-    A, B = a.data, b.data
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise DimensionError(f"matmul needs (n, k) and (k, m) operands, got {A.shape} and {B.shape}")
-    data = A @ B
-
-    def vjp(g):
-        return g @ B.T, A.T @ g
-
-    return _result(data, (a, b), vjp)
 
 
 def _expit(x, out=None):
@@ -149,17 +106,7 @@ def _expit(x, out=None):
     return out
 
 
-def transpose(a):
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (g.T,)
-
-    return _result(a.data.T, (a,), vjp)
-
-
 def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -215,7 +162,6 @@ def take_rows(src, rows, fill):
     """Row ``i`` is ``src[rows[i]]`` where ``rows[i] >= 0``, else the
     constant ``fill[i]``.  Gradients of taken rows scatter back to ``src``;
     a row taken many times accumulates."""
-    src = as_tensor(src)
     rows = np.asarray(rows, dtype=np.intp)
     data = np.array(fill, dtype=DTYPE)
     if data.shape != (rows.size,) + src.data.shape[1:]:
@@ -245,7 +191,6 @@ def feedforward(x, w1, b1, w2, b2):
     """``relu(x · w1ᵀ + b1) · w2ᵀ + b2`` as one op on (n, in) rows ``x``.
     Each step runs in place on one buffer and the vjp keeps only the
     hidden activations."""
-    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     X = x.data
     h = X @ w1.data.T
     h += b1.data
@@ -273,7 +218,6 @@ def recurrent_cell(x, state, w, u, b):
     Each gate is computed from its column block of ``z`` into one
     contiguous (4, n, d) gate buffer, the rest runs in place, and the vjp
     keeps only the gates and tanh of the cell value."""
-    x, state, w, u, b = (as_tensor(t) for t in (x, state, w, u, b))
     X, S = x.data, state.data
     d = S.shape[1]
     z = X @ w.data.T
@@ -325,15 +269,21 @@ def _prefix_sum(rows, spans, m0):
     return out
 
 
-def segment_attention(queries, table, index, extra, wq, wk, wv, order, sizes, heads):
-    """Segmented multi-head dot-product attention as one op.
+def segment_attention(queries, table, index, extra, ws, wq, wk, wv, order, sizes, heads):
+    """A self projection plus segmented multi-head dot-product attention
+    as one op: query ``i``'s output is ``ws · queries[i]`` plus its
+    attention over its own rows.  The self term and its gradients are the
+    products a separate ``queries · wsᵀ`` formed, and the attention terms
+    are added onto them, so values keep the bits of the two-op form.
 
     Key/value row ``i`` is ``[table[index[i]], extra[i]]``: a row of a
     table of distinct states followed by constant extra columns, so each
     table row is projected once however many rows point at it.  Per head
     the weights are softmax(q · kᵀ / sqrt(d_head)) over a query's rows and
     the output is the weight-combined value projections, heads
-    concatenated; a query with no rows gets zeros.
+    concatenated; a query with no rows gets its self projection alone, and
+    with no rows at all ``wq``, ``wk``, ``wv`` and the table get zero
+    gradients.
 
     Rows come packed position-major.  ``order`` lists the queries that
     have rows, longest segment first, and block p holds ``sizes[p]`` rows
@@ -358,24 +308,21 @@ def segment_attention(queries, table, index, extra, wq, wk, wv, order, sizes, he
 
     Returns (output (n_q, out_dim), weights (n, heads)) with the weights
     in the given row order.  The weights are constants; gradients flow to
-    queries, table, wq, wk and wv.
+    queries, table, ws, wq, wk and wv.
     """
-    queries, table, wq, wk, wv = (as_tensor(x) for x in (queries, table, wq, wk, wv))
     index = np.asarray(index, dtype=np.intp)
     extra = np.asarray(extra, dtype=DTYPE)
     order = np.asarray(order, dtype=np.intp)
     sizes = np.asarray(sizes, dtype=np.intp)
     n, m0 = index.size, order.size
     n_q, u = queries.data.shape[0], table.data.shape[0]
-    if n == 0:
-        raise ValueError("attention requires a non-empty key set")
-    if (sizes.sum() != n or sizes[0] != m0 or sizes[-1] <= 0
-            or np.any(np.diff(sizes) > 0)):
+    if (sizes.sum() != n or sizes[:1].sum() != m0 or (sizes <= 0).any()
+            or (np.diff(sizes) > 0).any()):
         raise ValueError("block sizes must be positive, non-increasing, start at the "
                          "number of queries with rows and sum to the row count")
-    if order.min() < 0 or order.max() >= n_q or np.unique(order).size != m0:
+    if (order < 0).any() or (order >= n_q).any() or np.unique(order).size != m0:
         raise ValueError("query order must list distinct query rows")
-    if index.min() < 0 or index.max() >= u:
+    if (index < 0).any() or (index >= u).any():
         raise IndexError(f"row index out of range for a table of {u} rows")
     D = wq.data.shape[0]
     dh = D // heads
@@ -416,8 +363,8 @@ def segment_attention(queries, table, index, extra, wq, wk, wv, order, sizes, he
     alpha_ex = [_prefix_sum(alpha * ex[c], spans, m0) for c in range(ne)]
     for c in range(ne):
         out3 += alpha_ex[c][:, :, None] * wv_x[c]
-    full = np.zeros((n_q, D), dtype=DTYPE)
-    full[order] = out
+    full = queries.data @ ws.data.T
+    full[order] += out
 
     def vjp(g):
         gq = g[order]
@@ -460,14 +407,15 @@ def segment_attention(queries, table, index, extra, wq, wk, wv, order, sizes, he
         for s, e, m in spans:
             np.multiply(alpha_t[:, None, s:e], gq_t[:, :, :m], out=cols3[:, :, s:e])
         g_vt = _scatter_cols(index, cols, u).T
-        g_queries = np.zeros(queries.data.shape, dtype=DTYPE)
-        g_queries[order] = g_q @ wq.data
+        g_queries = g @ ws.data
+        g_queries[order] += g_q @ wq.data
         g_wk = np.concatenate([g_kt.T @ table.data, g_wk_x.reshape(ne, D).T], axis=1)
         g_wv = np.concatenate([g_vt.T @ table.data, g_wv_x.reshape(ne, D).T], axis=1)
-        return g_queries, g_kt @ wk_s + g_vt @ wv_s, g_q.T @ X, g_wk, g_wv
+        return (g_queries, g_kt @ wk_s + g_vt @ wv_s, (queries.data.T @ g).T, g_q.T @ X,
+                g_wk, g_wv)
 
     weights = _result(alpha, (), None)
-    return _result(full, (queries, table, wq, wk, wv), vjp), weights
+    return _result(full, (queries, table, ws, wq, wk, wv), vjp), weights
 
 
 def backward(root, grad, leaves=None):

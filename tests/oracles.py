@@ -9,9 +9,11 @@ The negative sampler and the CSV parser have per-event references too:
 one draw, one row at a time.
 
 The feed-forward net and the recurrent cell also have composed references
-here: one autograd node per primitive, built from the elementwise ops
-below, which the library no longer needs since both layers became fused
-ops.  So do ``neg``, ``mul`` and ``detach``, which only tests use.
+here: one autograd node per primitive, built from the general ops below
+(``add``, ``matmul``, ``transpose`` and the elementwise ops), which the
+library no longer needs since both layers and the embedding became fused
+ops.  So do ``neg``, ``mul`` and ``detach``, which only tests use.  Unlike
+the library's ops, these also take plain arrays.
 """
 
 import csv
@@ -24,7 +26,7 @@ import numpy as np
 
 from dysignet.encoder import NEG, POS
 from dysignet.events import DataError, SignedEvent
-from dysignet.tensor import Tensor, _result, add, as_tensor, concat, matmul, transpose
+from dysignet.tensor import DimensionError, Tensor, _result, concat
 
 
 def expit(x):
@@ -36,6 +38,56 @@ def expit(x):
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _unbroadcast(g, shape):
+    """Sum a gradient down to ``shape`` (reverses numpy broadcasting)."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def add(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    data = a.data + b.data
+
+    def vjp(g):
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+
+    return _result(data, (a, b), vjp)
+
+
+def matmul(a, b):
+    """Product of two 2-D tensors."""
+    a, b = as_tensor(a), as_tensor(b)
+    A, B = a.data, b.data
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        raise DimensionError(f"matmul needs (n, k) and (k, m) operands, got {A.shape} and {B.shape}")
+    data = A @ B
+
+    def vjp(g):
+        return g @ B.T, A.T @ g
+
+    return _result(data, (a, b), vjp)
+
+
+def transpose(a):
+    a = as_tensor(a)
+
+    def vjp(g):
+        return (g.T,)
+
+    return _result(a.data.T, (a,), vjp)
 
 
 def neg(a):
@@ -263,10 +315,14 @@ def node_state(encoder, node: int, state) -> np.ndarray:
 
 
 def attention(attn, query: np.ndarray, rows: np.ndarray):
-    """Single-query multi-head attention in plain numpy; returns
-    (output (out_dim,), weights (heads, n))."""
+    """Single-query self projection plus multi-head attention in plain
+    numpy; returns (output (out_dim,), weights (heads, n)).  With no rows
+    the output is the self projection alone."""
     heads = attn.heads
     dh = attn.out_dim // heads
+    base = attn.ws.data @ query
+    if not len(rows):
+        return base, np.zeros((heads, 0))
     q = attn.wq.data @ query
     k = rows @ attn.wk.data.T
     v = rows @ attn.wv.data.T
@@ -278,7 +334,7 @@ def attention(attn, query: np.ndarray, rows: np.ndarray):
         alpha /= alpha.sum()
         weights.append(alpha)
         out.append(alpha @ v[:, sl])
-    return np.concatenate(out), np.array(weights)
+    return base + np.concatenate(out), np.array(weights)
 
 
 def compute_embedding(encoder, node: int, t: float, state) -> np.ndarray:
@@ -287,15 +343,12 @@ def compute_embedding(encoder, node: int, t: float, state) -> np.ndarray:
     h = node_state(encoder, node, state)
     if not cfg.ablation.use_embedding_layer:
         return h
-    base = encoder.self_proj.data @ h
     hist = node_history(state, node)
-    if not hist:
-        return base
     rows = np.array([
         np.concatenate([node_state(encoder, i, state), [_encode_dt(cfg, t - tau), mag]])
         for i, tau, mag in hist
-    ])
-    return base + attention(encoder.attn, h, rows)[0]
+    ]).reshape(len(hist), encoder.attn.key_dim)
+    return attention(encoder.attn, h, rows)[0]
 
 
 def score_pair(decoder, z_u: np.ndarray, z_v: np.ndarray) -> np.ndarray:

@@ -191,6 +191,20 @@ def test_train_without_epochs_exits_1(dataset, tmp_path, capsys):
     assert "patience >= 0" in capsys.readouterr().err
 
 
+def test_heads_not_dividing_the_embedding_exits_1(dataset, tmp_path, capsys):
+    # 3 heads cannot split the default embedding_dim of 64
+    cfg = tmp_path / "h.ini"
+    cfg.write_text("[model]\nheads = 3\n")
+    out = tmp_path / "o"
+    for argv in (["train"], ["eval", "--checkpoint", str(tmp_path / "none.json")]):
+        assert main(argv + ["--config", str(cfg), "--dataset", dataset, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "bad configuration" in err and "3 heads" in err and "Traceback" not in err
+    assert not out.exists()   # rejected before any manifest is written
+    # without the embedding layer no head splits anything
+    assert TrainConfig(heads=3, ablation=AblationConfig.emb).heads == 3
+
+
 @pytest.mark.parametrize("key, value", [
     ("neighbor_cap", "-1"), ("split_fractions", "0.5,0.2,0.2"), ("lr", "nan"),
     ("time_scale", "nan"), ("time_scale", "inf"), ("time_scale", "0"), ("time_scale", "-1"),
@@ -372,7 +386,7 @@ def _nan_values(doc):
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("command", ["eval", "predict", "plot-weights"])
+@pytest.mark.parametrize("command", ["eval", "plot-weights"])
 @pytest.mark.parametrize("content", [_missing, _not_json, _empty, _truncated_payload,
                                      _nan_values])
 def test_bad_checkpoint_exits_2(trained_run, tmp_path, capsys, command, content):
@@ -387,11 +401,11 @@ def test_bad_checkpoint_exits_2(trained_run, tmp_path, capsys, command, content)
     assert err.startswith(f"data error: {bad}: bad checkpoint: ")
 
 
-def test_predict_dumps_csv(trained_run, tmp_path, capsys):
+def test_eval_dump_raw_writes_predictions_csv(trained_run, tmp_path, capsys):
     cfg, ckpt = trained_run
     out = tmp_path / "pred-out"
-    assert main(["predict", "--config", cfg, "--checkpoint", ckpt,
-                 "--split", "val", "--out", str(out)]) == 0
+    assert main(["eval", "--config", cfg, "--checkpoint", ckpt,
+                 "--split", "val", "--dump-raw", "--out", str(out)]) == 0
     with open(out / "predictions.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows and {"src", "dst", "time", "output_0", "label", "is_real"} <= set(rows[0])

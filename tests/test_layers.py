@@ -31,6 +31,9 @@ def test_layer_constructors_validate_dims():
     assert len(ps) == 0   # a rejected layer registers nothing
     attn = MultiHeadAttention(ps, "a", 0, 4, heads=2, key_dim=2)   # an empty query is allowed
     assert (attn.in_dim, attn.out_dim, attn.heads, attn.key_dim) == (0, 4, 2, 2)
+    assert list(ps.names()) == ["a.ws", "a.wq", "a.wk", "a.wv"]
+    MultiHeadAttention(ps, "b", 1, 2, heads=1, self_name="b_self")
+    assert list(ps.names())[4:] == ["b_self", "b.wq", "b.wk", "b.wv"]
 
 
 def test_ffn_zero_weights_returns_bias():
@@ -256,7 +259,8 @@ def test_attention_singleton_weight_one():
     kv = Tensor(rng.normal(size=(1, 5)))
     out, w = _apply_rows(att, q, kv, _one_segment(1))
     assert np.allclose(w.data, 1.0)
-    assert np.allclose(out.data[0], ps["att.wv"].data @ kv.data[0], atol=1e-12)
+    expected = ps["att.ws"].data @ q.data[0] + ps["att.wv"].data @ kv.data[0]
+    assert np.allclose(out.data[0], expected, atol=1e-6)
 
 
 def test_attention_equal_logits_uniform():
@@ -281,10 +285,22 @@ def test_attention_matches_softmax_formula_oracle():
     assert np.abs(out.data[0] - expected_out).max() < 1e-12
 
 
-def test_attention_empty_keys_rejected():
-    _, att = _attn(4, 4, 2, seed=9)
-    with pytest.raises(ValueError):
-        _apply_rows(att, Tensor(np.ones((1, 4))), Tensor(np.empty((0, 4))), _one_segment(0))
+def test_attention_zero_rows_is_the_self_projection():
+    # no query has rows: each output is its self projection, and wq, wk,
+    # wv and the table get zero gradients
+    ps, att = _attn(4, 4, 2, kv_dim=5, seed=9)
+    rng = np.random.default_rng(9)
+    q = ps.add("queries", rng.normal(size=(3, 4)))
+    table = ps.add("table", rng.normal(size=(2, 3)))
+    empty = np.zeros(0, dtype=np.intp)
+    out, w = att.apply(q, table, empty, np.zeros((0, 2)), empty, empty)
+    assert np.array_equal(out.data, q.data @ att.ws.data.T) and w.data.shape == (0, 2)
+    seed = rng.normal(size=out.data.shape).astype(T.DTYPE)
+    grads = T.backward(out, seed, leaves=ps.tensors())
+    assert np.array_equal(grads[q], seed @ att.ws.data)
+    assert np.array_equal(grads[att.ws], (q.data.T @ seed).T)
+    for p in (att.wq, att.wk, att.wv, table):
+        assert grads[p].shape == p.data.shape and not grads[p].any()
 
 
 def test_attention_mismatched_lengths_rejected():
@@ -310,7 +326,7 @@ def test_attention_gradcheck():
 
 
 # four queries over segments of 3, 1, 0 and 2 rows: the empty segment
-# (query 2) must get a zero output and take no weight
+# (query 2) must get its self projection alone and take no weight
 SEGMENTS = np.array([0, 0, 0, 1, 3, 3], dtype=np.intp)
 
 
@@ -324,12 +340,10 @@ def test_attention_segments_match_per_segment_oracle():
     assert np.all(w.data >= 0.0)
     for i in range(4):
         rows = SEGMENTS == i
-        if not rows.any():
-            assert np.array_equal(out.data[i], np.zeros(6))
-            continue
-        assert np.abs(w.data[rows].sum(axis=0) - 1.0).max() < 1e-12
+        if rows.any():
+            assert np.abs(w.data[rows].sum(axis=0) - 1.0).max() < 1e-12
         expected_out, expected_w = attention(att, q[i], kv[rows])
-        assert np.abs(w.data[rows] - expected_w.T).max() < 1e-12
+        assert np.abs(w.data[rows] - expected_w.T).max(initial=0.0) < 1e-12
         assert np.abs(out.data[i] - expected_out).max() < 1e-12
 
 
@@ -383,11 +397,10 @@ def test_factored_attention_equals_explicit_rows_oracle():
     _, att, q, table, extra, _ = _factored(2, seed=18)
     out, w = _apply(att, q, table, TABLE_INDEX, extra, SEGMENTS)
     rows = np.concatenate([table.data[TABLE_INDEX], extra], axis=1)
-    assert np.array_equal(out.data[2], np.zeros(4))
-    for i in (0, 1, 3):
+    for i in range(4):
         sel = SEGMENTS == i
         expected_out, expected_w = attention(att, q.data[i], rows[sel])
-        assert np.abs(w.data[sel] - expected_w.T).max() < 1e-12
+        assert np.abs(w.data[sel] - expected_w.T).max(initial=0.0) < 1e-12
         assert np.abs(out.data[i] - expected_out).max() < 1e-12
 
 
@@ -439,13 +452,11 @@ def test_packed_attention_matches_per_query_oracle(seed):
     query_of = seg[perm]   # the query of each row as passed
     for i in range(n_q):
         mine = query_of == i
-        if not mine.any():
-            assert np.array_equal(out.data[i], np.zeros(heads * dh))
-            continue
         expected_out, expected_w = attention(att, q[i], rows[mine])
-        assert np.abs(out.data[i] - expected_out).max() < 1e-12
-        assert np.abs(w.data[mine] - expected_w.T).max() < 1e-12
-        assert np.abs(w.data[mine].sum(axis=0) - 1.0).max() < 1e-12
+        assert np.abs(out.data[i] - expected_out).max() < 1e-12 * max(1.0, abs(expected_out).max())
+        assert np.abs(w.data[mine] - expected_w.T).max(initial=0.0) < 1e-12
+        if mine.any():
+            assert np.abs(w.data[mine].sum(axis=0) - 1.0).max() < 1e-12
 
 
 @pytest.mark.usefixtures("float64")

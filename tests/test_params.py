@@ -129,6 +129,19 @@ def test_float64_checkpoint_round_trips_byte_for_byte(tmp_path):
     assert path.read_bytes() == FLOAT64_CHECKPOINT.read_bytes()
 
 
+@pytest.mark.usefixtures("float64")
+def test_float64_checkpoint_is_rebuilt_from_a_fresh_model():
+    # rebuilding the fixture as its comment says pins every parameter's
+    # name, registration order and initial draw, which old checkpoints need
+    params = build_model(tiny_config()).params
+    rng = np.random.default_rng(0)
+    adam_step(params, {p: rng.standard_normal(p.data.shape) for p in params.tensors()}, lr=1e-2)
+    doc = json.loads(FLOAT64_CHECKPOINT.read_text())
+    assert params.names() == list(doc["params"])
+    for name, entry in doc["params"].items():
+        assert params[name].data.tobytes() == _decode(entry["data"], entry["shape"]).tobytes(), name
+
+
 def test_checkpoint_value_beyond_float32_is_rejected(tmp_path):
     # 1e39 is finite at float64, the checkpoint's width, and inf once cast
     path = tmp_path / "ckpt.json"

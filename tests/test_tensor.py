@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ import dysignet.tensor as T
 from dysignet.tensor import Tensor, backward
 
 from helpers import attend_segments, weighted
-from oracles import detach, expit, mul, neg, relu, sigmoid, slice_last, tanh
+from oracles import add, detach, expit, matmul, mul, neg, relu, sigmoid, slice_last, tanh, transpose
 from oracles import gather_stack as oracle_gather_stack
 
 ONE = np.ones((1, 1))
@@ -45,7 +48,7 @@ def test_matmul_shape_error():
     for a, b in ((np.ones((2, 3)), np.ones((2, 3))), (np.ones(3), np.ones((3, 2))),
                  (np.ones((2, 3)), np.ones(3)), (np.ones((2, 2, 3)), np.ones((3, 2)))):
         with pytest.raises(T.DimensionError):
-            T.matmul(Tensor(a), Tensor(b))
+            matmul(Tensor(a), Tensor(b))
 
 
 def test_no_grad_records_nothing():
@@ -64,7 +67,7 @@ def test_detach_cuts_graph():
 
 def test_creation_order_is_topological():
     x = Tensor(np.arange(3.0).reshape(1, 3), requires_grad=True)
-    y = mul(T.add(x, 1.0), tanh(x))
+    y = mul(add(x, 1.0), tanh(x))
     stack, seen = [y], set()
     while stack:
         t = stack.pop()
@@ -81,9 +84,9 @@ def test_forward_values_match_numpy():
     b = rng.normal(size=(4,))
     c = rng.normal(size=(4, 2))
     ta, tb = Tensor(a), Tensor(b)
-    assert np.allclose(T.add(ta, tb).data, a + b)
-    assert np.allclose(T.matmul(ta, Tensor(c)).data, a @ c)
-    assert np.array_equal(T.transpose(ta).data, ta.data.T)
+    assert np.allclose(add(ta, tb).data, a + b)
+    assert np.allclose(matmul(ta, Tensor(c)).data, a @ c)
+    assert np.array_equal(transpose(ta).data, ta.data.T)
 
 
 def _fd_check(f, tensors, eps=1e-6, tol=5e-6):
@@ -113,7 +116,7 @@ def test_elementwise_and_matmul_gradients():
     w = rng.normal(size=(3, 2))
 
     def f():
-        y = T.matmul(T.add(a, b), c)          # (3, 2)
+        y = matmul(add(a, b), c)          # (3, 2)
         z = mul(mul(y, y), sigmoid(neg(y)))   # y² / (e^y + 1)
         return weighted(tanh(z), w)
 
@@ -142,21 +145,22 @@ def test_slice_row_transpose_gradients():
     def f():
         a = slice_last(m, 1, 4)             # (4, 3)
         b = T.take_rows(m, [2], np.zeros((1, 6)))   # (1, 6)
-        c = T.transpose(a)                  # (3, 4)
+        c = transpose(a)                  # (3, 4)
         return weighted(T.concat([mul(c, c), slice_last(mul(b, b), 0, 4)]), w)
 
     _fd_check(f, [m])
 
 
 def _attention_weights(rng, q_dim, row_dim, out_dim=4):
+    """ws, wq, wk and wv."""
     return [Tensor(rng.normal(size=(out_dim, d)), requires_grad=True)
-            for d in (q_dim, row_dim, row_dim)]
+            for d in (q_dim, q_dim, row_dim, row_dim)]
 
 
-def _attend(q, table, index, extra, wq, wk, wv, seg, n_q, heads):
+def _attend(q, table, index, extra, ws, wq, wk, wv, seg, n_q, heads):
     """``segment_attention`` on rows given with query ids ``seg``."""
     return attend_segments(
-        lambda i, x, order, sizes: T.segment_attention(q, table, i, x, wq, wk, wv,
+        lambda i, x, order, sizes: T.segment_attention(q, table, i, x, ws, wq, wk, wv,
                                                        order, sizes, heads),
         n_q, index, extra, seg)
 
@@ -165,7 +169,7 @@ def _attend(q, table, index, extra, wq, wk, wv, seg, n_q, heads):
 def test_gather_attention_repeated_row_gradients():
     rng = np.random.default_rng(5)
     m = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    wq, wk, wv = _attention_weights(rng, 3, 5)
+    ws, wq, wk, wv = _attention_weights(rng, 3, 5)
     extra = rng.normal(size=(5, 2))
     index = np.array([0, 2, 2, 1, 2])   # table row 2 serves all three segments
     seg = np.array([0, 0, 1, 2, 2])
@@ -173,24 +177,24 @@ def test_gather_attention_repeated_row_gradients():
 
     def f():
         g = T.gather_stack([(m, 0), (m, 3), (m, 2), (m, 0), (m, 3)])
-        out, _ = _attend(g, m, index, extra, wq, wk, wv, seg, 5, 2)
+        out, _ = _attend(g, m, index, extra, ws, wq, wk, wv, seg, 5, 2)
         return weighted(mul(out, out), w)
 
-    _fd_check(f, [m, wq, wk, wv])
+    _fd_check(f, [m, ws, wq, wk, wv])
 
 
 @pytest.mark.usefixtures("float64")
 def test_segment_attention_repeated_row_accumulates():
     # one table row used three times gets the summed gradient of three copies
     rng = np.random.default_rng(8)
-    wq, wk, wv = _attention_weights(rng, 2, 3)
+    ws, wq, wk, wv = _attention_weights(rng, 2, 3)
     q = Tensor(rng.normal(size=(2, 2)))
     row = rng.normal(size=(1, 3))
     seg = np.array([0, 0, 1])
     shared = Tensor(row, requires_grad=True)
     copies = Tensor(np.repeat(row, 3, axis=0), requires_grad=True)
-    out1, _ = _attend(q, shared, [0, 0, 0], np.zeros((3, 0)), wq, wk, wv, seg, 2, 2)
-    out3, _ = _attend(q, copies, [0, 1, 2], np.zeros((3, 0)), wq, wk, wv, seg, 2, 2)
+    out1, _ = _attend(q, shared, [0, 0, 0], np.zeros((3, 0)), ws, wq, wk, wv, seg, 2, 2)
+    out3, _ = _attend(q, copies, [0, 1, 2], np.zeros((3, 0)), ws, wq, wk, wv, seg, 2, 2)
     assert np.abs(out1.data - out3.data).max() < 1e-14
     seed = rng.normal(size=out1.data.shape)
     g1 = backward(out1, seed, leaves=[shared])[shared]
@@ -280,35 +284,60 @@ def test_take_rows_gradients():
         "unknown-query", "empty-block"])
 def test_segment_attention_rejects_bad_packing(order, sizes):
     rng = np.random.default_rng(9)
-    wq, wk, wv = _attention_weights(rng, 2, 2)
+    ws, wq, wk, wv = _attention_weights(rng, 2, 2)
     q, table = Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2)))
-    T.segment_attention(q, table, [0, 1, 2], np.zeros((3, 0)), wq, wk, wv, [1, 0], [2, 1], 2)
+    T.segment_attention(q, table, [0, 1, 2], np.zeros((3, 0)), ws, wq, wk, wv, [1, 0], [2, 1], 2)
     with pytest.raises(ValueError):
-        T.segment_attention(q, table, [0, 1, 2], np.zeros((3, 0)), wq, wk, wv,
+        T.segment_attention(q, table, [0, 1, 2], np.zeros((3, 0)), ws, wq, wk, wv,
                             order, sizes, 2)
 
 
 def test_segment_attention_rejects_out_of_range_index():
     rng = np.random.default_rng(9)
-    wq, wk, wv = _attention_weights(rng, 2, 2)
+    ws, wq, wk, wv = _attention_weights(rng, 2, 2)
     q, table = Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2)))
     for index in ([0, 1, 3], [0, -1, 2]):
         with pytest.raises(IndexError):
-            T.segment_attention(q, table, index, np.zeros((3, 0)), wq, wk, wv, [1, 0], [2, 1], 2)
+            T.segment_attention(q, table, index, np.zeros((3, 0)), ws, wq, wk, wv,
+                                [1, 0], [2, 1], 2)
 
 
 def test_segment_attention_empty_segments_get_zeros():
+    # the attention term of a query without rows is zero: its output is
+    # its self projection, and its gradient comes through ws alone
     rng = np.random.default_rng(10)
-    wq, wk, wv = _attention_weights(rng, 2, 4)
+    ws, wq, wk, wv = _attention_weights(rng, 2, 4)
     q = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
     table = Tensor(np.arange(6.0).reshape(2, 3))
-    out, w = _attend(q, table, [0, 1, 1], rng.normal(size=(3, 1)), wq, wk, wv,
+    out, w = _attend(q, table, [0, 1, 1], rng.normal(size=(3, 1)), ws, wq, wk, wv,
                      np.array([0, 0, 3]), 5, 2)
-    assert np.all(out.data[[1, 2, 4]] == 0.0)
-    assert np.all(out.data[[0, 3]] != 0.0)
+    base = q.data @ ws.data.T
+    assert np.array_equal(out.data[[1, 2, 4]], base[[1, 2, 4]])
+    assert np.all(out.data[[0, 3]] != base[[0, 3]])
     assert np.allclose(w.data[:2].sum(axis=0), 1.0) and np.allclose(w.data[2], 1.0)
-    g = backward(out, np.ones(out.data.shape), leaves=[q])[q]
-    assert np.all(g[[1, 2, 4]] == 0.0)
+    seed = np.ones(out.data.shape, dtype=T.DTYPE)
+    g = backward(out, seed, leaves=[q])[q]
+    assert np.array_equal(g[[1, 2, 4]], (seed @ ws.data)[[1, 2, 4]])
+
+
+@pytest.mark.usefixtures("float64")
+def test_segment_attention_zero_rows_is_the_self_projection():
+    # no query has rows: the packing is empty, the output is q · wsᵀ, and
+    # the table and the attention weights get zero gradients
+    rng = np.random.default_rng(11)
+    ws, wq, wk, wv = _attention_weights(rng, 3, 5)
+    q = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    table = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    empty = np.zeros(0, dtype=np.intp)
+    out, w = T.segment_attention(q, table, empty, np.zeros((0, 2)), ws, wq, wk, wv,
+                                 empty, empty, 2)
+    assert np.array_equal(out.data, q.data @ ws.data.T) and w.data.shape == (0, 2)
+    seed = rng.normal(size=out.data.shape)
+    grads = backward(out, seed, leaves=[q, table, ws, wq, wk, wv])
+    assert np.array_equal(grads[q], seed @ ws.data)
+    assert np.array_equal(grads[ws], (q.data.T @ seed).T)
+    for t in (table, wq, wk, wv):
+        assert grads[t].shape == t.data.shape and not grads[t].any()
 
 
 def test_gather_stack_rejects_mixed_use():
@@ -323,7 +352,7 @@ def test_gather_stack_rejects_mixed_use():
 
 def test_repeated_parent_accumulates():
     x = Tensor([[2.0]], requires_grad=True)
-    y = T.add(mul(x, x), mul(Tensor([[3.0]]), x))
+    y = add(mul(x, x), mul(Tensor([[3.0]]), x))
     assert backward(y, ONE)[x] == pytest.approx(7.0)
 
 
@@ -333,7 +362,7 @@ def test_forward_determinism():
 
     def run():
         t = Tensor(a, requires_grad=True)
-        out = tanh(T.matmul(t, T.transpose(t)))
+        out = tanh(matmul(t, transpose(t)))
         return out.data.copy(), backward(out, np.ones((5, 5)))[t].copy()
 
     v1, g1 = run()
@@ -349,7 +378,7 @@ def test_matmul_gradient_property(m, k, seed):
     a = Tensor(rng.normal(size=(m, k)), requires_grad=True)
     b = Tensor(rng.normal(size=(k, 1)), requires_grad=True)
     w = rng.normal(size=(m, 1))
-    grads = backward(T.matmul(a, b), w, leaves=[a, b])
+    grads = backward(matmul(a, b), w, leaves=[a, b])
     assert np.allclose(grads[a], w @ b.data.T)
     assert np.allclose(grads[b], a.data.T @ w)
 
@@ -377,3 +406,20 @@ def test_gather_stack_rejects_bad_shapes():
     for items in ([], [(Tensor(np.ones(3)), 0)], [(Tensor(np.ones((2, 2, 3))), 0)]):
         with pytest.raises(T.DimensionError):
             T.gather_stack(items)
+
+
+def test_every_public_op_has_a_caller_outside_tests():
+    # ops that only tests use belong in tests/oracles.py, not the library
+    root = Path(__file__).resolve().parents[1]
+    source = root / "src" / "dysignet" / "tensor.py"
+    public = {node.name for node in ast.parse(source.read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in [*source.parent.glob("*.py"), *(root / "bench").glob("*.py")]:
+        if path == source:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    assert public and public <= called, sorted(public - called)
