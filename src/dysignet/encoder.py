@@ -357,10 +357,11 @@ class EncoderState:
                 if (links < -1).any() or (links >= nbr.size).any() or (ids < 0).any():
                     raise ValueError(f"history links outside [-1, {nbr.size}) "
                                      f"or negative node ids or counts")
-                # checked before the walk, whose time grows with the claimed counts
-                if deg.sum() != nbr.size:
-                    raise ValueError(f"history row counts sum to {deg.sum()}, "
-                                     f"not the log's {nbr.size} rows")
+                # checked before the walk, whose time grows with the claimed counts;
+                # no count above the row count keeps the sum from wrapping around
+                if (deg > nbr.size).any() or deg.sum() != nbr.size:
+                    raise ValueError(f"history row counts do not sum to the log's "
+                                     f"{nbr.size} rows")
                 h = HistoryLog()
                 h.length, h.nbr, h.t, h.mag, h.prev, h.head, h.deg = nbr.size, *arrays[2:8]
                 # walking deg[n] rows back from each head stays on rows and visits each once
@@ -414,8 +415,8 @@ class EncoderModel:
             # keys and values are the node state plus a time-gap and a |w| column
             h = config.node_state_dim
             self.attn = MultiHeadAttention(
-                params, f"{name}.emb.attn", query_dim=h, out_dim=config.embedding_dim,
-                heads=config.heads, key_dim=h + 2, rng=rng, self_name=f"{name}.emb.self_proj")
+                params, f"{name}.emb", query_dim=h, out_dim=config.embedding_dim,
+                heads=config.heads, key_dim=h + 2, rng=rng)
 
     # ------------------------------------------------------------------
     # message generation and memory update

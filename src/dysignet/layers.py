@@ -84,16 +84,16 @@ class RecurrentCell:
 
 class MultiHeadAttention:
     """A self projection plus segmented multi-head dot-product attention:
-    each query's output is ``ws · q`` plus its attention over its own
+    each query's output is ``self_proj · q`` plus its attention over its own
     rows; each row serves as both key and value.
 
     Rows are factored as ``[table[index], extra]``: a table of distinct
     states, an index into it per row, and per-row extra columns.  Per head:
     weights = softmax(q · kᵀ / sqrt(d_head)) over a query's rows, output is
     the weight-combined value projections, heads concatenated.  A query
-    with no rows gets its self projection alone.  ``ws`` is registered
-    and drawn first, as ``self_name`` (default ``{name}.ws``): the encoder
-    names it ``encoder.emb.self_proj``, as its checkpoints do.
+    with no rows gets its self projection alone.  Parameters are
+    registered and drawn in the order ``{name}.self_proj``,
+    ``{name}.attn.wq``, ``{name}.attn.wk``, ``{name}.attn.wv``.
 
     Rows come packed position-major; :func:`tensor.segment_attention`
     gives the layout and the order of its sums.
@@ -101,7 +101,7 @@ class MultiHeadAttention:
 
     def __init__(self, params: ParameterSet, name: str, query_dim: int, out_dim: int,
                  heads: int, key_dim: int | None = None,
-                 rng: np.random.Generator | None = None, self_name: str | None = None):
+                 rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         key_dim = query_dim if key_dim is None else key_dim
         # an empty query is allowed: its rows then weigh the same
@@ -112,11 +112,11 @@ class MultiHeadAttention:
             raise ValueError(f"{name}: output dim {out_dim} is not divisible by {heads} heads")
         self.name, self.in_dim, self.out_dim = name, query_dim, out_dim
         self.heads, self.key_dim = heads, key_dim
-        self.ws = params.add(self_name or f"{name}.ws",
-                             uniform_init(rng, (out_dim, query_dim), query_dim))
-        self.wq = params.add(f"{name}.wq", uniform_init(rng, (out_dim, query_dim), query_dim))
-        self.wk = params.add(f"{name}.wk", uniform_init(rng, (out_dim, key_dim), key_dim))
-        self.wv = params.add(f"{name}.wv", uniform_init(rng, (out_dim, key_dim), key_dim))
+        self.self_proj = params.add(f"{name}.self_proj",
+                                    uniform_init(rng, (out_dim, query_dim), query_dim))
+        self.wq = params.add(f"{name}.attn.wq", uniform_init(rng, (out_dim, query_dim), query_dim))
+        self.wk = params.add(f"{name}.attn.wk", uniform_init(rng, (out_dim, key_dim), key_dim))
+        self.wv = params.add(f"{name}.attn.wv", uniform_init(rng, (out_dim, key_dim), key_dim))
 
     def apply(self, queries: Tensor, table: Tensor, index: np.ndarray, extra: np.ndarray,
               order: np.ndarray, sizes: np.ndarray):
@@ -133,5 +133,5 @@ class MultiHeadAttention:
         width = table.data.shape[1] + np.shape(extra)[1]
         if width != self.key_dim:
             raise DimensionError(f"{self.name}: row width {width} != key dim {self.key_dim}")
-        return segment_attention(queries, table, index, extra, self.ws, self.wq, self.wk,
+        return segment_attention(queries, table, index, extra, self.self_proj, self.wq, self.wk,
                                  self.wv, order, sizes, self.heads)

@@ -320,7 +320,7 @@ def attention(attn, query: np.ndarray, rows: np.ndarray):
     the output is the self projection alone."""
     heads = attn.heads
     dh = attn.out_dim // heads
-    base = attn.ws.data @ query
+    base = attn.self_proj.data @ query
     if not len(rows):
         return base, np.zeros((heads, 0))
     q = attn.wq.data @ query

@@ -819,20 +819,23 @@ def _edit_snapshot(path, edit):
 
 
 def test_snapshot_load_rejects_claimed_row_counts_before_walking(tmp_path, monkeypatch):
-    # a one-row log whose node claims two million rows is rejected from the
-    # count sum alone: the history walk, whose cost grows with the claimed
-    # counts, never runs
-    enc, path = _saved_state(tmp_path)
+    # a one-row log whose nodes claim more rows is rejected from the counts
+    # alone: the history walk, whose cost grows with the claimed counts,
+    # never runs
+    def one_row(counts):
+        def edit(a):
+            a[2:6] = [col[:1] for col in a[2:6]]
+            a[5][0] = -1
+            a[6], a[7] = np.zeros(len(counts), dtype=np.int64), np.array(counts)
+        return edit
 
-    def one_row(a):
-        a[2:6] = [col[:1] for col in a[2:6]]
-        a[5][0] = -1
-        a[6], a[7] = np.array([0]), np.array([2_000_000])
-
-    _edit_snapshot(path, one_row)
     monkeypatch.setattr(HistoryLog, "recent", lambda *a: pytest.fail("walked the history"))
-    with pytest.raises(ValueError, match="row counts sum to 2000000, not the log's 1 rows"):
-        EncoderState.load(path, enc.config)
+    # the second claim sums to 1 once int64 wraps around
+    for counts in ([2_000_000], [2 ** 63 - 1, 2 ** 63 - 1, 3]):
+        enc, path = _saved_state(tmp_path)
+        _edit_snapshot(path, one_row(counts))
+        with pytest.raises(ValueError, match="row counts do not sum to the log's 1 rows"):
+            EncoderState.load(path, enc.config)
 
 
 def test_node_memory_view():

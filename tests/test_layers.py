@@ -31,9 +31,7 @@ def test_layer_constructors_validate_dims():
     assert len(ps) == 0   # a rejected layer registers nothing
     attn = MultiHeadAttention(ps, "a", 0, 4, heads=2, key_dim=2)   # an empty query is allowed
     assert (attn.in_dim, attn.out_dim, attn.heads, attn.key_dim) == (0, 4, 2, 2)
-    assert list(ps.names()) == ["a.ws", "a.wq", "a.wk", "a.wv"]
-    MultiHeadAttention(ps, "b", 1, 2, heads=1, self_name="b_self")
-    assert list(ps.names())[4:] == ["b_self", "b.wq", "b.wk", "b.wv"]
+    assert list(ps.names()) == ["a.self_proj", "a.attn.wq", "a.attn.wk", "a.attn.wv"]
 
 
 def test_ffn_zero_weights_returns_bias():
@@ -259,7 +257,7 @@ def test_attention_singleton_weight_one():
     kv = Tensor(rng.normal(size=(1, 5)))
     out, w = _apply_rows(att, q, kv, _one_segment(1))
     assert np.allclose(w.data, 1.0)
-    expected = ps["att.ws"].data @ q.data[0] + ps["att.wv"].data @ kv.data[0]
+    expected = ps["att.self_proj"].data @ q.data[0] + ps["att.attn.wv"].data @ kv.data[0]
     assert np.allclose(out.data[0], expected, atol=1e-6)
 
 
@@ -294,11 +292,11 @@ def test_attention_zero_rows_is_the_self_projection():
     table = ps.add("table", rng.normal(size=(2, 3)))
     empty = np.zeros(0, dtype=np.intp)
     out, w = att.apply(q, table, empty, np.zeros((0, 2)), empty, empty)
-    assert np.array_equal(out.data, q.data @ att.ws.data.T) and w.data.shape == (0, 2)
+    assert np.array_equal(out.data, q.data @ att.self_proj.data.T) and w.data.shape == (0, 2)
     seed = rng.normal(size=out.data.shape).astype(T.DTYPE)
     grads = T.backward(out, seed, leaves=ps.tensors())
-    assert np.array_equal(grads[q], seed @ att.ws.data)
-    assert np.array_equal(grads[att.ws], (q.data.T @ seed).T)
+    assert np.array_equal(grads[q], seed @ att.self_proj.data)
+    assert np.array_equal(grads[att.self_proj], (q.data.T @ seed).T)
     for p in (att.wq, att.wk, att.wv, table):
         assert grads[p].shape == p.data.shape and not grads[p].any()
 
