@@ -2,9 +2,10 @@
 
 Subcommands: ``stats``, ``train``, ``eval``, ``plot-weights``.  ``eval
 --dump-raw`` also writes the per-pair predictions as ``predictions.csv``.
-Every run writes a manifest with the resolved configuration into its
-output directory before doing any work.  Exit codes: 0 ok, 1 usage,
-2 data error, 3 numeric failure.
+Every run writes a manifest with the resolved configuration, the numpy
+and BLAS versions and the BLAS thread variables into its output directory
+before doing any work.  Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import time
 import types
 import typing
 from pathlib import Path
+
+import numpy as np
 
 from .encoder import AblationConfig
 from .events import DataError, compute_stats, parse_csv
@@ -125,7 +128,11 @@ def make_out_dir(args, command: str) -> Path:
     return out
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def write_manifest(out_dir: Path, command: str, args, config: dict | None) -> None:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     manifest = {
         "command": command,
         "argv": sys.argv[1:],
@@ -133,6 +140,10 @@ def write_manifest(out_dir: Path, command: str, args, config: dict | None) -> No
         "resolved_config": config,
         "out_dir": str(out_dir),
         "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "numpy_version": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        # as set for this run, or None when unset
+        "thread_env": {name: os.environ.get(name) for name in THREAD_VARS},
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 

@@ -11,13 +11,18 @@ State layout (:class:`EncoderState`):
 
 - memory arrays: ``mem[node, slot]`` holds one polarity memory and
   ``last_update[node]`` the time of the node's last memory write, for node
-  ids below ``size``; capacity grows by doubling when a batch brings a
-  larger id, and an id never ingested reads as zeros;
+  ids below ``size``, one past the largest id written.  Their capacity is
+  the ``node_count`` of the first batch ingested, which every batch of a
+  log carries, so they are allocated once per pass and never copied by
+  doubling.  They start as zeros from ``np.zeros`` (calloc), so the pages
+  of nodes never written stay unmapped, and an id never ingested reads as
+  zeros;
 - fresh-row overlay: rows written with gradient since the last
   ``detach_`` are also kept, in write order, in one ``fresh`` tensor, and
-  ``fresh_row[node, slot]`` points at them.  A read under gradient is
-  ``take_rows(fresh, fresh_row[...], mem[...])``, so gradients reach the
-  batch that wrote a memory, and ``detach_`` only forgets the overlay;
+  ``fresh_row[node, slot]`` is one past the row there (0 for none, so the
+  array also starts as calloc'd zeros).  A read under gradient is
+  ``take_rows(fresh, fresh_row[...] - 1, mem[...])``, so gradients reach
+  the batch that wrote a memory, and ``detach_`` only forgets the overlay;
 - linked history log (:class:`HistoryLog`): one append-only row per
   (event, endpoint) with a pointer to the owner's previous row, so a
   node's most recent rows are a walk back from its head.
@@ -138,10 +143,13 @@ class AblationConfig(Enum):
 AblationConfig.NAMES = tuple(AblationConfig.__members__)
 
 
-def _grown(arr: np.ndarray, length: int, fill) -> np.ndarray:
-    """``arr`` extended along axis 0 to ``length`` rows of ``fill``."""
-    out = np.full((length,) + arr.shape[1:], fill, dtype=arr.dtype)
+def _grown(arr: np.ndarray, length: int, fill=0) -> np.ndarray:
+    """``arr`` extended along axis 0 to ``length`` rows of ``fill``; rows
+    of zeros come from calloc and stay unmapped until written."""
+    out = np.zeros((length,) + arr.shape[1:], dtype=arr.dtype)
     out[:arr.shape[0]] = arr
+    if fill:
+        out[arr.shape[0]:] = fill
     return out
 
 
@@ -169,11 +177,11 @@ class HistoryLog:
         if end > self.nbr.size:
             cap = max(end, 2 * self.nbr.size)
             self.nbr, self.t, self.mag, self.prev = (
-                _grown(a, cap, 0) for a in (self.nbr, self.t, self.mag, self.prev))
+                _grown(a, cap) for a in (self.nbr, self.t, self.mag, self.prev))
         need = int(owners.max()) + 1
         if need > self.head.size:
             cap = max(need, 2 * self.head.size)
-            self.head, self.deg = _grown(self.head, cap, -1), _grown(self.deg, cap, 0)
+            self.head, self.deg = _grown(self.head, cap, -1), _grown(self.deg, cap)
         self.nbr[start:end], self.t[start:end], self.mag[start:end] = nbrs, times, mags
         # link each row to its owner's previous row: the row before it in a
         # stable sort by owner, or the owner's head for its first row here
@@ -267,13 +275,13 @@ class EncoderState:
         """Last memory-write time per node id below ``size``."""
         return self._last_update[:self.size]
 
-    def _reserve(self, need: int) -> None:
-        if need > self._last_update.size:
-            cap = max(need, 2 * self._last_update.size)
-            self.mem = _grown(self.mem, cap, 0.0)
-            self._last_update = _grown(self._last_update, cap, 0.0)
-            self._fresh_row = _grown(self._fresh_row, cap, -1)
-        self.size = max(self.size, need)
+    def reserve(self, nodes: int) -> None:
+        """Room for node ids below ``nodes``, which ``size`` does not count
+        until they are written; a no-op when there is room."""
+        if nodes > self._last_update.size:
+            self.mem = _grown(self.mem, nodes)
+            self._last_update = _grown(self._last_update, nodes)
+            self._fresh_row = _grown(self._fresh_row, nodes)
 
     def last_update_at(self, nodes: np.ndarray) -> np.ndarray:
         """Last memory-write times; 0.0 for nodes never written."""
@@ -293,28 +301,30 @@ class EncoderState:
         if self._fresh is None or not grad_enabled():
             return Tensor(fill)
         rows = np.full(nodes.size, -1, dtype=np.intp)
-        rows[known] = self._fresh_row[nodes[known], slots[known]]
+        rows[known] = self._fresh_row[nodes[known], slots[known]] - 1
         return take_rows(self._fresh, rows, fill)
 
     def write_memory(self, nodes: np.ndarray, slot: int, new: Tensor, times) -> None:
         """Set the memories of (nodes[i], slot) to ``new[i]`` and advance
         each node's last update to ``times[i]``; ``nodes`` are distinct."""
-        self._reserve(int(nodes.max()) + 1)
+        need = int(nodes.max()) + 1
+        self.reserve(need)
+        self.size = max(self.size, need)
         self.mem[nodes, slot] = new.data
         self._last_update[nodes] = np.maximum(self._last_update[nodes], times)
         if new.requires_grad:
             base = 0 if self._fresh is None else self._fresh.data.shape[0]
             self._fresh = new if self._fresh is None else concat([self._fresh, new])
-            self._fresh_row[nodes, slot] = base + np.arange(nodes.size)
+            self._fresh_row[nodes, slot] = base + 1 + np.arange(nodes.size)
             self._fresh_nodes.append(nodes)
         else:
-            self._fresh_row[nodes, slot] = -1
+            self._fresh_row[nodes, slot] = 0
 
     def detach_(self) -> None:
         """Freeze all memory values as constants, truncating gradient flow.
         Costs the rows written since the last detach, not the node count."""
         for nodes in self._fresh_nodes:
-            self._fresh_row[nodes] = -1
+            self._fresh_row[nodes] = 0
         self._fresh_nodes.clear()
         self._fresh = None
 
@@ -371,7 +381,8 @@ class EncoderState:
             except (ValueError, KeyError, TypeError, IndexError, AttributeError, EOFError) as exc:
                 raise ValueError(f"{path}: bad snapshot: {exc}") from None
         state = cls(config)
-        state._reserve(len(mem))
+        state.reserve(len(mem))
+        state.size = len(mem)
         state.mem[:len(mem)], state._last_update[:len(mem)] = mem, last
         state.history = h
         state.watermark, state.events_ingested = float(watermark), int(ingested)
@@ -432,9 +443,11 @@ class EncoderModel:
             raise ValueError(
                 f"out-of-order batch: starts at {start} before "
                 f"already-ingested time {state.watermark}")
-        # one row per endpoint, (src -> dst, dst -> src) for each event
-        owner = np.column_stack([batch.src, batch.dst]).ravel()
-        partner = np.column_stack([batch.dst, batch.src]).ravel()
+        state.reserve(batch.node_count)
+        # one row per endpoint, (src -> dst, dst -> src) for each event, as
+        # intp once here so that no index below pays a cast
+        ends = np.stack([batch.src, batch.dst], axis=1, dtype=np.intp)
+        owner, partner = ends.ravel(), ends[:, ::-1].ravel()
         time, weight = np.repeat(batch.time, 2), np.repeat(batch.weight, 2)
         if self.config.ablation.use_memory:
             self._ingest_memory(owner, partner, time, weight, state)

@@ -1,25 +1,32 @@
 """Timestamped signed edge streams: parsing, splits, batches, statistics.
 
 Layout: an :class:`EventLog` is four numpy columns, ``time`` and
-``weight`` float64 and ``src`` and ``dst`` int64, so a parsed stream holds
-32 bytes per event, plus one fixed-width raw id string per node (20 bytes
-for a 5-digit id).  A split and its batches are views of that one log and
-add no bytes per event.  On the bench streams a parsed split holds 34-48
-bytes per event; as a list of ``SignedEvent`` tuples it held 138-219.
+``weight`` float64 and ``src`` and ``dst`` int32 (parsing rejects 2**31
+nodes or more), so a parsed stream holds 24 bytes per event.  Raw ids
+come one per node: int64 (8 bytes) when every raw id of the kept events
+is a canonical integer, one ``str(int(s)) == s`` holds for and int64
+holds, so ``007`` and ``7`` stay two nodes; else the fixed-width strings
+of the input (20 bytes for a 5-digit id).  A split and its batches are
+views of that one log and add no bytes per event.  On the bench streams
+a parsed split holds 24-31 bytes per event; as a list of ``SignedEvent``
+tuples it held 138-219.
 
 Parsing: :func:`parse_csv` reads the lines after line 1 in chunks of about
-``_CHUNK_BYTES`` characters of whole lines.  A chunk is parsed in bulk (one
-``str.split``, ``float`` over column slices, raw ids coded to int64 through
-one dict of the distinct ids) when it holds no quote character and every
-line has the same delimiter count, at least the needed columns and a finite
-time and weight.  Line 1, any other chunk, and everything from the first
-line with a quote character go through ``csv.reader`` row by row, so the
-result is what a row-by-row read gives.  The filters, the time sort and the
-remap then run in numpy on the codes.  The transient peak under
-tracemalloc is ~120 bytes per event on a 200k-row file (a row-by-row parse
-into tuples took ~370), plus ~3 MB for one chunk's strings: 184-279 bytes
-per event on the 24k-event bench streams.  Chunks of 64 KB to 1 MB parse
-equally fast; at 1 MB a bench stream is one chunk and peaks at 344-416.
+``_CHUNK_BYTES`` characters of whole lines.  A run of lines is parsed in
+bulk (one ``str.split``, ``float`` over column slices, raw ids coded to
+int64 through one dict of the distinct ids) when it holds no quote
+character and every line has the same delimiter count, at least the needed
+columns and a finite time and weight.  A chunk that fails is halved and
+each half retried, so one flawed line costs a run of fewer than
+``_BULK_FLOOR`` lines around it.  Line 1, those runs, and everything from
+the first line with a quote character go through ``csv.reader`` row by
+row, so the result is what a row-by-row read gives.  The filters, the time
+sort and the remap then run in numpy on the codes.  The transient peak
+under tracemalloc is ~120 bytes per event on a 200k-row file (a row-by-row
+parse into tuples took ~370), plus ~3 MB for one chunk's strings: 184-279
+bytes per event on the 24k-event bench streams.  Chunks of 64 KB to 1 MB
+parse equally fast; at 1 MB a bench stream is one chunk and peaks at
+344-416.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import gzip
 import io
 import logging
 import math
+import re
 import zlib
 from dataclasses import dataclass
 from functools import partial
@@ -43,6 +51,11 @@ log = logging.getLogger(__name__)
 SECONDS_PER_DAY = 86400.0
 DEFAULT_COLUMNS = ("src", "dst", "weight", "time")
 _CHUNK_BYTES = 1 << 18  # characters per bulk read, then to the line end; tests patch it
+_BULK_FLOOR = 64  # a failed run of fewer lines goes to the row loop, not into halves
+_NODE_ID = np.int32  # dense node ids; tests patch it to check the node-count limit
+# canonical integers that int64 may hold, one per line: no sign but a
+# minus, no leading zero, no "-0", at most 19 digits
+_CANONICAL_INTS = re.compile(r"(?:0|-?[1-9][0-9]{0,18})(?:\n(?:0|-?[1-9][0-9]{0,18}))*")
 
 
 class DataError(RuntimeError):
@@ -120,10 +133,11 @@ def _row_problem(cells: list[str], lineno: int, needed: int, it: int, iw: int):
 
 
 class _Columns:
-    """Rows parsed so far, one block of columns per chunk: time and weight
-    as float64, endpoints as int64 codes.  A code numbers a distinct
-    stripped raw id in order of first sight (``named``); ``code`` maps each
-    distinct unstripped cell to it, so each id is stripped once."""
+    """Rows parsed so far, one block of columns per bulk run or row loop:
+    time and weight as float64, endpoints as int64 codes.  A code numbers
+    a distinct stripped raw id in order of first sight (``named``);
+    ``code`` maps each distinct unstripped cell to it, so each id is
+    stripped once."""
 
     def __init__(self, path: Path, columns, delimiter: str, strict: bool):
         self.it, self.iw, self.i_src, self.i_dst = (
@@ -194,33 +208,64 @@ class _Columns:
             self.add(np.array(time), np.array(weight), src, dst)
 
     def chunk(self, text: str) -> None:
-        """Whole lines that hold no quote character: in bulk when every
-        line has the same number of cells, at least ``needed``, and a
-        finite time and weight; else through the row loop."""
+        """Whole lines that hold no quote character (see ``lines``)."""
         lines = text.split("\n")
         if text.endswith("\n"):
             lines.pop()
-        if not self._bulk(lines):
-            self.rows(csv.reader(lines, delimiter=self.delimiter))
+        n = len(lines)
+        # counted once here, so a failed run's halves check their shape in numpy
+        cells = np.fromiter(map(str.count, lines, repeat(self.delimiter, n)), np.intp, n) + 1
+        chars = np.fromiter(map(len, lines), np.intp, n)
+        self.lines(lines, cells, chars)
 
-    def _bulk(self, lines: list[str]) -> bool:
-        sep, n = self.delimiter, len(lines)
-        width = lines[0].count(sep) + 1
+    def lines(self, lines: list[str], cells: np.ndarray, chars: np.ndarray) -> None:
+        """In bulk when every line has the same number of cells, at least
+        ``needed``, and a finite time and weight; else in two halves, each
+        tried the same way, down to runs of fewer than ``_BULK_FLOOR``
+        lines, which go through the row loop.  ``cells`` and ``chars``
+        count each line's cells and characters."""
+        if self._bulk(lines, cells, chars):
+            return
+        if len(lines) < _BULK_FLOOR:
+            self.rows(csv.reader(lines, delimiter=self.delimiter))
+            return
+        half = len(lines) // 2
+        self.lines(lines[:half], cells[:half], chars[:half])
+        self.lines(lines[half:], cells[half:], chars[half:])
+
+    def _bulk(self, lines: list[str], cells: np.ndarray, chars: np.ndarray) -> bool:
+        n, width = len(lines), int(cells[0])
         # csv.reader raises on a field over its limit, so such lines go to it
-        if (width < self.needed or max(map(len, lines)) > csv.field_size_limit()
-                or set(map(str.count, lines, repeat(sep, n))) != {width - 1}):
+        if (width < self.needed or chars.max() > csv.field_size_limit()
+                or (cells != width).any()):
             return False
-        cells = sep.join(lines).split(sep)
+        sep = self.delimiter
+        fields = sep.join(lines).split(sep)
         try:
-            time = np.fromiter(map(float, cells[self.it::width]), np.float64, n)
-            weight = np.fromiter(map(float, cells[self.iw::width]), np.float64, n)
+            time = np.fromiter(map(float, fields[self.it::width]), np.float64, n)
+            weight = np.fromiter(map(float, fields[self.iw::width]), np.float64, n)
         except ValueError:
             return False
         if not (np.isfinite(time).all() and np.isfinite(weight).all()):
             return False
-        self.add(time, weight, cells[self.i_src::width], cells[self.i_dst::width])
+        self.add(time, weight, fields[self.i_src::width], fields[self.i_dst::width])
         self.lineno += n
         return True
+
+
+def _raw_id_array(ids: list[str]) -> np.ndarray:
+    """``ids`` as int64 when each is a canonical integer that int64 holds
+    (``str(int(s)) == s``), else as fixed-width strings."""
+    text = "\n".join(ids)
+    if _CANONICAL_INTS.fullmatch(text):
+        values = np.fromstring(text, np.int64, sep="\n")
+        # an id holding a newline reads as two; fromstring clamps what int64
+        # cannot hold to its bounds, so ids read as a bound are checked
+        bounds = np.iinfo(np.int64)
+        edge = np.flatnonzero((values == bounds.min) | (values == bounds.max))
+        if values.size == len(ids) and all(str(values[i]) == ids[i] for i in edge.tolist()):
+            return values
+    return np.array(ids)
 
 
 def parse_csv(path, columns=DEFAULT_COLUMNS, delimiter=",", strict=False,
@@ -230,9 +275,9 @@ def parse_csv(path, columns=DEFAULT_COLUMNS, delimiter=",", strict=False,
     Rows with a missing, unparsable or non-finite timestamp or weight are
     dropped (in strict mode they abort), zero weights are dropped (they
     carry no sign), and self-loops are dropped unless requested.  Events are
-    stably sorted by time and raw node ids remapped to dense integers in
-    order of first appearance.  A file that cannot be read or decoded is a
-    ``DataError``.
+    stably sorted by time and raw node ids remapped to dense int32 ids in
+    order of first appearance.  A file that cannot be read or decoded, or
+    that names 2**31 nodes or more, is a ``DataError``.
 
     Layout (see the module docstring): line 1 goes through the row loop,
     so a header is skipped, and so does everything from the first line
@@ -241,9 +286,11 @@ def parse_csv(path, columns=DEFAULT_COLUMNS, delimiter=",", strict=False,
     ``_CHUNK_BYTES`` characters.  A chunk is parsed in bulk when all its
     lines have the same delimiter count, at least the needed columns, none
     longer than the csv field limit, and a finite time and weight; any
-    other chunk goes through the row loop.  Either way every value, skip
-    count and line number is what a row-by-row read gives.  The transient
-    peak is ~120 bytes per event on a 200k-row file, plus ~3 MB.
+    other chunk is halved and each half tried again, and runs of fewer than
+    ``_BULK_FLOOR`` lines that fail go through the row loop.  Either way
+    every value, skip count and line number is what a row-by-row read
+    gives.  The transient peak is ~120 bytes per event on a 200k-row file,
+    plus ~3 MB.
     """
     path = Path(path)
     if not path.exists():
@@ -277,11 +324,14 @@ def parse_csv(path, columns=DEFAULT_COLUMNS, delimiter=",", strict=False,
     np.minimum.at(first, ends, np.arange(ends.size))
     codes = np.flatnonzero(first < ends.size)
     codes = codes[np.argsort(first[codes])]  # in order of first appearance
-    dense = np.empty(len(names), np.int64)
+    if codes.size > np.iinfo(_NODE_ID).max:
+        raise DataError(f"{path}: {codes.size} nodes, more than dense "
+                        f"{np.dtype(_NODE_ID).name} ids hold")
+    dense = np.empty(len(names), _NODE_ID)
     dense[codes] = np.arange(codes.size)
     ids = dense[ends]
     return EventLog(time[order], ids[0::2].copy(), ids[1::2].copy(), weight[order],
-                    codes.size, np.array([names[c] for c in codes.tolist()]))
+                    codes.size, _raw_id_array([names[c] for c in codes.tolist()]))
 
 
 @dataclass

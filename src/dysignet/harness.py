@@ -11,6 +11,12 @@ state keeps advancing, so predictions for late test events see earlier
 test events.  Gradients are truncated at batch boundaries: the loss of
 batch k+1 reaches back through the memory update of batch k and stops at
 the detached state before it.
+
+Memory: ``train`` drops each batch's tape (its outputs and gradients)
+after its Adam step, so no tape lives while the next batch is ingested
+and scored or while the epoch is validated; the epoch's state lives until
+the next epoch replaces it.  The negative-sampling pool of seen node ids is
+built only for tasks that sample negatives.
 """
 
 from __future__ import annotations
@@ -175,22 +181,23 @@ def _online(bundle: ModelBundle, state: EncoderState, universe: dict, events, rn
             scaler, counters):
     """Predict-then-ingest over ``events`` in batches.
 
-    Per batch: add its endpoints to ``universe`` (the seen node ids in
-    first-seen order, the pool negatives are drawn from), build the pairs
-    and labels, score them against ``state`` as built from earlier batches
-    only, yield ``(outputs, targets, predictions)``, and ingest the batch
-    into ``state`` when resumed.  ``targets`` are the labels in training
-    units (standardized weights under ``scaler``)."""
+    Per batch: for a task that samples negatives, add its endpoints to
+    ``universe`` (the seen node ids in first-seen order, the pool negatives
+    are drawn from); build the pairs and labels, score them against
+    ``state`` as built from earlier batches only, yield ``(outputs,
+    targets, predictions)``, and ingest the batch into ``state`` when
+    resumed.  ``targets`` are the labels in training units (standardized
+    weights under ``scaler``)."""
     task = bundle.config.task
     for batch in batches(events, bundle.config.batch_size):
         qtime = state.watermark
         if qtime > batch.time[0]:
             counters["causality"] += 1
-        time, src, dst = batch.time, batch.src, batch.dst
+        time, src, dst = batch.time, batch.src.astype(np.int64), batch.dst.astype(np.int64)
         nodes = np.column_stack([src, dst]).ravel().tolist()  # src0, dst0, src1, ...
-        universe.update(dict.fromkeys(nodes))
         k = 0
         if task.needs_negatives:
+            universe.update(dict.fromkeys(nodes))
             pool = np.fromiter(universe, np.int64, len(universe))
             neg = negative_sample(batch, pool, rng)
             k = len(neg)
@@ -205,6 +212,7 @@ def _online(bundle: ModelBundle, state: EncoderState, universe: dict, events, rn
         if scaler:   # standardized regression targets; predictions in raw units
             output, targets = output * scaler[1] + scaler[0], (label - scaler[0]) / scaler[1]
         yield outputs, targets, Predictions(src, dst, time, output, label, is_real)
+        del z, outputs   # the caller owns the tape now; ingesting needs none of it
         bundle.encoder.process_batch(batch, state)
 
 
@@ -345,8 +353,11 @@ def train(config: TrainConfig, split: DatasetSplit | None = None) -> TrainResult
         rng = np.random.default_rng((config.seed, 101, epoch))
         epoch_losses: list[float] = []
         epoch_preds = []
-        online = _online(bundle, state, {}, split.train, rng, scaler, {"causality": 0})
-        for k, (outputs, targets, preds) in enumerate(online):
+        # a plain loop: enumerate would keep the last scored batch, tape
+        # and all, alive while the next one is ingested and scored
+        for outputs, targets, preds in _online(bundle, state, {}, split.train, rng, scaler,
+                                               {"causality": 0}):
+            k = len(epoch_losses)
             loss_value, loss_grad = task_loss(task, outputs, targets)
             if not np.isfinite(loss_value):
                 raise NumericError(f"non-finite loss at epoch {epoch} batch {k}")
@@ -358,6 +369,7 @@ def train(config: TrainConfig, split: DatasetSplit | None = None) -> TrainResult
             grads = backward(outputs, loss_grad, leaves=bundle.params.tensors())
             adam_step(bundle.params, grads, config.lr)
             state.detach_()
+            del outputs, grads   # the tape, before the next batch and validation
         loss_trace.append(epoch_losses)
 
         val = evaluate_sequential(bundle, split, "val", neg_seed=(config.seed, 202, epoch))
@@ -408,7 +420,8 @@ def evaluate_sequential(bundle: ModelBundle, split: DatasetSplit, which: str = "
     config = bundle.config
     checksum_before = bundle.params.checksum()
     state = bundle.new_state()
-    universe = dict.fromkeys(np.column_stack([prior.src, prior.dst]).ravel().tolist())
+    universe = (dict.fromkeys(np.column_stack([prior.src, prior.dst]).ravel().tolist())
+                if config.task.needs_negatives else {})
     if neg_seed is None:
         neg_seed = (config.seed, 303, 0 if which == "val" else 1)
     rng = np.random.default_rng(neg_seed)

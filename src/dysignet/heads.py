@@ -63,15 +63,16 @@ class PairDecoder:
 
 
 def negative_sample(events, universe: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One corrupted pair per event of a log or batch, as (k, 2) node ids:
-    the source kept, the destination drawn uniformly from ``universe`` and
-    redrawn while it equals the true one.  Draws come in blocks of one per
-    open event; pairs and generator state equal those of one-at-a-time draws."""
+    """One corrupted pair per event of a log or batch, as (k, 2) int64 node
+    ids: the source kept, the destination drawn uniformly from ``universe``
+    and redrawn while it equals the true one.  Draws come in blocks of one
+    per open event; pairs and generator state equal those of one-at-a-time
+    draws."""
     universe, dst = np.asarray(universe), events.dst
     if universe.size <= 1:
         log.warning("negative sampling skipped: universe has %d node(s)", universe.size)
         return np.empty((0, 2), dtype=np.int64)
-    out, done, stream = np.empty_like(dst), 0, dst[:0]
+    out, done, stream = np.empty(dst.size, np.int64), 0, dst[:0]
     while done < dst.size:
         if not stream.size:
             stream = universe[rng.integers(universe.size, size=dst.size - done)]

@@ -123,10 +123,8 @@ class MultiHeadAttention:
         """queries (n_q, d_q), table (u, d_s), ``index`` (n,) rows of the
         table, constant ``extra`` (n, d_e) with d_s + d_e the key dim, and
         the packed layout ``order``/``sizes`` of the n rows.  Returns
-        (output (n_q, out_dim), weights (n, heads))."""
-        n = np.shape(index)[0]
-        if np.shape(extra)[0] != n or np.sum(sizes) != n:
-            raise DimensionError("index, extra rows and block sizes must cover the same rows")
+        (output (n_q, out_dim), weights (n, heads)); the op checks that
+        index, extra and sizes cover the same rows."""
         if queries.data.ndim != 2 or queries.data.shape[1] != self.in_dim:
             raise DimensionError(
                 f"{self.name}: query shape {queries.data.shape} != (n, {self.in_dim})")

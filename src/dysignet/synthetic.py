@@ -28,7 +28,7 @@ def generate_balanced_stream(n_nodes: int = 500, n_events: int = 6000, seed: int
     factions = np.where(rng.random(n_nodes) < major_fraction, 1, -1)
     if np.all(factions == factions[0]):  # degenerate draw on tiny graphs
         factions[0] = -factions[0]
-    ends = np.empty((n_events, 2), dtype=np.int64)
+    ends = np.empty((n_events, 2), dtype=np.int32)
     for i in range(n_events):
         u = int(rng.integers(n_nodes))
         v = int(rng.integers(n_nodes - 1))

@@ -316,10 +316,11 @@ def segment_attention(queries, table, index, extra, ws, wq, wk, wv, order, sizes
     sizes = np.asarray(sizes, dtype=np.intp)
     n, m0 = index.size, order.size
     n_q, u = queries.data.shape[0], table.data.shape[0]
-    if (sizes.sum() != n or sizes[:1].sum() != m0 or (sizes <= 0).any()
-            or (np.diff(sizes) > 0).any()):
-        raise ValueError("block sizes must be positive, non-increasing, start at the "
-                         "number of queries with rows and sum to the row count")
+    if extra.shape[:1] != (n,) or sizes.sum() != n:
+        raise DimensionError("index, extra rows and block sizes must cover the same rows")
+    if sizes[:1].sum() != m0 or (sizes <= 0).any() or (np.diff(sizes) > 0).any():
+        raise ValueError("block sizes must be positive, non-increasing and start at the "
+                         "number of queries with rows")
     if (order < 0).any() or (order >= n_q).any() or np.unique(order).size != m0:
         raise ValueError("query order must list distinct query rows")
     if (index < 0).any() or (index >= u).any():

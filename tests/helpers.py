@@ -107,12 +107,12 @@ def tiny_config(task=TaskKind.SIGN, ablation="none", **overrides) -> TrainConfig
 
 def log_of(events, node_count=None) -> EventLog:
     """An ``EventLog`` holding ``SignedEvent`` rows (or ``(time, src, dst,
-    weight)`` tuples) in the given order; ``node_count`` defaults to the
-    largest id plus one."""
+    weight)`` tuples) in the given order, with the int32 endpoint columns
+    ``parse_csv`` makes; ``node_count`` defaults to the largest id plus one."""
     time, src, dst, weight = np.array(list(events), dtype=np.float64).reshape(-1, 4).T
     if node_count is None:
         node_count = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
-    return EventLog(time, src.astype(np.int64), dst.astype(np.int64), weight, node_count)
+    return EventLog(time, src.astype(np.int32), dst.astype(np.int32), weight, node_count)
 
 
 _NUMBERS = ["1", "-2", " 3 ", "2.5", "1e308", "0", "-0.0"]

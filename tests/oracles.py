@@ -421,9 +421,9 @@ def negative_sample(events, universe, rng):
 def parse_rows(path, columns=("src", "dst", "weight", "time"), delimiter=",",
                strict=False, keep_self_loops=False):
     """Row-by-row parse of a signed edge list: returns (events, raw ids in
-    dense-id order, skip counts), applying the filters one row at a time.
-    Raises ``DataError`` at the first bad row in strict mode, and when no
-    row survives."""
+    dense-id order as :func:`raw_id_array` types them, skip counts),
+    applying the filters one row at a time.  Raises ``DataError`` at the
+    first bad row in strict mode, and when no row survives."""
     idx = {name: columns.index(name) for name in ("src", "dst", "weight", "time")}
     needed = max(idx.values()) + 1
     rows = []
@@ -470,4 +470,16 @@ def parse_rows(path, columns=("src", "dst", "weight", "time"), delimiter=",",
         s = id_map.setdefault(s_raw, len(id_map))
         d = id_map.setdefault(d_raw, len(id_map))
         events.append(SignedEvent(t, s, d, w))
-    return events, list(id_map), skipped
+    return events, raw_id_array(list(id_map)), skipped
+
+
+def raw_id_array(ids: list[str]) -> np.ndarray:
+    """Raw ids as int64 when each one is the canonical spelling of an
+    integer that int64 holds, else as fixed-width strings."""
+    try:
+        values = [int(s) for s in ids]
+    except ValueError:
+        return np.array(ids)
+    if all(str(v) == s and -2 ** 63 <= v < 2 ** 63 for v, s in zip(values, ids)):
+        return np.array(values, dtype=np.int64)
+    return np.array(ids)

@@ -243,6 +243,19 @@ def test_train_writes_manifest_checkpoint_report(dataset, tmp_path, capsys):
     assert len(report["epoch_mean_loss"]) == report["epochs_run"]
 
 
+def test_manifest_records_numpy_blas_and_thread_variables(dataset, tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    out = tmp_path / "stats-out"
+    assert main(["stats", "--dataset", str(dataset), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["numpy_version"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert manifest["thread_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+
+
 def test_train_seed_rerun_identical(dataset, tmp_path, capsys):
     cfg = _config_file(tmp_path, dataset)
     outs = []

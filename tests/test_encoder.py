@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import dysignet.tensor as T
 from dysignet.encoder import NEG, POS, EncoderState, HistoryLog, _encode_dt
-from dysignet.events import SignedEvent
+from dysignet.events import SignedEvent, batches
 from dysignet.harness import build_model
 from dysignet.layers import Feedforward, RecurrentCell
 from dysignet.tensor import Tensor, backward, no_grad
@@ -700,6 +700,34 @@ def test_snapshot_save_load_save_is_byte_identical(tmp_path):
     state.save(first)
     EncoderState.load(first, enc.config).save(second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_one_pass_allocates_memory_once_and_snapshots_ignore_capacity(tmp_path):
+    """Every batch of a log carries the log's node count, so the first one
+    sizes ``mem``, ``last_update`` and ``fresh_row`` for the whole pass.  A
+    snapshot saves rows up to the largest id written, so its bytes do not
+    depend on that capacity."""
+    enc, _, _ = make_encoder(seed=22)
+    rng = np.random.default_rng(5)
+    events = [_ev(t, u, (u + 1 + v) % 30, w) for t, u, v, w in zip(
+        range(1, 41), rng.integers(0, 30, 40).tolist(), rng.integers(0, 29, 40).tolist(),
+        rng.choice([-2, 1, 3], 40).tolist())]
+    log = log_of(events, node_count=50)   # ids 30-49 never come
+    state, grown = EncoderState(enc.config), EncoderState(enc.config)
+    arrays = []
+    for batch in batches(log, 8):
+        enc.process_batch(batch, state)
+        arrays.append((state.mem, state._last_update, state._fresh_row))
+        # the same events from a log whose node count is the batch's own
+        enc.process_batch(log_of(batch), grown)
+        state.detach_()
+        grown.detach_()
+    assert all(a is b for seen in arrays for a, b in zip(seen, arrays[0]))
+    assert state.mem.shape[0] == 50 and state.size == 30 and not state.mem[30:].any()
+    assert grown.mem.shape[0] == 30 and not (state._fresh_row.any() or grown._fresh_row.any())
+    state.save(tmp_path / "a.snap")
+    grown.save(tmp_path / "b.snap")
+    assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
 
 
 def test_float64_snapshot_loads_cast_to_the_model_dtype(tmp_path):

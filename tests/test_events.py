@@ -191,7 +191,7 @@ def test_split_parts_are_views_of_one_log():
         split.bounds("all")
 
 
-def test_parsed_split_holds_at_most_48_bytes_per_event(tmp_path):
+def test_parsed_split_holds_at_most_28_bytes_per_event(tmp_path):
     rng = np.random.default_rng(0)
     n = 20_000
     src = rng.integers(0, 3000, size=n)
@@ -212,9 +212,83 @@ def test_parsed_split_holds_at_most_48_bytes_per_event(tmp_path):
     finally:
         tracemalloc.stop()
     assert events == n
-    # four 8-byte columns plus one raw id per node; a list of SignedEvent
-    # tuples held 138-219 bytes per event
-    assert held / events <= 48, f"{held / events:.1f} bytes per event"
+    # two 8-byte and two 4-byte columns plus one 20-byte raw id per node
+    # (27.1 bytes per event here); with int64 endpoints it held 35.1, and a
+    # list of SignedEvent tuples held 138-219
+    assert held / events <= 28, f"{held / events:.1f} bytes per event"
+
+
+@pytest.mark.parametrize("ids, want", [
+    (["5", "-3", "0", "12"], [5, -3, 0, 12]),
+    (["-9223372036854775808", "9223372036854775807"], [-2 ** 63, 2 ** 63 - 1]),
+    (["007", "7"], None),                        # two nodes, not one
+    (["9223372036854775808", "1"], None),        # past int64
+    (["-9223372036854775809", "1"], None),
+    (["u12", "3"], None),
+    (["-0", "1"], None),
+    (["+5", "1"], None),
+    (["1_000", "1"], None),
+], ids=["canonical", "int64-bounds", "leading-zero", "past-int64-max", "past-int64-min",
+        "letters", "minus-zero", "plus-sign", "underscore"])
+def test_raw_ids_are_int64_only_when_every_id_is_a_canonical_integer(tmp_path, ids, want):
+    path = tmp_path / "d.csv"
+    # row i joins ids[i] to partner 1000 + i, so dense ids alternate the two
+    write_rows(path, [(u, 1000 + t, 1, t) for t, u in enumerate(ids)])
+    raw = parse_csv(path).raw_ids
+    if want is None:
+        assert raw.dtype.kind == "U" and raw.tolist()[::2] == ids
+    else:
+        assert raw.dtype == np.int64 and raw.tolist()[::2] == want
+        assert raw.tolist()[1::2] == list(range(1000, 1000 + len(ids)))
+
+
+def test_quoted_raw_id_holding_a_newline_stays_a_string(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text('"1\n2",3,1,1\n4,5,1,2\n')
+    raw = parse_csv(path).raw_ids
+    assert raw.dtype.kind == "U" and raw.tolist() == ["1\n2", "3", "4", "5"]
+
+
+def test_endpoints_are_int32_and_too_many_nodes_is_a_data_error(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    write_rows(path, [(f"a{i}", f"b{i}", 1, i) for i in range(64)])
+    log = parse_csv(path)
+    assert log.src.dtype == log.dst.dtype == np.int32 and log.node_count == 128
+    # the limit is what the id dtype holds: 127 nodes fit int8, 128 do not
+    monkeypatch.setattr(dysignet.events, "_NODE_ID", np.int8)
+    with pytest.raises(DataError, match="128 nodes, more than dense int8 ids hold"):
+        parse_csv(path)
+    write_rows(path, [(f"a{i}", f"b{i}", 1, i) for i in range(63)] + [("a0", "c", 1, 63)])
+    assert parse_csv(path).src.dtype == np.int8
+
+
+def test_one_blank_line_per_2000_rows_sends_few_rows_through_the_row_loop(tmp_path,
+                                                                          monkeypatch):
+    rng = np.random.default_rng(4)
+    n = 20_000
+    lines = [f"{u},{v},{w},{t}" for u, v, w, t in zip(
+        rng.integers(0, 500, n).tolist(), rng.integers(500, 1000, n).tolist(),
+        rng.choice([-2, -1, 1, 3], n).tolist(), np.sort(rng.integers(0, 10 ** 6, n)).tolist())]
+    clean, blanks = tmp_path / "clean.csv", tmp_path / "blanks.csv"
+    clean.write_text("src,dst,weight,time\n" + "\n".join(lines) + "\n")
+    blanked = [x for i, line in enumerate(lines) for x in ([""] * (i % 2000 == 1999) + [line])]
+    blanks.write_text("src,dst,weight,time\n" + "\n".join(blanked) + "\n")
+    rows = dysignet.events._Columns.rows
+    looped = []
+
+    def counted(self, records):
+        records = list(records)
+        looped.append(len(records))
+        return rows(self, records)
+
+    monkeypatch.setattr(dysignet.events._Columns, "rows", counted)
+    want = parse_csv(clean)
+    assert looped == [1]   # the header
+    looped.clear()
+    got = parse_csv(blanks)
+    assert sum(looped) < 0.05 * n, looped
+    for name in ("time", "src", "dst", "weight", "raw_ids"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def _write_messy_csv(path, rng, n):
@@ -260,7 +334,8 @@ def test_parse_equals_row_by_row_oracle(tmp_path_factory, seed, n, strict, loops
     finally:
         logger.removeHandler(handler)
     assert log.events == events
-    assert log.raw_ids.tolist() == raw_ids and log.node_count == len(raw_ids)
+    assert log.raw_ids.dtype == raw_ids.dtype and log.raw_ids.tolist() == raw_ids.tolist()
+    assert log.node_count == len(raw_ids)
     counts = ", ".join(f"{k}={v}" for k, v in skipped.items() if v)
     assert [r.getMessage().split("(")[-1] for r in records] == ([counts + ")"] if counts else [])
 
@@ -312,7 +387,7 @@ def test_chunked_parse_equals_row_by_row_oracle(tmp_path_factory, case, chunk, g
     assert log.events == events
     assert log.time.tobytes() == np.array([ev.time for ev in events]).tobytes()
     assert log.weight.tobytes() == np.array([ev.weight for ev in events]).tobytes()
-    assert log.raw_ids.tolist() == raw_ids and log.raw_ids.dtype == np.array(raw_ids).dtype
+    assert log.raw_ids.dtype == raw_ids.dtype and log.raw_ids.tolist() == raw_ids.tolist()
     assert log.node_count == len(raw_ids)
     dropped = sum(skipped.values())
     counts = ", ".join(f"{k}={v}" for k, v in skipped.items() if v)

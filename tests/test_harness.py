@@ -1,4 +1,5 @@
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import dysignet.tensor as T
 from dysignet import harness
-from dysignet.encoder import AblationConfig
+from dysignet.encoder import AblationConfig, EncoderModel
 from dysignet.events import DatasetSplit, SignedEvent, chronological_split
 from dysignet.harness import (
     Predictions,
@@ -19,7 +20,7 @@ from dysignet.harness import (
     run_ablation,
     train,
 )
-from dysignet.heads import TaskKind, task_loss
+from dysignet.heads import PairDecoder, TaskKind, task_loss
 from dysignet.params import NumericError, adam_step
 from dysignet.synthetic import generate_balanced_stream
 
@@ -99,6 +100,40 @@ def test_different_seed_changes_training(small_split):
     a = train(tiny_config(batch_size=50, max_epochs=1, seed=0), split=small_split)
     b = train(tiny_config(batch_size=50, max_epochs=1, seed=1), split=small_split)
     assert a.loss_trace != b.loss_trace
+
+
+def test_train_frees_each_tape_before_the_batch_is_ingested(small_split, monkeypatch):
+    """No scored batch's tape is alive while a batch is ingested, so two
+    tapes never live at once and none lives through validation."""
+    tapes, alive = [], []
+    score_rows, process_batch = PairDecoder.score_rows, EncoderModel.process_batch
+
+    def scored(decoder, *args):
+        out = score_rows(decoder, *args)
+        tapes.append(weakref.ref(out.data))
+        return out
+
+    def ingest(model, batch, state):
+        alive.append(sum(ref() is not None for ref in tapes))
+        return process_batch(model, batch, state)
+
+    monkeypatch.setattr(PairDecoder, "score_rows", scored)
+    monkeypatch.setattr(EncoderModel, "process_batch", ingest)
+    train(tiny_config(batch_size=50, max_epochs=1), split=small_split)
+    assert len(tapes) > 2 and len(alive) > 2 and not any(alive)
+
+
+@pytest.mark.parametrize("task", [TaskKind.SIGN, TaskKind.EXISTENCE])
+def test_negative_pool_is_built_only_for_tasks_that_sample(small_split, task):
+    bundle = build_model(resolve_time_scale(tiny_config(task=task), small_split))
+    universe = {}
+    with T.no_grad():
+        for _ in harness._online(bundle, bundle.new_state(), universe, small_split.train,
+                                 np.random.default_rng(0), None, {"causality": 0}):
+            pass
+    train_nodes = np.concatenate([small_split.train.src, small_split.train.dst])
+    assert sorted(universe) == (sorted(set(train_nodes.tolist())) if task.needs_negatives
+                                else [])
 
 
 def test_divergence_aborts():
