@@ -23,9 +23,25 @@ State layout (:class:`EncoderState`):
   array also starts as calloc'd zeros).  A read under gradient is
   ``take_rows(fresh, fresh_row[...] - 1, mem[...])``, so gradients reach
   the batch that wrote a memory, and ``detach_`` only forgets the overlay;
+- pending update: under gradient recording ``process_batch`` selects the
+  batch's winning messages, encodes their gaps, advances ``size`` and
+  ``last_update`` and logs the history, but holds the message nets and
+  cells until the next :meth:`EncoderModel.compute_embeddings`.  That call
+  walks the history first and then applies the update: with gradient for
+  the winners among its queries and their history neighbours, the only
+  rows its loss reads, and under ``no_grad`` for the rest, whose tape no
+  loss would reach before ``detach_``.  Every other reader (a new batch,
+  ``mem``, ``read_memory``, ``save``, ``detach_``) applies it in full
+  first, ``detach_`` as constants, and outside gradient recording it is
+  applied at once.  Values are those of applying it on ingest; only which
+  rows carry a tape changes;
 - linked history log (:class:`HistoryLog`): one append-only row per
   (event, endpoint) with a pointer to the owner's previous row, so a
-  node's most recent rows are a walk back from its head.
+  node's most recent rows are a walk back from its head.  Every batch
+  carries ``events_to_end``, the events from its start to the end of its
+  log, so the first batch of a pass sizes the log for the whole pass
+  (calloc'd, so rows never written stay unmapped) and ``append`` never
+  copies it.
 
 A snapshot (:meth:`EncoderState.save`, version 2) is these arrays as
 they are, after the line ``dysignet-encoder-state 2``: one ``np.save``
@@ -81,6 +97,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -91,7 +108,7 @@ from .layers import Feedforward, MultiHeadAttention, RecurrentCell
 from .params import ParameterSet
 # gather_stack is not called here, but bench/spans.py patches this module's name
 from .tensor import gather_stack  # noqa: F401
-from .tensor import Tensor, concat, grad_enabled, take_rows
+from .tensor import Tensor, concat, grad_enabled, no_grad, take_rows
 
 POS = 0
 NEG = 1
@@ -159,7 +176,8 @@ class HistoryLog:
     Row ``i`` is an interaction with ``nbr[i]`` at time ``t[i]`` of
     magnitude ``mag[i]``; ``prev[i]`` is the same owner's previous row (-1
     before its first).  ``head[n]`` is node ``n``'s newest row and
-    ``deg[n]`` its row count.  The arrays grow by doubling.
+    ``deg[n]`` its row count.  :meth:`reserve` sizes the arrays and
+    :meth:`append` writes into that room, so it never copies them.
     """
 
     def __init__(self):
@@ -171,17 +189,20 @@ class HistoryLog:
         self.head = np.zeros(0, dtype=np.intp)
         self.deg = np.zeros(0, dtype=np.intp)
 
-    def append(self, owners: np.ndarray, nbrs, times, mags) -> None:
-        """Log one row per owner, in the given order."""
-        start, end = self.length, self.length + owners.size
-        if end > self.nbr.size:
-            cap = max(end, 2 * self.nbr.size)
+    def reserve(self, rows: int, nodes: int) -> None:
+        """Room for ``rows`` rows in all and owner ids below ``nodes``; an
+        array that has the room is kept."""
+        if rows > self.nbr.size:
             self.nbr, self.t, self.mag, self.prev = (
-                _grown(a, cap) for a in (self.nbr, self.t, self.mag, self.prev))
-        need = int(owners.max()) + 1
-        if need > self.head.size:
-            cap = max(need, 2 * self.head.size)
-            self.head, self.deg = _grown(self.head, cap, -1), _grown(self.deg, cap)
+                _grown(a, rows) for a in (self.nbr, self.t, self.mag, self.prev))
+        if nodes > self.head.size:
+            self.head, self.deg = _grown(self.head, nodes, -1), _grown(self.deg, nodes)
+
+    def append(self, owners: np.ndarray, nbrs, times, mags) -> None:
+        """Log one row per owner, in the given order, into reserved room."""
+        start, end = self.length, self.length + owners.size
+        if end > self.nbr.size or owners.max() >= self.head.size:
+            raise ValueError("no room reserved for the rows or their owners")
         self.nbr[start:end], self.t[start:end], self.mag[start:end] = nbrs, times, mags
         # link each row to its owner's previous row: the row before it in a
         # stable sort by owner, or the owner's head for its first row here
@@ -255,13 +276,16 @@ class HistoryLog:
 
 class EncoderState:
     """Mutable per-stream state: memories, histories, last-update times,
-    shaped by ``config``, the run's :class:`~dysignet.harness.TrainConfig`."""
+    shaped by ``config``, the run's :class:`~dysignet.harness.TrainConfig`,
+    and the memory update of the last batch ingested under gradient
+    recording while it is pending (see the module docstring)."""
 
     def __init__(self, config):
         self.config = config
         slots = config.slot_count if config.ablation.use_memory else 0
         self.size = 0
-        self.mem = np.zeros((0, slots, config.slot_dim), dtype=tensor.DTYPE)
+        self._mem = np.zeros((0, slots, config.slot_dim), dtype=tensor.DTYPE)
+        self._pending = None
         self._last_update = np.zeros(0)
         self._fresh: Tensor | None = None
         self._fresh_row = np.zeros((0, slots), dtype=np.intp)
@@ -271,17 +295,25 @@ class EncoderState:
         self.events_ingested = 0
 
     @property
+    def mem(self) -> np.ndarray:
+        """``mem[node, slot]``, once any pending update is applied."""
+        self.settle()
+        return self._mem
+
+    @property
     def last_update(self) -> np.ndarray:
         """Last memory-write time per node id below ``size``."""
         return self._last_update[:self.size]
 
-    def reserve(self, nodes: int) -> None:
-        """Room for node ids below ``nodes``, which ``size`` does not count
-        until they are written; a no-op when there is room."""
+    def reserve(self, nodes: int, rows: int = 0) -> None:
+        """Room for node ids below ``nodes`` and for ``rows`` history rows in
+        all, which ``size`` and ``history.length`` do not count until they
+        are written; an array that has the room is kept."""
         if nodes > self._last_update.size:
-            self.mem = _grown(self.mem, nodes)
+            self._mem = _grown(self._mem, nodes)
             self._last_update = _grown(self._last_update, nodes)
             self._fresh_row = _grown(self._fresh_row, nodes)
+        self.history.reserve(rows, nodes)
 
     def last_update_at(self, nodes: np.ndarray) -> np.ndarray:
         """Last memory-write times; 0.0 for nodes never written."""
@@ -291,27 +323,58 @@ class EncoderState:
         return out
 
     def read_memory(self, nodes: np.ndarray, slots) -> Tensor:
-        """Memories of (nodes[i], slots[i]) as rows; ``slots`` may be one
-        slot for all.  Rows written with gradient since the last
-        ``detach_`` carry it; the rest are constants."""
-        slots = np.broadcast_to(slots, nodes.shape)
-        known = nodes < self.size
-        fill = np.zeros((nodes.size, self.config.slot_dim), dtype=tensor.DTYPE)
-        fill[known] = self.mem[nodes[known], slots[known]]
+        """Memories of (nodes[i], slots[i]) as rows, once any pending update
+        is applied; ``slots`` may be one slot for all.  Rows written with
+        gradient since the last ``detach_`` carry it; the rest are
+        constants."""
+        self.settle()
+        return self._read_memory(nodes, slots)
+
+    def _read_memory(self, nodes: np.ndarray, slots) -> Tensor:
+        room = len(self._mem)
+        if nodes.size and int(nodes.max()) >= room:
+            # ids past the reserved room were never written: zero rows
+            known = np.flatnonzero(nodes < room)
+            part = self._read_memory(nodes[known], np.broadcast_to(slots, nodes.shape)[known])
+            at = np.full(nodes.size, -1, dtype=np.intp)
+            at[known] = np.arange(known.size)
+            zeros = np.zeros((nodes.size, self.config.slot_dim), dtype=tensor.DTYPE)
+            return take_rows(part, at, zeros)
+        # rows past ``size`` are calloc'd zeros with no overlay row
+        fill = self._mem[nodes, slots]
         if self._fresh is None or not grad_enabled():
             return Tensor(fill)
-        rows = np.full(nodes.size, -1, dtype=np.intp)
-        rows[known] = self._fresh_row[nodes[known], slots[known]] - 1
-        return take_rows(self._fresh, rows, fill)
+        return take_rows(self._fresh, self._fresh_row[nodes, slots] - 1, fill)
+
+    def _advance(self, nodes: np.ndarray, times) -> None:
+        need = int(nodes.max()) + 1
+        self.reserve(need)
+        self.size = max(self.size, need)
+        self._last_update[nodes] = np.maximum(self._last_update[nodes], times)
+
+    def stage(self, nodes: np.ndarray, times, update) -> None:
+        """Advance ``size`` and the last update of ``nodes`` (distinct) to
+        ``times``, and hold ``update(state, reads)``, which writes their
+        memories, until :meth:`settle`; outside gradient recording it runs
+        at once."""
+        self._advance(nodes, times)
+        self._pending = update
+        if not grad_enabled():
+            self.settle()
+
+    def settle(self, *reads: np.ndarray) -> None:
+        """Apply the pending memory update, if any.  ``reads`` are the node
+        arrays a pass under gradient recording reads next: only the winners
+        among them are recorded for gradient, the rest as constants."""
+        update, self._pending = self._pending, None
+        if update is not None:
+            update(self, reads)
 
     def write_memory(self, nodes: np.ndarray, slot: int, new: Tensor, times) -> None:
         """Set the memories of (nodes[i], slot) to ``new[i]`` and advance
         each node's last update to ``times[i]``; ``nodes`` are distinct."""
-        need = int(nodes.max()) + 1
-        self.reserve(need)
-        self.size = max(self.size, need)
-        self.mem[nodes, slot] = new.data
-        self._last_update[nodes] = np.maximum(self._last_update[nodes], times)
+        self._advance(nodes, times)
+        self._mem[nodes, slot] = new.data
         if new.requires_grad:
             base = 0 if self._fresh is None else self._fresh.data.shape[0]
             self._fresh = new if self._fresh is None else concat([self._fresh, new])
@@ -322,14 +385,23 @@ class EncoderState:
 
     def detach_(self) -> None:
         """Freeze all memory values as constants, truncating gradient flow.
-        Costs the rows written since the last detach, not the node count."""
+        Costs the rows written since the last detach, not the node count;
+        a pending update is applied as constants."""
+        if self._pending is not None:
+            with no_grad():
+                self.settle()
         for nodes in self._fresh_nodes:
             self._fresh_row[nodes] = 0
         self._fresh_nodes.clear()
         self._fresh = None
 
+    def clear(self) -> None:
+        """Drop everything ingested, arrays included: the state is new again."""
+        self.__init__(self.config)
+
     def save(self, path) -> None:
-        """Write the state's arrays as they are (layout in the module docstring)."""
+        """Write the state's arrays as they are (layout in the module
+        docstring), once any pending update is applied."""
         with open(path, "wb") as fh:
             fh.write(f"{STATE_FORMAT} {STATE_VERSION}\n".encode())
             for a in (self.mem[:self.size], self.last_update, *self.history.columns(),
@@ -383,7 +455,7 @@ class EncoderState:
         state = cls(config)
         state.reserve(len(mem))
         state.size = len(mem)
-        state.mem[:len(mem)], state._last_update[:len(mem)] = mem, last
+        state._mem[:len(mem)], state._last_update[:len(mem)] = mem, last
         state.history = h
         state.watermark, state.events_ingested = float(watermark), int(ingested)
         return state
@@ -433,9 +505,11 @@ class EncoderModel:
     # message generation and memory update
 
     def process_batch(self, batch: EventLog, state: EncoderState) -> None:
-        """Ingest one temporal batch: generate, aggregate, update, then log
-        the events into the history.  Predictions for a batch must be made
-        by the caller before ingesting it."""
+        """Ingest one temporal batch: apply any pending update, select the
+        winning messages and stage their memory update, then log the events
+        into the history.  Under gradient recording the update waits for
+        the next read (module docstring).  Predictions for a batch must be
+        made by the caller before ingesting it."""
         if not len(batch):
             return
         start, end = batch.time_span()
@@ -443,7 +517,10 @@ class EncoderModel:
             raise ValueError(
                 f"out-of-order batch: starts at {start} before "
                 f"already-ingested time {state.watermark}")
-        state.reserve(batch.node_count)
+        state.settle()
+        # the batch and the rest of its log add two history rows per event,
+        # so the first batch of a pass sizes the log for the whole pass
+        state.reserve(batch.node_count, state.history.length + 2 * batch.events_to_end)
         # one row per endpoint, (src -> dst, dst -> src) for each event, as
         # intp once here so that no index below pays a cast
         ends = np.stack([batch.src, batch.dst], axis=1, dtype=np.intp)
@@ -468,18 +545,46 @@ class EncoderModel:
         _, first = np.unique(owner, return_index=True)
         win = last[np.argsort(first)]
         nodes, others, sign, t = owner[win], partner[win], weight[win], time[win]
-        extras = Tensor(np.column_stack([
-            _encode_dt(self.config, t - state.last_update_at(nodes)), np.abs(sign)]))
+        extras = np.column_stack([
+            _encode_dt(self.config, t - state.last_update_at(nodes)), np.abs(sign)])
+        state.stage(nodes, t, partial(self._update_memory, nodes, others, sign, t, extras))
+
+    def _update_memory(self, nodes, others, sign, t, extras, state: EncoderState,
+                       reads) -> None:
+        """Run each slot's message net and cell for the winners ``nodes`` on
+        the memories from before their batch, and write the results.  Under
+        gradient recording with ``reads`` given, only the winners among the
+        nodes in ``reads`` are taped and the rest run under ``no_grad``."""
+        taped = np.ones(nodes.size, dtype=bool)
+        if reads and grad_enabled():
+            hit = np.zeros(state.size, dtype=bool)
+            for r in reads:
+                hit[r[r < hit.size]] = True
+            taped = hit[nodes]
+        groups = [(taped, self._cell_steps(taped, nodes, others, sign, extras, state))]
+        if not taped.all():
+            with no_grad():
+                groups.append((~taped, self._cell_steps(~taped, nodes, others, sign, extras,
+                                                        state)))
+        # written only now, so that no message read a fresh memory
+        for rows, news in groups:
+            for slot, new in enumerate(news):
+                state.write_memory(nodes[rows], slot, new, t[rows])
+
+    def _cell_steps(self, rows, nodes, others, sign, extras, state: EncoderState) -> list:
+        """Each slot's new memories for the winners ``nodes[rows]``; none
+        when no row is selected."""
+        if not rows.any():
+            return []
         balanced = self.config.ablation.balanced_aggregation
+        nodes, others, sign, ex = nodes[rows], others[rows], sign[rows], Tensor(extras[rows])
         news = []
         for slot in range(self.config.slot_count):
-            own = state.read_memory(nodes, slot)
+            own = state._read_memory(nodes, slot)
             other_slot = np.where(sign > 0, slot, 1 - slot) if balanced else slot
-            x = concat([own, state.read_memory(others, other_slot), extras], axis=1)
+            x = concat([own, state._read_memory(others, other_slot), ex], axis=1)
             news.append(self._mem_cells[slot].apply(self._msg_nets[slot].apply(x), own))
-        # written only now, so that no slot read another slot's fresh memory
-        for slot, new in enumerate(news):
-            state.write_memory(nodes, slot, new, t)
+        return news
 
     # ------------------------------------------------------------------
     # embeddings
@@ -498,12 +603,15 @@ class EncoderModel:
         nodes = list(dict.fromkeys(nodes))
         index = {n: i for i, n in enumerate(nodes)}
         ids = np.asarray(nodes, dtype=np.intp)
-        hq = self._node_state_matrix(ids, state)
         if not self.config.ablation.use_embedding_layer:
-            return hq, index
+            state.settle(ids)
+            return self._node_state_matrix(ids, state), index
         hist = state.history
         order, sizes, rows = hist.recent(ids, self.config.neighbor_cap)
         uniq, inv = np.unique(hist.nbr[rows], return_inverse=True)
+        # the pending update is taped only for the rows read below
+        state.settle(ids, uniq)
+        hq = self._node_state_matrix(ids, state)
         extras = np.column_stack([_encode_dt(self.config, t - hist.t[rows]), hist.mag[rows]])
         out, _ = self.attn.apply(hq, self._node_state_matrix(uniq, state), inv, extras,
                                  order, sizes)

@@ -14,9 +14,16 @@ the detached state before it.
 
 Memory: ``train`` drops each batch's tape (its outputs and gradients)
 after its Adam step, so no tape lives while the next batch is ingested
-and scored or while the epoch is validated; the epoch's state lives until
-the next epoch replaces it.  The negative-sampling pool of seen node ids is
-built only for tasks that sample negatives.
+and scored or while the epoch is validated, and batch k's memory update
+is taped only for the rows that batch k+1 reads (the encoder's pending
+update).  The epoch's state is emptied before validation builds its own,
+so at most one state holds a pass's arrays.  The emptied object lives
+until the next epoch replaces it, so states are made and freed in the
+same order as when the full state lived that long: a state freed before
+validation hands its id to a later state more often, which mixes up any
+caller that keys records by ``id(state)``.  A state sizes its memories
+and history once, from the first batch of its pass.  The negative-sampling
+pool of seen node ids is built only for tasks that sample negatives.
 """
 
 from __future__ import annotations
@@ -372,6 +379,9 @@ def train(config: TrainConfig, split: DatasetSplit | None = None) -> TrainResult
             del outputs, grads   # the tape, before the next batch and validation
         loss_trace.append(epoch_losses)
 
+        # the epoch's arrays go before validation builds its own state; the
+        # object stays until the next epoch (module docstring)
+        state.clear()
         val = evaluate_sequential(bundle, split, "val", neg_seed=(config.seed, 202, epoch))
         value = val.metrics.get(metric_name, float("nan"))
         val_trace.append(value)

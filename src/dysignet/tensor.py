@@ -161,7 +161,9 @@ def gather_stack(items):
 def take_rows(src, rows, fill):
     """Row ``i`` is ``src[rows[i]]`` where ``rows[i] >= 0``, else the
     constant ``fill[i]``.  Gradients of taken rows scatter back to ``src``;
-    a row taken many times accumulates."""
+    a row taken many times accumulates.  When every taken row is distinct
+    the gradient is scattered by assignment, and adding 0.0 gives it the
+    bits of the summing scatter, ``-0.0`` turned to ``0.0`` included."""
     rows = np.asarray(rows, dtype=np.intp)
     data = np.array(fill, dtype=DTYPE)
     if data.shape != (rows.size,) + src.data.shape[1:]:
@@ -171,7 +173,15 @@ def take_rows(src, rows, fill):
     data[pos] = src.data[taken]
 
     def vjp(g):
-        return (_scatter_rows(taken, g[pos], src.data.shape[0]),)
+        n = src.data.shape[0]
+        hit = np.zeros(n, dtype=bool)
+        hit[taken] = True
+        if np.count_nonzero(hit) < taken.size:
+            return (_scatter_rows(taken, g[pos], n),)
+        out = np.zeros((n,) + g.shape[1:], dtype=DTYPE)
+        out[taken] = g[pos]
+        out += 0.0
+        return (out,)
 
     return _result(data, (src,), vjp)
 

@@ -299,9 +299,21 @@ def trace_provenance(encoder, events, state) -> dict:
     return provenance
 
 
+def ingest_taped(encoder, events, state) -> None:
+    """Ingest one batch along the reference path with every winner's
+    memory update recorded for gradient at once: every message reads
+    pre-batch memories, the latest per (node, polarity) wins, and its cell
+    step is written with its tape."""
+    messages = [m for ev in events for m in generate_messages(encoder, ev, state)]
+    update_memories(encoder, aggregate_messages(messages), state)
+    log_history(state, events)
+    state.watermark = max(ev.time for ev in events)
+
+
 def log_history(state, events) -> None:
     """Append each event to both endpoints' histories, source first."""
     for ev in events:
+        state.reserve(max(ev.src, ev.dst) + 1, state.history.length + 2)
         for a, b in ((ev.src, ev.dst), (ev.dst, ev.src)):
             state.history.append(np.array([a]), [b], [ev.time], [abs(ev.weight)])
 

@@ -18,6 +18,7 @@ from oracles import (
     compute_embedding,
     feedforward,
     generate_messages,
+    ingest_taped,
     log_history,
     memory_value,
     node_history,
@@ -730,6 +731,59 @@ def test_one_pass_allocates_memory_once_and_snapshots_ignore_capacity(tmp_path):
     assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
 
 
+def test_snapshot_saved_with_an_update_pending_applies_it_first(tmp_path):
+    """A batch ingested under gradient recording leaves its memory update
+    pending; saving applies it, so the bytes are those of a state that
+    applied each update on ingest."""
+    enc, _, _ = make_encoder(seed=22)
+    pending, applied = EncoderState(enc.config), EncoderState(enc.config)
+    for batch in FIXTURE_BATCHES:
+        enc.process_batch(log_of(batch), pending)
+        with no_grad():
+            enc.process_batch(log_of(batch), applied)
+    assert pending._pending is not None and applied._pending is None
+    pending.save(tmp_path / "a.snap")
+    applied.save(tmp_path / "b.snap")
+    assert pending._pending is None
+    assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
+
+
+@pytest.mark.usefixtures("float64")
+def test_pending_update_tapes_only_the_winners_the_next_read_reaches():
+    """After one train step's read, the fresh overlay holds exactly the
+    batch's winners among the queries and their history neighbours, and
+    the parameter gradients equal those of taping every winner."""
+    enc, params, config = make_encoder(seed=31, neighbor_cap=2)
+    rng = np.random.default_rng(32)
+
+    def events(t0, n):
+        return [_ev(t0 + t, int(rng.integers(16)), int(rng.integers(16)),
+                    float(rng.choice([-2, 1]))) for t in range(n)]
+
+    warm, batch, queries = events(1, 30), events(40, 12), [0, 1, 2]
+    w = rng.normal(size=(len(queries), config.embedding_dim))
+
+    def step(ingest):
+        state = EncoderState(config)
+        with no_grad():
+            enc.process_batch(log_of(warm, node_count=16), state)
+        ingest(state)
+        z, _ = enc.compute_embeddings(queries, 60.0, state)
+        grads = backward(z, w, leaves=params.tensors())
+        return state, [grads[p] for p in params.tensors()]
+
+    state, got = step(lambda s: enc.process_batch(log_of(batch, node_count=16), s))
+    _, expected = step(lambda s: ingest_taped(enc, batch, s))
+    winners = {n for ev in batch for n in (ev.src, ev.dst)}
+    _, _, rows = state.history.recent(np.array(queries), config.neighbor_cap)
+    read = set(queries) | set(state.history.nbr[rows].tolist())
+    assert set(np.concatenate(state._fresh_nodes).tolist()) == winners & read
+    assert winners - read and winners & read
+    assert any(np.any(g != 0.0) for name, g in zip(params.names(), got) if ".mem_" in name)
+    for name, a, b in zip(params.names(), got, expected):
+        assert np.allclose(a, b, rtol=1e-9, atol=1e-12), name
+
+
 def test_float64_snapshot_loads_cast_to_the_model_dtype(tmp_path):
     path = tmp_path / "state.snap"
     with model_dtype(np.float64):
@@ -882,6 +936,7 @@ def test_node_memory_view():
 def test_history_recent_packs_newest_rows_position_major(seed, cap):
     rng = np.random.default_rng(seed)
     log, logged = HistoryLog(), {}
+    log.reserve(4 * 7, 6)
     for _ in range(int(rng.integers(0, 5))):
         owners = rng.integers(0, 6, size=int(rng.integers(1, 8)))
         nbrs = rng.integers(0, 6, size=owners.size)

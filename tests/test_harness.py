@@ -123,6 +123,48 @@ def test_train_frees_each_tape_before_the_batch_is_ingested(small_split, monkeyp
     assert len(tapes) > 2 and len(alive) > 2 and not any(alive)
 
 
+def test_epoch_state_is_emptied_before_validation_ingests(small_split, monkeypatch):
+    """The epoch's arrays are freed before the validation state ingests its
+    first batch, so one state at a time holds a pass's arrays, while the
+    emptied epoch state itself lives on through validation."""
+    states, arrays, seen = [], [], []
+    process_batch = EncoderModel.process_batch
+
+    def ingest(model, batch, state):
+        if not states or states[-1]() is not state:
+            if states:   # the first validation batch
+                seen.append(([ref() is None for ref in arrays], states[0]() is not None))
+            states.append(weakref.ref(state))
+        process_batch(model, batch, state)
+        if len(states) == 1:
+            h = state.history
+            arrays[:] = [weakref.ref(a) for a in (state._mem, state._fresh_row, h.nbr, h.head)]
+
+    monkeypatch.setattr(EncoderModel, "process_batch", ingest)
+    train(tiny_config(batch_size=50, max_epochs=1), split=small_split)
+    assert len(states) == 2 and seen == [([True] * 4, True)]
+
+
+def test_history_arrays_are_sized_once_per_pass(small_split, monkeypatch):
+    """Every batch carries the events left in its log, so the first batch
+    of a train pass and of an eval pass sizes the history for the pass."""
+    passes = []
+    process_batch = EncoderModel.process_batch
+
+    def ingest(model, batch, state):
+        process_batch(model, batch, state)
+        if not passes or passes[-1][0]() is not state:
+            passes.append((weakref.ref(state), []))
+        h = state.history
+        passes[-1][1].append((h.nbr, h.t, h.mag, h.prev, h.head, h.deg))
+
+    monkeypatch.setattr(EncoderModel, "process_batch", ingest)
+    train(tiny_config(batch_size=50, max_epochs=1), split=small_split)
+    assert len(passes) == 2 and all(len(seen) > 4 for _, seen in passes)
+    for _, seen in passes:
+        assert all(a is b for arrays in seen for a, b in zip(arrays, seen[0]))
+
+
 @pytest.mark.parametrize("task", [TaskKind.SIGN, TaskKind.EXISTENCE])
 def test_negative_pool_is_built_only_for_tasks_that_sample(small_split, task):
     bundle = build_model(resolve_time_scale(tiny_config(task=task), small_split))

@@ -258,6 +258,21 @@ def test_take_rows_repeated_row_accumulates():
     assert np.array_equal(g, [[0.0] * 3, [3.0] * 3])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_take_rows_gradient_of_distinct_rows_has_the_summing_scatter_bits(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    rows = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+    rows = np.insert(rows, rng.integers(0, rows.size + 1, size=2), -1)   # two fill rows
+    g = rng.normal(size=(rows.size, 3)).astype(T.DTYPE)
+    g.ravel()[rng.integers(0, g.size, size=3)] = rng.choice([-0.0, 0.0, np.nan, -np.inf], 3)
+    src = Tensor(np.zeros((n, 3)), requires_grad=True)
+    got = backward(T.take_rows(src, rows, np.zeros((rows.size, 3))), g, leaves=[src])[src]
+    taken = rows >= 0
+    assert got.tobytes() == T._scatter_rows(rows[taken], g[taken], n).tobytes()
+
+
 @pytest.mark.usefixtures("float64")
 def test_take_rows_gradients():
     rng = np.random.default_rng(7)
