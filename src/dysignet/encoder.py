@@ -7,15 +7,16 @@ polarity.  Each polarity has its own message net and recurrent cell.
 Long-term embeddings attend over the node's full interaction history so
 representations keep moving even for nodes with no recent events.
 
-State layout (:class:`EncoderState`):
+State layout (:class:`EncoderState`): a state is made with room for one
+pass, node ids below ``nodes`` and ``rows`` history rows (two per event),
+by the code that starts the pass.  Every array is allocated then, once,
+as zeros from ``np.zeros`` (calloc), so the pages of nodes and rows never
+written stay unmapped.  ``process_batch`` refuses a batch that does not
+fit the room before it touches any array.
 
 - memory arrays: ``mem[node, slot]`` holds one polarity memory and
-  ``last_update[node]`` the time of the node's last memory write, for node
-  ids below ``size``, one past the largest id written.  Their capacity is
-  the ``node_count`` of the first batch ingested, which every batch of a
-  log carries, so they are allocated once per pass and never copied by
-  doubling.  They start as zeros from ``np.zeros`` (calloc), so the pages
-  of nodes never written stay unmapped, and an id never ingested reads as
+  ``last_update[node]`` the time of the node's last memory write; ``size``
+  is one past the largest id written, and an id never ingested reads as
   zeros;
 - fresh-row overlay: rows written with gradient since the last
   ``detach_`` are also kept, in write order, in one ``fresh`` tensor, and
@@ -37,11 +38,8 @@ State layout (:class:`EncoderState`):
   rows carry a tape changes;
 - linked history log (:class:`HistoryLog`): one append-only row per
   (event, endpoint) with a pointer to the owner's previous row, so a
-  node's most recent rows are a walk back from its head.  Every batch
-  carries ``events_to_end``, the events from its start to the end of its
-  log, so the first batch of a pass sizes the log for the whole pass
-  (calloc'd, so rows never written stay unmapped) and ``append`` never
-  copies it.
+  node's most recent rows are a walk back from its head; ``append``
+  writes into the room and never copies the log.
 
 A snapshot (:meth:`EncoderState.save`, version 2) is these arrays as
 they are, after the line ``dysignet-encoder-state 2``: one ``np.save``
@@ -160,49 +158,32 @@ class AblationConfig(Enum):
 AblationConfig.NAMES = tuple(AblationConfig.__members__)
 
 
-def _grown(arr: np.ndarray, length: int, fill=0) -> np.ndarray:
-    """``arr`` extended along axis 0 to ``length`` rows of ``fill``; rows
-    of zeros come from calloc and stay unmapped until written."""
-    out = np.zeros((length,) + arr.shape[1:], dtype=arr.dtype)
-    out[:arr.shape[0]] = arr
-    if fill:
-        out[arr.shape[0]:] = fill
-    return out
-
-
 class HistoryLog:
     """Every node's interaction history as one append-only log.
 
     Row ``i`` is an interaction with ``nbr[i]`` at time ``t[i]`` of
     magnitude ``mag[i]``; ``prev[i]`` is the same owner's previous row (-1
     before its first).  ``head[n]`` is node ``n``'s newest row and
-    ``deg[n]`` its row count.  :meth:`reserve` sizes the arrays and
-    :meth:`append` writes into that room, so it never copies them.
+    ``deg[n]`` its row count.  The arrays have room for ``rows`` rows and
+    owner ids below ``nodes``, allocated here, and :meth:`append` writes
+    into that room, so it never copies them.
     """
 
-    def __init__(self):
+    def __init__(self, rows: int, nodes: int):
         self.length = 0
-        self.nbr = np.zeros(0, dtype=np.intp)
-        self.t = np.zeros(0)
-        self.mag = np.zeros(0)
-        self.prev = np.zeros(0, dtype=np.intp)
-        self.head = np.zeros(0, dtype=np.intp)
-        self.deg = np.zeros(0, dtype=np.intp)
-
-    def reserve(self, rows: int, nodes: int) -> None:
-        """Room for ``rows`` rows in all and owner ids below ``nodes``; an
-        array that has the room is kept."""
-        if rows > self.nbr.size:
-            self.nbr, self.t, self.mag, self.prev = (
-                _grown(a, rows) for a in (self.nbr, self.t, self.mag, self.prev))
-        if nodes > self.head.size:
-            self.head, self.deg = _grown(self.head, nodes, -1), _grown(self.deg, nodes)
+        self.nbr = np.zeros(rows, dtype=np.intp)
+        self.t = np.zeros(rows)
+        self.mag = np.zeros(rows)
+        self.prev = np.zeros(rows, dtype=np.intp)
+        self.head = np.full(nodes, -1, dtype=np.intp)
+        self.deg = np.zeros(nodes, dtype=np.intp)
 
     def append(self, owners: np.ndarray, nbrs, times, mags) -> None:
-        """Log one row per owner, in the given order, into reserved room."""
+        """Log one row per owner, in the given order, into the room."""
         start, end = self.length, self.length + owners.size
         if end > self.nbr.size or owners.max() >= self.head.size:
-            raise ValueError("no room reserved for the rows or their owners")
+            raise ValueError(f"no room for the rows or their owners: the log holds "
+                             f"{self.nbr.size} rows of owners below {self.head.size}")
         self.nbr[start:end], self.t[start:end], self.mag[start:end] = nbrs, times, mags
         # link each row to its owner's previous row: the row before it in a
         # stable sort by owner, or the owner's head for its first row here
@@ -229,9 +210,7 @@ class HistoryLog:
         from the heads visits the rows in exactly this order: a step's
         survivors are a prefix of the last step's.  Returns (order, sizes,
         rows)."""
-        counts = np.zeros(nodes.size, dtype=np.intp)
-        known = nodes < self.deg.size
-        counts[known] = self.deg[nodes[known]]
+        counts = self.deg[nodes]
         if cap is not None:
             np.minimum(counts, cap, out=counts)
         live = np.flatnonzero(counts)
@@ -278,19 +257,21 @@ class EncoderState:
     """Mutable per-stream state: memories, histories, last-update times,
     shaped by ``config``, the run's :class:`~dysignet.harness.TrainConfig`,
     and the memory update of the last batch ingested under gradient
-    recording while it is pending (see the module docstring)."""
+    recording while it is pending (see the module docstring).  Its arrays
+    are allocated here with room for node ids below ``nodes`` and for
+    ``rows`` history rows, and never grow."""
 
-    def __init__(self, config):
+    def __init__(self, config, nodes: int, rows: int):
         self.config = config
         slots = config.slot_count if config.ablation.use_memory else 0
         self.size = 0
-        self._mem = np.zeros((0, slots, config.slot_dim), dtype=tensor.DTYPE)
+        self._mem = np.zeros((nodes, slots, config.slot_dim), dtype=tensor.DTYPE)
         self._pending = None
-        self._last_update = np.zeros(0)
+        self._last_update = np.zeros(nodes)
         self._fresh: Tensor | None = None
-        self._fresh_row = np.zeros((0, slots), dtype=np.intp)
+        self._fresh_row = np.zeros((nodes, slots), dtype=np.intp)
         self._fresh_nodes: list[np.ndarray] = []
-        self.history = HistoryLog()
+        self.history = HistoryLog(rows, nodes)
         self.watermark = 0.0
         self.events_ingested = 0
 
@@ -305,22 +286,9 @@ class EncoderState:
         """Last memory-write time per node id below ``size``."""
         return self._last_update[:self.size]
 
-    def reserve(self, nodes: int, rows: int = 0) -> None:
-        """Room for node ids below ``nodes`` and for ``rows`` history rows in
-        all, which ``size`` and ``history.length`` do not count until they
-        are written; an array that has the room is kept."""
-        if nodes > self._last_update.size:
-            self._mem = _grown(self._mem, nodes)
-            self._last_update = _grown(self._last_update, nodes)
-            self._fresh_row = _grown(self._fresh_row, nodes)
-        self.history.reserve(rows, nodes)
-
     def last_update_at(self, nodes: np.ndarray) -> np.ndarray:
         """Last memory-write times; 0.0 for nodes never written."""
-        out = np.zeros(nodes.size)
-        known = nodes < self.size
-        out[known] = self._last_update[nodes[known]]
-        return out
+        return self._last_update[nodes]
 
     def read_memory(self, nodes: np.ndarray, slots) -> Tensor:
         """Memories of (nodes[i], slots[i]) as rows, once any pending update
@@ -331,15 +299,6 @@ class EncoderState:
         return self._read_memory(nodes, slots)
 
     def _read_memory(self, nodes: np.ndarray, slots) -> Tensor:
-        room = len(self._mem)
-        if nodes.size and int(nodes.max()) >= room:
-            # ids past the reserved room were never written: zero rows
-            known = np.flatnonzero(nodes < room)
-            part = self._read_memory(nodes[known], np.broadcast_to(slots, nodes.shape)[known])
-            at = np.full(nodes.size, -1, dtype=np.intp)
-            at[known] = np.arange(known.size)
-            zeros = np.zeros((nodes.size, self.config.slot_dim), dtype=tensor.DTYPE)
-            return take_rows(part, at, zeros)
         # rows past ``size`` are calloc'd zeros with no overlay row
         fill = self._mem[nodes, slots]
         if self._fresh is None or not grad_enabled():
@@ -347,9 +306,7 @@ class EncoderState:
         return take_rows(self._fresh, self._fresh_row[nodes, slots] - 1, fill)
 
     def _advance(self, nodes: np.ndarray, times) -> None:
-        need = int(nodes.max()) + 1
-        self.reserve(need)
-        self.size = max(self.size, need)
+        self.size = max(self.size, int(nodes.max()) + 1)
         self._last_update[nodes] = np.maximum(self._last_update[nodes], times)
 
     def stage(self, nodes: np.ndarray, times, update) -> None:
@@ -396,8 +353,9 @@ class EncoderState:
         self._fresh = None
 
     def clear(self) -> None:
-        """Drop everything ingested, arrays included: the state is new again."""
-        self.__init__(self.config)
+        """Drop everything ingested, arrays included: the state is new again,
+        with no room."""
+        self.__init__(self.config, 0, 0)
 
     def save(self, path) -> None:
         """Write the state's arrays as they are (layout in the module
@@ -409,10 +367,12 @@ class EncoderState:
                 np.save(fh, a, allow_pickle=False)
 
     @classmethod
-    def load(cls, path, config) -> "EncoderState":
-        """Read a version-2 snapshot.  Raises ValueError naming ``path``
-        unless its arrays fit ``config`` and each other, are finite, and
-        link history rows inside the log."""
+    def load(cls, path, config, nodes: int = 0, rows: int = 0) -> "EncoderState":
+        """Read a version-2 snapshot into a state with room for node ids
+        below ``nodes`` and for ``rows`` history rows, or for no more than
+        the snapshot holds.  Raises ValueError naming ``path`` unless its
+        arrays fit ``config`` and each other, are finite, and link history
+        rows inside the log."""
         slots = config.slot_count if config.ablation.use_memory else 0
         with open(path, "rb") as fh:
             tag = fh.readline()
@@ -425,9 +385,9 @@ class EncoderState:
                 mem, last, nbr, t, mag, prev, head, deg, watermark, ingested = arrays
                 if mem.ndim == 3 and mem.shape[2] != config.slot_dim:
                     raise ValueError(f"slot dim {mem.shape[2]} != {config.slot_dim}")
-                n, rows, nodes = (a.shape[:1] for a in (mem, nbr, head))
-                if ([a.shape for a in arrays] != [n + (slots, config.slot_dim), n, *[rows] * 4,
-                                                  nodes, nodes, (), ()]
+                n, logged, owners = (a.shape[:1] for a in (mem, nbr, head))
+                if ([a.shape for a in arrays] != [n + (slots, config.slot_dim), n, *[logged] * 4,
+                                                  owners, owners, (), ()]
                         or any(a.dtype not in dtypes
                                for a, dtypes in zip(arrays, _SNAPSHOT.values()))):
                     raise ValueError("arrays do not fit the config or each other")
@@ -444,19 +404,19 @@ class EncoderState:
                 if (deg > nbr.size).any() or deg.sum() != nbr.size:
                     raise ValueError(f"history row counts do not sum to the log's "
                                      f"{nbr.size} rows")
-                h = HistoryLog()
-                h.length, h.nbr, h.t, h.mag, h.prev, h.head, h.deg = nbr.size, *arrays[2:8]
+                state = cls(config, max(nodes, len(mem), head.size), max(rows, nbr.size))
+                h = state.history
+                h.length = nbr.size
+                for room, a in zip((h.nbr, h.t, h.mag, h.prev, h.head, h.deg), arrays[2:8]):
+                    room[:a.size] = a
                 # walking deg[n] rows back from each head stays on rows and visits each once
                 walked = h.recent(np.flatnonzero(deg), None)[2]
                 if (walked < 0).any() or np.unique(walked).size != nbr.size:
                     raise ValueError("history row counts disagree with the links")
             except (ValueError, KeyError, TypeError, IndexError, AttributeError, EOFError) as exc:
                 raise ValueError(f"{path}: bad snapshot: {exc}") from None
-        state = cls(config)
-        state.reserve(len(mem))
         state.size = len(mem)
         state._mem[:len(mem)], state._last_update[:len(mem)] = mem, last
-        state.history = h
         state.watermark, state.events_ingested = float(watermark), int(ingested)
         return state
 
@@ -517,10 +477,12 @@ class EncoderModel:
             raise ValueError(
                 f"out-of-order batch: starts at {start} before "
                 f"already-ingested time {state.watermark}")
+        hist = state.history
+        if (max(batch.src.max(), batch.dst.max()) >= hist.head.size
+                or hist.length + 2 * len(batch) > hist.nbr.size):
+            raise ValueError(f"batch does not fit the state's room of {hist.head.size} "
+                             f"nodes and {hist.nbr.size} history rows")
         state.settle()
-        # the batch and the rest of its log add two history rows per event,
-        # so the first batch of a pass sizes the log for the whole pass
-        state.reserve(batch.node_count, state.history.length + 2 * batch.events_to_end)
         # one row per endpoint, (src -> dst, dst -> src) for each event, as
         # intp once here so that no index below pays a cast
         ends = np.stack([batch.src, batch.dst], axis=1, dtype=np.intp)

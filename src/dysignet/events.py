@@ -73,11 +73,10 @@ class SignedEvent(NamedTuple):
 class EventLog:
     """Time-ordered signed edge additions over dense integer node ids, as
     columns (see the module docstring); ``raw_ids[i]`` is dense node ``i``'s
-    id in the input.  A slice keeps its log's ``node_count``, and its
-    ``events_to_end`` counts the events from its first one to the end of
-    the log it was cut from, so every batch bounds what its pass has left
-    to ingest.  Iterating a log, or ``events``, builds ``SignedEvent`` rows
-    of Python numbers on demand."""
+    id in the input.  A slice keeps its log's ``node_count``, so a pass
+    over a slice can size its state from the slice alone.  Iterating a log,
+    or ``events``, builds ``SignedEvent`` rows of Python numbers on
+    demand."""
 
     time: np.ndarray
     src: np.ndarray
@@ -85,11 +84,6 @@ class EventLog:
     weight: np.ndarray
     node_count: int
     raw_ids: np.ndarray | None = None
-    events_to_end: int | None = None   # None: the log's own length
-
-    def __post_init__(self):
-        if self.events_to_end is None:
-            self.events_to_end = len(self)
 
     def __len__(self) -> int:
         return self.time.size
@@ -106,8 +100,7 @@ class EventLog:
         """Events ``start:stop`` as views of these columns."""
         cut = slice(start, stop)
         return EventLog(self.time[cut], self.src[cut], self.dst[cut], self.weight[cut],
-                        self.node_count, self.raw_ids,
-                        self.events_to_end - min(start, len(self)))
+                        self.node_count, self.raw_ids)
 
     def time_span(self) -> tuple[float, float]:
         if not len(self):

@@ -21,9 +21,12 @@ so at most one state holds a pass's arrays.  The emptied object lives
 until the next epoch replaces it, so states are made and freed in the
 same order as when the full state lived that long: a state freed before
 validation hands its id to a later state more often, which mixes up any
-caller that keys records by ``id(state)``.  A state sizes its memories
-and history once, from the first batch of its pass.  The negative-sampling
-pool of seen node ids is built only for tasks that sample negatives.
+caller that keys records by ``id(state)``.  Each pass sizes its state
+from the events it will ingest (:meth:`ModelBundle.new_state`): the
+train split, or everything up to the end of the evaluated split.  So a
+state's memories and history are allocated once and never grow.  The
+negative-sampling pool of seen node ids is built only for tasks that
+sample negatives.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .encoder import AblationConfig, EncoderModel, EncoderState
-from .events import DataError, DatasetSplit, batches, chronological_split, parse_csv
+from .events import DataError, DatasetSplit, EventLog, batches, chronological_split, parse_csv
 from .heads import PairDecoder, TaskKind, negative_sample, task_labels, task_loss, task_outputs
 from .metrics import accuracy, auroc, f1_binary, f1_multiclass, regression_metrics
 from .params import NumericError, ParameterSet, adam_step
@@ -136,8 +139,10 @@ class ModelBundle:
     encoder: EncoderModel
     decoder: PairDecoder
 
-    def new_state(self) -> EncoderState:
-        return EncoderState(self.config)
+    def new_state(self, log: EventLog) -> EncoderState:
+        """A state with room for a pass over ``log``: its node ids and two
+        history rows per event."""
+        return EncoderState(self.config, log.node_count, 2 * len(log))
 
 
 def build_model(config: TrainConfig) -> ModelBundle:
@@ -356,7 +361,7 @@ def train(config: TrainConfig, split: DatasetSplit | None = None) -> TrainResult
 
     for epoch in range(config.max_epochs):
         epochs_run = epoch + 1
-        state = bundle.new_state()
+        state = bundle.new_state(split.train)
         rng = np.random.default_rng((config.seed, 101, epoch))
         epoch_losses: list[float] = []
         epoch_preds = []
@@ -429,7 +434,7 @@ def evaluate_sequential(bundle: ModelBundle, split: DatasetSplit, which: str = "
 
     config = bundle.config
     checksum_before = bundle.params.checksum()
-    state = bundle.new_state()
+    state = bundle.new_state(split.log.slice(0, stop))
     universe = (dict.fromkeys(np.column_stack([prior.src, prior.dst]).ravel().tolist())
                 if config.task.needs_negatives else {})
     if neg_seed is None:

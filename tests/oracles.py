@@ -311,9 +311,9 @@ def ingest_taped(encoder, events, state) -> None:
 
 
 def log_history(state, events) -> None:
-    """Append each event to both endpoints' histories, source first."""
+    """Append each event to both endpoints' histories, source first, into
+    the state's room."""
     for ev in events:
-        state.reserve(max(ev.src, ev.dst) + 1, state.history.length + 2)
         for a, b in ((ev.src, ev.dst), (ev.dst, ev.src)):
             state.history.append(np.array([a]), [b], [ev.time], [abs(ev.weight)])
 

@@ -125,7 +125,7 @@ def test_criterion_2_gradient_suite():
         labels = np.array([1.0, 0.0])
 
         def full_loss():
-            state = bundle.new_state()
+            state = bundle.new_state(log_of([e1, e2]))
             bundle.encoder.process_batch(log_of([e1]), state)
             bundle.encoder.process_batch(log_of([e2]), state)
             z, index = bundle.encoder.compute_embeddings([0, 1, 2], 3.0, state)

@@ -35,9 +35,13 @@ def make_encoder(ablation="none", seed=0, **overrides):
     return bundle.encoder, bundle.params, config
 
 
+# room for every stream these tests ingest: node ids below 64, 256 history rows
+ROOM = (64, 256)
+
+
 def seeded_state(encoder, events, seed=0):
     """State with distinguishable (non-zero) memories: ingest a warmup batch."""
-    state = EncoderState(encoder.config)
+    state = EncoderState(encoder.config, *ROOM)
     if events:
         encoder.process_batch(log_of(events), state)
     return state
@@ -339,8 +343,8 @@ def _streams(draw):
        st.integers(0, 1000))
 def test_array_state_equals_per_event_oracle_state(batches, ablation, cap, seed):
     enc, _, _ = make_encoder(ablation=ablation, seed=seed, neighbor_cap=cap)
-    fast = EncoderState(enc.config)
-    ref = EncoderState(enc.config)
+    fast = EncoderState(enc.config, *ROOM)
+    ref = EncoderState(enc.config, *ROOM)
     rows = {n: [] for n in range(7)}   # plain per-node history lists
     for batch in batches:
         enc.process_batch(log_of(batch), fast)
@@ -381,7 +385,7 @@ def test_higher_order_balance_provenance_chain():
     # plus memory, which had consumed node 2's plus memory
     enc, _, _ = make_encoder()
     events = [_ev(1.0, 1, 2, 1.0), _ev(2.0, 1, 3, -1.0)]
-    ref = EncoderState(enc.config)
+    ref = EncoderState(enc.config, *ROOM)
     provenance = trace_provenance(enc, events, ref)
     rec = provenance[(3, NEG)]
     assert rec.source == (1, POS)
@@ -389,7 +393,7 @@ def test_higher_order_balance_provenance_chain():
     assert rec.source_record.source == (2, POS)
     assert rec.prev_self is None and rec.source_record.prev_self is None
     # the traced reference reaches the memories the batched path computes
-    state = EncoderState(enc.config)
+    state = EncoderState(enc.config, *ROOM)
     for ev in events:
         enc.process_batch(log_of([ev]), state)
     for slot in (POS, NEG):
@@ -612,7 +616,7 @@ def _check_chained_memory_gradients():
     w = rng.normal(size=(5, enc.config.embedding_dim))
 
     def grads():
-        state = EncoderState(enc.config)
+        state = EncoderState(enc.config, *ROOM)
         for batch in batches:
             enc.process_batch(log_of(batch), state)
         z, _ = enc.compute_embeddings(list(range(5)), 30.0, state)
@@ -694,7 +698,7 @@ FIXTURE_BATCHES = [
 
 def test_snapshot_save_load_save_is_byte_identical(tmp_path):
     enc, _, _ = make_encoder(seed=22)
-    state = EncoderState(enc.config)
+    state = EncoderState(enc.config, *ROOM)
     for batch in FIXTURE_BATCHES:
         enc.process_batch(log_of(batch), state)
     first, second = tmp_path / "a.snap", tmp_path / "b.snap"
@@ -704,31 +708,70 @@ def test_snapshot_save_load_save_is_byte_identical(tmp_path):
 
 
 def test_one_pass_allocates_memory_once_and_snapshots_ignore_capacity(tmp_path):
-    """Every batch of a log carries the log's node count, so the first one
-    sizes ``mem``, ``last_update`` and ``fresh_row`` for the whole pass.  A
-    snapshot saves rows up to the largest id written, so its bytes do not
-    depend on that capacity."""
+    """A state's arrays are allocated when it is made, with the room of its
+    pass, and no batch replaces them.  A snapshot saves memories up to the
+    largest id written and the history rows logged, so its bytes do not
+    depend on that room."""
     enc, _, _ = make_encoder(seed=22)
     rng = np.random.default_rng(5)
     events = [_ev(t, u, (u + 1 + v) % 30, w) for t, u, v, w in zip(
         range(1, 41), rng.integers(0, 30, 40).tolist(), rng.integers(0, 29, 40).tolist(),
         rng.choice([-2, 1, 3], 40).tolist())]
     log = log_of(events, node_count=50)   # ids 30-49 never come
-    state, grown = EncoderState(enc.config), EncoderState(enc.config)
+    state, roomy = EncoderState(enc.config, 50, 2 * len(log)), EncoderState(enc.config, *ROOM)
     arrays = []
     for batch in batches(log, 8):
         enc.process_batch(batch, state)
-        arrays.append((state.mem, state._last_update, state._fresh_row))
-        # the same events from a log whose node count is the batch's own
-        enc.process_batch(log_of(batch), grown)
+        h = state.history
+        arrays.append((state.mem, state._last_update, state._fresh_row,
+                       h.nbr, h.t, h.mag, h.prev, h.head, h.deg))
+        enc.process_batch(batch, roomy)
         state.detach_()
-        grown.detach_()
+        roomy.detach_()
     assert all(a is b for seen in arrays for a, b in zip(seen, arrays[0]))
     assert state.mem.shape[0] == 50 and state.size == 30 and not state.mem[30:].any()
-    assert grown.mem.shape[0] == 30 and not (state._fresh_row.any() or grown._fresh_row.any())
+    assert state.history.length == state.history.nbr.size == 80
+    assert not (state._fresh_row.any() or roomy._fresh_row.any())
     state.save(tmp_path / "a.snap")
-    grown.save(tmp_path / "b.snap")
+    roomy.save(tmp_path / "b.snap")
     assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
+
+
+def test_snapshot_loaded_with_room_keeps_ingesting_as_the_original(tmp_path):
+    """A snapshot loaded with room takes the next batch as the state it was
+    saved from does, to the byte; one loaded without room holds exactly the
+    snapshot's rows and refuses the batch."""
+    enc, _, config = make_encoder(seed=22)
+    state = EncoderState(config, *ROOM)
+    enc.process_batch(log_of(FIXTURE_BATCHES[0]), state)
+    state.save(tmp_path / "first.snap")
+    loaded = EncoderState.load(tmp_path / "first.snap", config, *ROOM)
+    exact = EncoderState.load(tmp_path / "first.snap", config)
+    assert (loaded.history.head.size, loaded.history.nbr.size) == ROOM
+    assert exact.history.nbr.size == exact.history.length == 2 * len(FIXTURE_BATCHES[0])
+    assert exact.history.head.size == len(exact.mem) == exact.size == 10
+    for s in (state, loaded):
+        enc.process_batch(log_of(FIXTURE_BATCHES[1]), s)
+    with pytest.raises(ValueError, match="room"):
+        enc.process_batch(log_of(FIXTURE_BATCHES[1]), exact)
+    state.save(tmp_path / "a.snap")
+    loaded.save(tmp_path / "b.snap")
+    assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
+
+
+@pytest.mark.parametrize("batch", [
+    [_ev(3, 0, 9, 1)],                                    # an id past the room
+    [_ev(3, 0, 1, 1), _ev(3, 1, 2, -1), _ev(4, 2, 3, 1)],   # six rows, four left
+], ids=["ids", "rows"])
+def test_batch_past_the_state_room_is_refused_and_changes_nothing(tmp_path, batch):
+    enc, _, config = make_encoder(seed=22)
+    state = EncoderState(config, 9, 8)
+    enc.process_batch(log_of([_ev(1, 0, 1, 2), _ev(2, 1, 2, -1)]), state)
+    state.save(tmp_path / "before.snap")
+    with pytest.raises(ValueError, match="room of 9 nodes and 8 history rows"):
+        enc.process_batch(log_of(batch), state)
+    state.save(tmp_path / "after.snap")
+    assert (tmp_path / "before.snap").read_bytes() == (tmp_path / "after.snap").read_bytes()
 
 
 def test_snapshot_saved_with_an_update_pending_applies_it_first(tmp_path):
@@ -736,7 +779,7 @@ def test_snapshot_saved_with_an_update_pending_applies_it_first(tmp_path):
     pending; saving applies it, so the bytes are those of a state that
     applied each update on ingest."""
     enc, _, _ = make_encoder(seed=22)
-    pending, applied = EncoderState(enc.config), EncoderState(enc.config)
+    pending, applied = EncoderState(enc.config, *ROOM), EncoderState(enc.config, *ROOM)
     for batch in FIXTURE_BATCHES:
         enc.process_batch(log_of(batch), pending)
         with no_grad():
@@ -764,7 +807,7 @@ def test_pending_update_tapes_only_the_winners_the_next_read_reaches():
     w = rng.normal(size=(len(queries), config.embedding_dim))
 
     def step(ingest):
-        state = EncoderState(config)
+        state = EncoderState(config, *ROOM)
         with no_grad():
             enc.process_batch(log_of(warm, node_count=16), state)
         ingest(state)
@@ -788,7 +831,7 @@ def test_float64_snapshot_loads_cast_to_the_model_dtype(tmp_path):
     path = tmp_path / "state.snap"
     with model_dtype(np.float64):
         enc, _, config = make_encoder(seed=22)
-        wide = EncoderState(config)
+        wide = EncoderState(config, *ROOM)
         for batch in FIXTURE_BATCHES:
             enc.process_batch(log_of(batch), wide)
         wide.save(path)
@@ -935,8 +978,7 @@ def test_node_memory_view():
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([None, 1, 3]))
 def test_history_recent_packs_newest_rows_position_major(seed, cap):
     rng = np.random.default_rng(seed)
-    log, logged = HistoryLog(), {}
-    log.reserve(4 * 7, 6)
+    log, logged = HistoryLog(4 * 7, 8), {}   # room for ids 6 and 7, never logged
     for _ in range(int(rng.integers(0, 5))):
         owners = rng.integers(0, 6, size=int(rng.integers(1, 8)))
         nbrs = rng.integers(0, 6, size=owners.size)

@@ -67,7 +67,7 @@ def test_model_math_runs_in_dtype_and_times_stay_float64(small_split, monkeypatc
                         lambda data, *rest: made.add(data.dtype) or result(data, *rest))
     config = tiny_config(task=task, ablation=ablation, batch_size=50)
     bundle = build_model(config)
-    state = bundle.new_state()
+    state = bundle.new_state(small_split.train)
     online = harness._online(bundle, state, {}, small_split.train, np.random.default_rng(0),
                              None, {"causality": 0})
     outputs, targets, _ = next(online)
@@ -146,8 +146,8 @@ def test_epoch_state_is_emptied_before_validation_ingests(small_split, monkeypat
 
 
 def test_history_arrays_are_sized_once_per_pass(small_split, monkeypatch):
-    """Every batch carries the events left in its log, so the first batch
-    of a train pass and of an eval pass sizes the history for the pass."""
+    """A train pass and an eval pass each make their state with room for
+    the events they ingest, so no batch replaces the history arrays."""
     passes = []
     process_batch = EncoderModel.process_batch
 
@@ -163,6 +163,9 @@ def test_history_arrays_are_sized_once_per_pass(small_split, monkeypatch):
     assert len(passes) == 2 and all(len(seen) > 4 for _, seen in passes)
     for _, seen in passes:
         assert all(a is b for arrays in seen for a, b in zip(arrays, seen[0]))
+    # two rows per event: the train split, then everything up to the end of val
+    assert [seen[0][0].size for _, seen in passes] == [
+        2 * len(small_split.train), 2 * (len(small_split.train) + len(small_split.val))]
 
 
 @pytest.mark.parametrize("task", [TaskKind.SIGN, TaskKind.EXISTENCE])
@@ -170,8 +173,9 @@ def test_negative_pool_is_built_only_for_tasks_that_sample(small_split, task):
     bundle = build_model(resolve_time_scale(tiny_config(task=task), small_split))
     universe = {}
     with T.no_grad():
-        for _ in harness._online(bundle, bundle.new_state(), universe, small_split.train,
-                                 np.random.default_rng(0), None, {"causality": 0}):
+        for _ in harness._online(bundle, bundle.new_state(small_split.train), universe,
+                                 small_split.train, np.random.default_rng(0), None,
+                                 {"causality": 0}):
             pass
     train_nodes = np.concatenate([small_split.train.src, small_split.train.dst])
     assert sorted(universe) == (sorted(set(train_nodes.tolist())) if task.needs_negatives
