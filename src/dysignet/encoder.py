@@ -574,7 +574,9 @@ class EncoderModel:
         # the pending update is taped only for the rows read below
         state.settle(ids, uniq)
         hq = self._node_state_matrix(ids, state)
-        extras = np.column_stack([_encode_dt(self.config, t - hist.t[rows]), hist.mag[rows]])
+        extras = np.empty((rows.size, 2), dtype=tensor.DTYPE)  # cast once, no float64 copy
+        extras[:, 0] = _encode_dt(self.config, t - hist.t[rows])
+        extras[:, 1] = hist.mag[rows]
         out, _ = self.attn.apply(hq, self._node_state_matrix(uniq, state), inv, extras,
                                  order, sizes)
         return out, index

@@ -12,21 +12,23 @@ test events.  Gradients are truncated at batch boundaries: the loss of
 batch k+1 reaches back through the memory update of batch k and stops at
 the detached state before it.
 
-Memory: ``train`` drops each batch's tape (its outputs and gradients)
-after its Adam step, so no tape lives while the next batch is ingested
-and scored or while the epoch is validated, and batch k's memory update
-is taped only for the rows that batch k+1 reads (the encoder's pending
-update).  The epoch's state is emptied before validation builds its own,
-so at most one state holds a pass's arrays.  The emptied object lives
-until the next epoch replaces it, so states are made and freed in the
-same order as when the full state lived that long: a state freed before
-validation hands its id to a later state more often, which mixes up any
-caller that keys records by ``id(state)``.  Each pass sizes its state
-from the events it will ingest (:meth:`ModelBundle.new_state`): the
-train split, or everything up to the end of the evaluated split.  So a
-state's memories and history are allocated once and never grow.  The
-negative-sampling pool of seen node ids is built only for tasks that
-sample negatives.
+Memory: ``backward`` frees each op's vjp as it goes, and attention keeps
+no D-wide array per history row, so a step's working set does not grow
+with batch nodes × neighbour cap × D.  ``train`` drops each batch's tape
+(its outputs and gradients) after its Adam step, so no tape lives while
+the next batch is ingested and scored or while the epoch is validated,
+and batch k's memory update is taped only for the rows that batch k+1
+reads (the encoder's pending update).  The epoch's state is emptied
+before validation builds its own, so at most one state holds a pass's
+arrays.  The emptied object lives until the next epoch replaces it, so
+states are made and freed in the same order as when the full state lived
+that long: a state freed before validation hands its id to a later state
+more often, which mixes up any caller that keys records by
+``id(state)``.  Each pass sizes its state from the events it will ingest
+(:meth:`ModelBundle.new_state`): the train split, or everything up to
+the end of the evaluated split.  So a state's memories and history are
+allocated once and never grow.  The negative-sampling pool of seen node
+ids is built only for tasks that sample negatives.
 """
 
 from __future__ import annotations

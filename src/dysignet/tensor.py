@@ -12,7 +12,8 @@ Every tensor produced by an operation keeps references to its parents, the
 local vector-Jacobian product, and a monotonically increasing sequence
 number.  Creation order is therefore a valid topological order of the
 implicit tape, and ``backward`` replays reachable nodes in descending
-sequence order.  The tape's root is the decoder output, seeded with the
+sequence order, freeing each op's vjp once it has run: a tape is consumed
+by one backward.  The tape's root is the decoder output, seeded with the
 gradient of the task loss, which ``heads`` computes in closed form, so
 there is no scalar loss tensor.  The module holds only the ops the model
 runs, each on ``Tensor`` operands, and the fused ops take 2-D rows only:
@@ -32,6 +33,7 @@ from contextlib import contextmanager
 import numpy as np
 
 DTYPE = np.float32
+_CHUNK_ROWS = 1 << 12  # packed rows per attention row pass, in whole blocks; tests patch it
 
 
 class DimensionError(ValueError):
@@ -279,6 +281,58 @@ def _prefix_sum(rows, spans, m0):
     return out
 
 
+def _gathered(src, index, spans):
+    """Per run of whole blocks (at most ``_CHUNK_ROWS`` rows, or one longer
+    block): its first row, blocks and ``src[index]`` rows, in one buffer."""
+    runs = []
+    for span in spans:
+        if runs and span[1] - runs[-1][0][0] <= _CHUNK_ROWS:
+            runs[-1].append(span)
+        else:
+            runs.append([span])
+    buf = np.empty((max([0] + [r[-1][1] - r[0][0] for r in runs]), src.shape[1]), dtype=DTYPE)
+    for blocks in runs:
+        c0, c1 = blocks[0][0], blocks[-1][1]
+        # "clip" skips take's buffered bounds check, which the caller has made
+        yield c0, blocks, np.take(src, index[c0:c1], axis=0, out=buf[:c1 - c0], mode="clip")
+
+
+def _row_dots(src, index, q, spans, heads):
+    """(n, heads): per row and head, its ``src`` row dotted with its query's ``q`` row."""
+    out = np.empty((index.size, heads), dtype=DTYPE)
+    for c0, blocks, rows in _gathered(src, index, spans):
+        for s, e, m in blocks:
+            rows[s - c0:e - c0] *= q[:m]
+        np.einsum("nhd->nh", rows.reshape(len(rows), heads, -1), out=out[c0:c0 + len(rows)])
+    return out
+
+
+def _row_sums(src, index, w, spans, m0):
+    """``_prefix_sum`` of the rows ``src[index[i]]`` scaled per head by ``w[i]``."""
+    out = np.zeros((m0, src.shape[1]), dtype=DTYPE)
+    for c0, blocks, rows in _gathered(src, index, spans):
+        rows3 = rows.reshape(len(rows), w.shape[1], -1)
+        rows3 *= w[c0:c0 + len(rows), :, None]
+        for s, e, m in blocks:
+            out[:m] += rows[s - c0:e - c0]
+    return out
+
+
+def _scatter_heads(index, w, f3, slot, n):
+    """(n, D) sums onto table rows ``index[i]`` of ``w[i, h]`` times head
+    h's part of ``f3[slot[i]]``, one (rows,) column per feature: a take,
+    the head's weights, and a ``bincount`` over every row in row order."""
+    col = np.empty(index.size, dtype=DTYPE)
+    out = np.empty((f3.shape[1] * f3.shape[2], n), dtype=DTYPE)
+    for h, f_h in enumerate(f3.transpose(1, 2, 0)):
+        w_h = w[:, h].copy()
+        for j, f_j in enumerate(f_h, h * f3.shape[2]):
+            np.take(f_j, slot, out=col, mode="clip")
+            col *= w_h
+            out[j] = np.bincount(index, weights=col, minlength=n)
+    return out.T
+
+
 def segment_attention(queries, table, index, extra, ws, wq, wk, wv, order, sizes, heads):
     """A self projection plus segmented multi-head dot-product attention
     as one op: query ``i``'s output is ``ws · queries[i]`` plus its
@@ -309,12 +363,14 @@ def segment_attention(queries, table, index, extra, ws, wq, wk, wv, order, sizes
     The extra columns enter through per-query projections: for column c,
     ``q · wk_c`` per query and head scales ``extra[:, c]`` into the
     logits, and ``Σ alpha · extra[:, c]`` per query and head scales
-    ``wv_c`` into the output; the backward pass mirrors this.  No (n, 2D)
-    row temporary is built: one (n, D) row buffer serves the forward pass
-    and is reused by the backward pass, which recomputes the per-row
-    query terms block by block instead of keeping them.  Its two scatters
-    onto table rows read the same memory feature-major, as (D, n), so each
-    is one ``bincount`` per feature with no flat index.
+    ``wv_c`` into the output; the backward pass mirrors this.  No (n, D)
+    array is made: each D-wide row pass (a key or value gather, then its
+    per-head sums or per-query adds) takes consecutive whole blocks, at
+    most ``_CHUNK_ROWS`` rows or one longer block at a time, through one
+    scratch buffer, and the backward pass recomputes the per-row terms.
+    The two scatters onto table rows build one (n,) column per feature.
+    Blocks still add newest first and a scatter sums all rows in row
+    order, so the chunk size moves no bit.
 
     Returns (output (n_q, out_dim), weights (n, heads)) with the weights
     in the given row order.  The weights are constants; gradients flow to
@@ -351,13 +407,7 @@ def segment_attention(queries, table, index, extra, ws, wq, wk, wv, order, sizes
     Q = X @ wq.data.T
     Q3 = Q.reshape(m0, heads, dh)
     Kt, Vt = table.data @ wk_s.T, table.data @ wv_s.T
-    # the one (n, D) row buffer; "clip" skips take's buffered bounds check,
-    # which the index check above has made
-    rows = np.take(Kt, index, axis=0, mode="clip")
-    rows3 = rows.reshape(n, heads, dh)
-    for s, e, m in spans:
-        rows[s:e] *= Q[:m]
-    logits = np.einsum("nhd->nh", rows3)
+    logits = _row_dots(Kt, index, Q, spans, heads)
     for c in range(ne):
         logits += ex[c] * np.einsum("mhd,hd->mh", Q3, wk_x[c])[slot]
     logits *= scale
@@ -367,9 +417,7 @@ def segment_attention(queries, table, index, extra, ws, wq, wk, wv, order, sizes
     logits -= shift[slot]
     alpha = np.exp(logits, out=logits)
     alpha /= _prefix_sum(alpha, spans, m0)[slot]
-    np.take(Vt, index, axis=0, out=rows, mode="clip")
-    rows3 *= alpha[:, :, None]
-    out = _prefix_sum(rows, spans, m0)
+    out = _row_sums(Vt, index, alpha, spans, m0)
     out3 = out.reshape(m0, heads, dh)
     alpha_ex = [_prefix_sum(alpha * ex[c], spans, m0) for c in range(ne)]
     for c in range(ne):
@@ -382,29 +430,16 @@ def segment_attention(queries, table, index, extra, ws, wq, wk, wv, order, sizes
         gq3 = gq.reshape(m0, heads, dh)
         # softmax backward: d(alpha) is g · v, and a segment's sum of
         # alpha * d(alpha) is <g, out>
-        np.take(Vt, index, axis=0, out=rows, mode="clip")
-        for s, e, m in spans:
-            rows[s:e] *= gq[:m]
-        g_logits = np.einsum("nhd->nh", rows3)
+        g_logits = _row_dots(Vt, index, gq, spans, heads)
         for c in range(ne):
             g_logits += ex[c] * np.einsum("mhd,hd->mh", gq3, wv_x[c])[slot]
         g_logits -= np.einsum("mhd,mhd->mh", gq3, out3)[slot]
         g_logits *= alpha
         g_logits *= scale
-        # the table scatters sum feature by feature, so they fill the row
-        # buffer's memory feature-major, as cols (D, n), from feature-major
-        # copies of their factors
-        cols = rows.reshape(D, n)
-        cols3 = cols.reshape(heads, dh, n)
         # keys: g_logits ⊗ q per row, summed onto table rows
-        g_logits_t, q_t = g_logits.T.copy(), Q3.transpose(1, 2, 0).copy()
-        for s, e, m in spans:
-            np.multiply(g_logits_t[:, None, s:e], q_t[:, :, :m], out=cols3[:, :, s:e])
-        g_kt = _scatter_cols(index, cols, u).T
+        g_kt = _scatter_heads(index, g_logits, Q3, slot, u)
         # queries: g_logits ⊗ k summed per query
-        np.take(Kt, index, axis=0, out=rows, mode="clip")
-        np.multiply(rows3, g_logits[:, :, None], out=rows3)
-        g_q = _prefix_sum(rows, spans, m0)
+        g_q = _row_sums(Kt, index, g_logits, spans, m0)
         g_q3 = g_q.reshape(m0, heads, dh)
         g_wk_x = np.empty((ne, heads, dh), dtype=DTYPE)
         g_wv_x = np.empty((ne, heads, dh), dtype=DTYPE)
@@ -414,10 +449,7 @@ def segment_attention(queries, table, index, extra, ws, wq, wk, wv, order, sizes
             g_wk_x[c] = np.einsum("mh,mhd->hd", b, Q3)
             g_wv_x[c] = np.einsum("mh,mhd->hd", alpha_ex[c], gq3)
         # values: alpha ⊗ g per row, summed onto table rows
-        alpha_t, gq_t = alpha.T.copy(), gq3.transpose(1, 2, 0).copy()
-        for s, e, m in spans:
-            np.multiply(alpha_t[:, None, s:e], gq_t[:, :, :m], out=cols3[:, :, s:e])
-        g_vt = _scatter_cols(index, cols, u).T
+        g_vt = _scatter_heads(index, alpha, gq3, slot, u)
         g_queries = g @ ws.data
         g_queries[order] += g_q @ wq.data
         g_wk = np.concatenate([g_kt.T @ table.data, g_wk_x.reshape(ne, D).T], axis=1)
@@ -429,13 +461,19 @@ def segment_attention(queries, table, index, extra, ws, wq, wk, wv, order, sizes
     return _result(full, (queries, table, ws, wq, wk, wv), vjp), weights
 
 
+def _consumed(g):
+    raise RuntimeError("tape already consumed")
+
+
 def backward(root, grad, leaves=None):
     """Propagate ``grad``, the gradient of a scalar objective with respect
     to ``root``, to every reachable ``requires_grad`` leaf.
 
     Returns a map from leaf tensor to its gradient array.  When ``leaves``
     is given, leaves the root never reaches are included with zero
-    gradients.
+    gradients.  Each op drops its parents and vjp once its vjp has run, so
+    what it kept is freed before the ops below it run, and a second
+    backward through it raises ``RuntimeError``.
     """
     grad = np.asarray(grad, dtype=DTYPE)
     if grad.shape != root.data.shape:
@@ -451,11 +489,12 @@ def backward(root, grad, leaves=None):
             if id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    topo.sort(key=lambda t: t._seq, reverse=True)
+    topo.sort(key=lambda t: t._seq)
 
     grads = {id(root): grad}
     result = {}
-    for t in topo:
+    while topo:
+        t = topo.pop()
         g = grads.pop(id(t), None)
         if g is None:
             continue
@@ -464,14 +503,11 @@ def backward(root, grad, leaves=None):
                 t.grad = g
                 result[t] = g
             continue
-        for p, pg in zip(t._parents, t._vjp(g)):
-            if pg is None or not p.requires_grad:
-                continue
-            key = id(p)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
+        parents, vjp = t._parents, t._vjp
+        t._parents, t._vjp = (), _consumed
+        for p, pg in zip(parents, vjp(g)):
+            if pg is not None and p.requires_grad:
+                grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg
 
     if leaves is not None:
         for leaf in leaves:

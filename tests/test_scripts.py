@@ -43,3 +43,13 @@ def test_fingerprint_prints_five_digests_per_run(tmp_path):
     assert {line[3] for line in lines} == {"params", "loss", "val", "preds", "snapshot"}
     assert all(len(line[4]) == 64 and int(line[4], 16) >= 0 for line in lines)
     assert not list(tmp_path.iterdir())
+
+
+def test_memory_peak_prints_two_peaks_per_stream(tmp_path):
+    printed = _run("memory_peak.py", "--events", "300", "--batch-size", "100", cwd=tmp_path)
+    assert printed.returncode == 0, printed.stderr
+    lines = [line.split() for line in printed.stdout.splitlines()]
+    assert [line[:2] for line in lines] == [["btc-sign", "sign"], ["dense-history", "existence"],
+                                            ["wide-cold", "sign"]]
+    assert all(len(line) == 4 and int(line[2]) > 0 and int(line[3]) > 0 for line in lines)
+    assert not list(tmp_path.iterdir())

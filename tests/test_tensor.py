@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import dysignet.tensor as T
 from dysignet.tensor import Tensor, backward
 
-from helpers import attend_segments, weighted
+from helpers import attend_segments, pack_rows, weighted
 from oracles import add, detach, expit, matmul, mul, neg, relu, sigmoid, slice_last, tanh, transpose
 from oracles import gather_stack as oracle_gather_stack
 
@@ -353,6 +354,79 @@ def test_segment_attention_zero_rows_is_the_self_projection():
     assert np.array_equal(grads[ws], (q.data.T @ seed).T)
     for t in (table, wq, wk, wv):
         assert grads[t].shape == t.data.shape and not grads[t].any()
+
+
+def _packed_attention_run(lengths, seed):
+    """Forward and backward of ``segment_attention`` over queries with
+    ``lengths`` rows each, packed as ``HistoryLog.recent`` packs them.
+    Returns (sizes, the output, the weights and the six gradients)."""
+    rng = np.random.default_rng(seed)
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    perm, order, sizes = pack_rows(seg, len(lengths))
+    ws, wq, wk, wv = _attention_weights(rng, 3, 5, out_dim=8)
+    q = Tensor(rng.normal(size=(len(lengths), 3)), requires_grad=True)
+    table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    index = rng.integers(0, 4, size=seg.size)[perm]
+    extra = rng.normal(size=(seg.size, 2))
+    out, w = T.segment_attention(q, table, index, extra, ws, wq, wk, wv, order, sizes, 2)
+    grads = backward(out, rng.normal(size=out.data.shape), leaves=[q, table, ws, wq, wk, wv])
+    return sizes, [out.data, w.data] + [grads[t] for t in (q, table, ws, wq, wk, wv)]
+
+
+@pytest.mark.parametrize("lengths", [
+    [9, 0, 4, 7, 1, 0, 7, 3],
+    [2, 5, 5, 0, 1],
+    [6],
+    [0, 0, 0],
+], ids=["blocks-longer-than-a-chunk", "tied-lengths", "single-query", "zero-rows"])
+@pytest.mark.parametrize("chunk", ["1", "3", "first-block-less-one"])
+def test_segment_attention_chunk_size_moves_no_bit(monkeypatch, lengths, chunk):
+    # row passes run over whole blocks, newest first, and the scatters over
+    # every row in row order, so no chunk size changes a value or gradient
+    sizes, want = _packed_attention_run(lengths, 21)
+    rows = {"1": 1, "3": 3, "first-block-less-one": int(sizes[:1].sum()) - 1}[chunk]
+    monkeypatch.setattr(T, "_CHUNK_ROWS", rows)
+    _, got = _packed_attention_run(lengths, 21)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_segment_attention_working_set_is_bounded():
+    # 400 queries with full 64-row histories, D 64 and 8 heads: forward
+    # plus backward holds no (rows, D) array, so the traced peak stays
+    # within 256 B per packed row plus 2 MiB for the chunk buffer and the
+    # per-query and per-table arrays
+    rng = np.random.default_rng(12)
+    n_q, cap, width, D = 400, 64, 64, 64
+    n = n_q * cap
+    ws, wq, wk, wv = _attention_weights(rng, width, width + 2, out_dim=D)
+    q = Tensor(rng.normal(size=(n_q, width)), requires_grad=True)
+    table = Tensor(rng.normal(size=(n_q, width)), requires_grad=True)
+    index = rng.integers(0, n_q, size=n)
+    extra = rng.normal(size=(n, 2)).astype(T.DTYPE)
+    order, sizes = np.arange(n_q), np.full(cap, n_q)
+    seed = rng.normal(size=(n_q, D)).astype(T.DTYPE)
+    tracemalloc.start()
+    try:
+        out, _ = T.segment_attention(q, table, index, extra, ws, wq, wk, wv, order, sizes, 8)
+        backward(out, seed, leaves=[q, table, ws, wq, wk, wv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * n + 2 * 2 ** 20, f"{peak / n:.0f} B per packed row"
+
+
+def test_second_backward_through_a_consumed_tape_raises():
+    # backward frees each op's vjp as it runs, so a graph backpropagates
+    # once: a second pass raises rather than returning zero gradients,
+    # also when a new op sits on top of the consumed one
+    x = Tensor([[3.0]], requires_grad=True)
+    y = mul(x, x)
+    assert backward(y, ONE)[x] == pytest.approx(6.0)
+    with pytest.raises(RuntimeError, match="tape already consumed"):
+        backward(y, ONE)
+    with pytest.raises(RuntimeError, match="tape already consumed"):
+        backward(mul(y, x), ONE)
+    assert backward(mul(x, x), ONE)[x] == pytest.approx(6.0)
 
 
 def test_gather_stack_rejects_mixed_use():
