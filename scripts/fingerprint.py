@@ -5,18 +5,23 @@ trees can be checked for bit-identical behaviour with ``diff``.
 Streams come from the benchmark's generator (``bench/stream.py``, read
 only) with the pool and popularity of each bench workload, at a smaller
 event count.  Each bench stream is run with its own task, and btc-sign
-with every task, each under the four ablation variants.  Per run it trains
-(dims 64/32/8 heads, neighbour cap 128, model seed 0), evaluates on the
-test split, and warms a fresh state over train+val without gradient.  One
-line per digest::
+with every task, each under the four ablation variants.  Per run it
+evaluates on the test split and warms a fresh state over train+val
+without gradient under the untrained parameters, then trains (dims
+64/32/8 heads, neighbour cap 128, model seed 0) and evaluates and warms
+again under the trained ones.  One line per digest::
 
     <stream> <task> <variant> <what> <sha256>
 
-where ``what`` is ``params`` (parameters with both Adam moments), ``loss``
-and ``val`` (the loss and validation traces), ``preds`` (the test
-``Predictions``, dtypes included) or ``snapshot`` (the warmed state's
-snapshot bytes).  The package is imported from ``src/`` of the tree this
-script is in.  Run it in each tree and compare::
+where ``what`` is ``init-preds`` and ``init-snapshot`` (the untrained
+parameters' test ``Predictions``, dtypes included, and the warmed state's
+snapshot bytes), ``params`` (parameters with both Adam moments), ``loss``
+and ``val`` (the loss and validation traces), or ``preds`` and
+``snapshot`` (as the first two, under the trained parameters).  The
+``init-`` digests come from no-grad code alone, so they show whether two
+trees agree there even where training moves bits.  The package is
+imported from ``src/`` of the tree this script is in.  Run it in each tree
+and compare::
 
     python3 scripts/fingerprint.py > digests.txt
 """
@@ -62,27 +67,34 @@ def _runs():
                 yield name, task, variant
 
 
+def _eval_and_warm(bundle, split, tmp: Path) -> dict[str, str]:
+    preds = harness.evaluate_sequential(bundle, split, "test").raw
+    warm = split.log.slice(0, split.bounds("val")[1])
+    state = bundle.new_state(warm)
+    with no_grad():
+        for batch in batches(warm, bundle.config.batch_size):
+            bundle.encoder.process_batch(batch, state)
+    state.save(tmp / "state.snap")
+    return {"preds": _digest(*(getattr(preds, f.name) for f in fields(preds))),
+            "snapshot": hashlib.sha256((tmp / "state.snap").read_bytes()).hexdigest()}
+
+
 def fingerprint(split, task, variant, args, tmp: Path) -> dict[str, str]:
     config = harness.TrainConfig(
         task=TaskKind.from_name(task), ablation=AblationConfig.from_name(variant),
         batch_size=args.batch_size, embedding_dim=64, memory_dim=32, heads=8,
         neighbor_cap=128, max_epochs=args.epochs, patience=args.epochs, seed=0)
+    untrained = harness.build_model(harness.resolve_time_scale(config, split))
+    digests = {f"init-{what}": d for what, d in _eval_and_warm(untrained, split, tmp).items()}
     result = harness.train(config, split=split)
     bundle = harness.build_model(result.config)
     bundle.params.load_values(result.params.copy_values())
-    preds = harness.evaluate_sequential(bundle, split, "test").raw
-    warm = split.log.slice(0, split.bounds("val")[1])
-    state = bundle.new_state(warm)
-    with no_grad():
-        for batch in batches(warm, config.batch_size):
-            bundle.encoder.process_batch(batch, state)
-    state.save(tmp / "state.snap")
     return {
+        **digests,
         "params": result.params.checksum(),
         "loss": _digest(*map(np.asarray, result.loss_trace)),
         "val": _digest(result.val_trace),
-        "preds": _digest(*(getattr(preds, f.name) for f in fields(preds))),
-        "snapshot": hashlib.sha256((tmp / "state.snap").read_bytes()).hexdigest(),
+        **_eval_and_warm(bundle, split, tmp),
     }
 
 

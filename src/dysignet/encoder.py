@@ -24,18 +24,6 @@ fit the room before it touches any array.
   array also starts as calloc'd zeros).  A read under gradient is
   ``take_rows(fresh, fresh_row[...] - 1, mem[...])``, so gradients reach
   the batch that wrote a memory, and ``detach_`` only forgets the overlay;
-- pending update: under gradient recording ``process_batch`` selects the
-  batch's winning messages, encodes their gaps, advances ``size`` and
-  ``last_update`` and logs the history, but holds the message nets and
-  cells until the next :meth:`EncoderModel.compute_embeddings`.  That call
-  walks the history first and then applies the update: with gradient for
-  the winners among its queries and their history neighbours, the only
-  rows its loss reads, and under ``no_grad`` for the rest, whose tape no
-  loss would reach before ``detach_``.  Every other reader (a new batch,
-  ``mem``, ``read_memory``, ``save``, ``detach_``) applies it in full
-  first, ``detach_`` as constants, and outside gradient recording it is
-  applied at once.  Values are those of applying it on ingest; only which
-  rows carry a tape changes;
 - linked history log (:class:`HistoryLog`): one append-only row per
   (event, endpoint) with a pointer to the owner's previous row, so a
   node's most recent rows are a walk back from its head; ``append``
@@ -82,6 +70,13 @@ over ``[table[index], time gap, |w|]`` as one op
 returns packed position-major, newest first.  A batch whose nodes have no
 history yet passes zero rows down the same path.
 
+Under gradient recording every winner's step is taped on ingest and
+joins the fresh overlay, so the next batch's loss reaches back through
+it.  That loss reads few of the winners on a wide stream, so the two
+memory ops' backward passes run only on the rows whose gradient has a
+nonzero entry, which regroups the parameter-gradient sums, and give the
+other rows zero input gradients.
+
 Ablations: the run's ``TrainConfig.ablation`` is one of the paper's four
 models (:class:`AblationConfig`).  A node's state is exactly its
 memories, ``[s+, s−]``.  ``ba`` collapses them into one sign-blind slot,
@@ -95,7 +90,6 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -106,7 +100,7 @@ from .layers import Feedforward, MultiHeadAttention, RecurrentCell
 from .params import ParameterSet
 # gather_stack is not called here, but bench/spans.py patches this module's name
 from .tensor import gather_stack  # noqa: F401
-from .tensor import Tensor, concat, grad_enabled, no_grad, take_rows
+from .tensor import Tensor, concat, grad_enabled, take_rows
 
 POS = 0
 NEG = 1
@@ -196,7 +190,8 @@ class HistoryLog:
         self.prev[rows] = prev
         last = np.r_[first[1:], True]
         self.head[owner[last]] = rows[last]
-        np.add.at(self.deg, owners, 1)
+        # each owner's row count is the size of its group in the sort
+        self.deg[owner[first]] += np.diff(np.flatnonzero(first), append=owner.size)
         self.length = end
 
     def recent(self, nodes: np.ndarray, cap: int | None):
@@ -255,18 +250,15 @@ class HistoryLog:
 
 class EncoderState:
     """Mutable per-stream state: memories, histories, last-update times,
-    shaped by ``config``, the run's :class:`~dysignet.harness.TrainConfig`,
-    and the memory update of the last batch ingested under gradient
-    recording while it is pending (see the module docstring).  Its arrays
-    are allocated here with room for node ids below ``nodes`` and for
-    ``rows`` history rows, and never grow."""
+    shaped by ``config``, the run's :class:`~dysignet.harness.TrainConfig`.
+    Its arrays are allocated here with room for node ids below ``nodes``
+    and for ``rows`` history rows, and never grow."""
 
     def __init__(self, config, nodes: int, rows: int):
         self.config = config
         slots = config.slot_count if config.ablation.use_memory else 0
         self.size = 0
-        self._mem = np.zeros((nodes, slots, config.slot_dim), dtype=tensor.DTYPE)
-        self._pending = None
+        self.mem = np.zeros((nodes, slots, config.slot_dim), dtype=tensor.DTYPE)
         self._last_update = np.zeros(nodes)
         self._fresh: Tensor | None = None
         self._fresh_row = np.zeros((nodes, slots), dtype=np.intp)
@@ -274,12 +266,6 @@ class EncoderState:
         self.history = HistoryLog(rows, nodes)
         self.watermark = 0.0
         self.events_ingested = 0
-
-    @property
-    def mem(self) -> np.ndarray:
-        """``mem[node, slot]``, once any pending update is applied."""
-        self.settle()
-        return self._mem
 
     @property
     def last_update(self) -> np.ndarray:
@@ -291,47 +277,21 @@ class EncoderState:
         return self._last_update[nodes]
 
     def read_memory(self, nodes: np.ndarray, slots) -> Tensor:
-        """Memories of (nodes[i], slots[i]) as rows, once any pending update
-        is applied; ``slots`` may be one slot for all.  Rows written with
-        gradient since the last ``detach_`` carry it; the rest are
-        constants."""
-        self.settle()
-        return self._read_memory(nodes, slots)
-
-    def _read_memory(self, nodes: np.ndarray, slots) -> Tensor:
+        """Memories of (nodes[i], slots[i]) as rows; ``slots`` may be one
+        slot for all.  Rows written with gradient since the last
+        ``detach_`` carry it; the rest are constants."""
         # rows past ``size`` are calloc'd zeros with no overlay row
-        fill = self._mem[nodes, slots]
+        fill = self.mem[nodes, slots]
         if self._fresh is None or not grad_enabled():
             return Tensor(fill)
         return take_rows(self._fresh, self._fresh_row[nodes, slots] - 1, fill)
 
-    def _advance(self, nodes: np.ndarray, times) -> None:
-        self.size = max(self.size, int(nodes.max()) + 1)
-        self._last_update[nodes] = np.maximum(self._last_update[nodes], times)
-
-    def stage(self, nodes: np.ndarray, times, update) -> None:
-        """Advance ``size`` and the last update of ``nodes`` (distinct) to
-        ``times``, and hold ``update(state, reads)``, which writes their
-        memories, until :meth:`settle`; outside gradient recording it runs
-        at once."""
-        self._advance(nodes, times)
-        self._pending = update
-        if not grad_enabled():
-            self.settle()
-
-    def settle(self, *reads: np.ndarray) -> None:
-        """Apply the pending memory update, if any.  ``reads`` are the node
-        arrays a pass under gradient recording reads next: only the winners
-        among them are recorded for gradient, the rest as constants."""
-        update, self._pending = self._pending, None
-        if update is not None:
-            update(self, reads)
-
     def write_memory(self, nodes: np.ndarray, slot: int, new: Tensor, times) -> None:
         """Set the memories of (nodes[i], slot) to ``new[i]`` and advance
         each node's last update to ``times[i]``; ``nodes`` are distinct."""
-        self._advance(nodes, times)
-        self._mem[nodes, slot] = new.data
+        self.size = max(self.size, int(nodes.max()) + 1)
+        self._last_update[nodes] = np.maximum(self._last_update[nodes], times)
+        self.mem[nodes, slot] = new.data
         if new.requires_grad:
             base = 0 if self._fresh is None else self._fresh.data.shape[0]
             self._fresh = new if self._fresh is None else concat([self._fresh, new])
@@ -342,11 +302,7 @@ class EncoderState:
 
     def detach_(self) -> None:
         """Freeze all memory values as constants, truncating gradient flow.
-        Costs the rows written since the last detach, not the node count;
-        a pending update is applied as constants."""
-        if self._pending is not None:
-            with no_grad():
-                self.settle()
+        Costs the rows written since the last detach, not the node count."""
         for nodes in self._fresh_nodes:
             self._fresh_row[nodes] = 0
         self._fresh_nodes.clear()
@@ -358,8 +314,7 @@ class EncoderState:
         self.__init__(self.config, 0, 0)
 
     def save(self, path) -> None:
-        """Write the state's arrays as they are (layout in the module
-        docstring), once any pending update is applied."""
+        """Write the state's arrays as they are (layout in the module docstring)."""
         with open(path, "wb") as fh:
             fh.write(f"{STATE_FORMAT} {STATE_VERSION}\n".encode())
             for a in (self.mem[:self.size], self.last_update, *self.history.columns(),
@@ -416,7 +371,7 @@ class EncoderState:
             except (ValueError, KeyError, TypeError, IndexError, AttributeError, EOFError) as exc:
                 raise ValueError(f"{path}: bad snapshot: {exc}") from None
         state.size = len(mem)
-        state._mem[:len(mem)], state._last_update[:len(mem)] = mem, last
+        state.mem[:len(mem)], state._last_update[:len(mem)] = mem, last
         state.watermark, state.events_ingested = float(watermark), int(ingested)
         return state
 
@@ -465,11 +420,9 @@ class EncoderModel:
     # message generation and memory update
 
     def process_batch(self, batch: EventLog, state: EncoderState) -> None:
-        """Ingest one temporal batch: apply any pending update, select the
-        winning messages and stage their memory update, then log the events
-        into the history.  Under gradient recording the update waits for
-        the next read (module docstring).  Predictions for a batch must be
-        made by the caller before ingesting it."""
+        """Ingest one temporal batch: generate, aggregate, update, then log
+        the events into the history.  Predictions for a batch must be made
+        by the caller before ingesting it."""
         if not len(batch):
             return
         start, end = batch.time_span()
@@ -482,7 +435,6 @@ class EncoderModel:
                 or hist.length + 2 * len(batch) > hist.nbr.size):
             raise ValueError(f"batch does not fit the state's room of {hist.head.size} "
                              f"nodes and {hist.nbr.size} history rows")
-        state.settle()
         # one row per endpoint, (src -> dst, dst -> src) for each event, as
         # intp once here so that no index below pays a cast
         ends = np.stack([batch.src, batch.dst], axis=1, dtype=np.intp)
@@ -507,46 +459,20 @@ class EncoderModel:
         _, first = np.unique(owner, return_index=True)
         win = last[np.argsort(first)]
         nodes, others, sign, t = owner[win], partner[win], weight[win], time[win]
-        extras = np.column_stack([
-            _encode_dt(self.config, t - state.last_update_at(nodes)), np.abs(sign)])
-        state.stage(nodes, t, partial(self._update_memory, nodes, others, sign, t, extras))
-
-    def _update_memory(self, nodes, others, sign, t, extras, state: EncoderState,
-                       reads) -> None:
-        """Run each slot's message net and cell for the winners ``nodes`` on
-        the memories from before their batch, and write the results.  Under
-        gradient recording with ``reads`` given, only the winners among the
-        nodes in ``reads`` are taped and the rest run under ``no_grad``."""
-        taped = np.ones(nodes.size, dtype=bool)
-        if reads and grad_enabled():
-            hit = np.zeros(state.size, dtype=bool)
-            for r in reads:
-                hit[r[r < hit.size]] = True
-            taped = hit[nodes]
-        groups = [(taped, self._cell_steps(taped, nodes, others, sign, extras, state))]
-        if not taped.all():
-            with no_grad():
-                groups.append((~taped, self._cell_steps(~taped, nodes, others, sign, extras,
-                                                        state)))
-        # written only now, so that no message read a fresh memory
-        for rows, news in groups:
-            for slot, new in enumerate(news):
-                state.write_memory(nodes[rows], slot, new, t[rows])
-
-    def _cell_steps(self, rows, nodes, others, sign, extras, state: EncoderState) -> list:
-        """Each slot's new memories for the winners ``nodes[rows]``; none
-        when no row is selected."""
-        if not rows.any():
-            return []
+        extras = np.empty((nodes.size, 2), dtype=tensor.DTYPE)  # cast once, no float64 copy
+        extras[:, 0] = _encode_dt(self.config, t - state.last_update_at(nodes))
+        extras[:, 1] = np.abs(sign)
+        ex = Tensor(extras)
         balanced = self.config.ablation.balanced_aggregation
-        nodes, others, sign, ex = nodes[rows], others[rows], sign[rows], Tensor(extras[rows])
         news = []
         for slot in range(self.config.slot_count):
-            own = state._read_memory(nodes, slot)
+            own = state.read_memory(nodes, slot)
             other_slot = np.where(sign > 0, slot, 1 - slot) if balanced else slot
-            x = concat([own, state._read_memory(others, other_slot), ex], axis=1)
+            x = concat([own, state.read_memory(others, other_slot), ex], axis=1)
             news.append(self._mem_cells[slot].apply(self._msg_nets[slot].apply(x), own))
-        return news
+        # written only now, so that no slot read another slot's fresh memory
+        for slot, new in enumerate(news):
+            state.write_memory(nodes, slot, new, t)
 
     # ------------------------------------------------------------------
     # embeddings
@@ -565,15 +491,12 @@ class EncoderModel:
         nodes = list(dict.fromkeys(nodes))
         index = {n: i for i, n in enumerate(nodes)}
         ids = np.asarray(nodes, dtype=np.intp)
+        hq = self._node_state_matrix(ids, state)
         if not self.config.ablation.use_embedding_layer:
-            state.settle(ids)
-            return self._node_state_matrix(ids, state), index
+            return hq, index
         hist = state.history
         order, sizes, rows = hist.recent(ids, self.config.neighbor_cap)
         uniq, inv = np.unique(hist.nbr[rows], return_inverse=True)
-        # the pending update is taped only for the rows read below
-        state.settle(ids, uniq)
-        hq = self._node_state_matrix(ids, state)
         extras = np.empty((rows.size, 2), dtype=tensor.DTYPE)  # cast once, no float64 copy
         extras[:, 0] = _encode_dt(self.config, t - hist.t[rows])
         extras[:, 1] = hist.mag[rows]

@@ -199,23 +199,49 @@ def _sigmoid_grad(g, s):
     g *= 1.0 - s
 
 
+def _live_rows(g, *saved):
+    """The indices of the rows of ``g`` with a nonzero entry (None when
+    every row has one), then those rows of ``g`` and of each ``saved``
+    array.  A zero cotangent row adds nothing to any gradient, so a vjp
+    may run on the live rows alone and :func:`_spread` its input gradients
+    back."""
+    live = np.flatnonzero(g.any(axis=1))
+    if live.size == g.shape[0]:
+        return (None, g) + saved
+    return (live, g[live]) + tuple(a[live] for a in saved)
+
+
+def _spread(part, live, n):
+    """The input-gradient rows ``part`` of the ``live`` rows as all n rows,
+    zero elsewhere."""
+    if live is None:
+        return part
+    out = np.zeros((n,) + part.shape[1:], dtype=DTYPE)
+    out[live] = part
+    return out
+
+
 def feedforward(x, w1, b1, w2, b2):
     """``relu(x · w1ᵀ + b1) · w2ᵀ + b2`` as one op on (n, in) rows ``x``.
     Each step runs in place on one buffer and the vjp keeps only the
-    hidden activations."""
+    hidden activations.  The vjp runs on the rows whose cotangent has a
+    nonzero entry and gives the other rows zero input gradients: the
+    parameter gradients keep their values, their sums regrouped."""
     X = x.data
     h = X @ w1.data.T
     h += b1.data
     np.maximum(h, 0.0, out=h)
     out = h @ w2.data.T
     out += b2.data
+    kept = (X, h)
 
     def vjp(g):
+        live, g, X, h = _live_rows(g, *kept)
         g_w2 = (h.T @ g).T
         g_h = g @ w2.data
         g_h *= h > 0
         g_w1 = (X.T @ g_h).T
-        g_x = g_h @ w1.data if x.requires_grad else None
+        g_x = _spread(g_h @ w1.data, live, x.data.shape[0]) if x.requires_grad else None
         return g_x, g_w1, g_h.sum(axis=0), g_w2, g.sum(axis=0)
 
     return _result(out, (x, w1, b1, w2, b2), vjp)
@@ -229,7 +255,9 @@ def recurrent_cell(x, state, w, u, b):
 
     Each gate is computed from its column block of ``z`` into one
     contiguous (4, n, d) gate buffer, the rest runs in place, and the vjp
-    keeps only the gates and tanh of the cell value."""
+    keeps only the gates and tanh of the cell value.  Like
+    :func:`feedforward`'s, the vjp runs on the rows whose cotangent has a
+    nonzero entry."""
     X, S = x.data, state.data
     d = S.shape[1]
     z = X @ w.data.T
@@ -246,8 +274,10 @@ def recurrent_cell(x, state, w, u, b):
     tc += gi * c
     np.tanh(tc, out=tc)
     new = go * tc
+    kept = (X, S, gi, gf, c, go, tc)
 
     def vjp(g):
+        live, g, X, S, gi, gf, c, go, tc = _live_rows(g, *kept)
         # every term is formed as the composed ops formed it, operands and
         # order alike, and g_z is written block by block into one buffer
         g_z = np.empty((S.shape[0], 4 * d), dtype=DTYPE)
@@ -262,11 +292,12 @@ def recurrent_cell(x, state, w, u, b):
         gz_c *= 1.0 - c * c
         np.multiply(g_cell, S, out=gz_f)
         _sigmoid_grad(gz_f, gf)
-        g_x = g_z @ w.data if x.requires_grad else None
+        g_x = _spread(g_z @ w.data, live, state.data.shape[0]) if x.requires_grad else None
         g_s = None
         if state.requires_grad:
             g_s = g_cell * gf
             g_s += g_z @ u.data
+            g_s = _spread(g_s, live, state.data.shape[0])
         return g_x, g_s, (X.T @ g_z).T, (S.T @ g_z).T, g_z.sum(axis=0)
 
     return _result(new, (x, state, w, u, b), vjp)

@@ -138,7 +138,7 @@ def test_epoch_state_is_emptied_before_validation_ingests(small_split, monkeypat
         process_batch(model, batch, state)
         if len(states) == 1:
             h = state.history
-            arrays[:] = [weakref.ref(a) for a in (state._mem, state._fresh_row, h.nbr, h.head)]
+            arrays[:] = [weakref.ref(a) for a in (state.mem, state._fresh_row, h.nbr, h.head)]
 
     monkeypatch.setattr(EncoderModel, "process_batch", ingest)
     train(tiny_config(batch_size=50, max_epochs=1), split=small_split)

@@ -227,6 +227,39 @@ def _check_fused_ops_bitwise(seed, n):
         assert np.array_equal(got, expected)
 
 
+@pytest.mark.usefixtures("float64")
+@pytest.mark.parametrize("live", [[0, 2, 4], [3], []], ids=["some", "one", "none"])
+def test_fused_ops_skip_zero_cotangent_rows(live):
+    """A row whose output cotangent is all zero (-0.0 included) gets exact
+    +0.0 input gradients from both fused ops, a row with one nonzero entry
+    is worked on, and the parameter gradients equal those of the composed
+    ops, which run on every row."""
+    rng = np.random.default_rng(35)
+    n, in_dim, d = 6, 3, 4
+    ps = ParameterSet()
+    net = Feedforward(ps, "net", in_dim, d, hidden_dim=5, rng=rng)
+    cell = RecurrentCell(ps, "cell", d, d, rng=rng)
+    x = ps.add("x", rng.normal(size=(n, in_dim)))
+    s = ps.add("state", rng.normal(size=(n, d)))
+    w = np.zeros((n, d))
+    w[live] = rng.normal(size=(len(live), d))
+    w[live[:1], 1:] = 0.0
+    dead = np.setdiff1d(np.arange(n), live)
+    w[dead[0], 1] = -0.0
+    runs = []
+    for msg, step in ((net.apply, cell.apply),
+                      (lambda v: feedforward(net, v), lambda v, old: cell_step(cell, v, old)[0])):
+        grads = T.backward(step(msg(x), s), w, leaves=ps.tensors())
+        runs.append({name: grads[p] for name, p in zip(ps.names(), ps.tensors())})
+    fused, composed = runs
+    for name in ("x", "state"):
+        assert np.array_equal(fused[name][dead], np.zeros((dead.size, fused[name].shape[1])))
+        assert not np.signbit(fused[name][dead]).any()
+    for name, g in fused.items():
+        assert np.allclose(g, composed[name], rtol=1e-12, atol=1e-15), name
+    assert max_grad_error(lambda: weighted(cell.apply(net.apply(x), s), w), ps) < 1e-6
+
+
 def _attn(q_dim, out_dim, heads, kv_dim=None, seed=0):
     ps = ParameterSet()
     att = MultiHeadAttention(ps, "att", q_dim, out_dim, heads, key_dim=kv_dim,
