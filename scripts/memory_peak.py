@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
 """Print the peak of live traced bytes (``tracemalloc``) during one train
-epoch and during one online test eval, per bench stream, so that a memory
-change can be checked without the noise of peak RSS.
+epoch's pass over the train split, during that epoch's validation and
+during one online test eval, per bench stream, so that a memory change can
+be checked without the noise of peak RSS, and the phase that sets the
+peak can be read off.
 
 Streams come from the benchmark's generator (``bench/stream.py``, read
 only) with the pool, popularity and task of each bench workload, as in
 ``scripts/fingerprint.py``, and run at the bench config: batch 1000, dims
 64/32/8 heads, neighbour cap 128, one epoch, model seed 0.  A stream is
 parsed and split before tracing starts, so a peak counts what training or
-evaluation holds on top of the split.  Peaks repeat to within a few
-kilobytes, where peak RSS moves by about half a megabyte.  One line per
-stream::
+evaluation holds on top of the split.  The validation peak is split off
+the train peak by wrapping ``harness.evaluate_sequential``, which
+``harness.train`` calls to validate: the wrapper records the peak so far
+and resets it.  Peaks repeat to within a few kilobytes, where peak RSS
+moves by about half a megabyte.  One line per stream::
 
-    <stream> <task> <train peak bytes> <eval peak bytes>
+    <stream> <task> <train peak bytes> <validation peak bytes> <eval peak bytes>
 
 Run it in each tree and compare::
 
@@ -35,25 +39,36 @@ from fingerprint import STREAMS  # noqa: E402
 from stream import StreamShape, generate, write_csv  # noqa: E402
 
 
-def peaks(split, task, batch_size) -> tuple[int, int]:
-    """Traced peaks of the train epoch and of the eval.  Of two passes the
-    first runs untraced: the first pass in a process also allocates lazy
-    imports and caches, about 1 MB, that no later pass holds."""
+def peaks(split, task, batch_size) -> tuple[int, int, int]:
+    """Traced peaks of the train pass, of its validation and of the eval.
+    Of two passes the first runs untraced: the first pass in a process also
+    allocates lazy imports and caches, about 1 MB, that no later pass
+    holds."""
     config = harness.TrainConfig(
         task=TaskKind.from_name(task), batch_size=batch_size, embedding_dim=64, memory_dim=32,
         heads=8, neighbor_cap=128, max_epochs=1, seed=0)
+    evaluate = harness.evaluate_sequential
+    train_peaks = []
+
+    def validate(*args, **kwargs):
+        train_peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return evaluate(*args, **kwargs)
+
+    harness.evaluate_sequential = validate
     try:
         for traced in (False, True):
             if traced:
                 tracemalloc.start()
             result = harness.train(config, split=split)
-            train_peak = tracemalloc.get_traced_memory()[1]
+            val_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             bundle = harness.build_model(result.config)
             bundle.params.load_values(result.params.copy_values())
-            harness.evaluate_sequential(bundle, split, "test")
-        return train_peak, tracemalloc.get_traced_memory()[1]
+            evaluate(bundle, split, "test")
+        return train_peaks[-1], val_peak, tracemalloc.get_traced_memory()[1]
     finally:
+        harness.evaluate_sequential = evaluate
         tracemalloc.stop()
 
 

@@ -34,7 +34,7 @@ they are, after the line ``dysignet-encoder-state 2``: one ``np.save``
 record each of ``mem[:size]``, ``last_update``, the history's ``nbr``,
 ``t``, ``mag`` and ``prev`` up to ``length`` and ``head`` and ``deg`` up to
 the last node with rows, then ``watermark`` and ``events_ingested``.  The
-overlay is not saved.
+overlay is not saved, and the history's int32 columns are saved as intp.
 
 Dtypes: the model computes in ``tensor.DTYPE``, float32, so ``mem``, the
 fresh overlay and every activation are float32.  Times stay float64: the
@@ -70,12 +70,12 @@ over ``[table[index], time gap, |w|]`` as one op
 returns packed position-major, newest first.  A batch whose nodes have no
 history yet passes zero rows down the same path.
 
-Under gradient recording every winner's step is taped on ingest and
-joins the fresh overlay, so the next batch's loss reaches back through
-it.  That loss reads few of the winners on a wide stream, so the two
-memory ops' backward passes run only on the rows whose gradient has a
-nonzero entry, which regroups the parameter-gradient sums, and give the
-other rows zero input gradients.
+Under gradient recording every winner's step is taped on ingest, its
+inputs kept and its activations not, and joins the fresh overlay, so the
+next batch's loss reaches back through it.  That loss reads few winners
+on a wide stream, so the two memory ops' backward passes recompute and
+work on only the rows whose gradient has a nonzero entry, regrouping the
+parameter-gradient sums, and give the other rows zero input gradients.
 
 Ablations: the run's ``TrainConfig.ablation`` is one of the paper's four
 models (:class:`AblationConfig`).  A node's state is exactly its
@@ -160,17 +160,19 @@ class HistoryLog:
     before its first).  ``head[n]`` is node ``n``'s newest row and
     ``deg[n]`` its row count.  The arrays have room for ``rows`` rows and
     owner ids below ``nodes``, allocated here, and :meth:`append` writes
-    into that room, so it never copies them.
-    """
+    into that room, so it never copies them.  Ids, links and counts are
+    int32, as the event log's node ids are: both sizes stay below 2**31."""
 
     def __init__(self, rows: int, nodes: int):
+        if max(rows, nodes) >= 2 ** 31:
+            raise ValueError(f"a history log holds < 2**31 rows and nodes, not {rows}, {nodes}")
         self.length = 0
-        self.nbr = np.zeros(rows, dtype=np.intp)
+        self.nbr = np.zeros(rows, dtype=np.int32)
         self.t = np.zeros(rows)
         self.mag = np.zeros(rows)
-        self.prev = np.zeros(rows, dtype=np.intp)
-        self.head = np.full(nodes, -1, dtype=np.intp)
-        self.deg = np.zeros(nodes, dtype=np.intp)
+        self.prev = np.zeros(rows, dtype=np.int32)
+        self.head = np.full(nodes, -1, dtype=np.int32)
+        self.deg = np.zeros(nodes, dtype=np.int32)
 
     def append(self, owners: np.ndarray, nbrs, times, mags) -> None:
         """Log one row per owner, in the given order, into the room."""
@@ -212,12 +214,12 @@ class HistoryLog:
         order = live[np.argsort(-counts[live], kind="stable")]
         # sizes[p] = how many nodes have more than p rows
         sizes = order.size - np.cumsum(np.bincount(counts[order]))[:-1]
-        cur = self.head[nodes[order]]
-        blocks = [cur]
-        for m in sizes[1:].tolist():
-            cur = self.prev[cur[:m]]
-            blocks.append(cur)
-        return order, sizes, np.concatenate(blocks)
+        starts = np.cumsum(sizes) - sizes
+        rows = np.empty(sizes.sum(), dtype=np.intp)
+        rows[:order.size] = self.head[nodes[order]]
+        for a, b, m in zip(starts[:-1].tolist(), starts[1:].tolist(), sizes[1:].tolist()):
+            rows[b:b + m] = self.prev[rows[a:a + m]]
+        return order, sizes, rows
 
     def columns(self) -> list[np.ndarray]:
         """``nbr``, ``t``, ``mag`` and ``prev`` up to ``length``, then ``head``
@@ -261,7 +263,7 @@ class EncoderState:
         self.mem = np.zeros((nodes, slots, config.slot_dim), dtype=tensor.DTYPE)
         self._last_update = np.zeros(nodes)
         self._fresh: Tensor | None = None
-        self._fresh_row = np.zeros((nodes, slots), dtype=np.intp)
+        self._fresh_row = np.zeros((nodes, slots), dtype=np.int32)
         self._fresh_nodes: list[np.ndarray] = []
         self.history = HistoryLog(rows, nodes)
         self.watermark = 0.0
@@ -319,7 +321,7 @@ class EncoderState:
             fh.write(f"{STATE_FORMAT} {STATE_VERSION}\n".encode())
             for a in (self.mem[:self.size], self.last_update, *self.history.columns(),
                       np.float64(self.watermark), np.intp(self.events_ingested)):
-                np.save(fh, a, allow_pickle=False)
+                np.save(fh, a.astype(np.intp) if a.dtype == np.int32 else a, allow_pickle=False)
 
     @classmethod
     def load(cls, path, config, nodes: int = 0, rows: int = 0) -> "EncoderState":
@@ -359,6 +361,8 @@ class EncoderState:
                 if (deg > nbr.size).any() or deg.sum() != nbr.size:
                     raise ValueError(f"history row counts do not sum to the log's "
                                      f"{nbr.size} rows")
+                if (nbr >= head.size).any():   # each neighbour also owns rows
+                    raise ValueError(f"history neighbours outside the log's {head.size} owners")
                 state = cls(config, max(nodes, len(mem), head.size), max(rows, nbr.size))
                 h = state.history
                 h.length = nbr.size

@@ -17,8 +17,9 @@ no D-wide array per history row, so a step's working set does not grow
 with batch nodes × neighbour cap × D.  ``train`` drops each batch's tape
 (its outputs and gradients) after its Adam step, so no tape lives while
 the next batch is ingested and scored or while the epoch is validated,
-and batch k's memory update, taped for every winner on ingest, runs
-its backward only on the rows batch k+1 reads.  The epoch's state is emptied
+and batch k's memory update, taped for every winner on ingest, keeps
+its inputs, not its activations: batch k+1's backward recomputes them
+for the rows it reads.  The epoch's state is emptied
 before validation builds its own, so at most one state holds a pass's
 arrays.  The emptied object lives until the next epoch replaces it, so
 states are made and freed in the same order as when the full state lived

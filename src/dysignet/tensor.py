@@ -221,22 +221,26 @@ def _spread(part, live, n):
     return out
 
 
+def _hidden(X, w1, b1):
+    """``relu(X · w1ᵀ + b1)``, each step in place on one buffer."""
+    h = X @ w1.T
+    h += b1
+    np.maximum(h, 0.0, out=h)
+    return h
+
+
 def feedforward(x, w1, b1, w2, b2):
     """``relu(x · w1ᵀ + b1) · w2ᵀ + b2`` as one op on (n, in) rows ``x``.
-    Each step runs in place on one buffer and the vjp keeps only the
-    hidden activations.  The vjp runs on the rows whose cotangent has a
-    nonzero entry and gives the other rows zero input gradients: the
-    parameter gradients keep their values, their sums regrouped."""
-    X = x.data
-    h = X @ w1.data.T
-    h += b1.data
-    np.maximum(h, 0.0, out=h)
-    out = h @ w2.data.T
+    The vjp keeps no array of its own: on the rows whose cotangent has a
+    nonzero entry it recomputes the hidden activations from ``x.data`` as
+    the forward pass did, and gives the other rows zero input gradients;
+    the parameter gradients keep their values, their sums regrouped."""
+    out = _hidden(x.data, w1.data, b1.data) @ w2.data.T
     out += b2.data
-    kept = (X, h)
 
     def vjp(g):
-        live, g, X, h = _live_rows(g, *kept)
+        live, g, X = _live_rows(g, x.data)
+        h = _hidden(X, w1.data, b1.data)
         g_w2 = (h.T @ g).T
         g_h = g @ w2.data
         g_h *= h > 0
@@ -247,37 +251,37 @@ def feedforward(x, w1, b1, w2, b2):
     return _result(out, (x, w1, b1, w2, b2), vjp)
 
 
+def _cell_gates(X, S, w, u, b):
+    """The input, forget, candidate and output gates of rows ``X``, ``S``,
+    each from its column block of ``z`` into one contiguous (4, n, d)
+    buffer, and the tanh of the cell value, computed in place."""
+    z = X @ w.T
+    z += S @ u.T
+    z += b
+    gates = np.empty((4,) + S.shape, dtype=DTYPE)
+    for f, zk, out in zip((_expit, _expit, np.tanh, _expit), _gate_blocks(z, S.shape[1]), gates):
+        f(zk, out=out)
+    gi, gf, c, go = gates
+    tc = gf * S
+    tc += gi * c
+    np.tanh(tc, out=tc)
+    return gi, gf, c, go, tc
+
+
 def recurrent_cell(x, state, w, u, b):
     """Four-gate cell step as one op: ``z = x · wᵀ + state · uᵀ + b``
     split into input, forget, candidate and output blocks of the state
     width d, then ``output ⊙ tanh(forget ⊙ state + input ⊙ candidate)``.
-    ``x`` is (n, in) and ``state`` (n, d).
-
-    Each gate is computed from its column block of ``z`` into one
-    contiguous (4, n, d) gate buffer, the rest runs in place, and the vjp
-    keeps only the gates and tanh of the cell value.  Like
-    :func:`feedforward`'s, the vjp runs on the rows whose cotangent has a
-    nonzero entry."""
-    X, S = x.data, state.data
-    d = S.shape[1]
-    z = X @ w.data.T
-    z += S @ u.data.T
-    z += b.data
-    zi, zf, zc, zo = _gate_blocks(z, d)
-    gates = np.empty((4,) + S.shape, dtype=DTYPE)
-    gi, gf, c, go = gates
-    _expit(zi, out=gi)
-    _expit(zf, out=gf)
-    np.tanh(zc, out=c)
-    _expit(zo, out=go)
-    tc = gf * S
-    tc += gi * c
-    np.tanh(tc, out=tc)
+    ``x`` is (n, in) and ``state`` (n, d).  Like :func:`feedforward`'s,
+    the vjp keeps no array of its own: on the rows whose cotangent has a
+    nonzero entry it recomputes the gates and cell tanh from the inputs."""
+    d = state.data.shape[1]
+    *_, go, tc = _cell_gates(x.data, state.data, w.data, u.data, b.data)
     new = go * tc
-    kept = (X, S, gi, gf, c, go, tc)
 
     def vjp(g):
-        live, g, X, S, gi, gf, c, go, tc = _live_rows(g, *kept)
+        live, g, X, S = _live_rows(g, x.data, state.data)
+        gi, gf, c, go, tc = _cell_gates(X, S, w.data, u.data, b.data)
         # every term is formed as the composed ops formed it, operands and
         # order alike, and g_z is written block by block into one buffer
         g_z = np.empty((S.shape[0], 4 * d), dtype=DTYPE)

@@ -891,6 +891,14 @@ def _head_below_minus_one(a):
     a[6][0] = -2
 
 
+def _neighbour_past_the_owners(a):
+    a[2][0] = a[6].size
+
+
+def _neighbour_past_int32(a):
+    a[2][0] += 2 ** 32   # a cast to int32 alone would wrap it back
+
+
 def _deg_past_its_rows(a):
     a[7][0] += 1
 
@@ -921,6 +929,8 @@ def _half_memory(a):
     (_nan_memory, "non-finite"), (_inf_history_time, "non-finite"),
     (_prev_past_the_rows, "history links"), (_head_below_minus_one, "history links"),
     (_deg_past_its_rows, "row counts"), (_deg_moved_between_nodes, "row counts"),
+    (_neighbour_past_the_owners, "neighbours outside"),
+    (_neighbour_past_int32, "neighbours outside"),
     (_short_last_update, "do not fit"), (_float_neighbours, "do not fit"),
     (_memory_beyond_float32, "non-finite"), (_half_memory, "do not fit"),
 ])
@@ -941,6 +951,25 @@ def _edit_snapshot(path, edit):
         fh.write(tag)
         for a in arrays:
             np.save(fh, a)
+
+
+def test_history_is_int32_and_saved_as_intp(tmp_path):
+    """The history's ids, links and counts and the overlay pointers are
+    held as int32; a snapshot writes the history's as intp, the width it
+    has always had on disk, and a room past int32 is refused before any
+    array is made."""
+    enc, path = _saved_state(tmp_path)
+    state = EncoderState.load(path, enc.config, *ROOM)
+    h = state.history
+    held = (h.nbr, h.prev, h.head, h.deg, state._fresh_row)
+    assert {a.dtype for a in held} == {np.dtype(np.int32)}
+    with open(path, "rb") as fh:
+        fh.readline()
+        arrays = [np.load(fh) for _ in range(10)]
+    assert [arrays[k].dtype for k in (2, 5, 6, 7)] == [np.dtype(np.intp)] * 4
+    for rows, nodes in ((2 ** 31, 1), (1, 2 ** 31)):
+        with pytest.raises(ValueError, match=r"< 2\*\*31 rows and nodes"):
+            HistoryLog(rows, nodes)
 
 
 def test_snapshot_load_rejects_claimed_row_counts_before_walking(tmp_path, monkeypatch):

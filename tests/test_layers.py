@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +260,28 @@ def test_fused_ops_skip_zero_cotangent_rows(live):
     for name, g in fused.items():
         assert np.allclose(g, composed[name], rtol=1e-12, atol=1e-15), name
     assert max_grad_error(lambda: weighted(cell.apply(net.apply(x), s), w), ps) < 1e-6
+
+
+def test_fused_ops_tape_keeps_no_activations():
+    """Under gradient recording the two memory ops hold nothing past their
+    outputs until backward: the vjps recompute the hidden activations,
+    gates and cell tanh of the rows they work on from the inputs, which the
+    tape holds anyway.  Shaped like the message net and the cell."""
+    n, d = 4096, 32
+    rng = np.random.default_rng(36)
+    ps = ParameterSet()
+    net = Feedforward(ps, "net", 2 * d + 2, d, rng=rng)
+    cell = RecurrentCell(ps, "cell", d, d, rng=rng)
+    x = ps.add("x", rng.normal(size=(n, 2 * d + 2)))
+    s = ps.add("state", rng.normal(size=(n, d)))
+    tracemalloc.start()
+    try:
+        out = cell.apply(net.apply(x), s)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held <= 2 * n * d * out.data.itemsize + 64 * 2 ** 10, f"{held / n:.0f} B per row"
 
 
 def _attn(q_dim, out_dim, heads, kv_dim=None, seed=0):
