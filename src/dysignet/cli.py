@@ -124,7 +124,10 @@ def make_out_dir(args, command: str) -> Path:
     else:
         root = Path(os.environ.get(OUT_ROOT_ENV, "runs"))
         out = root / f"{command}-{time.strftime('%Y%m%d-%H%M%S')}-{os.getpid()}"
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {out}: {exc.strerror}") from None
     return out
 
 

@@ -392,7 +392,7 @@ class EncoderModel:
     :class:`EncoderState`."""
 
     def __init__(self, params: ParameterSet, config,
-                 rng: np.random.Generator | None = None, name: str = "encoder"):
+                 rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.config = config
         ab = config.ablation
@@ -404,12 +404,12 @@ class EncoderModel:
             slot_tag = {POS: "plus", NEG: "minus"} if ab.balanced_aggregation else {0: "all"}
             # a message reads the own slot, the partner slot, the time gap and |w|
             self._msg_nets = [
-                Feedforward(params, f"{name}.msg_{slot_tag[slot]}", 2 * config.slot_dim + 2,
+                Feedforward(params, f"encoder.msg_{slot_tag[slot]}", 2 * config.slot_dim + 2,
                             config.slot_dim, rng=rng)
                 for slot in range(config.slot_count)
             ]
             self._mem_cells = [
-                RecurrentCell(params, f"{name}.mem_{slot_tag[slot]}",
+                RecurrentCell(params, f"encoder.mem_{slot_tag[slot]}",
                               config.slot_dim, config.slot_dim, rng=rng)
                 for slot in range(config.slot_count)
             ]
@@ -417,7 +417,7 @@ class EncoderModel:
             # keys and values are the node state plus a time-gap and a |w| column
             h = config.node_state_dim
             self.attn = MultiHeadAttention(
-                params, f"{name}.emb", query_dim=h, out_dim=config.embedding_dim,
+                params, "encoder.emb", query_dim=h, out_dim=config.embedding_dim,
                 heads=config.heads, key_dim=h + 2, rng=rng)
 
     # ------------------------------------------------------------------

@@ -1,5 +1,14 @@
 """Timestamped signed edge streams: parsing, splits, batches, statistics.
 
+Input: one link per line as ``src,dst,weight,time``, comma-separated as in
+the SNAP files, plain or gzipped; cells after the fourth are ignored and
+node ids are strings compared after stripping blanks.  Filtering follows
+the paper (PAPER.md): links with no timestamp or no weight are removed,
+and so are zero weights, which carry no sign (WikiRfA's abstentions).
+Rows whose time or weight is not a finite number and self-loops are
+removed too.  A first line that does not parse is a header and is
+skipped; every other removed row is counted by kind in one warning.
+
 Layout: an :class:`EventLog` is four numpy columns, ``time`` and
 ``weight`` float64 and ``src`` and ``dst`` int32 (parsing rejects 2**31
 nodes or more), so a parsed stream holds 24 bytes per event.  Raw ids
@@ -8,25 +17,24 @@ is a canonical integer, one ``str(int(s)) == s`` holds for and int64
 holds, so ``007`` and ``7`` stay two nodes; else the fixed-width strings
 of the input (20 bytes for a 5-digit id).  A split and its batches are
 views of that one log and add no bytes per event.  On the bench streams
-a parsed split holds 24-31 bytes per event; as a list of ``SignedEvent``
-tuples it held 138-219.
+a parsed split holds 24-31 bytes per event.
 
 Parsing: :func:`parse_csv` reads the lines after line 1 in chunks of about
 ``_CHUNK_BYTES`` characters of whole lines.  A run of lines is parsed in
 bulk (one ``str.split``, ``float`` over column slices, raw ids coded to
 int64 through one dict of the distinct ids) when it holds no quote
-character and every line has the same delimiter count, at least the needed
-columns and a finite time and weight.  A chunk that fails is halved and
-each half retried, so one flawed line costs a run of fewer than
-``_BULK_FLOOR`` lines around it.  Line 1, those runs, and everything from
-the first line with a quote character go through ``csv.reader`` row by
-row, so the result is what a row-by-row read gives.  The filters, the time
-sort and the remap then run in numpy on the codes.  The transient peak
-under tracemalloc is ~120 bytes per event on a 200k-row file (a row-by-row
-parse into tuples took ~370), plus ~3 MB for one chunk's strings: 184-279
-bytes per event on the 24k-event bench streams.  Chunks of 64 KB to 1 MB
-parse equally fast; at 1 MB a bench stream is one chunk and peaks at
-344-416.
+character and every line has the same comma count, at least four cells,
+none longer than the csv field limit, and a finite time and weight.  A
+chunk that fails is halved and each half retried, so one flawed line costs
+a run of fewer than ``_BULK_FLOOR`` lines around it.  Line 1, those runs,
+and everything from the first line with a quote character go through
+``csv.reader`` row by row, so quoted commas and newlines keep their csv
+meaning and the result is what a row-by-row read gives.  The filters, the
+time sort and the remap then run in numpy on the codes.  The transient
+peak under tracemalloc is ~120 bytes per event on a 200k-row file, plus
+~3 MB for one chunk's strings: 184-279 bytes per event on the 24k-event
+bench streams.  Chunks of 64 KB to 1 MB parse equally fast; at 1 MB a
+bench stream is one chunk and peaks at 344-416.
 """
 
 from __future__ import annotations
@@ -39,8 +47,7 @@ import math
 import re
 import zlib
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -49,7 +56,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86400.0
-DEFAULT_COLUMNS = ("src", "dst", "weight", "time")
 _CHUNK_BYTES = 1 << 18  # characters per bulk read, then to the line end; tests patch it
 _BULK_FLOOR = 64  # a failed run of fewer lines goes to the row loop, not into halves
 _NODE_ID = np.int32  # dense node ids; tests patch it to check the node-count limit
@@ -108,30 +114,35 @@ class EventLog:
         return float(self.time[0]), float(self.time[-1])
 
     def write_csv(self, path) -> None:
-        """Canonical ``src,dst,weight,time`` rows; re-parsing reproduces the log."""
+        """``src,dst,weight,time`` rows of raw ids (dense ids when there are
+        none) and ``repr`` floats.  Re-parsing a whole parsed log reproduces
+        its columns and raw ids; a slice's ids are renumbered."""
+        src, dst, ids = self.src, self.dst, self.raw_ids
+        if ids is not None:
+            src, dst = ids[src], ids[dst]
         with _open_text(Path(path), "wt", newline="") as fh:
-            writer = csv.writer(fh)
-            for ev in self:
-                writer.writerow([ev.src, ev.dst, repr(ev.weight), repr(ev.time)])
+            csv.writer(fh).writerows(zip(src.tolist(), dst.tolist(),
+                                         map(repr, self.weight.tolist()),
+                                         map(repr, self.time.tolist())))
 
 
 def _open_text(path: Path, mode="rt", **kwargs):
     return (gzip.open if path.suffix == ".gz" else open)(path, mode, **kwargs)
 
 
-def _row_problem(cells: list[str], lineno: int, needed: int, it: int, iw: int):
+def _row_problem(cells: list[str], header: bool):
     """Why a row whose time or weight did not read as a finite number is
-    dropped: ``(skip count, message)``, or None for a blank line or a
-    header (an unparsable first row)."""
+    dropped, as its skip count's name, or None for a blank line or a
+    header (an unparsable line 1)."""
     if not cells or (len(cells) == 1 and not cells[0].strip()):
         return None
-    if len(cells) < needed or not (cells[it].strip() and cells[iw].strip()):
-        return "short", "missing fields"
+    if len(cells) < 4 or not (cells[2].strip() and cells[3].strip()):
+        return "short"
     try:
-        float(cells[it]), float(cells[iw])
+        float(cells[2]), float(cells[3])
     except ValueError:
-        return None if lineno == 1 else ("unparsable", f"unparsable row {cells!r}")
-    return "nonfinite", f"non-finite time or weight {cells!r}"
+        return None if header else "unparsable"
+    return "nonfinite"
 
 
 class _Columns:
@@ -141,12 +152,7 @@ class _Columns:
     ``code`` maps each distinct unstripped cell to it, so each id is
     stripped once."""
 
-    def __init__(self, path: Path, columns, delimiter: str, strict: bool):
-        self.it, self.iw, self.i_src, self.i_dst = (
-            columns.index(name) for name in ("time", "weight", "src", "dst"))
-        self.needed = max(self.it, self.iw, self.i_src, self.i_dst) + 1
-        self.path, self.delimiter, self.strict = path, delimiter, strict
-        self.lineno = 0  # csv records read so far
+    def __init__(self):
         self.skipped = dict.fromkeys(("short", "unparsable", "nonfinite", "zero_weight",
                                       "self_loop"), 0)
         self.code: dict[str, int] = {}  # raw cell -> code
@@ -167,12 +173,13 @@ class _Columns:
         """Line 1 and, from the first line with a quote character, the rest
         of the file through the row loop; the lines between in chunks of
         about ``_CHUNK_BYTES`` characters."""
-        records = partial(csv.reader, delimiter=self.delimiter)
         head = fh.readline()
         if '"' in head:
-            self.rows(records(chain([head], fh)))
+            records = csv.reader(chain([head], fh))
+            self.rows(islice(records, 1), header=True)
+            self.rows(records)
             return
-        self.rows(records([head]))
+        self.rows(csv.reader([head]), header=True)
         while text := fh.read(_CHUNK_BYTES):
             if not text.endswith("\n"):
                 text += fh.readline()
@@ -181,29 +188,26 @@ class _Columns:
                 start = text.rfind("\n", 0, quote) + 1
                 if start:
                     self.chunk(text[:start])
-                self.rows(records(chain(io.StringIO(text[start:]), fh)))
+                self.rows(csv.reader(chain(io.StringIO(text[start:]), fh)))
                 return
             self.chunk(text)
 
-    def rows(self, records) -> None:
-        """The row loop: csv records, numbered on from ``lineno``, each
-        kept, counted as skipped, or (in strict mode) an error."""
-        it, iw, needed = self.it, self.iw, self.needed
+    def rows(self, records, header: bool = False) -> None:
+        """The row loop: csv records, each kept or counted as skipped;
+        ``header`` says that they are line 1's."""
         kept = []
-        for self.lineno, cells in enumerate(records, start=self.lineno + 1):
+        for cells in records:
             try:
-                t, w = float(cells[it]), float(cells[iw])
-                ok = len(cells) >= needed and math.isfinite(t) and math.isfinite(w)
+                t, w = float(cells[3]), float(cells[2])
+                ok = math.isfinite(t) and math.isfinite(w)
             except (IndexError, ValueError):
                 ok = False
             if ok:
-                kept.append((t, w, cells[self.i_src], cells[self.i_dst]))
+                kept.append((t, w, cells[0], cells[1]))
                 continue
-            problem = _row_problem(cells, self.lineno, needed, it, iw)
+            problem = _row_problem(cells, header)
             if problem is not None:
-                if self.strict:
-                    raise DataError(f"{self.path}:{self.lineno}: {problem[1]}")
-                self.skipped[problem[0]] += 1
+                self.skipped[problem] += 1
         if kept:
             time, weight, src, dst = zip(*kept)
             del kept
@@ -216,20 +220,20 @@ class _Columns:
             lines.pop()
         n = len(lines)
         # counted once here, so a failed run's halves check their shape in numpy
-        cells = np.fromiter(map(str.count, lines, repeat(self.delimiter, n)), np.intp, n) + 1
+        cells = np.fromiter(map(str.count, lines, repeat(",", n)), np.intp, n) + 1
         chars = np.fromiter(map(len, lines), np.intp, n)
         self.lines(lines, cells, chars)
 
     def lines(self, lines: list[str], cells: np.ndarray, chars: np.ndarray) -> None:
         """In bulk when every line has the same number of cells, at least
-        ``needed``, and a finite time and weight; else in two halves, each
-        tried the same way, down to runs of fewer than ``_BULK_FLOOR``
-        lines, which go through the row loop.  ``cells`` and ``chars``
-        count each line's cells and characters."""
+        four, and a finite time and weight; else in two halves, each tried
+        the same way, down to runs of fewer than ``_BULK_FLOOR`` lines,
+        which go through the row loop.  ``cells`` and ``chars`` count each
+        line's cells and characters."""
         if self._bulk(lines, cells, chars):
             return
         if len(lines) < _BULK_FLOOR:
-            self.rows(csv.reader(lines, delimiter=self.delimiter))
+            self.rows(csv.reader(lines))
             return
         half = len(lines) // 2
         self.lines(lines[:half], cells[:half], chars[:half])
@@ -238,20 +242,17 @@ class _Columns:
     def _bulk(self, lines: list[str], cells: np.ndarray, chars: np.ndarray) -> bool:
         n, width = len(lines), int(cells[0])
         # csv.reader raises on a field over its limit, so such lines go to it
-        if (width < self.needed or chars.max() > csv.field_size_limit()
-                or (cells != width).any()):
+        if width < 4 or chars.max() > csv.field_size_limit() or (cells != width).any():
             return False
-        sep = self.delimiter
-        fields = sep.join(lines).split(sep)
+        fields = ",".join(lines).split(",")
         try:
-            time = np.fromiter(map(float, fields[self.it::width]), np.float64, n)
-            weight = np.fromiter(map(float, fields[self.iw::width]), np.float64, n)
+            time = np.fromiter(map(float, fields[3::width]), np.float64, n)
+            weight = np.fromiter(map(float, fields[2::width]), np.float64, n)
         except ValueError:
             return False
         if not (np.isfinite(time).all() and np.isfinite(weight).all()):
             return False
-        self.add(time, weight, fields[self.i_src::width], fields[self.i_dst::width])
-        self.lineno += n
+        self.add(time, weight, fields[0::width], fields[1::width])
         return True
 
 
@@ -270,34 +271,19 @@ def _raw_id_array(ids: list[str]) -> np.ndarray:
     return np.array(ids)
 
 
-def parse_csv(path, columns=DEFAULT_COLUMNS, delimiter=",", strict=False,
-              keep_self_loops=False) -> EventLog:
-    """Parse a signed temporal edge list into a dense, time-sorted log.
+def parse_csv(path) -> EventLog:
+    """Parse an edge list into a dense, time-sorted log, under the format
+    and filtering of the module docstring.
 
-    Rows with a missing, unparsable or non-finite timestamp or weight are
-    dropped (in strict mode they abort), zero weights are dropped (they
-    carry no sign), and self-loops are dropped unless requested.  Events are
-    stably sorted by time and raw node ids remapped to dense int32 ids in
-    order of first appearance.  A file that cannot be read or decoded, or
-    that names 2**31 nodes or more, is a ``DataError``.
-
-    Layout (see the module docstring): line 1 goes through the row loop,
-    so a header is skipped, and so does everything from the first line
-    that holds a quote character, so quoted delimiters and newlines keep
-    their csv meaning.  The lines between are read in chunks of about
-    ``_CHUNK_BYTES`` characters.  A chunk is parsed in bulk when all its
-    lines have the same delimiter count, at least the needed columns, none
-    longer than the csv field limit, and a finite time and weight; any
-    other chunk is halved and each half tried again, and runs of fewer than
-    ``_BULK_FLOOR`` lines that fail go through the row loop.  Either way
-    every value, skip count and line number is what a row-by-row read
-    gives.  The transient peak is ~120 bytes per event on a 200k-row file,
-    plus ~3 MB.
+    Events are stably sorted by time and raw node ids remapped to dense
+    int32 ids in order of first appearance.  A file that cannot be read or
+    decoded, that keeps no event, or that names 2**31 nodes or more, is a
+    ``DataError``.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset not found: {path}")
-    parsed = _Columns(path, columns, delimiter, strict)
+    parsed = _Columns()
     try:
         with _open_text(path) as fh:
             parsed.read(fh)
@@ -308,10 +294,9 @@ def parse_csv(path, columns=DEFAULT_COLUMNS, delimiter=",", strict=False,
     skipped = parsed.skipped
     drop = weight == 0.0
     skipped["zero_weight"] = int(np.count_nonzero(drop))
-    if not keep_self_loops:
-        loops = (src == dst) & ~drop
-        skipped["self_loop"] = int(np.count_nonzero(loops))
-        drop |= loops
+    loops = (src == dst) & ~drop
+    skipped["self_loop"] = int(np.count_nonzero(loops))
+    drop |= loops
     dropped = sum(skipped.values())
     if dropped:
         log.warning("%s: dropped %d rows (%s)", path.name, dropped,

@@ -476,18 +476,17 @@ def evaluate_sequential(bundle: ModelBundle, split: DatasetSplit, which: str = "
     )
 
 
-def run_ablation(base: TrainConfig, split: DatasetSplit | None = None,
-                 variants=AblationConfig.NAMES, which: str = "test"):
-    """Train and evaluate each variant under identical seeds and splits."""
-    if split is None:
-        split = load_dataset(base)
+def run_ablation(base: TrainConfig):
+    """Train each variant on ``base.dataset`` under identical seeds and
+    splits, and evaluate it on the test split."""
+    split = load_dataset(base)
     reports: dict[str, EvalReport] = {}
-    for name in variants:
+    for name in AblationConfig.NAMES:
         config = replace(base, ablation=AblationConfig.from_name(name))
         result = train(config, split=split)
         bundle = build_model(result.config)
         bundle.params.load_values(result.params.copy_values())
-        reports[name] = evaluate_sequential(bundle, split, which=which)
+        reports[name] = evaluate_sequential(bundle, split)
     return reports
 
 

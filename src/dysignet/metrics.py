@@ -18,10 +18,10 @@ def _validate_binary(scores, labels):
     return scores, labels
 
 
-def f1_binary(scores, labels, threshold: float = 0.5) -> float:
-    """F1 of the positive class at a probability threshold."""
+def f1_binary(scores, labels) -> float:
+    """F1 of the positive class at probability 0.5."""
     scores, labels = _validate_binary(scores, labels)
-    pred = scores >= threshold
+    pred = scores >= 0.5
     tp = float(np.sum(pred & (labels == 1)))
     fp = float(np.sum(pred & (labels == 0)))
     fn = float(np.sum(~pred & (labels == 1)))
@@ -105,11 +105,12 @@ def weight_histograms(actual, predicted):
     return bins, a_counts, p_counts
 
 
-def kl_divergence_hist(actual, predicted, smoothing: float = KL_SMOOTHING) -> float:
-    """KL(actual || predicted) over smoothed, renormalized integer histograms."""
+def kl_divergence_hist(actual, predicted) -> float:
+    """KL(actual || predicted) over integer histograms smoothed by
+    ``KL_SMOOTHING`` and renormalized."""
     _, a_counts, p_counts = weight_histograms(actual, predicted)
-    p = (a_counts + smoothing) / (a_counts.sum() + smoothing * a_counts.size)
-    q = (p_counts + smoothing) / (p_counts.sum() + smoothing * p_counts.size)
+    p = (a_counts + KL_SMOOTHING) / (a_counts.sum() + KL_SMOOTHING * a_counts.size)
+    q = (p_counts + KL_SMOOTHING) / (p_counts.sum() + KL_SMOOTHING * p_counts.size)
     return float(np.sum(p * np.log(p / q)))
 
 

@@ -20,6 +20,7 @@ from .tensor import Tensor
 
 CHECKPOINT_FORMAT = "dysignet-params"
 CHECKPOINT_VERSION = 1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class NumericError(RuntimeError):
@@ -141,12 +142,12 @@ class ParameterSet:
         return ps
 
 
-def adam_step(params: ParameterSet, grads, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+def adam_step(params: ParameterSet, grads, lr: float) -> None:
     """One in-place Adam update.  ``grads`` maps parameter tensor -> array."""
     params.step += 1
     t = params.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = grads.get(p)
         if g is None:
@@ -155,8 +156,8 @@ def adam_step(params: ParameterSet, grads, lr: float, beta1=0.9, beta2=0.999, ep
             raise NumericError(f"non-finite gradient for parameter {name!r}")
         m = params._m[name]
         v = params._v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

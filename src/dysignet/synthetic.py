@@ -15,8 +15,9 @@ from .events import EventLog
 
 
 def generate_balanced_stream(n_nodes: int = 500, n_events: int = 6000, seed: int = 0,
-                             magnitude: float = 1.0, major_fraction: float = 0.9):
-    """Returns (EventLog, factions) with factions in {-1, +1} per node.
+                             major_fraction: float = 0.9):
+    """Returns (EventLog, factions) with factions in {-1, +1} per node and
+    weights ±1.
 
     ``major_fraction`` controls the faction imbalance; real trust networks
     are strongly majority-positive, which corresponds to one dominant
@@ -34,6 +35,6 @@ def generate_balanced_stream(n_nodes: int = 500, n_events: int = 6000, seed: int
         v = int(rng.integers(n_nodes - 1))
         ends[i] = u, v + (v >= u)
     src, dst = ends.T.copy()
-    weight = factions[src] * factions[dst] * magnitude
+    weight = (factions[src] * factions[dst]).astype(np.float64)
     log = EventLog(np.arange(1.0, n_events + 1), src, dst, weight, n_nodes, np.arange(n_nodes))
     return log, factions

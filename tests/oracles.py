@@ -430,46 +430,36 @@ def negative_sample(events, universe, rng):
     return out
 
 
-def parse_rows(path, columns=("src", "dst", "weight", "time"), delimiter=",",
-               strict=False, keep_self_loops=False):
-    """Row-by-row parse of a signed edge list: returns (events, raw ids in
-    dense-id order as :func:`raw_id_array` types them, skip counts),
-    applying the filters one row at a time.  Raises ``DataError`` at the
-    first bad row in strict mode, and when no row survives."""
-    idx = {name: columns.index(name) for name in ("src", "dst", "weight", "time")}
-    needed = max(idx.values()) + 1
+def parse_rows(path):
+    """Row-by-row parse of a ``src,dst,weight,time`` edge list: returns
+    (events, raw ids in dense-id order as :func:`raw_id_array` types them,
+    skip counts), applying the filters one row at a time.  Raises
+    ``DataError`` when no row survives."""
     rows = []
     skipped = {"short": 0, "unparsable": 0, "nonfinite": 0, "zero_weight": 0,
                "self_loop": 0}
     with (gzip.open(path, "rt") if str(path).endswith(".gz") else open(path, "rt")) as fh:
-        for lineno, cells in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
+        for lineno, cells in enumerate(csv.reader(fh), start=1):
             if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue
-            if len(cells) < needed or any(not cells[idx[k]].strip() for k in ("time", "weight")):
-                if strict:
-                    raise DataError(f"{path}:{lineno}: missing fields")
+            if len(cells) < 4 or not cells[2].strip() or not cells[3].strip():
                 skipped["short"] += 1
                 continue
             try:
-                t = float(cells[idx["time"]])
-                w = float(cells[idx["weight"]])
+                w, t = float(cells[2]), float(cells[3])
             except ValueError:
                 if lineno == 1:
                     continue  # header row
-                if strict:
-                    raise DataError(f"{path}:{lineno}: unparsable row {cells!r}")
                 skipped["unparsable"] += 1
                 continue
             if not (math.isfinite(t) and math.isfinite(w)):
-                if strict:
-                    raise DataError(f"{path}:{lineno}: non-finite time or weight {cells!r}")
                 skipped["nonfinite"] += 1
                 continue
-            src_raw, dst_raw = cells[idx["src"]].strip(), cells[idx["dst"]].strip()
+            src_raw, dst_raw = cells[0].strip(), cells[1].strip()
             if w == 0.0:
                 skipped["zero_weight"] += 1
                 continue
-            if src_raw == dst_raw and not keep_self_loops:
+            if src_raw == dst_raw:
                 skipped["self_loop"] += 1
                 continue
             rows.append((t, src_raw, dst_raw, w))

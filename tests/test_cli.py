@@ -107,6 +107,14 @@ def test_stats_unreadable_dataset_exits_2(tmp_path, capsys, make):
     assert capsys.readouterr().err.startswith(f"data error: {path}: ")
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_that_cannot_be_a_directory_exits_1(dataset, tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("")
+    assert main(["stats", "--dataset", dataset, "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot make output directory {tmp_path / out}: "), err
+
+
 def _stats_run(path, out):
     """``(exit code, stdout, stderr)`` of ``dysignet stats`` on ``path``."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -119,7 +127,7 @@ def _stats_run(path, out):
 # which every example may share
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(content=st.one_of(edge_list_texts().map(lambda case: case[0].encode()), st.binary()),
+@given(content=st.one_of(edge_list_texts().map(str.encode), st.binary()),
        gz=st.booleans())
 def test_stats_on_any_file_exits_0_or_2(tmp_path_factory, content, gz):
     """Messy edge lists and random bytes, plain or gzip-named: the library

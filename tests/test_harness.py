@@ -405,12 +405,12 @@ def test_negatives_only_for_tasks_that_need_them(small_split):
             assert report.n_negative == report.n_real
 
 
-def test_run_ablation_structure():
+def test_run_ablation_structure(tmp_path):
     log, _ = generate_balanced_stream(n_nodes=20, n_events=160, seed=8)
-    split = chronological_split(log)
+    log.write_csv(tmp_path / "d.csv")
     base = tiny_config(task=TaskKind.SIGNED_EXISTENCE, batch_size=40,
-                       max_epochs=1, patience=1)
-    reports = run_ablation(base, split=split)
+                       max_epochs=1, patience=1, dataset=str(tmp_path / "d.csv"))
+    reports = run_ablation(base)
     assert list(reports) == ["none", "ba", "emb", "mem"]
     assert reports["emb"].embedding_source == "concatenated memories"
     assert reports["mem"].embedding_source == "attention over interaction time and magnitude"
