@@ -16,10 +16,12 @@ again under the trained ones.  One line per digest::
 where ``what`` is ``init-preds`` and ``init-snapshot`` (the untrained
 parameters' test ``Predictions``, dtypes included, and the warmed state's
 snapshot bytes), ``params`` (parameters with both Adam moments), ``loss``
-and ``val`` (the loss and validation traces), or ``preds`` and
-``snapshot`` (as the first two, under the trained parameters).  The
-``init-`` digests come from no-grad code alone, so they show whether two
-trees agree there even where training moves bits.  The package is
+and ``val`` (the loss and validation traces), ``preds`` and ``snapshot``
+(as the first two, under the trained parameters), or ``history`` (the
+``(neighbour, time, |w|)`` rows of ``state.history.values()`` after the
+trained warm; they depend on the events alone).  The ``init-`` digests
+come from no-grad code alone, so they show whether two trees agree there
+even where training moves bits.  The package is
 imported from ``src/`` of the tree this script is in.  Run it in each tree
 and compare::
 
@@ -76,7 +78,8 @@ def _eval_and_warm(bundle, split, tmp: Path) -> dict[str, str]:
             bundle.encoder.process_batch(batch, state)
     state.save(tmp / "state.snap")
     return {"preds": _digest(*(getattr(preds, f.name) for f in fields(preds))),
-            "snapshot": hashlib.sha256((tmp / "state.snap").read_bytes()).hexdigest()}
+            "snapshot": hashlib.sha256((tmp / "state.snap").read_bytes()).hexdigest(),
+            "history": hashlib.sha256(repr(state.history.values()).encode()).hexdigest()}
 
 
 def fingerprint(split, task, variant, args, tmp: Path) -> dict[str, str]:
@@ -85,7 +88,8 @@ def fingerprint(split, task, variant, args, tmp: Path) -> dict[str, str]:
         batch_size=args.batch_size, embedding_dim=64, memory_dim=32, heads=8,
         neighbor_cap=128, max_epochs=args.epochs, patience=args.epochs, seed=0)
     untrained = harness.build_model(harness.resolve_time_scale(config, split))
-    digests = {f"init-{what}": d for what, d in _eval_and_warm(untrained, split, tmp).items()}
+    digests = {f"init-{what}": d for what, d in _eval_and_warm(untrained, split, tmp).items()
+               if what != "history"}
     result = harness.train(config, split=split)
     bundle = harness.build_model(result.config)
     bundle.params.load_values(result.params.copy_values())

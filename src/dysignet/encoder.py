@@ -7,12 +7,12 @@ polarity.  Each polarity has its own message net and recurrent cell.
 Long-term embeddings attend over the node's full interaction history so
 representations keep moving even for nodes with no recent events.
 
-State layout (:class:`EncoderState`): a state is made with room for one
-pass, node ids below ``nodes`` and ``rows`` history rows (two per event),
-by the code that starts the pass.  Every array is allocated then, once,
-as zeros from ``np.zeros`` (calloc), so the pages of nodes and rows never
-written stay unmapped.  ``process_batch`` refuses a batch that does not
-fit the room before it touches any array.
+State layout (:class:`EncoderState`): a state is made for one pass over
+an event log, by the code that starts the pass, and ingests that log's
+events in order.  Every array is allocated then, once, for the log's
+node ids, as zeros from ``np.zeros`` (calloc), so the pages of nodes
+never written stay unmapped.  ``process_batch`` refuses a batch that is
+not the log's next events before it touches any array.
 
 - memory arrays: ``mem[node, slot]`` holds one polarity memory and
   ``last_update[node]`` the time of the node's last memory write; ``size``
@@ -24,28 +24,30 @@ fit the room before it touches any array.
   array also starts as calloc'd zeros).  A read under gradient is
   ``take_rows(fresh, fresh_row[...] - 1, mem[...])``, so gradients reach
   the batch that wrote a memory, and ``detach_`` only forgets the overlay;
-- linked history log (:class:`HistoryLog`): one append-only row per
-  (event, endpoint) with a pointer to the owner's previous row, so a
-  node's most recent rows are a walk back from its head; ``append``
-  writes into the room and never copies the log.
+- history (:class:`HistoryLog`): a view of the log, whose row ``2e + j``
+  is endpoint ``j`` of event ``e``.  One stable argsort of the pass's
+  endpoints lists each node's rows in order, and a per-node count, which
+  each batch advances, says how many of them are ingested, so a node's
+  most recent rows are a slice read by index, with no copy of the log.
 
-A snapshot (:meth:`EncoderState.save`, version 2) is these arrays as
-they are, after the line ``dysignet-encoder-state 2``: one ``np.save``
-record each of ``mem[:size]``, ``last_update``, the history's ``nbr``,
-``t``, ``mag`` and ``prev`` up to ``length`` and ``head`` and ``deg`` up to
-the last node with rows, then ``watermark`` and ``events_ingested``.  The
-overlay is not saved, and the history's int32 columns are saved as intp.
+A snapshot (:meth:`EncoderState.save`, version 3) is, after the line
+``dysignet-encoder-state 3``, one ``np.save`` record each of
+``mem[:size]``, ``last_update``, ``watermark``, ``events_ingested`` and the
+sha256 of the ingested events' columns.  The history is not saved: it is
+the log's, and :meth:`EncoderState.load` rebuilds it over a log that
+must begin with those events.  The overlay is not saved either.
 
 Dtypes: the model computes in ``tensor.DTYPE``, float32, so ``mem``, the
 fresh overlay and every activation are float32.  Times stay float64: the
-event log's ``time``, ``HistoryLog.t``, ``last_update`` and ``watermark``.
-Float32 spacing at 1.3e9 unix seconds is 128 s, which would erase
-minute-scale gaps, so a gap is taken in float64 and cast only once
-encoded (``_encode_dt``).  ``HistoryLog.mag`` keeps the log's float64
-weights.  A snapshot records ``mem`` in its own dtype (the ``.npy`` header
-says which), and ``load`` reads float32 or float64 and casts it.
+event log's ``time``, which the history reads, ``last_update`` and
+``watermark``.  Float32 spacing at 1.3e9 unix seconds is 128 s, which
+would erase minute-scale gaps, so a gap is taken in float64 and cast only
+once encoded (``_encode_dt``).  The history reads ``|w|`` from the log's
+float64 weights.  A snapshot records ``mem`` in its own dtype (the
+``.npy`` header says which), and ``load`` reads float32 or float64 and
+casts it.
 
-Signs: the message extra and the history magnitude column carry ``|w|``,
+Signs: the message extra and the history's magnitude column carry ``|w|``,
 so the sign acts only through balanced routing (which partner slot a
 message reads), and the sign-blind ``ba`` and ``mem`` variants never see
 it.  ``PAPER.md`` does not say whether the paper's message carries ``w``
@@ -88,7 +90,7 @@ mean of the value projection of ``[time gap, |w|]``.
 
 from __future__ import annotations
 
-import itertools
+import hashlib
 from enum import Enum
 from typing import Sequence
 
@@ -106,13 +108,12 @@ POS = 0
 NEG = 1
 
 STATE_FORMAT = "dysignet-encoder-state"
-STATE_VERSION = 2
-# the arrays of a version-2 snapshot, in file order, with the dtypes they
+STATE_VERSION = 3
+# the arrays of a version-3 snapshot, in file order, with the dtypes they
 # may have: mem is saved as tensor.DTYPE and read in either float width
-_F8, _IP = (np.dtype(np.float64),), (np.dtype(np.intp),)
-_SNAPSHOT = {"mem": (np.dtype(np.float32),) + _F8, "last_update": _F8, "nbr": _IP, "t": _F8,
-             "mag": _F8, "prev": _IP, "head": _IP, "deg": _IP, "watermark": _F8,
-             "events_ingested": _IP}
+_F8 = (np.dtype(np.float64),)
+_SNAPSHOT = {"mem": (np.dtype(np.float32),) + _F8, "last_update": _F8, "watermark": _F8,
+             "events_ingested": (np.dtype(np.intp),), "log_digest": (np.dtype(np.uint8),)}
 
 
 class AblationConfig(Enum):
@@ -153,48 +154,41 @@ AblationConfig.NAMES = tuple(AblationConfig.__members__)
 
 
 class HistoryLog:
-    """Every node's interaction history as one append-only log.
+    """Every node's interaction history, read from the event log of one pass.
 
-    Row ``i`` is an interaction with ``nbr[i]`` at time ``t[i]`` of
-    magnitude ``mag[i]``; ``prev[i]`` is the same owner's previous row (-1
-    before its first).  ``head[n]`` is node ``n``'s newest row and
-    ``deg[n]`` its row count.  The arrays have room for ``rows`` rows and
-    owner ids below ``nodes``, allocated here, and :meth:`append` writes
-    into that room, so it never copies them.  Ids, links and counts are
-    int32, as the event log's node ids are: both sizes stay below 2**31."""
+    Row ``2e + j`` is endpoint ``j`` of event ``e`` (0 the source, 1 the
+    destination): its owner is that endpoint, its neighbour the other one,
+    its time ``log.time[e]`` and its magnitude ``|log.weight[e]|``.  One
+    stable argsort of the owners, ``perm``, lists each node's rows in row
+    order, node ``n``'s from ``perm[offsets[n]]`` on.  The first ``events``
+    events are logged, and ``deg[n]`` counts node ``n``'s rows among them:
+    the first ``deg[n]`` of its run in ``perm``."""
 
-    def __init__(self, rows: int, nodes: int):
-        if max(rows, nodes) >= 2 ** 31:
-            raise ValueError(f"a history log holds < 2**31 rows and nodes, not {rows}, {nodes}")
-        self.length = 0
-        self.nbr = np.zeros(rows, dtype=np.int32)
-        self.t = np.zeros(rows)
-        self.mag = np.zeros(rows)
-        self.prev = np.zeros(rows, dtype=np.int32)
-        self.head = np.full(nodes, -1, dtype=np.int32)
-        self.deg = np.zeros(nodes, dtype=np.int32)
+    def __init__(self, log: EventLog):
+        self.log = log
+        self.events = 0
+        owners = np.stack([log.src, log.dst], axis=1).ravel()
+        # a stable argsort by owner, as numpy's faster unstable sort of the
+        # distinct (owner, row) keys; exact for fewer than 2**31 events
+        self.perm = owners.astype(np.int64) << 32 | np.arange(owners.size)
+        self.perm.sort()
+        self.perm &= 0xFFFFFFFF
+        counts = np.bincount(owners, minlength=log.node_count)
+        self.offsets = np.cumsum(counts) - counts
+        self.deg = np.zeros(log.node_count, dtype=np.int32)
 
-    def append(self, owners: np.ndarray, nbrs, times, mags) -> None:
-        """Log one row per owner, in the given order, into the room."""
-        start, end = self.length, self.length + owners.size
-        if end > self.nbr.size or owners.max() >= self.head.size:
-            raise ValueError(f"no room for the rows or their owners: the log holds "
-                             f"{self.nbr.size} rows of owners below {self.head.size}")
-        self.nbr[start:end], self.t[start:end], self.mag[start:end] = nbrs, times, mags
-        # link each row to its owner's previous row: the row before it in a
-        # stable sort by owner, or the owner's head for its first row here
-        order = np.argsort(owners, kind="stable")
-        owner = owners[order]
-        rows = start + order
-        first = np.r_[True, owner[1:] != owner[:-1]]
-        prev = np.r_[-1, rows[:-1]]
-        prev[first] = self.head[owner[first]]
-        self.prev[rows] = prev
-        last = np.r_[first[1:], True]
-        self.head[owner[last]] = rows[last]
-        # each owner's row count is the size of its group in the sort
-        self.deg[owner[first]] += np.diff(np.flatnonzero(first), append=owner.size)
-        self.length = end
+    def advance(self, n: int) -> None:
+        """Log the next ``n`` events."""
+        stop = self.events + n
+        for ends in (self.log.src, self.log.dst):
+            # an int32 one keeps np.add.at on its fast path
+            np.add.at(self.deg, ends[self.events:stop], np.int32(1))
+        self.events = stop
+
+    def read(self, rows: np.ndarray):
+        """(neighbour, time, ``|w|``) columns of history rows."""
+        e, log = rows >> 1, self.log
+        return np.where(rows & 1, log.src[e], log.dst[e]), log.time[e], np.abs(log.weight[e])
 
     def recent(self, nodes: np.ndarray, cap: int | None):
         """Each node's ``cap`` most recent rows (all of them for None),
@@ -203,10 +197,8 @@ class HistoryLog:
         ``order`` lists the positions in ``nodes`` of the nodes with rows,
         by row count descending (ties keep their order in ``nodes``), and
         block p of ``rows``, ``sizes[p]`` long, holds the p-th newest row of
-        each of the first ``sizes[p]`` nodes in ``order``.  The walk back
-        from the heads visits the rows in exactly this order: a step's
-        survivors are a prefix of the last step's.  Returns (order, sizes,
-        rows)."""
+        each of the first ``sizes[p]`` nodes in ``order``.  Returns (order,
+        sizes, rows)."""
         counts = self.deg[nodes]
         if cap is not None:
             np.minimum(counts, cap, out=counts)
@@ -214,50 +206,42 @@ class HistoryLog:
         order = live[np.argsort(-counts[live], kind="stable")]
         # sizes[p] = how many nodes have more than p rows
         sizes = order.size - np.cumsum(np.bincount(counts[order]))[:-1]
-        starts = np.cumsum(sizes) - sizes
-        rows = np.empty(sizes.sum(), dtype=np.intp)
-        rows[:order.size] = self.head[nodes[order]]
-        for a, b, m in zip(starts[:-1].tolist(), starts[1:].tolist(), sizes[1:].tolist()):
-            rows[b:b + m] = self.prev[rows[a:a + m]]
-        return order, sizes, rows
-
-    def columns(self) -> list[np.ndarray]:
-        """``nbr``, ``t``, ``mag`` and ``prev`` up to ``length``, then ``head``
-        and ``deg`` up to the last node with rows."""
-        live = np.flatnonzero(self.deg)
-        nodes = live[-1] + 1 if live.size else 0
-        return ([a[:self.length] for a in (self.nbr, self.t, self.mag, self.prev)]
-                + [self.head[:nodes], self.deg[:nodes]])
-
-    def tuples(self, rows: np.ndarray) -> list[tuple[int, float, float]]:
-        return list(zip(self.nbr[rows].tolist(), self.t[rows].tolist(),
-                        self.mag[rows].tolist()))
-
-    def items(self) -> list[tuple[int, list[tuple[int, float, float]]]]:
-        """(node, time-ordered rows) for every node with history."""
-        nodes = np.flatnonzero(self.deg)
-        order, sizes, rows = self.recent(nodes, None)
-        ends = np.cumsum(sizes)
-        owner = order[np.arange(rows.size) - np.repeat(ends - sizes, sizes)]
-        # reversed, the packed rows run oldest first per node; a stable
-        # sort by owner then groups them node by node
-        flat = self.tuples(rows[::-1][np.argsort(owner[::-1], kind="stable")])
-        counts = self.deg[nodes].tolist()
-        return [(n, flat[e - c:e])
-                for n, c, e in zip(nodes.tolist(), counts, itertools.accumulate(counts))]
+        # the p-th newest row of a node is deg - 1 - p into its run of perm
+        p = np.repeat(np.arange(sizes.size), sizes)
+        k = np.arange(p.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        newest = (self.offsets[nodes] + self.deg[nodes] - 1)[order]
+        return order, sizes, self.perm[newest[k] - p]
 
     def values(self) -> list[list[tuple[int, float, float]]]:
-        return [rows for _, rows in self.items()]
+        """Each node's logged rows as (neighbour, time, ``|w|``), oldest
+        first, for every node with history, by node id."""
+        nodes = np.flatnonzero(self.deg)
+        counts = self.deg[nodes]
+        ends = np.cumsum(counts)
+        # entry i of the flat list is entry i - (end - count) of its node's run
+        at = np.arange(counts.sum()) + np.repeat(self.offsets[nodes] - (ends - counts), counts)
+        flat = list(zip(*(a.tolist() for a in self.read(self.perm[at]))))
+        return [flat[e - c:e] for c, e in zip(counts.tolist(), ends.tolist())]
+
+
+def _log_digest(log: EventLog, events: int) -> np.ndarray:
+    """The sha256 of the first ``events`` events' columns, as 32 bytes."""
+    h = hashlib.sha256()
+    for column, dtype in (log.time, "<f8"), (log.src, "<i8"), (log.dst, "<i8"), (log.weight, "<f8"):
+        h.update(column[:events].astype(dtype).tobytes())
+    return np.frombuffer(h.digest(), dtype=np.uint8)
 
 
 class EncoderState:
-    """Mutable per-stream state: memories, histories, last-update times,
-    shaped by ``config``, the run's :class:`~dysignet.harness.TrainConfig`.
-    Its arrays are allocated here with room for node ids below ``nodes``
-    and for ``rows`` history rows, and never grow."""
+    """Mutable state of one pass over ``log``: memories, last-update times
+    and the history, shaped by ``config``, the run's
+    :class:`~dysignet.harness.TrainConfig`.  Its arrays are allocated here
+    for the log's node ids and never grow, and it ingests the log's events
+    in order."""
 
-    def __init__(self, config, nodes: int, rows: int):
+    def __init__(self, config, log: EventLog):
         self.config = config
+        nodes = log.node_count
         slots = config.slot_count if config.ablation.use_memory else 0
         self.size = 0
         self.mem = np.zeros((nodes, slots, config.slot_dim), dtype=tensor.DTYPE)
@@ -265,9 +249,13 @@ class EncoderState:
         self._fresh: Tensor | None = None
         self._fresh_row = np.zeros((nodes, slots), dtype=np.int32)
         self._fresh_nodes: list[np.ndarray] = []
-        self.history = HistoryLog(rows, nodes)
+        self.history = HistoryLog(log)
         self.watermark = 0.0
-        self.events_ingested = 0
+
+    @property
+    def events_ingested(self) -> int:
+        """How many of the log's events the state has ingested."""
+        return self.history.events
 
     @property
     def last_update(self) -> np.ndarray:
@@ -312,24 +300,26 @@ class EncoderState:
 
     def clear(self) -> None:
         """Drop everything ingested, arrays included: the state is new again,
-        with no room."""
-        self.__init__(self.config, 0, 0)
+        over a log of no events and no nodes."""
+        empty = self.history.log.slice(0, 0)
+        empty.node_count = 0
+        self.__init__(self.config, empty)
 
     def save(self, path) -> None:
-        """Write the state's arrays as they are (layout in the module docstring)."""
+        """Write the state's arrays (layout in the module docstring)."""
         with open(path, "wb") as fh:
             fh.write(f"{STATE_FORMAT} {STATE_VERSION}\n".encode())
-            for a in (self.mem[:self.size], self.last_update, *self.history.columns(),
-                      np.float64(self.watermark), np.intp(self.events_ingested)):
-                np.save(fh, a.astype(np.intp) if a.dtype == np.int32 else a, allow_pickle=False)
+            for a in (self.mem[:self.size], self.last_update, np.float64(self.watermark),
+                      np.intp(self.events_ingested),
+                      _log_digest(self.history.log, self.events_ingested)):
+                np.save(fh, a, allow_pickle=False)
 
     @classmethod
-    def load(cls, path, config, nodes: int = 0, rows: int = 0) -> "EncoderState":
-        """Read a version-2 snapshot into a state with room for node ids
-        below ``nodes`` and for ``rows`` history rows, or for no more than
-        the snapshot holds.  Raises ValueError naming ``path`` unless its
-        arrays fit ``config`` and each other, are finite, and link history
-        rows inside the log."""
+    def load(cls, path, config, log: EventLog) -> "EncoderState":
+        """Read a version-3 snapshot into a state over ``log``.  Raises
+        ValueError naming ``path`` unless its arrays fit ``config``, ``log``
+        and each other and are finite, and ``log`` begins with the events
+        the saved state ingested."""
         slots = config.slot_count if config.ablation.use_memory else 0
         with open(path, "rb") as fh:
             tag = fh.readline()
@@ -339,44 +329,30 @@ class EncoderState:
                 if tag != f"{STATE_FORMAT} {STATE_VERSION}\n".encode():
                     raise ValueError("unsupported snapshot version")
                 arrays = [np.load(fh, allow_pickle=False) for _ in _SNAPSHOT]
-                mem, last, nbr, t, mag, prev, head, deg, watermark, ingested = arrays
+                mem, last, watermark, ingested, digest = arrays
                 if mem.ndim == 3 and mem.shape[2] != config.slot_dim:
                     raise ValueError(f"slot dim {mem.shape[2]} != {config.slot_dim}")
-                n, logged, owners = (a.shape[:1] for a in (mem, nbr, head))
-                if ([a.shape for a in arrays] != [n + (slots, config.slot_dim), n, *[logged] * 4,
-                                                  owners, owners, (), ()]
+                n = mem.shape[:1]
+                if ([a.shape for a in arrays] != [n + (slots, config.slot_dim), n, (), (), (32,)]
                         or any(a.dtype not in dtypes
-                               for a, dtypes in zip(arrays, _SNAPSHOT.values()))):
-                    raise ValueError("arrays do not fit the config or each other")
+                               for a, dtypes in zip(arrays, _SNAPSHOT.values()))
+                        or len(mem) > log.node_count):
+                    raise ValueError("arrays do not fit the config, the log or each other")
                 with np.errstate(over="ignore"):   # overflow fails the check below
                     mem = mem.astype(tensor.DTYPE)
-                if not all(np.isfinite(a).all() for a in (mem, last, t, mag, watermark)):
+                if not all(np.isfinite(a).all() for a in (mem, last, watermark)):
                     raise ValueError("non-finite values")
-                links, ids = np.concatenate([prev, head]), np.concatenate([nbr, deg])
-                if (links < -1).any() or (links >= nbr.size).any() or (ids < 0).any():
-                    raise ValueError(f"history links outside [-1, {nbr.size}) "
-                                     f"or negative node ids or counts")
-                # checked before the walk, whose time grows with the claimed counts;
-                # no count above the row count keeps the sum from wrapping around
-                if (deg > nbr.size).any() or deg.sum() != nbr.size:
-                    raise ValueError(f"history row counts do not sum to the log's "
-                                     f"{nbr.size} rows")
-                if (nbr >= head.size).any():   # each neighbour also owns rows
-                    raise ValueError(f"history neighbours outside the log's {head.size} owners")
-                state = cls(config, max(nodes, len(mem), head.size), max(rows, nbr.size))
-                h = state.history
-                h.length = nbr.size
-                for room, a in zip((h.nbr, h.t, h.mag, h.prev, h.head, h.deg), arrays[2:8]):
-                    room[:a.size] = a
-                # walking deg[n] rows back from each head stays on rows and visits each once
-                walked = h.recent(np.flatnonzero(deg), None)[2]
-                if (walked < 0).any() or np.unique(walked).size != nbr.size:
-                    raise ValueError("history row counts disagree with the links")
+                if not 0 <= ingested <= len(log):
+                    raise ValueError(f"{ingested} events ingested, but the log has {len(log)}")
+                if not np.array_equal(digest, _log_digest(log, int(ingested))):
+                    raise ValueError(f"saved over another log: its first {ingested} events differ")
             except (ValueError, KeyError, TypeError, IndexError, AttributeError, EOFError) as exc:
                 raise ValueError(f"{path}: bad snapshot: {exc}") from None
+        state = cls(config, log)
         state.size = len(mem)
         state.mem[:len(mem)], state._last_update[:len(mem)] = mem, last
-        state.watermark, state.events_ingested = float(watermark), int(ingested)
+        state.watermark = float(watermark)
+        state.history.advance(int(ingested))
         return state
 
 
@@ -424,9 +400,10 @@ class EncoderModel:
     # message generation and memory update
 
     def process_batch(self, batch: EventLog, state: EncoderState) -> None:
-        """Ingest one temporal batch: generate, aggregate, update, then log
-        the events into the history.  Predictions for a batch must be made
-        by the caller before ingesting it."""
+        """Ingest one temporal batch, the next events of the state's log:
+        generate, aggregate, update, then log the events into the history.
+        Predictions for a batch must be made by the caller before ingesting
+        it."""
         if not len(batch):
             return
         start, end = batch.time_span()
@@ -435,22 +412,22 @@ class EncoderModel:
                 f"out-of-order batch: starts at {start} before "
                 f"already-ingested time {state.watermark}")
         hist = state.history
-        if (max(batch.src.max(), batch.dst.max()) >= hist.head.size
-                or hist.length + 2 * len(batch) > hist.nbr.size):
-            raise ValueError(f"batch does not fit the state's room of {hist.head.size} "
-                             f"nodes and {hist.nbr.size} history rows")
+        logged = hist.log.slice(hist.events, hist.events + len(batch))
+        if not all(np.array_equal(getattr(batch, c), getattr(logged, c))
+                   for c in ("time", "src", "dst", "weight")):
+            raise ValueError(f"the batch is not the next {len(batch)} events of the state's log: "
+                             f"{hist.events} of its {len(hist.log)} are ingested")
+        if self.config.ablation.use_memory:
+            self._ingest_memory(batch, state)
+        hist.advance(len(batch))
+        state.watermark = max(state.watermark, end)
+
+    def _ingest_memory(self, batch: EventLog, state: EncoderState) -> None:
         # one row per endpoint, (src -> dst, dst -> src) for each event, as
         # intp once here so that no index below pays a cast
         ends = np.stack([batch.src, batch.dst], axis=1, dtype=np.intp)
         owner, partner = ends.ravel(), ends[:, ::-1].ravel()
         time, weight = np.repeat(batch.time, 2), np.repeat(batch.weight, 2)
-        if self.config.ablation.use_memory:
-            self._ingest_memory(owner, partner, time, weight, state)
-        state.history.append(owner, partner, time, np.abs(weight))
-        state.watermark = max(state.watermark, end)
-        state.events_ingested += len(batch)
-
-    def _ingest_memory(self, owner, partner, time, weight, state: EncoderState) -> None:
         if (weight == 0.0).any():
             raise ValueError("signed events must have non-zero weight")
         # Keep only the winning (most recent) endpoint row per node before
@@ -498,12 +475,12 @@ class EncoderModel:
         hq = self._node_state_matrix(ids, state)
         if not self.config.ablation.use_embedding_layer:
             return hq, index
-        hist = state.history
-        order, sizes, rows = hist.recent(ids, self.config.neighbor_cap)
-        uniq, inv = np.unique(hist.nbr[rows], return_inverse=True)
+        order, sizes, rows = state.history.recent(ids, self.config.neighbor_cap)
+        nbr, times, mags = state.history.read(rows)
+        uniq, inv = np.unique(nbr, return_inverse=True)
         extras = np.empty((rows.size, 2), dtype=tensor.DTYPE)  # cast once, no float64 copy
-        extras[:, 0] = _encode_dt(self.config, t - hist.t[rows])
-        extras[:, 1] = hist.mag[rows]
+        extras[:, 0] = _encode_dt(self.config, t - times)
+        extras[:, 1] = mags
         out, _ = self.attn.apply(hq, self._node_state_matrix(uniq, state), inv, extras,
                                  order, sizes)
         return out, index

@@ -25,11 +25,13 @@ arrays.  The emptied object lives until the next epoch replaces it, so
 states are made and freed in the same order as when the full state lived
 that long: a state freed before validation hands its id to a later state
 more often, which mixes up any caller that keys records by
-``id(state)``.  Each pass sizes its state from the events it will ingest
+``id(state)``.  Each pass makes its state over the events it will ingest
 (:meth:`ModelBundle.new_state`): the train split, or everything up to
-the end of the evaluated split.  So a state's memories and history are
-allocated once and never grow.  The negative-sampling pool of seen node
-ids is built only for tasks that sample negatives.
+the end of the evaluated split.  So a state's memories are allocated
+once and never grow, and its history is a view of those events: one
+argsort of their endpoints and a row count per node.  The
+negative-sampling pool of seen node ids is built only for tasks that
+sample negatives.
 """
 
 from __future__ import annotations
@@ -143,9 +145,8 @@ class ModelBundle:
     decoder: PairDecoder
 
     def new_state(self, log: EventLog) -> EncoderState:
-        """A state with room for a pass over ``log``: its node ids and two
-        history rows per event."""
-        return EncoderState(self.config, log.node_count, 2 * len(log))
+        """A state for a pass over ``log``."""
+        return EncoderState(self.config, log)
 
 
 def build_model(config: TrainConfig) -> ModelBundle:

@@ -392,8 +392,9 @@ def segment_attention(queries, table, index, extra, ws, wq, wk, wv, order, sizes
     backward ``g_q`` sum) is then at most ``len(sizes)`` in-place adds onto
     a shrinking contiguous prefix, and sums run block by block: newest
     first and sequential when block p holds the p-th newest rows, as
-    ``HistoryLog.recent`` lays them out.  That order differs from a
-    segment-major reduction, so values move in the last bits.
+    ``HistoryLog.recent`` lays out a history it reads from the event log.
+    That order differs from a segment-major reduction, so values move in
+    the last bits.
 
     The extra columns enter through per-query projections: for column c,
     ``q · wk_c`` per query and head scales ``extra[:, c]`` into the

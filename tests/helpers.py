@@ -1,5 +1,8 @@
-"""Shared test utilities: finite-difference oracles, tiny model configs and
-messy edge-list files."""
+"""Shared test utilities: finite-difference oracles, tiny model configs,
+event logs from rows and messy edge-list files.  A state ingests only the
+next events of the log it was made over, so a test builds that log from
+every batch it will ingest (:func:`log_of`) and may pass each batch as a
+log of its own rows."""
 
 from contextlib import contextmanager
 

@@ -200,9 +200,21 @@ def memory_value(state, node: int, slot: int) -> np.ndarray:
 
 
 def node_history(state, node: int) -> list[tuple[int, float, float]]:
-    """The node's most recent ``neighbor_cap`` history rows, oldest first."""
+    """The node's most recent ``neighbor_cap`` history rows as the state's
+    view reads them, oldest first."""
     _, _, rows = state.history.recent(np.array([node]), state.config.neighbor_cap)
-    return state.history.tuples(rows[::-1])
+    return list(zip(*(a.tolist() for a in state.history.read(rows[::-1]))))
+
+
+def histories(events) -> dict[int, list[tuple[int, float, float]]]:
+    """Each node's history rows as ``(neighbour, time, |w|)``, oldest
+    first, built event by event: the source's row, then the
+    destination's."""
+    rows: dict[int, list[tuple[int, float, float]]] = {}
+    for ev in events:
+        for a, b in ((ev.src, ev.dst), (ev.dst, ev.src)):
+            rows.setdefault(a, []).append((b, ev.time, abs(ev.weight)))
+    return rows
 
 
 def memory_tensor(state, node: int, slot: int) -> Tensor:
@@ -281,11 +293,11 @@ class Provenance:
 
 
 def trace_provenance(encoder, events, state) -> dict:
-    """Ingest ``events`` one at a time along the reference path and return
-    (node, slot) -> :class:`Provenance` of its last update, built from the
-    ``sources`` each message records.  Every record of an event links to
-    the records from before that event, as its messages read pre-event
-    memories."""
+    """Ingest ``events``, the next ones of the state's log, one at a time
+    along the reference path and return (node, slot) -> :class:`Provenance`
+    of its last update, built from the ``sources`` each message records.
+    Every record of an event links to the records from before that event,
+    as its messages read pre-event memories."""
     provenance: dict[tuple[int, int], Provenance] = {}
     for ev in events:
         aggregated = aggregate_messages(generate_messages(encoder, ev, state))
@@ -294,28 +306,20 @@ def trace_provenance(encoder, events, state) -> dict:
                             provenance.get(key))
             for key, m in aggregated.items()})
         update_memories(encoder, aggregated, state)
-        log_history(state, [ev])
+        state.history.advance(1)
         state.watermark = ev.time
     return provenance
 
 
 def ingest_taped(encoder, events, state) -> None:
-    """Ingest one batch along the reference path with every winner's
-    memory update recorded for gradient at once: every message reads
-    pre-batch memories, the latest per (node, polarity) wins, and its cell
-    step is written with its tape."""
+    """Ingest one batch, the next events of the state's log, along the
+    reference path with every winner's memory update recorded for gradient
+    at once: every message reads pre-batch memories, the latest per (node,
+    polarity) wins, and its cell step is written with its tape."""
     messages = [m for ev in events for m in generate_messages(encoder, ev, state)]
     update_memories(encoder, aggregate_messages(messages), state)
-    log_history(state, events)
+    state.history.advance(len(events))
     state.watermark = max(ev.time for ev in events)
-
-
-def log_history(state, events) -> None:
-    """Append each event to both endpoints' histories, source first, into
-    the state's room."""
-    for ev in events:
-        for a, b in ((ev.src, ev.dst), (ev.dst, ev.src)):
-            state.history.append(np.array([a]), [b], [ev.time], [abs(ev.weight)])
 
 
 def node_state(encoder, node: int, state) -> np.ndarray:

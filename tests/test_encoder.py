@@ -18,8 +18,8 @@ from oracles import (
     compute_embedding,
     feedforward,
     generate_messages,
+    histories,
     ingest_taped,
-    log_history,
     memory_value,
     node_history,
     route_event,
@@ -35,16 +35,29 @@ def make_encoder(ablation="none", seed=0, **overrides):
     return bundle.encoder, bundle.params, config
 
 
-# room for every stream these tests ingest: node ids below 64, 256 history rows
-ROOM = (64, 256)
+# the node count of every log these tests make, so that a query may name
+# a node that no event has
+NODES = 64
 
 
-def seeded_state(encoder, events, seed=0):
-    """State with distinguishable (non-zero) memories: ingest a warmup batch."""
-    state = EncoderState(encoder.config, *ROOM)
+def state_over(encoder, *batches):
+    """A new state for one pass over ``batches``, lists of events, in order."""
+    return EncoderState(encoder.config, log_of([ev for b in batches for ev in b], NODES))
+
+
+def seeded_state(encoder, events, *later):
+    """State with distinguishable (non-zero) memories over ``events`` and
+    then the batches ``later``: ingest ``events`` as a warmup batch."""
+    state = state_over(encoder, events, *later)
     if events:
         encoder.process_batch(log_of(events), state)
     return state
+
+
+def logged(events) -> list[list[tuple[int, float, float]]]:
+    """The history rows of ``events`` per node, by node id, as
+    ``HistoryLog.values`` lists them."""
+    return [rows for _, rows in sorted(histories(events).items())]
 
 
 def _ev(t, u, v, w):
@@ -208,10 +221,10 @@ def test_most_recent_aggregation_property(seed):
 
 def test_untouched_node_absent_and_memory_unchanged():
     enc, _, _ = make_encoder()
-    warm = [_ev(1, 0, 1, 1), _ev(2, 2, 3, -1)]
-    state = seeded_state(enc, warm)
+    warm, later = [_ev(1, 0, 1, 1), _ev(2, 2, 3, -1)], [_ev(5.0, 0, 1, 1.0)]
+    state = seeded_state(enc, warm, later)
     before = memory_value(state, 2, POS)
-    enc.process_batch(log_of([_ev(5.0, 0, 1, 1.0)]), state)
+    enc.process_batch(log_of(later), state)
     assert np.array_equal(memory_value(state, 2, POS), before)
 
 
@@ -236,11 +249,12 @@ def test_polarity_isolation_property(seed):
     enc, _, _ = make_encoder(seed=int(rng.integers(1000)))
     warm = [_ev(t + 1, int(rng.integers(4)), 4 + int(rng.integers(4)),
                 float(rng.choice([-1, 1]))) for t in range(5)]
-    state = seeded_state(enc, warm)
     u, v = 0, 4 + int(rng.integers(4))
+    event = [_ev(9.0, u, v, float(rng.choice([-3, 2])))]
+    state = seeded_state(enc, warm, event)
     others = [n for n in range(8) if n not in (u, v)]
     before = {(n, s): memory_value(state, n, s) for n in others for s in (POS, NEG)}
-    enc.process_batch(log_of([_ev(9.0, u, v, float(rng.choice([-3, 2])))]), state)
+    enc.process_batch(log_of(event), state)
     for key, val in before.items():
         assert np.array_equal(memory_value(state, *key), val)
 
@@ -250,8 +264,9 @@ def test_zero_cell_parameters_keep_memory_zero():
     for name in params.names():
         if ".mem_" in name:
             params[name].data[...] = 0.0
-    state = seeded_state(enc, [])
-    enc.process_batch(log_of([_ev(1, 0, 1, 5), _ev(2, 0, 2, -7)]), state)
+    batch = [_ev(1, 0, 1, 5), _ev(2, 0, 2, -7)]
+    state = seeded_state(enc, [], batch)
+    enc.process_batch(log_of(batch), state)
     for slot in (POS, NEG):
         assert np.array_equal(memory_value(state, 0, slot), np.zeros(4))
 
@@ -259,15 +274,14 @@ def test_zero_cell_parameters_keep_memory_zero():
 def test_single_event_batch_equals_reference_ops():
     enc, _, _ = make_encoder(seed=4)
     warm = [_ev(1, 0, 1, 1), _ev(2, 1, 2, -1)]
-    fast = seeded_state(enc, warm)
-    ref = seeded_state(enc, warm)
     event = _ev(6.0, 0, 2, -2.0)
+    fast = seeded_state(enc, warm, [event])
+    ref = seeded_state(enc, warm, [event])
 
     enc.process_batch(log_of([event]), fast)
 
     msgs = generate_messages(enc, event, ref)
     update_memories(enc, aggregate_messages(msgs), ref)
-    log_history(ref, [event])
     ref.watermark = 6.0
 
     for n in (0, 1, 2):
@@ -275,7 +289,7 @@ def test_single_event_batch_equals_reference_ops():
             assert np.allclose(memory_value(fast, n, slot), memory_value(ref, n, slot),
                                atol=1e-15)
     assert np.array_equal(fast.last_update, ref.last_update)
-    assert fast.history.items() == ref.history.items()
+    assert fast.history.values() == logged(warm + [event])
 
 
 def test_batch_path_equals_reference_path_on_random_batch():
@@ -283,10 +297,10 @@ def test_batch_path_equals_reference_path_on_random_batch():
     rng = np.random.default_rng(7)
     warm = [_ev(t + 1, int(rng.integers(4)), 4 + int(rng.integers(4)),
                 float(rng.choice([-2, 1]))) for t in range(8)]
-    fast = seeded_state(enc, warm)
-    ref = seeded_state(enc, warm)
     batch = [_ev(20 + t, int(rng.integers(4)), 4 + int(rng.integers(4)),
                  float(rng.choice([-1, 3]))) for t in range(6)]
+    fast = seeded_state(enc, warm, batch)
+    ref = seeded_state(enc, warm, batch)
 
     enc.process_batch(log_of(batch), fast)
 
@@ -294,7 +308,6 @@ def test_batch_path_equals_reference_path_on_random_batch():
     for ev in batch:
         msgs.extend(generate_messages(enc, ev, ref))
     update_memories(enc, aggregate_messages(msgs), ref)
-    log_history(ref, batch)
     ref.watermark = batch[-1].time
 
     for n in range(8):
@@ -306,19 +319,18 @@ def test_batch_path_equals_reference_path_on_random_batch():
 def test_two_batches_differ_from_one_batch():
     # a node active in both halves gets two cell steps instead of one
     enc, _, _ = make_encoder(seed=8)
-    one = seeded_state(enc, [])
-    two = seeded_state(enc, [])
     e1, e2 = _ev(1.0, 0, 1, 1.0), _ev(2.0, 0, 2, 1.0)
+    one = state_over(enc, [e1, e2])
+    two = state_over(enc, [e1], [e2])
     enc.process_batch(log_of([e1, e2]), one)
     enc.process_batch(log_of([e1]), two)
     enc.process_batch(log_of([e2]), two)
     assert not np.allclose(memory_value(one, 0, POS), memory_value(two, 0, POS))
 
     # the two-step result equals explicit sequential reference processing
-    ref = seeded_state(enc, [])
+    ref = state_over(enc, [e1], [e2])
     for ev in (e1, e2):
         update_memories(enc, aggregate_messages(generate_messages(enc, ev, ref)), ref)
-        log_history(ref, [ev])
         ref.watermark = ev.time
     assert np.allclose(memory_value(two, 0, POS), memory_value(ref, 0, POS), atol=1e-15)
 
@@ -343,36 +355,35 @@ def _streams(draw):
        st.integers(0, 1000))
 def test_array_state_equals_per_event_oracle_state(batches, ablation, cap, seed):
     enc, _, _ = make_encoder(ablation=ablation, seed=seed, neighbor_cap=cap)
-    fast = EncoderState(enc.config, *ROOM)
-    ref = EncoderState(enc.config, *ROOM)
-    rows = {n: [] for n in range(7)}   # plain per-node history lists
+    fast, ref = state_over(enc, *batches), state_over(enc, *batches)
+    done = []
     for batch in batches:
         enc.process_batch(log_of(batch), fast)
         msgs = [m for ev in batch for m in generate_messages(enc, ev, ref)]
         update_memories(enc, aggregate_messages(msgs), ref)
-        log_history(ref, batch)
-        for ev in batch:
-            rows[ev.src].append((ev.dst, ev.time, abs(ev.weight)))
-            rows[ev.dst].append((ev.src, ev.time, abs(ev.weight)))
-    for n in range(7):
-        for slot in range(enc.config.slot_count):
-            assert np.abs(memory_value(fast, n, slot) - memory_value(ref, n, slot)).max() <= 1e-12
-        expected = rows[n] if cap is None else rows[n][-cap:]
-        assert node_history(fast, n) == node_history(ref, n) == expected
+        done += batch
+        rows = histories(done)
+        for n in range(7):
+            for slot in range(enc.config.slot_count):
+                gap = memory_value(fast, n, slot) - memory_value(ref, n, slot)
+                assert np.abs(gap).max() <= 1e-12
+            expected = rows.get(n, [])
+            assert node_history(fast, n) == (expected if cap is None else expected[-cap:])
     assert np.array_equal(fast.last_update_at(np.arange(7)), ref.last_update_at(np.arange(7)))
 
 
 def test_out_of_order_batch_rejected():
     enc, _, _ = make_encoder()
-    state = seeded_state(enc, [_ev(5, 0, 1, 1)])
-    with pytest.raises(ValueError):
+    state = seeded_state(enc, [_ev(5, 0, 1, 1)], [_ev(3.0, 1, 2, 1.0)])
+    with pytest.raises(ValueError, match="out-of-order"):
         enc.process_batch(log_of([_ev(3.0, 1, 2, 1.0)]), state)
 
 
 def test_last_update_tracks_most_recent_contribution():
     enc, _, _ = make_encoder()
-    state = seeded_state(enc, [])
-    enc.process_batch(log_of([_ev(1, 0, 1, 1), _ev(4, 0, 2, -1), _ev(9, 1, 2, 1)]), state)
+    batch = [_ev(1, 0, 1, 1), _ev(4, 0, 2, -1), _ev(9, 1, 2, 1)]
+    state = seeded_state(enc, [], batch)
+    enc.process_batch(log_of(batch), state)
     assert state.last_update[0] == 4.0
     assert state.last_update[1] == 9.0
     assert state.last_update[2] == 9.0
@@ -385,7 +396,7 @@ def test_higher_order_balance_provenance_chain():
     # plus memory, which had consumed node 2's plus memory
     enc, _, _ = make_encoder()
     events = [_ev(1.0, 1, 2, 1.0), _ev(2.0, 1, 3, -1.0)]
-    ref = EncoderState(enc.config, *ROOM)
+    ref = state_over(enc, events)
     provenance = trace_provenance(enc, events, ref)
     rec = provenance[(3, NEG)]
     assert rec.source == (1, POS)
@@ -393,7 +404,7 @@ def test_higher_order_balance_provenance_chain():
     assert rec.source_record.source == (2, POS)
     assert rec.prev_self is None and rec.source_record.prev_self is None
     # the traced reference reaches the memories the batched path computes
-    state = EncoderState(enc.config, *ROOM)
+    state = state_over(enc, events)
     for ev in events:
         enc.process_batch(log_of([ev]), state)
     for slot in (POS, NEG):
@@ -466,7 +477,7 @@ def test_embedding_reads_each_distinct_neighbour_once(monkeypatch):
     state = seeded_state(enc, warm)
     nodes = list(range(8))
     _, _, rows = state.history.recent(np.array(nodes), enc.config.neighbor_cap)
-    distinct = len(np.unique(state.history.nbr[rows]))
+    distinct = len(np.unique(state.history.read(rows)[0]))
     assert distinct < rows.size   # neighbours repeat across history rows
     reads = []
     read = state.read_memory
@@ -499,10 +510,11 @@ def test_embedding_empty_history_property(seed):
 
 def test_staleness_mitigation_neighbor_activity_moves_embedding():
     enc, _, _ = make_encoder(seed=14)
-    state = seeded_state(enc, [_ev(1.0, 0, 1, 1.0)])
+    later = [_ev(10.0, 0, 2, -1.0)]   # node 1 not involved
+    state = seeded_state(enc, [_ev(1.0, 0, 1, 1.0)], later)
     z_before = embed(enc, 1, 10.0, state)
     s_before = memory_value(state, 1, POS)
-    enc.process_batch(log_of([_ev(10.0, 0, 2, -1.0)]), state)  # node 1 not involved
+    enc.process_batch(log_of(later), state)
     z_after = embed(enc, 1, 10.0, state)
     assert np.array_equal(memory_value(state, 1, POS), s_before)
     assert not np.allclose(z_before, z_after)
@@ -616,7 +628,7 @@ def _check_chained_memory_gradients():
     w = rng.normal(size=(5, enc.config.embedding_dim))
 
     def grads():
-        state = EncoderState(enc.config, *ROOM)
+        state = state_over(enc, *batches)
         for batch in batches:
             enc.process_batch(log_of(batch), state)
         z, _ = enc.compute_embeddings(list(range(5)), 30.0, state)
@@ -640,10 +652,10 @@ def test_stream_determinism_bitwise():
     def run():
         enc, _, _ = make_encoder(seed=19)
         rng = np.random.default_rng(20)
-        state = seeded_state(enc, [])
-        for k in range(3):
-            batch = [_ev(10 * k + t + 1, int(rng.integers(4)), 4 + int(rng.integers(4)),
-                         float(rng.choice([-1, 2]))) for t in range(5)]
+        stream = [[_ev(10 * k + t + 1, int(rng.integers(4)), 4 + int(rng.integers(4)),
+                       float(rng.choice([-1, 2]))) for t in range(5)] for k in range(3)]
+        state = state_over(enc, *stream)
+        for batch in stream:
             enc.process_batch(log_of(batch), state)
         return np.concatenate([memory_value(state, n, s)
                                for n in range(8) for s in (POS, NEG)])
@@ -664,24 +676,20 @@ def test_detach_freezes_values():
 
 def test_state_snapshot_roundtrip(tmp_path):
     enc, _, _ = make_encoder(seed=22)
-    state = seeded_state(enc, [_ev(1, 0, 1, 1), _ev(2, 1, 2, -2), _ev(3, 0, 2, 1)])
+    events = [_ev(1, 0, 1, 1), _ev(2, 1, 2, -2), _ev(3, 0, 2, 1)]
+    state = seeded_state(enc, events)
     path = tmp_path / "state.snap"
     state.save(path)
-    loaded = EncoderState.load(path, enc.config)
+    loaded = EncoderState.load(path, enc.config, state.history.log)
     assert loaded.watermark == state.watermark
-    assert loaded.events_ingested == state.events_ingested
-    assert loaded.history.items() == state.history.items()
-    # every saved array comes back with its dtype and bytes; head and deg
-    # are saved up to the last node with history
-    h, g = state.history, loaded.history
+    assert loaded.events_ingested == state.events_ingested == 3
+    assert loaded.history.values() == state.history.values() == logged(events)
+    assert np.array_equal(loaded.history.deg, state.history.deg)
+    # every saved array comes back with its dtype and bytes
     pairs = {"mem": (state.mem[:state.size], loaded.mem[:loaded.size]),
-             "last_update": (state.last_update, loaded.last_update),
-             **{k: (getattr(h, k)[:h.length], getattr(g, k)[:g.length])
-                for k in ("nbr", "t", "mag", "prev")},
-             **{k: (getattr(h, k)[:g.head.size], getattr(g, k)) for k in ("head", "deg")}}
+             "last_update": (state.last_update, loaded.last_update)}
     for name, (want, got) in pairs.items():
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    assert not h.deg[g.deg.size:].any()
     # embeddings computed from the restored state agree exactly
     with no_grad():
         a = embed(enc, 0, 9.0, state)
@@ -698,39 +706,39 @@ FIXTURE_BATCHES = [
 
 def test_snapshot_save_load_save_is_byte_identical(tmp_path):
     enc, _, _ = make_encoder(seed=22)
-    state = EncoderState(enc.config, *ROOM)
+    state = state_over(enc, *FIXTURE_BATCHES)
     for batch in FIXTURE_BATCHES:
         enc.process_batch(log_of(batch), state)
     first, second = tmp_path / "a.snap", tmp_path / "b.snap"
     state.save(first)
-    EncoderState.load(first, enc.config).save(second)
+    EncoderState.load(first, enc.config, state.history.log).save(second)
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_one_pass_allocates_memory_once_and_snapshots_ignore_capacity(tmp_path):
-    """A state's arrays are allocated when it is made, with the room of its
-    pass, and no batch replaces them.  A snapshot saves memories up to the
-    largest id written and the history rows logged, so its bytes do not
-    depend on that room."""
+    """A state's arrays are allocated when it is made, for the node ids of
+    its pass's log, and no batch replaces them.  A snapshot saves memories
+    up to the largest id written and a digest of the events ingested, so
+    its bytes do not depend on the log's node count."""
     enc, _, _ = make_encoder(seed=22)
     rng = np.random.default_rng(5)
     events = [_ev(t, u, (u + 1 + v) % 30, w) for t, u, v, w in zip(
         range(1, 41), rng.integers(0, 30, 40).tolist(), rng.integers(0, 29, 40).tolist(),
         rng.choice([-2, 1, 3], 40).tolist())]
     log = log_of(events, node_count=50)   # ids 30-49 never come
-    state, roomy = EncoderState(enc.config, 50, 2 * len(log)), EncoderState(enc.config, *ROOM)
+    state, roomy = EncoderState(enc.config, log), state_over(enc, events)
     arrays = []
     for batch in batches(log, 8):
         enc.process_batch(batch, state)
         h = state.history
         arrays.append((state.mem, state._last_update, state._fresh_row,
-                       h.nbr, h.t, h.mag, h.prev, h.head, h.deg))
+                       h.perm, h.offsets, h.deg))
         enc.process_batch(batch, roomy)
         state.detach_()
         roomy.detach_()
     assert all(a is b for seen in arrays for a, b in zip(seen, arrays[0]))
     assert state.mem.shape[0] == 50 and state.size == 30 and not state.mem[30:].any()
-    assert state.history.length == state.history.nbr.size == 80
+    assert state.events_ingested == len(log) == 40 and state.history.deg.sum() == 80
     assert not (state._fresh_row.any() or roomy._fresh_row.any())
     state.save(tmp_path / "a.snap")
     roomy.save(tmp_path / "b.snap")
@@ -738,40 +746,57 @@ def test_one_pass_allocates_memory_once_and_snapshots_ignore_capacity(tmp_path):
 
 
 def test_snapshot_loaded_with_room_keeps_ingesting_as_the_original(tmp_path):
-    """A snapshot loaded with room takes the next batch as the state it was
-    saved from does, to the byte; one loaded without room holds exactly the
-    snapshot's rows and refuses the batch."""
+    """A snapshot loaded mid-stream over the pass's log takes the next
+    batch as the state it was saved from does, to the byte; one loaded
+    over a log that ends where the snapshot does has no room for the batch
+    and refuses it."""
     enc, _, config = make_encoder(seed=22)
-    state = EncoderState(config, *ROOM)
+    state = state_over(enc, *FIXTURE_BATCHES)
     enc.process_batch(log_of(FIXTURE_BATCHES[0]), state)
     state.save(tmp_path / "first.snap")
-    loaded = EncoderState.load(tmp_path / "first.snap", config, *ROOM)
-    exact = EncoderState.load(tmp_path / "first.snap", config)
-    assert (loaded.history.head.size, loaded.history.nbr.size) == ROOM
-    assert exact.history.nbr.size == exact.history.length == 2 * len(FIXTURE_BATCHES[0])
-    assert exact.history.head.size == len(exact.mem) == exact.size == 10
+    loaded = EncoderState.load(tmp_path / "first.snap", config, state.history.log)
+    exact = EncoderState.load(tmp_path / "first.snap", config, log_of(FIXTURE_BATCHES[0]))
+    assert exact.events_ingested == loaded.events_ingested == len(FIXTURE_BATCHES[0])
+    assert len(exact.mem) == exact.size == 10
     for s in (state, loaded):
         enc.process_batch(log_of(FIXTURE_BATCHES[1]), s)
-    with pytest.raises(ValueError, match="room"):
+    with pytest.raises(ValueError, match="not the next 4 events"):
         enc.process_batch(log_of(FIXTURE_BATCHES[1]), exact)
     state.save(tmp_path / "a.snap")
     loaded.save(tmp_path / "b.snap")
     assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
 
 
+THIRD_BATCH = [_ev(8, 1, 3, -1), _ev(9, 2, 9, 2)]
+
+
 @pytest.mark.parametrize("batch", [
-    [_ev(3, 0, 9, 1)],                                    # an id past the room
-    [_ev(3, 0, 1, 1), _ev(3, 1, 2, -1), _ev(4, 2, 3, 1)],   # six rows, four left
-], ids=["ids", "rows"])
-def test_batch_past_the_state_room_is_refused_and_changes_nothing(tmp_path, batch):
+    [_ev(4, 3, 0, -2), _ev(4, 9, 1, 1), _ev(5, 0, 1, 4), _ev(7, 3, 9, 1)],   # one weight differs
+    THIRD_BATCH,                                          # the second batch is skipped
+    FIXTURE_BATCHES[1] + THIRD_BATCH + [_ev(9, 0, 1, 1)],   # one event past the log's end
+], ids=["another-log", "skipped", "past-the-end"])
+def test_batch_that_is_not_the_next_events_is_refused_and_changes_nothing(tmp_path, batch):
     enc, _, config = make_encoder(seed=22)
-    state = EncoderState(config, 9, 8)
-    enc.process_batch(log_of([_ev(1, 0, 1, 2), _ev(2, 1, 2, -1)]), state)
+    state = state_over(enc, *FIXTURE_BATCHES, THIRD_BATCH)
+    enc.process_batch(log_of(FIXTURE_BATCHES[0]), state)
+    deg = state.history.deg.copy()
     state.save(tmp_path / "before.snap")
-    with pytest.raises(ValueError, match="room of 9 nodes and 8 history rows"):
+    with pytest.raises(ValueError, match="not the next .* events of the state's log: 4 of its "
+                                         "10 are ingested"):
         enc.process_batch(log_of(batch), state)
     state.save(tmp_path / "after.snap")
     assert (tmp_path / "before.snap").read_bytes() == (tmp_path / "after.snap").read_bytes()
+    assert np.array_equal(state.history.deg, deg)
+
+
+def test_cleared_state_is_over_no_events_and_no_nodes():
+    enc, _, _ = make_encoder(seed=22)
+    state = state_over(enc, *FIXTURE_BATCHES)
+    enc.process_batch(log_of(FIXTURE_BATCHES[0]), state)
+    state.clear()
+    assert state.events_ingested == state.size == len(state.history.log) == 0
+    assert state.mem.shape[0] == state.history.deg.size == 0 and state.watermark == 0.0
+    assert state.history.values() == []
 
 
 def test_state_ingested_under_gradient_equals_a_no_grad_one(tmp_path):
@@ -779,7 +804,7 @@ def test_state_ingested_under_gradient_equals_a_no_grad_one(tmp_path):
     memory update on ingest and writes the values a ``no_grad`` ingest
     writes: memories, last updates and snapshot bytes agree bit for bit."""
     enc, _, _ = make_encoder(seed=22)
-    taped, plain = EncoderState(enc.config, *ROOM), EncoderState(enc.config, *ROOM)
+    taped, plain = state_over(enc, *FIXTURE_BATCHES), state_over(enc, *FIXTURE_BATCHES)
     for batch in FIXTURE_BATCHES:
         enc.process_batch(log_of(batch), taped)
         with no_grad():
@@ -808,19 +833,19 @@ def test_taped_ingest_gradients_equal_the_per_event_oracle():
     w = rng.normal(size=(len(queries), config.embedding_dim))
 
     def step(ingest):
-        state = EncoderState(config, *ROOM)
+        state = EncoderState(config, log_of(warm + batch, node_count=16))
         with no_grad():
-            enc.process_batch(log_of(warm, node_count=16), state)
+            enc.process_batch(log_of(warm), state)
         ingest(state)
         z, _ = enc.compute_embeddings(queries, 60.0, state)
         grads = backward(z, w, leaves=params.tensors())
         return state, [grads[p] for p in params.tensors()]
 
-    state, got = step(lambda s: enc.process_batch(log_of(batch, node_count=16), s))
+    state, got = step(lambda s: enc.process_batch(log_of(batch), s))
     _, expected = step(lambda s: ingest_taped(enc, batch, s))
     winners = {n for ev in batch for n in (ev.src, ev.dst)}
     _, _, rows = state.history.recent(np.array(queries), config.neighbor_cap)
-    read = set(queries) | set(state.history.nbr[rows].tolist())
+    read = set(queries) | set(state.history.read(rows)[0].tolist())
     assert winners - read and winners & read
     assert any(np.any(g != 0.0) for name, g in zip(params.names(), got) if ".mem_" in name)
     for name, a, b in zip(params.names(), got, expected):
@@ -831,14 +856,14 @@ def test_float64_snapshot_loads_cast_to_the_model_dtype(tmp_path):
     path = tmp_path / "state.snap"
     with model_dtype(np.float64):
         enc, _, config = make_encoder(seed=22)
-        wide = EncoderState(config, *ROOM)
+        wide = state_over(enc, *FIXTURE_BATCHES)
         for batch in FIXTURE_BATCHES:
             enc.process_batch(log_of(batch), wide)
         wide.save(path)
-    loaded = EncoderState.load(path, config)
+    loaded = EncoderState.load(path, config, wide.history.log)
     assert wide.mem.dtype == np.float64 and loaded.mem.dtype == T.DTYPE == np.float32
     assert loaded.mem[:loaded.size].tobytes() == wide.mem[:wide.size].astype(T.DTYPE).tobytes()
-    assert loaded.history.items() == wide.history.items()
+    assert loaded.history.values() == wide.history.values()
     assert np.array_equal(loaded.last_update, wide.last_update)
 
 
@@ -849,29 +874,34 @@ def test_snapshot_rejects_mismatched_config(tmp_path):
     state.save(path)
     other, _, _ = make_encoder(seed=23, memory_dim=6)
     with pytest.raises(ValueError):
-        EncoderState.load(path, other.config)
+        EncoderState.load(path, other.config, state.history.log)
+
+
+SAVED_EVENTS = [_ev(1, 0, 1, 1), _ev(2, 1, 2, -2), _ev(3, 0, 2, 1)]
 
 
 def _saved_state(tmp_path):
+    """A snapshot of a state that ingested ``SAVED_EVENTS`` of a log that
+    has one more event; returns (encoder, path, log)."""
     enc, _, _ = make_encoder(seed=23)
-    state = seeded_state(enc, [_ev(1, 0, 1, 1), _ev(2, 1, 2, -2), _ev(3, 0, 2, 1)])
+    state = seeded_state(enc, SAVED_EVENTS, [_ev(4, 2, 3, -1)])
     path = tmp_path / "state.snap"
     state.save(path)
-    return enc, path
+    return enc, path, state.history.log
 
 
 @pytest.mark.parametrize("content, message", [
     (lambda data: data[:-20], "bad snapshot: "),
-    (lambda data: b"dysignet-encoder-state 3\n", "unsupported snapshot version"),
+    (lambda data: b"dysignet-encoder-state 2\n", "unsupported snapshot version"),
     (lambda data: b"not a snapshot\n", "not an encoder state snapshot"),
     pytest.param(lambda data: b'{"format": "dysignet-encoder-state", "version": 1}\n',
                  "not an encoder state snapshot", id="v1-json-document"),
 ])
 def test_snapshot_load_rejects_damaged_files(tmp_path, content, message):
-    enc, path = _saved_state(tmp_path)
+    enc, path, log = _saved_state(tmp_path)
     path.write_bytes(content(path.read_bytes()))
     with pytest.raises(ValueError, match=message) as info:
-        EncoderState.load(path, enc.config)
+        EncoderState.load(path, enc.config, log)
     assert str(path) in str(info.value)
 
 
@@ -879,41 +909,16 @@ def _nan_memory(a):
     a[0][0, 0, 0] = np.nan
 
 
-def _inf_history_time(a):
-    a[3][0] = np.inf
-
-
-def _prev_past_the_rows(a):
-    a[5][0] = a[5].size
-
-
-def _head_below_minus_one(a):
-    a[6][0] = -2
-
-
-def _neighbour_past_the_owners(a):
-    a[2][0] = a[6].size
-
-
-def _neighbour_past_int32(a):
-    a[2][0] += 2 ** 32   # a cast to int32 alone would wrap it back
-
-
-def _deg_past_its_rows(a):
-    a[7][0] += 1
-
-
-def _deg_moved_between_nodes(a):
-    a[7][0] += 1
-    a[7][1] -= 1
+def _inf_watermark(a):
+    a[2] = np.array(np.inf)
 
 
 def _short_last_update(a):
     a[1] = a[1][:-1]
 
 
-def _float_neighbours(a):
-    a[2] = a[2].astype(np.float64)
+def _float_event_count(a):
+    a[3] = a[3].astype(np.float64)
 
 
 def _memory_beyond_float32(a):
@@ -925,27 +930,43 @@ def _half_memory(a):
     a[0] = a[0].astype(np.float16)
 
 
+def _memory_past_the_log_nodes(a):
+    a[0] = np.zeros((NODES + 1,) + a[0].shape[1:], dtype=a[0].dtype)
+    a[1] = np.ones(NODES + 1)
+
+
+def _ingested_past_the_log(a):
+    a[3] = np.array(5, dtype=np.intp)
+
+
+def _negative_ingested(a):
+    a[3] = np.array(-1, dtype=np.intp)
+
+
+def _one_event_more(a):
+    a[3] = np.array(4, dtype=np.intp)   # the digest covers three
+
+
 @pytest.mark.parametrize("edit, message", [
-    (_nan_memory, "non-finite"), (_inf_history_time, "non-finite"),
-    (_prev_past_the_rows, "history links"), (_head_below_minus_one, "history links"),
-    (_deg_past_its_rows, "row counts"), (_deg_moved_between_nodes, "row counts"),
-    (_neighbour_past_the_owners, "neighbours outside"),
-    (_neighbour_past_int32, "neighbours outside"),
-    (_short_last_update, "do not fit"), (_float_neighbours, "do not fit"),
+    (_nan_memory, "non-finite"), (_inf_watermark, "non-finite"),
+    (_short_last_update, "do not fit"), (_float_event_count, "do not fit"),
     (_memory_beyond_float32, "non-finite"), (_half_memory, "do not fit"),
+    (_memory_past_the_log_nodes, "do not fit"),
+    (_ingested_past_the_log, "5 events ingested, but the log has 4"),
+    (_negative_ingested, "-1 events ingested"), (_one_event_more, "another log"),
 ])
 def test_snapshot_load_rejects_inconsistent_arrays(tmp_path, edit, message):
-    enc, path = _saved_state(tmp_path)
+    enc, path, log = _saved_state(tmp_path)
     _edit_snapshot(path, edit)
     with pytest.raises(ValueError, match=message) as info:
-        EncoderState.load(path, enc.config)
+        EncoderState.load(path, enc.config, log)
     assert str(path) in str(info.value)
 
 
 def _edit_snapshot(path, edit):
     with open(path, "rb") as fh:
         tag = fh.readline()
-        arrays = [np.load(fh) for _ in range(10)]
+        arrays = [np.load(fh) for _ in range(5)]
     edit(arrays)
     with open(path, "wb") as fh:
         fh.write(tag)
@@ -953,43 +974,16 @@ def _edit_snapshot(path, edit):
             np.save(fh, a)
 
 
-def test_history_is_int32_and_saved_as_intp(tmp_path):
-    """The history's ids, links and counts and the overlay pointers are
-    held as int32; a snapshot writes the history's as intp, the width it
-    has always had on disk, and a room past int32 is refused before any
-    array is made."""
-    enc, path = _saved_state(tmp_path)
-    state = EncoderState.load(path, enc.config, *ROOM)
-    h = state.history
-    held = (h.nbr, h.prev, h.head, h.deg, state._fresh_row)
-    assert {a.dtype for a in held} == {np.dtype(np.int32)}
-    with open(path, "rb") as fh:
-        fh.readline()
-        arrays = [np.load(fh) for _ in range(10)]
-    assert [arrays[k].dtype for k in (2, 5, 6, 7)] == [np.dtype(np.intp)] * 4
-    for rows, nodes in ((2 ** 31, 1), (1, 2 ** 31)):
-        with pytest.raises(ValueError, match=r"< 2\*\*31 rows and nodes"):
-            HistoryLog(rows, nodes)
-
-
-def test_snapshot_load_rejects_claimed_row_counts_before_walking(tmp_path, monkeypatch):
-    # a one-row log whose nodes claim more rows is rejected from the counts
-    # alone: the history walk, whose cost grows with the claimed counts,
-    # never runs
-    def one_row(counts):
-        def edit(a):
-            a[2:6] = [col[:1] for col in a[2:6]]
-            a[5][0] = -1
-            a[6], a[7] = np.zeros(len(counts), dtype=np.int64), np.array(counts)
-        return edit
-
-    monkeypatch.setattr(HistoryLog, "recent", lambda *a: pytest.fail("walked the history"))
-    # the second claim sums to 1 once int64 wraps around
-    for counts in ([2_000_000], [2 ** 63 - 1, 2 ** 63 - 1, 3]):
-        enc, path = _saved_state(tmp_path)
-        _edit_snapshot(path, one_row(counts))
-        with pytest.raises(ValueError, match="row counts do not sum to the log's 1 rows"):
-            EncoderState.load(path, enc.config)
+@pytest.mark.parametrize("log", [
+    log_of([*SAVED_EVENTS[:2], SAVED_EVENTS[2]._replace(weight=2.0), _ev(4, 2, 3, -1)], NODES),
+    log_of(SAVED_EVENTS[:2], NODES),
+], ids=["one-weight-differs", "shorter-than-ingested"])
+def test_snapshot_load_refuses_a_log_the_state_was_not_saved_over(tmp_path, log):
+    """A snapshot holds a digest of the events it ingested, not the events,
+    so a state loads only over a log that begins with them."""
+    enc, path, _ = _saved_state(tmp_path)
+    with pytest.raises(ValueError, match="another log|events ingested, but the log has 2"):
+        EncoderState.load(path, enc.config, log)
 
 
 def test_node_memory_view():
@@ -1003,28 +997,53 @@ def test_node_memory_view():
         assert state.size == len(written)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([None, 1, 3]))
-def test_history_recent_packs_newest_rows_position_major(seed, cap):
-    rng = np.random.default_rng(seed)
-    log, logged = HistoryLog(4 * 7, 8), {}   # room for ids 6 and 7, never logged
-    for _ in range(int(rng.integers(0, 5))):
-        owners = rng.integers(0, 6, size=int(rng.integers(1, 8)))
-        nbrs = rng.integers(0, 6, size=owners.size)
-        log.append(owners, nbrs, rng.uniform(size=owners.size), rng.uniform(size=owners.size))
-        for o, v in zip(owners.tolist(), nbrs.tolist()):
-            logged.setdefault(o, []).append(v)
-    nodes = rng.permutation(8)[:int(rng.integers(1, 9))]   # ids 6, 7 never logged
-    order, sizes, rows = log.recent(nodes, cap)
-    wanted = {j: logged.get(n, [])[::-1][:cap] for j, n in enumerate(nodes.tolist())}
-    counts = [len(wanted[j]) for j in order.tolist()]
-    assert sorted(order.tolist()) == [j for j in wanted if wanted[j]]
-    assert counts == sorted(counts, reverse=True)
-    assert all(a <= b for a, b in zip(order.tolist(), order[1:].tolist())
-               if len(wanted[a]) == len(wanted[b]))   # ties keep their order
-    assert np.all(np.diff(sizes) <= 0) and sizes.sum() == rows.size
-    starts = np.cumsum(sizes) - sizes
-    for k, j in enumerate(order.tolist()):
-        mine = rows[[s + k for s, m in zip(starts, sizes) if m > k]]
-        assert log.nbr[mine].tolist() == wanted[j]   # newest first
+@st.composite
+def _history_streams(draw):
+    """Batches of events over nodes 0-5 with time ties, repeated pairs and
+    reciprocal pairs of opposite sign."""
+    events = []
+    for _ in range(draw(st.integers(0, 16))):
+        t = (events[-1].time if events else 1.0) + draw(st.sampled_from([0.0, 0.0, 1.0]))
+        kind = draw(st.sampled_from(["new", "repeat", "reciprocal"])) if events else "new"
+        if kind == "new":
+            ev = _ev(t, draw(st.integers(0, 5)), draw(st.integers(0, 5)),
+                     draw(st.sampled_from([-2.0, 1.0, 3.0])))
+        else:
+            old = events[draw(st.integers(0, len(events) - 1))]
+            ev = (_ev(t, old.src, old.dst, old.weight) if kind == "repeat"
+                  else _ev(t, old.dst, old.src, -old.weight))
+        events.append(ev)
+    cuts = sorted(draw(st.sets(st.integers(1, max(len(events) - 1, 1)), max_size=4)))
+    cuts = [0, *(c for c in cuts if c < len(events)), len(events)]
+    return [events[a:b] for a, b in zip(cuts, cuts[1:])]
 
+
+@settings(max_examples=100, deadline=None)
+@given(_history_streams(), st.sampled_from([None, 1, 3]), st.data())
+def test_history_recent_packs_newest_rows_position_major(batches, cap, data):
+    """At every batch cursor, ``recent`` gives each queried node's newest
+    rows of the per-event oracle's, packed position-major: the nodes with
+    rows by row count descending (ties in query order), and block p the
+    p-th newest row of each node that has one."""
+    events = [ev for batch in batches for ev in batch]
+    log = log_of(events, 8)   # ids 6 and 7 never come
+    history, done = HistoryLog(log), []
+    for batch in [[], *batches]:
+        history.advance(len(batch))
+        done += batch
+        rows_of = histories(done)
+        assert history.values() == logged(done)
+        nodes = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+        order, sizes, rows = history.recent(np.array(nodes), cap)
+        wanted = [rows_of.get(n, [])[::-1][:cap] for n in nodes]
+        assert order.tolist() == sorted((j for j, w in enumerate(wanted) if w),
+                                        key=lambda j: -len(wanted[j]))
+        assert sizes.tolist() == [sum(len(w) > p for w in wanted)
+                                  for p in range(max(map(len, wanted)))]
+        blocks = [(p, j) for p, m in enumerate(sizes.tolist()) for j in order[:m].tolist()]
+        assert list(zip(*(a.tolist() for a in history.read(rows)))) == [
+            wanted[j][p] for p, j in blocks]
+        # each row is its node's own, and no row comes twice
+        owner = np.where(rows % 2, log.dst[rows // 2], log.src[rows // 2])
+        assert owner.tolist() == [nodes[j] for _, j in blocks]
+        assert np.unique(rows).size == rows.size

@@ -83,7 +83,7 @@ def test_model_math_runs_in_dtype_and_times_stay_float64(small_split, monkeypatc
     assert all(m.dtype == T.DTYPE for name in bundle.params.names()
                for m in bundle.params.moments(name))
     assert state.mem.dtype == T.DTYPE
-    assert state.last_update.dtype == state.history.t.dtype == np.float64
+    assert state.last_update.dtype == state.history.read(np.arange(2))[1].dtype == np.float64
     assert np.result_type(state.watermark) == np.float64 and state.watermark > 0
     assert preds.output.dtype == np.float64
 
@@ -138,7 +138,7 @@ def test_epoch_state_is_emptied_before_validation_ingests(small_split, monkeypat
         process_batch(model, batch, state)
         if len(states) == 1:
             h = state.history
-            arrays[:] = [weakref.ref(a) for a in (state.mem, state._fresh_row, h.nbr, h.head)]
+            arrays[:] = [weakref.ref(a) for a in (state.mem, state._fresh_row, h.perm, h.deg)]
 
     monkeypatch.setattr(EncoderModel, "process_batch", ingest)
     train(tiny_config(batch_size=50, max_epochs=1), split=small_split)
@@ -146,8 +146,8 @@ def test_epoch_state_is_emptied_before_validation_ingests(small_split, monkeypat
 
 
 def test_history_arrays_are_sized_once_per_pass(small_split, monkeypatch):
-    """A train pass and an eval pass each make their state with room for
-    the events they ingest, so no batch replaces the history arrays."""
+    """A train pass and an eval pass each make their state over the events
+    they ingest, so no batch replaces the history arrays."""
     passes = []
     process_batch = EncoderModel.process_batch
 
@@ -156,7 +156,7 @@ def test_history_arrays_are_sized_once_per_pass(small_split, monkeypatch):
         if not passes or passes[-1][0]() is not state:
             passes.append((weakref.ref(state), []))
         h = state.history
-        passes[-1][1].append((h.nbr, h.t, h.mag, h.prev, h.head, h.deg))
+        passes[-1][1].append((h.perm, h.offsets, h.deg))
 
     monkeypatch.setattr(EncoderModel, "process_batch", ingest)
     train(tiny_config(batch_size=50, max_epochs=1), split=small_split)
@@ -166,6 +166,24 @@ def test_history_arrays_are_sized_once_per_pass(small_split, monkeypatch):
     # two rows per event: the train split, then everything up to the end of val
     assert [seen[0][0].size for _, seen in passes] == [
         2 * len(small_split.train), 2 * (len(small_split.train) + len(small_split.val))]
+
+
+def test_history_values_hold_two_rows_per_ingested_event(small_split, monkeypatch):
+    """After a pass, the rows that ``history.values()`` lists per node add
+    up to two per ingested event: the bench's ``encoder.state.history_rows``
+    counter reads them from the last state that ingested a batch."""
+    last = {}
+    process_batch = EncoderModel.process_batch
+
+    def ingest(model, batch, state):
+        last["state"] = state
+        return process_batch(model, batch, state)
+
+    monkeypatch.setattr(EncoderModel, "process_batch", ingest)
+    evaluate_sequential(build_model(tiny_config(batch_size=50)), small_split, "test")
+    state = last["state"]
+    assert state.events_ingested == len(small_split.log)
+    assert sum(len(rows) for rows in state.history.values()) == 2 * state.events_ingested
 
 
 @pytest.mark.parametrize("task", [TaskKind.SIGN, TaskKind.EXISTENCE])

@@ -32,16 +32,16 @@ def test_synthetic_stream_through_the_ablation_study(tmp_path):
     assert all((out / f"report_{name}.json").exists() for name in AblationConfig.NAMES)
 
 
-def test_fingerprint_prints_seven_digests_per_run(tmp_path):
+def test_fingerprint_prints_eight_digests_per_run(tmp_path):
     printed = _run("fingerprint.py", "--events", "300", "--epochs", "1", "--batch-size", "100",
                    cwd=tmp_path)
     assert printed.returncode == 0, printed.stderr
     lines = [line.split() for line in printed.stdout.splitlines()]
     runs = {tuple(line[:3]) for line in lines}
     # each bench stream with its task, and btc-sign with every task, per variant
-    assert len(runs) == (3 + 3) * len(AblationConfig.NAMES) and len(lines) == 7 * len(runs)
+    assert len(runs) == (3 + 3) * len(AblationConfig.NAMES) and len(lines) == 8 * len(runs)
     assert {line[3] for line in lines} == {"init-preds", "init-snapshot", "params", "loss", "val",
-                                           "preds", "snapshot"}
+                                           "preds", "snapshot", "history"}
     assert all(len(line[4]) == 64 and int(line[4], 16) >= 0 for line in lines)
     assert not list(tmp_path.iterdir())
 
