@@ -417,6 +417,8 @@ class EncoderModel:
                    for c in ("time", "src", "dst", "weight")):
             raise ValueError(f"the batch is not the next {len(batch)} events of the state's log: "
                              f"{hist.events} of its {len(hist.log)} are ingested")
+        if (batch.weight == 0.0).any():
+            raise ValueError("signed events must have non-zero weight")
         if self.config.ablation.use_memory:
             self._ingest_memory(batch, state)
         hist.advance(len(batch))
@@ -428,8 +430,6 @@ class EncoderModel:
         ends = np.stack([batch.src, batch.dst], axis=1, dtype=np.intp)
         owner, partner = ends.ravel(), ends[:, ::-1].ravel()
         time, weight = np.repeat(batch.time, 2), np.repeat(batch.weight, 2)
-        if (weight == 0.0).any():
-            raise ValueError("signed events must have non-zero weight")
         # Keep only the winning (most recent) endpoint row per node before
         # running the message net: selection does not depend on the payload,
         # so this equals generating everything and then aggregating.  A

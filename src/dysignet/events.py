@@ -35,6 +35,18 @@ peak under tracemalloc is ~120 bytes per event on a 200k-row file, plus
 ~3 MB for one chunk's strings: 184-279 bytes per event on the 24k-event
 bench streams.  Chunks of 64 KB to 1 MB parse equally fast; at 1 MB a
 bench stream is one chunk and peaks at 344-416.
+
+Statistics: :func:`compute_stats` reads the columns.  The latest weight
+per directed pair and per unordered pair each come from one ``np.unique``
+over reversed int64 pair keys, so the newest event of a link sets its
+sign whatever its direction.  Triangles come from the forward algorithm
+(Schank & Wagner 2005; Latapy 2008): each link points at its
+higher-(degree, id) endpoint, each pair of out-links of one tail is a
+wedge, and a wedge is a triangle when the link between its heads is in
+the sorted link keys; it is unbalanced when the product of its three
+signs is negative.  Wedges go in blocks of at most as many as there are
+links, so the extra memory is a few int64 arrays per link.  A self-loop
+is no link between two nodes: a log that holds one is a ``DataError``.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ import logging
 import math
 import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -364,42 +376,6 @@ def batches(logdata: EventLog, batch_size: int) -> Iterator[EventLog]:
         yield logdata.slice(start, start + batch_size)
 
 
-def collapse_directed(events) -> dict[tuple[int, int], float]:
-    """Latest weight per directed pair (input must be time-ordered)."""
-    return {(ev.src, ev.dst): ev.weight for ev in events}
-
-
-def collapse_undirected(events) -> dict[tuple[int, int], float]:
-    """Latest weight per unordered pair; a later event overrides either
-    direction, so conflicting reciprocal signs resolve to the newest one."""
-    return {(min(ev.src, ev.dst), max(ev.src, ev.dst)): ev.weight for ev in events}
-
-
-def triangle_census(edge_signs: dict[tuple[int, int], float]) -> tuple[int, int]:
-    """(total, unbalanced) triangle counts on an undirected signed graph.
-
-    A triangle is unbalanced iff the product of its three edge signs is
-    negative.
-    """
-    adj: dict[int, set[int]] = {}
-    for u, v in edge_signs:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-
-    def sign(a, b):
-        return edge_signs[(a, b) if a < b else (b, a)]
-
-    total = 0
-    unbalanced = 0
-    for (u, v), w_uv in edge_signs.items():
-        for w in adj[u] & adj[v]:
-            total += 1
-            if w_uv * sign(u, w) * sign(v, w) < 0:
-                unbalanced += 1
-    # each triangle was seen once per edge
-    return total // 3, unbalanced // 3
-
-
 @dataclass
 class DatasetStats:
     node_count: int
@@ -415,43 +391,66 @@ class DatasetStats:
     has_triangles: bool
 
     def to_dict(self) -> dict:
-        return {
-            "nodes": self.node_count,
-            "links": self.link_count,
-            "f_plus": self.f_plus,
-            "f_ub": self.f_ub,
-            "days": self.days,
-            "events": self.event_count,
-            "directed_pairs": self.directed_pair_count,
-            "span_seconds": self.span_seconds,
-            "triangles": self.triangle_count,
-            "unbalanced_triangles": self.unbalanced_triangle_count,
-            "has_triangles": self.has_triangles,
-        }
+        keys = ("nodes", "links", "f_plus", "f_ub", "days", "events", "directed_pairs",
+                "span_seconds", "triangles", "unbalanced_triangles", "has_triangles")
+        return dict(zip(keys, astuple(self)))
+
+
+def _latest(keys: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys``, sorted, and the weight of each one's last event."""
+    uniq, last = np.unique(keys[::-1], return_index=True)  # first in reverse: the latest
+    return uniq, weight[::-1][last]
+
+
+def _triangles(u: np.ndarray, v: np.ndarray, sign: np.ndarray, n: int) -> tuple[int, int]:
+    """(total, unbalanced) triangles over the distinct links ``u``-``v`` with
+    their signs, by the forward algorithm of the module docstring."""
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    rank = np.empty(n, np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)  # by (degree, id)
+    u, v = rank[u], rank[v]
+    out = np.minimum(u, v) * n + np.maximum(u, v)  # tail * n + head
+    order = np.argsort(out)
+    out, sign = out[order], sign[order]
+    tail, head = np.divmod(out, n)
+    # per out-link, the later out-links of its tail: one wedge each
+    later = np.searchsorted(tail, tail, side="right") - np.arange(out.size) - 1
+    done = np.cumsum(later)
+    total = unbalanced = lo = 0
+    while lo < out.size:  # links [lo, hi) own at most out.size wedges
+        base = done[lo] - later[lo]
+        hi = int(np.searchsorted(done, base + out.size, side="right"))
+        count = later[lo:hi]
+        first = np.repeat(np.arange(lo, hi), count)
+        # the k-th wedge of out-link i pairs it with out-link i + 1 + k
+        second = first + 1 + np.arange(first.size) - np.repeat(done[lo:hi] - count - base, count)
+        close = head[first] * n + head[second]
+        at = np.minimum(np.searchsorted(out, close), out.size - 1)
+        hit = out[at] == close
+        total += int(np.count_nonzero(hit))
+        unbalanced += int(np.count_nonzero(
+            sign[first[hit]] * sign[second[hit]] * sign[at[hit]] < 0))
+        lo = hi
+    return total, unbalanced
 
 
 def compute_stats(logdata: EventLog) -> DatasetStats:
+    """The dataset table's statistics (see the module docstring)."""
     if not len(logdata):
         raise DataError("cannot compute statistics of an empty log")
-    directed = collapse_directed(logdata)
-    undirected = collapse_undirected(logdata)
-    n_pos = sum(1 for w in directed.values() if w > 0)
-    f_plus = n_pos / len(directed)
-    triangles, unbalanced = triangle_census(undirected)
-    has_triangles = triangles > 0
-    f_ub = (unbalanced / triangles) if has_triangles else 0.0
+    src, dst = logdata.src.astype(np.int64), logdata.dst.astype(np.int64)
+    if (src == dst).any():
+        raise DataError(f"self-loop at event {np.argmax(src == dst)}: a link joins two nodes")
+    n = int(max(src.max(), dst.max())) + 1
+    _, directed = _latest(src * n + dst, logdata.weight)
+    links, signs = _latest(np.minimum(src, dst) * n + np.maximum(src, dst), logdata.weight)
+    triangles, unbalanced = _triangles(*np.divmod(links, n), np.sign(signs), n)
     t0, t1 = logdata.time_span()
     span = t1 - t0
     return DatasetStats(
-        node_count=logdata.node_count,
-        link_count=len(undirected),
-        f_plus=f_plus,
-        f_ub=f_ub,
-        days=round(span / SECONDS_PER_DAY),
-        event_count=len(logdata),
-        directed_pair_count=len(directed),
-        span_seconds=span,
-        triangle_count=triangles,
-        unbalanced_triangle_count=unbalanced,
-        has_triangles=has_triangles,
-    )
+        node_count=logdata.node_count, link_count=links.size,
+        f_plus=int(np.count_nonzero(directed > 0)) / directed.size,
+        f_ub=(unbalanced / triangles) if triangles else 0.0,
+        days=round(span / SECONDS_PER_DAY), event_count=len(logdata),
+        directed_pair_count=directed.size, span_seconds=span, triangle_count=triangles,
+        unbalanced_triangle_count=unbalanced, has_triangles=triangles > 0)

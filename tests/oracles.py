@@ -6,7 +6,12 @@ pair at a time, written as plainly as the maths allows.  The library keeps
 only the batched paths.
 
 The negative sampler and the CSV parser have per-event references too:
-one draw, one row at a time.
+one draw, one row at a time.  So do the dataset statistics:
+``collapse_directed`` and ``collapse_undirected`` keep the latest weight
+per directed and per unordered pair in a dict, one event at a time;
+``triangle_census`` counts triangles by intersecting each link's
+endpoints' neighbour sets; and ``compute_stats`` composes the three into
+the library's ``DatasetStats``.
 
 The feed-forward net and the recurrent cell also have composed references
 here: one autograd node per primitive, built from the general ops below
@@ -25,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from dysignet.encoder import NEG, POS
-from dysignet.events import DataError, SignedEvent
+from dysignet.events import SECONDS_PER_DAY, DataError, DatasetStats, SignedEvent
 from dysignet.tensor import DimensionError, Tensor, _result, concat
 
 
@@ -489,3 +494,65 @@ def raw_id_array(ids: list[str]) -> np.ndarray:
     if all(str(v) == s and -2 ** 63 <= v < 2 ** 63 for v, s in zip(values, ids)):
         return np.array(values, dtype=np.int64)
     return np.array(ids)
+
+
+def collapse_directed(events) -> dict[tuple[int, int], float]:
+    """Latest weight per directed pair (input must be time-ordered)."""
+    return {(ev.src, ev.dst): ev.weight for ev in events}
+
+
+def collapse_undirected(events) -> dict[tuple[int, int], float]:
+    """Latest weight per unordered pair; a later event overrides either
+    direction, so conflicting reciprocal signs resolve to the newest one."""
+    return {(min(ev.src, ev.dst), max(ev.src, ev.dst)): ev.weight for ev in events}
+
+
+def triangle_census(edge_signs: dict[tuple[int, int], float]) -> tuple[int, int]:
+    """(total, unbalanced) triangle counts on an undirected signed graph.
+
+    A triangle is unbalanced iff the product of its three edge signs is
+    negative.
+    """
+    adj: dict[int, set[int]] = {}
+    for u, v in edge_signs:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+
+    def sign(a, b):
+        return edge_signs[(a, b) if a < b else (b, a)]
+
+    total = 0
+    unbalanced = 0
+    for (u, v), w_uv in edge_signs.items():
+        for w in adj[u] & adj[v]:
+            total += 1
+            if w_uv * sign(u, w) * sign(v, w) < 0:
+                unbalanced += 1
+    # each triangle was seen once per edge
+    return total // 3, unbalanced // 3
+
+
+def compute_stats(logdata) -> DatasetStats:
+    """The dataset statistics from the three references above, over the
+    log's ``SignedEvent`` rows."""
+    if not len(logdata):
+        raise DataError("cannot compute statistics of an empty log")
+    directed = collapse_directed(logdata)
+    undirected = collapse_undirected(logdata)
+    n_pos = sum(1 for w in directed.values() if w > 0)
+    triangles, unbalanced = triangle_census(undirected)
+    t0, t1 = logdata.time_span()
+    span = t1 - t0
+    return DatasetStats(
+        node_count=logdata.node_count,
+        link_count=len(undirected),
+        f_plus=n_pos / len(directed),
+        f_ub=(unbalanced / triangles) if triangles else 0.0,
+        days=round(span / SECONDS_PER_DAY),
+        event_count=len(logdata),
+        directed_pair_count=len(directed),
+        span_seconds=span,
+        triangle_count=triangles,
+        unbalanced_triangle_count=unbalanced,
+        has_triangles=triangles > 0,
+    )

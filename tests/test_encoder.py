@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dysignet.tensor as T
-from dysignet.encoder import NEG, POS, EncoderState, HistoryLog, _encode_dt
+from dysignet.encoder import NEG, POS, AblationConfig, EncoderState, HistoryLog, _encode_dt
 from dysignet.events import SignedEvent, batches
 from dysignet.harness import build_model
 from dysignet.layers import Feedforward, RecurrentCell
@@ -164,6 +164,20 @@ def test_zero_weight_event_rejected():
     state = seeded_state(enc, [])
     with pytest.raises(ValueError):
         generate_messages(enc, _ev(1.0, 0, 1, 0.0), state)
+
+
+@pytest.mark.parametrize("ablation", AblationConfig.NAMES)
+def test_zero_weight_batch_is_refused_and_changes_nothing(tmp_path, ablation):
+    # the check runs before memory ingest, so the variant without
+    # memories refuses a weight-0 event as the other three do
+    enc, _, _ = make_encoder(ablation)
+    batch = log_of([_ev(1.0, 0, 1, 0.0)], NODES)
+    state = EncoderState(enc.config, batch)
+    state.save(tmp_path / "before.snap")
+    with pytest.raises(ValueError, match="non-zero weight"):
+        enc.process_batch(batch, state)
+    state.save(tmp_path / "after.snap")
+    assert (tmp_path / "before.snap").read_bytes() == (tmp_path / "after.snap").read_bytes()
 
 
 # ---------------------------------------------------------- aggregation

@@ -2,8 +2,10 @@ import csv
 import gzip
 import logging
 import re
+import sys
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +18,8 @@ from dysignet.events import (
     SignedEvent,
     batches,
     chronological_split,
-    collapse_directed,
-    collapse_undirected,
     compute_stats,
     parse_csv,
-    triangle_census,
 )
 
 import oracles
@@ -481,7 +480,7 @@ def test_triangle_sign_table():
     cases = [((1, 1, 1), 0), ((1, 1, -1), 1), ((1, -1, -1), 0), ((-1, -1, -1), 1)]
     for signs, unbalanced in cases:
         edges = {(0, 1): signs[0], (1, 2): signs[1], (0, 2): signs[2]}
-        assert triangle_census(edges) == (1, unbalanced)
+        assert oracles.triangle_census(edges) == (1, unbalanced)
 
 
 def test_stats_all_positive_graph():
@@ -508,7 +507,7 @@ def test_stats_triangles_match_triple_enumeration():
     log = _mklog(rows, n=5)
     stats = compute_stats(log)
 
-    edges = collapse_undirected(log.events)
+    edges = oracles.collapse_undirected(log.events)
     total = unbalanced = 0
     for a in range(5):
         for b in range(a + 1, 5):
@@ -526,7 +525,7 @@ def test_stats_triangles_match_triple_enumeration():
 def test_stats_collapse_uses_latest_sign():
     log = _mklog([(1, 0, 1, 5), (2, 1, 0, -3), (3, 2, 0, 1), (4, 1, 2, 1)])
     # undirected pair {0,1} resolves to the later event's sign (-3)
-    und = collapse_undirected(log.events)
+    und = oracles.collapse_undirected(log.events)
     assert und[(0, 1)] == -3.0
     stats = compute_stats(log)
     assert stats.link_count == 3
@@ -539,12 +538,12 @@ def test_collapse_idempotent():
     rows = [(t, int(rng.integers(6)), int(rng.integers(6, 12)), float(rng.choice([-1, 1])))
             for t in range(40)]
     log = _mklog(rows)
-    once = collapse_undirected(log.events)
-    again = collapse_undirected(
+    once = oracles.collapse_undirected(log.events)
+    again = oracles.collapse_undirected(
         SignedEvent(float(i), u, v, w) for i, ((u, v), w) in enumerate(once.items()))
     assert once == again
-    directed = collapse_directed(log.events)
-    assert collapse_directed(
+    directed = oracles.collapse_directed(log.events)
+    assert oracles.collapse_directed(
         SignedEvent(float(i), u, v, w) for i, ((u, v), w) in enumerate(directed.items())
     ) == directed
 
@@ -559,3 +558,83 @@ def test_stats_day_span():
 def test_stats_empty_rejected():
     with pytest.raises(DataError):
         compute_stats(log_of([], 0))
+
+
+def test_stats_refuse_a_self_loop():
+    # the neighbour sets of a self-loop's node hold the node itself, so
+    # next to the link 0-1 the loop 0-0 was counted as a triangle
+    log = _mklog([(1, 0, 1, 1), (2, 0, 0, 1)])
+    with pytest.raises(DataError, match="self-loop at event 1"):
+        compute_stats(log)
+
+
+@st.composite
+def signed_streams(draw):
+    """Time-ordered signed events over a few nodes, so that directed pairs
+    repeat, reciprocal pairs meet with either sign and links share many
+    endpoints; times tie, ids below ``node_count`` may have no event, and
+    the signs may all be negative."""
+    nodes, n = draw(st.integers(2, 9)), draw(st.integers(1, 60))
+    times = sorted(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+    ends = draw(st.lists(st.tuples(st.integers(0, nodes - 1), st.integers(1, nodes - 1)),
+                         min_size=n, max_size=n))
+    weights = draw(st.lists(st.sampled_from([-3.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+                            min_size=n, max_size=n))
+    if draw(st.booleans()):
+        weights = [-abs(w) for w in weights]
+    rows = [(t, u, (u + k) % nodes, w) for t, (u, k), w in zip(times, ends, weights)]
+    return _mklog(rows, nodes + draw(st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=signed_streams())
+@example(log=_mklog([(1, 0, 1, 1), (1, 1, 0, -1), (1, 1, 2, 1), (2, 2, 0, 1), (3, 0, 1, 2)]))
+@example(log=_mklog([(5, 3, 1, -1)], 6))
+def test_stats_equal_the_oracle_on_drawn_streams(log):
+    assert compute_stats(log).to_dict() == oracles.compute_stats(log).to_dict()
+
+
+@pytest.fixture(scope="module")
+def flipped_bench_logs(tmp_path_factory):
+    """The three bench streams (stream seed 11) with 5% of their signs
+    flipped, generated, written and parsed as ``scripts/fingerprint.py``
+    does.  Every bench stream is balanced, so these are the only inputs
+    here with unbalanced triangles at scale."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from stream import generate, write_csv
+    from workloads import WORKLOADS
+
+    rng = np.random.default_rng(11)
+    logs = {}
+    for name, workload in WORKLOADS.items():
+        rows = generate(workload.stream, 11)
+        rows[rng.random(len(rows)) < 0.05, 2] *= -1
+        path = tmp_path_factory.mktemp("bench") / f"{name}.csv"
+        write_csv(rows, path)
+        logs[name] = parse_csv(path)
+    return logs
+
+
+@pytest.mark.parametrize("name", ["btc-sign", "dense-history", "wide-cold"])
+def test_stats_equal_the_oracle_on_flipped_bench_streams(flipped_bench_logs, name):
+    log = flipped_bench_logs[name]
+    stats = compute_stats(log).to_dict()
+    assert stats == oracles.compute_stats(log).to_dict()
+    assert stats["unbalanced_triangles"] > 0
+
+
+def test_stats_peak_is_at_most_the_oracles(flipped_bench_logs):
+    # wedges go in blocks of at most one per link; made all at once, they
+    # peaked at 26 MB on this stream against the oracle's 8.2 MB
+    log = flipped_bench_logs["dense-history"]
+    peaks = []
+    for stats in (compute_stats, oracles.compute_stats):
+        tracemalloc.start()
+        try:
+            stats(log)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], f"{peaks[0] / 1e6:.1f} MB, the oracle {peaks[1] / 1e6:.1f} MB"
