@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Subcommands: ``stats``, ``train``, ``eval``, ``plot-weights``.  ``eval
---dump-raw`` also writes the per-pair predictions as ``predictions.csv``.
+Subcommands: ``stats``, ``train``, ``eval``.  ``eval`` of a signed-weight
+checkpoint also writes the predicted and true integer weight histograms as
+``weights_hist.csv``; ``eval --dump-raw`` also writes the per-pair
+predictions as ``predictions.csv``.
 Every run writes a manifest with the resolved configuration, the numpy
 and BLAS versions and the BLAS thread variables into its output directory
 before doing any work.  Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric
@@ -35,7 +37,7 @@ from .harness import (
     train,
 )
 from .heads import TaskKind
-from .metrics import kl_divergence_hist, weight_histograms
+from .metrics import weight_histograms
 from .params import NumericError, ParameterSet
 
 OUT_ROOT_ENV = "DYSIGNET_OUT"
@@ -138,7 +140,7 @@ def write_manifest(out_dir: Path, command: str, args, config: dict | None) -> No
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     manifest = {
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "config_file": getattr(args, "config", None),
         "resolved_config": config,
         "out_dir": str(out_dir),
@@ -216,41 +218,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    config, bundle, split = _load_bundle(args)
-    out_dir = make_out_dir(args, "eval")
-    write_manifest(out_dir, "eval", args, config.to_dict())
-    report = evaluate_sequential(bundle, split, which=args.split,
-                                 breakdown=args.breakdown in ("trans", "ind", "both"))
-    doc = report.to_dict()
-    if args.breakdown == "trans":
-        doc["inductive"] = None
-    elif args.breakdown == "ind":
-        doc["transductive"] = None
-    (out_dir / "eval_report.json").write_text(json.dumps(doc, indent=2))
-    if args.dump_raw:
-        _write_raw_csv(out_dir / "predictions.csv", report.raw)
-    print(json.dumps(doc, indent=2))
-    return 0
-
-
-def cmd_plot_weights(args) -> int:
-    args.task = TaskKind.SIGNED_WEIGHT.value
-    config, bundle, split = _load_bundle(args)
-    out_dir = make_out_dir(args, "plot-weights")
-    write_manifest(out_dir, "plot-weights", args, config.to_dict())
-    report = evaluate_sequential(bundle, split, which=args.split)
-    actual, predicted = report.raw.label, report.raw.output[:, 0]
-    bins, true_counts, pred_counts = weight_histograms(actual, predicted)
-    path = out_dir / "weights_hist.csv"
+def _write_weights_hist(path: Path, preds: Predictions) -> None:
+    bins, true_counts, pred_counts = weight_histograms(preds.label, preds.output[:, 0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["weight", "true_count", "predicted_count"])
         for value, tc, pc in zip(bins, true_counts, pred_counts):
             writer.writerow([int(value), int(tc), int(pc)])
-    kl = kl_divergence_hist(actual, predicted)
-    print(json.dumps({"histogram": str(path), "kl_div": kl,
-                      "n": int(true_counts.sum())}, indent=2))
+
+
+def cmd_eval(args) -> int:
+    config, bundle, split = _load_bundle(args)
+    out_dir = make_out_dir(args, "eval")
+    write_manifest(out_dir, "eval", args, config.to_dict())
+    report = evaluate_sequential(bundle, split, which=args.split, breakdown=args.breakdown)
+    doc = report.to_dict()
+    (out_dir / "eval_report.json").write_text(json.dumps(doc, indent=2))
+    if config.task is TaskKind.SIGNED_WEIGHT:
+        _write_weights_hist(out_dir / "weights_hist.csv", report.raw)
+    if args.dump_raw:
+        _write_raw_csv(out_dir / "predictions.csv", report.raw)
+    print(json.dumps(doc, indent=2))
     return 0
 
 
@@ -259,9 +247,9 @@ def build_parser() -> _Parser:
                      description="dynamic signed network representation learning")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, dataset_required=False):
+    def add_common(p):
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--dataset", required=dataset_required, help="edge list CSV (optionally .gz)")
+        p.add_argument("--dataset", help="edge list CSV (optionally .gz)")
         p.add_argument("--task", choices=[t.value for t in TaskKind])
         p.add_argument("--batch-size", type=int, dest="batch_size")
         p.add_argument("--lr", type=float)
@@ -283,17 +271,11 @@ def build_parser() -> _Parser:
     add_common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--split", choices=["val", "test"], default="test")
-    p_eval.add_argument("--breakdown", choices=["none", "trans", "ind", "both"], default="none")
+    p_eval.add_argument("--breakdown", action="store_true",
+                        help="also report metrics over the transductive and inductive pairs")
     p_eval.add_argument("--dump-raw", action="store_true", dest="dump_raw",
                         help="also write the per-pair predictions as predictions.csv")
     p_eval.set_defaults(func=cmd_eval)
-
-    p_plot = sub.add_parser("plot-weights",
-                            help="predicted vs. true integer weight histogram CSV")
-    add_common(p_plot)
-    p_plot.add_argument("--checkpoint", required=True)
-    p_plot.add_argument("--split", choices=["val", "test"], default="test")
-    p_plot.set_defaults(func=cmd_plot_weights)
 
     return parser
 
@@ -301,7 +283,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        argv = sys.argv[1:] if argv is None else list(argv)
         args = parser.parse_args(argv)
+        args.argv = argv   # the manifest records what was parsed, not the process's argv
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

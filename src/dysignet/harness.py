@@ -203,7 +203,8 @@ def _online(bundle: ModelBundle, state: EncoderState, universe: dict, events, rn
     ``state`` as built from earlier batches only, yield ``(outputs,
     targets, predictions)``, and ingest the batch into ``state`` when
     resumed.  ``targets`` are the labels in training units (standardized
-    weights under ``scaler``)."""
+    weights under ``scaler``).  A batch whose outputs are not all finite
+    raises ``NumericError``."""
     task = bundle.config.task
     for batch in batches(events, bundle.config.batch_size):
         qtime = state.watermark
@@ -224,6 +225,9 @@ def _online(bundle: ModelBundle, state: EncoderState, universe: dict, events, rn
         is_real = np.arange(len(label)) < len(batch)
         z, index = bundle.encoder.compute_embeddings(nodes, qtime, state)
         outputs = bundle.decoder.score_rows(z, index, list(zip(nodes[::2], nodes[1::2])))
+        if not np.isfinite(outputs.data).all():
+            raise NumericError(
+                f"non-finite decoder outputs in the batch at time {batch.time[0]:g}")
         output, targets = task_outputs(task, outputs.data), label
         if scaler:   # standardized regression targets; predictions in raw units
             output, targets = output * scaler[1] + scaler[0], (label - scaler[0]) / scaler[1]
@@ -475,38 +479,3 @@ def evaluate_sequential(bundle: ModelBundle, split: DatasetSplit, which: str = "
         config=config.to_dict(),
         raw=preds,
     )
-
-
-def run_ablation(base: TrainConfig):
-    """Train each variant on ``base.dataset`` under identical seeds and
-    splits, and evaluate it on the test split."""
-    split = load_dataset(base)
-    reports: dict[str, EvalReport] = {}
-    for name in AblationConfig.NAMES:
-        config = replace(base, ablation=AblationConfig.from_name(name))
-        result = train(config, split=split)
-        bundle = build_model(result.config)
-        bundle.params.load_values(result.params.copy_values())
-        reports[name] = evaluate_sequential(bundle, split)
-    return reports
-
-
-def ablation_table(reports: dict[str, EvalReport]) -> str:
-    """Consolidated CSV comparison across ablation variants; ``mem`` never
-    trains ``wk`` (AblationConfig)."""
-    metric_keys: list[str] = []
-    for rep in reports.values():
-        for key in rep.metrics:
-            if key not in metric_keys:
-                metric_keys.append(key)
-    lines = ["variant,embedding_source," + ",".join(metric_keys)]
-    for name, rep in reports.items():
-        cells = [name, f"\"{rep.embedding_source}\""]
-        for key in metric_keys:
-            value = rep.metrics.get(key, "")
-            if isinstance(value, float):
-                cells.append("" if np.isnan(value) else f"{value:.6f}")
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

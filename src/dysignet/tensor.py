@@ -61,11 +61,10 @@ def grad_enabled() -> bool:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE)
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._vjp = None
@@ -78,7 +77,6 @@ class Tensor:
 def _result(data, parents, vjp) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
     out._seq = next(_seq)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -536,7 +534,6 @@ def backward(root, grad, leaves=None):
             continue
         if t._vjp is None:
             if t.requires_grad:
-                t.grad = g
                 result[t] = g
             continue
         parents, vjp = t._parents, t._vjp
@@ -548,7 +545,5 @@ def backward(root, grad, leaves=None):
     if leaves is not None:
         for leaf in leaves:
             if leaf not in result:
-                z = np.zeros_like(leaf.data)
-                leaf.grad = z
-                result[leaf] = z
+                result[leaf] = np.zeros_like(leaf.data)
     return result

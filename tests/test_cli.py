@@ -3,6 +3,7 @@ import csv
 import gzip
 import io
 import json
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -264,6 +265,13 @@ def test_manifest_records_numpy_blas_and_thread_variables(dataset, tmp_path, mon
     assert manifest["thread_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
 
 
+def test_manifest_records_the_argv_main_parsed(dataset, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["x.py", "extra-arg-of-the-caller"])
+    argv = ["stats", "--dataset", str(dataset), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["argv"] == argv
+
+
 def test_train_seed_rerun_identical(dataset, tmp_path, capsys):
     cfg = _config_file(tmp_path, dataset)
     outs = []
@@ -307,8 +315,9 @@ def test_eval_report_and_breakdown(trained_run, tmp_path, capsys):
     cfg, ckpt = trained_run
     out = tmp_path / "eval-out"
     assert main(["eval", "--config", cfg, "--checkpoint", ckpt, "--split", "test",
-                 "--breakdown", "both", "--dump-raw", "--out", str(out)]) == 0
+                 "--breakdown", "--dump-raw", "--out", str(out)]) == 0
     doc = json.loads((out / "eval_report.json").read_text())
+    assert not (out / "weights_hist.csv").exists()   # only a signed-weight eval writes it
     assert doc["causality_violations"] == 0
     assert doc["params_frozen"] is True
     assert doc["transductive"] is not None and doc["inductive"] is not None
@@ -367,8 +376,7 @@ def test_eval_checkpoint_config_mismatch_exits_2(trained_run, dataset, tmp_path,
 def test_checkpoint_of_another_task_or_ablation_exits_2(trained_run, dataset, tmp_path,
                                                        capsys):
     cfg, ckpt = trained_run
-    # plot-weights forces the signed-weight task on a sign checkpoint
-    assert main(["plot-weights", "--config", cfg, "--checkpoint", ckpt,
+    assert main(["eval", "--config", cfg, "--checkpoint", ckpt, "--task", "signed-weight",
                  "--out", str(tmp_path / "w")]) == 2
     assert "trained with task 'sign', not 'signed-weight'" in capsys.readouterr().err
     assert main(["eval", "--config", cfg, "--checkpoint", ckpt, "--ablation", "emb",
@@ -379,7 +387,7 @@ def test_checkpoint_of_another_task_or_ablation_exits_2(trained_run, dataset, tm
     assert doc.pop("meta") == {"task": "sign", "ablation": "none"}
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(doc))
-    assert main(["plot-weights", "--config", cfg, "--checkpoint", str(bare),
+    assert main(["eval", "--config", cfg, "--checkpoint", str(bare), "--task", "signed-weight",
                  "--out", str(tmp_path / "b")]) == 0
 
 
@@ -407,19 +415,36 @@ def _nan_values(doc):
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("command", ["eval", "plot-weights"])
+# "plot-weights": the signed-weight eval, which also writes weights_hist.csv
+@pytest.mark.parametrize("extra", [[], ["--task", "signed-weight"]], ids=["eval", "plot-weights"])
 @pytest.mark.parametrize("content", [_missing, _not_json, _empty, _truncated_payload,
                                      _nan_values])
-def test_bad_checkpoint_exits_2(trained_run, tmp_path, capsys, command, content):
+def test_bad_checkpoint_exits_2(trained_run, tmp_path, capsys, extra, content):
     cfg, ckpt = trained_run
     bad = tmp_path / "bad.json"
     text = content(json.loads(Path(ckpt).read_text()))
     if text is not None:
         bad.write_text(text)
-    assert main([command, "--config", cfg, "--checkpoint", str(bad),
+    assert main(["eval", "--config", cfg, "--checkpoint", str(bad), *extra,
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {bad}: bad checkpoint: ")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("run", ["trained_run", "weight_run"])
+def test_non_finite_decoder_outputs_exit_3(request, tmp_path, capsys, run):
+    cfg, ckpt = request.getfixturevalue(run)
+    doc = json.loads(Path(ckpt).read_text())
+    # finite at float32, so the checkpoint loads, but the decoder overflows
+    for name in ("decoder.b1", "decoder.w2"):
+        entry = doc["params"][name]
+        entry["data"] = _encode(np.full(entry["shape"], 3e38))
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    assert main(["eval", "--config", cfg, "--checkpoint", str(huge),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: non-finite decoder outputs")
 
 
 def test_eval_dump_raw_writes_predictions_csv(trained_run, tmp_path, capsys):
@@ -451,9 +476,10 @@ def weight_run(tmp_path_factory, dataset):
 def test_plot_weights_histogram(weight_run, tmp_path, capsys):
     cfg, ckpt = weight_run
     out = tmp_path / "plot-out"
-    assert main(["plot-weights", "--config", cfg, "--checkpoint", ckpt,
+    assert main(["eval", "--config", cfg, "--checkpoint", ckpt, "--task", "signed-weight",
                  "--out", str(out)]) == 0
-    printed = json.loads(capsys.readouterr().out)
+    printed = json.loads(capsys.readouterr().out)["metrics"]
+    assert printed == json.loads((out / "eval_report.json").read_text())["metrics"]
     with open(out / "weights_hist.csv") as fh:
         rows = list(csv.DictReader(fh))
     true_counts = np.array([int(r["true_count"]) for r in rows])

@@ -12,12 +12,10 @@ from dysignet.events import DatasetSplit, SignedEvent, chronological_split
 from dysignet.harness import (
     Predictions,
     TrainConfig,
-    ablation_table,
     build_model,
     evaluate_sequential,
     metric_bundle,
     resolve_time_scale,
-    run_ablation,
     train,
 )
 from dysignet.heads import PairDecoder, TaskKind, task_loss
@@ -421,25 +419,6 @@ def test_negatives_only_for_tasks_that_need_them(small_split):
         assert (report.n_negative > 0) == has_neg
         if has_neg:
             assert report.n_negative == report.n_real
-
-
-def test_run_ablation_structure(tmp_path):
-    log, _ = generate_balanced_stream(n_nodes=20, n_events=160, seed=8)
-    log.write_csv(tmp_path / "d.csv")
-    base = tiny_config(task=TaskKind.SIGNED_EXISTENCE, batch_size=40,
-                       max_epochs=1, patience=1, dataset=str(tmp_path / "d.csv"))
-    reports = run_ablation(base)
-    assert list(reports) == ["none", "ba", "emb", "mem"]
-    assert reports["emb"].embedding_source == "concatenated memories"
-    assert reports["mem"].embedding_source == "attention over interaction time and magnitude"
-    for rep in reports.values():
-        assert rep.seed == base.seed
-        assert rep.params_frozen
-
-    table = ablation_table(reports)
-    lines = table.strip().split("\n")
-    assert lines[0].startswith("variant,embedding_source,")
-    assert len(lines) == 5
 
 
 def test_eval_report_serializable(small_split):
