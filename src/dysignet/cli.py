@@ -115,9 +115,12 @@ def resolve_config(args) -> TrainConfig:
     }
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        return TrainConfig.from_dict(values)
+        config = TrainConfig.from_dict(values)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad configuration: {exc}") from None
+    if not config.dataset:
+        raise UsageError("a dataset is required (--dataset or config file)")
+    return config
 
 
 def make_out_dir(args, command: str) -> Path:
@@ -155,8 +158,6 @@ def write_manifest(out_dir: Path, command: str, args, config: dict | None) -> No
 
 def _load_bundle(args):
     config = resolve_config(args)
-    if not config.dataset:
-        raise UsageError("a dataset is required (--dataset or config file)")
     split = load_dataset(config)
     config = resolve_time_scale(config, split)
     bundle = build_model(config)
@@ -202,8 +203,6 @@ def cmd_stats(args) -> int:
 
 def cmd_train(args) -> int:
     config = resolve_config(args)
-    if not config.dataset:
-        raise UsageError("a dataset is required (--dataset or config file)")
     out_dir = make_out_dir(args, "train")
     write_manifest(out_dir, "train", args, config.to_dict())
     result = train(config)
@@ -223,8 +222,7 @@ def _write_weights_hist(path: Path, preds: Predictions) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["weight", "true_count", "predicted_count"])
-        for value, tc, pc in zip(bins, true_counts, pred_counts):
-            writer.writerow([int(value), int(tc), int(pc)])
+        writer.writerows(zip(bins.tolist(), true_counts.tolist(), pred_counts.tolist()))
 
 
 def cmd_eval(args) -> int:

@@ -92,7 +92,6 @@ from __future__ import annotations
 
 import hashlib
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -356,6 +355,12 @@ class EncoderState:
         return state
 
 
+def first_seen(nodes: np.ndarray) -> np.ndarray:
+    """The distinct ids in ``nodes`` in the order they first appear."""
+    _, first = np.unique(nodes, return_index=True)
+    return nodes[np.sort(first)]
+
+
 def _encode_dt(config, dt: np.ndarray) -> np.ndarray:
     """Encoded float64 time gaps; the model casts them to its dtype."""
     # time_scale is None or > 0 (TrainConfig checks), and None means 1.0
@@ -466,15 +471,14 @@ class EncoderModel:
         parts = [state.read_memory(nodes, slot) for slot in range(self.config.slot_count)]
         return parts[0] if len(parts) == 1 else concat(parts, axis=1)
 
-    def compute_embeddings(self, nodes: Sequence[int], t: float,
-                           state: EncoderState) -> tuple[Tensor, dict[int, int]]:
-        """Batched embeddings for distinct nodes; returns (matrix, node->row)."""
-        nodes = list(dict.fromkeys(nodes))
-        index = {n: i for i, n in enumerate(nodes)}
-        ids = np.asarray(nodes, dtype=np.intp)
+    def compute_embeddings(self, nodes: np.ndarray, t: float,
+                           state: EncoderState) -> tuple[Tensor, np.ndarray]:
+        """Embeddings of the ids in ``nodes``, which may repeat: (z, ids), where
+        ``ids = first_seen(nodes)`` and row ``i`` of ``z`` embeds ``ids[i]``."""
+        ids = first_seen(nodes)
         hq = self._node_state_matrix(ids, state)
         if not self.config.ablation.use_embedding_layer:
-            return hq, index
+            return hq, ids
         order, sizes, rows = state.history.recent(ids, self.config.neighbor_cap)
         nbr, times, mags = state.history.read(rows)
         uniq, inv = np.unique(nbr, return_inverse=True)
@@ -483,4 +487,4 @@ class EncoderModel:
         extras[:, 1] = mags
         out, _ = self.attn.apply(hq, self._node_state_matrix(uniq, state), inv, extras,
                                  order, sizes)
-        return out, index
+        return out, ids

@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .encoder import AblationConfig, EncoderModel, EncoderState
+from .encoder import AblationConfig, EncoderModel, EncoderState, first_seen
 from .events import DataError, DatasetSplit, EventLog, batches, chronological_split, parse_csv
 from .heads import PairDecoder, TaskKind, negative_sample, task_labels, task_loss, task_outputs
 from .metrics import accuracy, auroc, f1_binary, f1_multiclass, regression_metrics
@@ -197,41 +197,34 @@ def _online(bundle: ModelBundle, state: EncoderState, universe: dict, events, rn
             scaler, counters):
     """Predict-then-ingest over ``events`` in batches.
 
-    Per batch: for a task that samples negatives, add its endpoints to
-    ``universe`` (the seen node ids in first-seen order, the pool negatives
-    are drawn from); build the pairs and labels, score them against
-    ``state`` as built from earlier batches only, yield ``(outputs,
-    targets, predictions)``, and ingest the batch into ``state`` when
-    resumed.  ``targets`` are the labels in training units (standardized
-    weights under ``scaler``).  A batch whose outputs are not all finite
-    raises ``NumericError``."""
+    Per batch: build the scored pairs once, as (k, 2) int64 node ids, the
+    batch's events and then, for a task that samples negatives, one
+    corrupted pair per event drawn from ``universe``, the seen node ids in
+    first-seen order, which first takes in the batch's endpoints.  Score
+    them against ``state`` as built from earlier batches only, yield
+    ``(outputs, targets, predictions)`` and ingest the batch when resumed.
+    ``targets`` are the labels in training units (standardized weights
+    under ``scaler``).  Non-finite outputs raise ``NumericError``."""
     task = bundle.config.task
     for batch in batches(events, bundle.config.batch_size):
         qtime = state.watermark
         if qtime > batch.time[0]:
             counters["causality"] += 1
-        time, src, dst = batch.time, batch.src.astype(np.int64), batch.dst.astype(np.int64)
-        nodes = np.column_stack([src, dst]).ravel().tolist()  # src0, dst0, src1, ...
-        k = 0
+        pairs, time = np.stack([batch.src, batch.dst], axis=1, dtype=np.int64), batch.time
         if task.needs_negatives:
-            universe.update(dict.fromkeys(nodes))
-            pool = np.fromiter(universe, np.int64, len(universe))
-            neg = negative_sample(batch, pool, rng)
-            k = len(neg)
-            nodes += neg.ravel().tolist()
-            src, dst = np.concatenate([src, neg[:, 0]]), np.concatenate([dst, neg[:, 1]])
-            time = np.concatenate([time, time[:k]])
-        label = task_labels(task, batch.weight, k)
+            universe.update(dict.fromkeys(first_seen(pairs.ravel()).tolist()))
+            neg = negative_sample(batch, np.fromiter(universe, np.int64, len(universe)), rng)
+            pairs, time = np.concatenate([pairs, neg]), np.concatenate([time, time[:len(neg)]])
+        label = task_labels(task, batch.weight, len(pairs) - len(batch))
         is_real = np.arange(len(label)) < len(batch)
-        z, index = bundle.encoder.compute_embeddings(nodes, qtime, state)
-        outputs = bundle.decoder.score_rows(z, index, list(zip(nodes[::2], nodes[1::2])))
+        z, ids = bundle.encoder.compute_embeddings(pairs.ravel(), qtime, state)
+        outputs = bundle.decoder.score_rows(z, ids, pairs)
         if not np.isfinite(outputs.data).all():
-            raise NumericError(
-                f"non-finite decoder outputs in the batch at time {batch.time[0]:g}")
+            raise NumericError(f"non-finite decoder outputs in the batch at time {batch.time[0]:g}")
         output, targets = task_outputs(task, outputs.data), label
         if scaler:   # standardized regression targets; predictions in raw units
             output, targets = output * scaler[1] + scaler[0], (label - scaler[0]) / scaler[1]
-        yield outputs, targets, Predictions(src, dst, time, output, label, is_real)
+        yield outputs, targets, Predictions(*pairs.T, time, output, label, is_real)
         del z, outputs   # the caller owns the tape now; ingesting needs none of it
         bundle.encoder.process_batch(batch, state)
 
@@ -443,7 +436,7 @@ def evaluate_sequential(bundle: ModelBundle, split: DatasetSplit, which: str = "
     config = bundle.config
     checksum_before = bundle.params.checksum()
     state = bundle.new_state(split.log.slice(0, stop))
-    universe = (dict.fromkeys(np.column_stack([prior.src, prior.dst]).ravel().tolist())
+    universe = (dict.fromkeys(first_seen(np.stack([prior.src, prior.dst], 1).ravel()).tolist())
                 if config.task.needs_negatives else {})
     if neg_seed is None:
         neg_seed = (config.seed, 303, 0 if which == "val" else 1)

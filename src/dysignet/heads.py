@@ -55,10 +55,13 @@ class PairDecoder:
         self.net = Feedforward(params, name, 2 * embedding_dim, task.arity,
                                hidden_dim=embedding_dim, rng=rng)
 
-    def score_rows(self, z: Tensor, index: dict[int, int], pairs) -> Tensor:
-        """Batched scoring: gather embedding rows per ordered pair."""
-        left = gather_stack([(z, index[u]) for u, _ in pairs])
-        right = gather_stack([(z, index[v]) for _, v in pairs])
+    def score_rows(self, z: Tensor, ids: np.ndarray, pairs: np.ndarray) -> Tensor:
+        """Scores of the (k, 2) node ``pairs``, one row each, where row ``i``
+        of ``z`` embeds ``ids[i]``; ``ids`` are distinct and hold every node."""
+        order = np.argsort(ids)
+        rows = order[np.searchsorted(ids, pairs, sorter=order)]
+        left = gather_stack([(z, r) for r in rows[:, 0].tolist()])
+        right = gather_stack([(z, r) for r in rows[:, 1].tolist()])
         return self.net.apply(concat([left, right], axis=1))
 
 

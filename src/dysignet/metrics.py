@@ -7,7 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import NumericError
+
 KL_SMOOTHING = 1e-6
+MAX_HISTOGRAM_BINS = 1 << 20   # 8 MB of int64 counts per set of weights
 
 
 def _validate_binary(scores, labels):
@@ -94,15 +97,14 @@ def weight_histograms(actual, predicted):
 
     Returns (bin_values, actual_counts, predicted_counts); this is the
     shared binning for both the KL divergence and the histogram export.
+    Raises NumericError for a range past ``MAX_HISTOGRAM_BINS`` bins.
     """
-    actual = np.rint(np.asarray(actual, dtype=np.float64)).astype(int)
-    predicted = np.rint(np.asarray(predicted, dtype=np.float64)).astype(int)
-    lo = int(min(actual.min(), predicted.min()))
-    hi = int(max(actual.max(), predicted.max()))
-    bins = np.arange(lo, hi + 1)
-    a_counts = np.bincount(actual - lo, minlength=bins.size)
-    p_counts = np.bincount(predicted - lo, minlength=bins.size)
-    return bins, a_counts, p_counts
+    sets = [np.rint(np.asarray(x, dtype=np.float64)) for x in (actual, predicted)]
+    lo, hi = np.minimum(*(x.min() for x in sets)), np.maximum(*(x.max() for x in sets))
+    if not hi - lo < MAX_HISTOGRAM_BINS:   # NaN and inf fail it too
+        raise NumericError(f"weights {lo:g}..{hi:g} need over {MAX_HISTOGRAM_BINS} histogram bins")
+    bins = np.arange(int(lo), int(hi) + 1)
+    return bins, *(np.bincount((x - lo).astype(int), minlength=bins.size) for x in sets)
 
 
 def kl_divergence_hist(actual, predicted) -> float:

@@ -128,8 +128,9 @@ def test_criterion_2_gradient_suite():
             state = bundle.new_state(log_of([e1, e2]))
             bundle.encoder.process_batch(log_of([e1]), state)
             bundle.encoder.process_batch(log_of([e2]), state)
-            z, index = bundle.encoder.compute_embeddings([0, 1, 2], 3.0, state)
-            out = bundle.decoder.score_rows(z, index, [(0, 1), (2, 0)])
+            pairs = np.array([(0, 1), (2, 0)])
+            z, ids = bundle.encoder.compute_embeddings(pairs.ravel(), 3.0, state)
+            out = bundle.decoder.score_rows(z, ids, pairs)
             return (out, *task_loss(TaskKind.EXISTENCE, out, labels))
 
         assert max_grad_error(full_loss, bundle.params) < tol

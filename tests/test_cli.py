@@ -18,7 +18,7 @@ from dysignet.events import DataError, compute_stats, parse_csv
 from dysignet.harness import TrainConfig, evaluate_sequential
 from dysignet.heads import TaskKind
 from dysignet.metrics import auroc, f1_binary, kl_divergence_hist
-from dysignet.params import _encode
+from dysignet.params import ParameterSet, _encode
 from dysignet.synthetic import generate_balanced_stream
 from helpers import edge_list_texts
 
@@ -492,6 +492,20 @@ def test_plot_weights_histogram(weight_run, tmp_path, capsys):
     predicted = np.repeat(values, pred_counts)
     assert printed["kl_div"] == pytest.approx(kl_divergence_hist(actual, predicted),
                                               abs=1e-12)
+
+
+def test_eval_of_a_huge_predicted_weight_exits_3(weight_run, tmp_path, capsys):
+    # outputs stay finite at float32, but their histogram would span ~3e38
+    # integer bins
+    cfg, ckpt = weight_run
+    params = ParameterSet.load(ckpt)
+    params["decoder.w2"].data[...] = 3e38
+    huge = tmp_path / "huge.json"
+    params.save(huge)
+    assert main(["eval", "--config", cfg, "--checkpoint", str(huge), "--task", "signed-weight",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "histogram bins" in err
 
 
 def test_default_out_root_env(dataset, tmp_path, capsys):

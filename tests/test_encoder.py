@@ -66,8 +66,8 @@ def _ev(t, u, v, w):
 
 def embed(enc, node, t, state):
     """One node's row of the batched embedding path."""
-    z, index = enc.compute_embeddings([node], t, state)
-    return z.data[index[node]]
+    z, _ = enc.compute_embeddings(np.array([node]), t, state)
+    return z.data[0]
 
 
 # ---------------------------------------------------------------- routing
@@ -477,10 +477,23 @@ def test_embedding_batch_path_equals_reference_path():
                     float(rng.choice([-2, 1]))) for t in range(10)]
         state = seeded_state(enc, warm)
         nodes = list(range(8))  # includes untouched nodes with empty histories
-        z, index = enc.compute_embeddings(nodes, 20.0, state)
-        for n in nodes:
+        z, ids = enc.compute_embeddings(np.array(nodes), 20.0, state)
+        for i, n in enumerate(ids):
             single = compute_embedding(enc, n, 20.0, state)
-            assert np.allclose(z.data[index[n]], single, atol=1e-12), ablation
+            assert np.allclose(z.data[i], single, atol=1e-12), ablation
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 11), min_size=1, max_size=24))
+def test_embedding_rows_follow_first_seen_order(nodes):
+    # a node array with repeats embeds its distinct ids in first-seen
+    # order, the row order the history's ties and the scatter sums rest on
+    enc, _, _ = make_encoder(seed=12)
+    state = seeded_state(enc, [_ev(t + 1, t % 4, 4 + t % 5, (-1.0) ** t) for t in range(10)])
+    z, ids = enc.compute_embeddings(np.array(nodes), 20.0, state)
+    assert ids.tolist() == list(dict.fromkeys(nodes))
+    distinct, _ = enc.compute_embeddings(ids, 20.0, state)
+    assert np.array_equal(z.data, distinct.data)
 
 
 def test_embedding_reads_each_distinct_neighbour_once(monkeypatch):
@@ -497,7 +510,7 @@ def test_embedding_reads_each_distinct_neighbour_once(monkeypatch):
     read = state.read_memory
     monkeypatch.setattr(state, "read_memory",
                         lambda n, slot: reads.append(n.size) or read(n, slot))
-    enc.compute_embeddings(nodes, 40.0, state)
+    enc.compute_embeddings(np.array(nodes), 40.0, state)
     # per slot: one read of the queries, then one of the distinct neighbours
     slots = enc.config.slot_count
     assert reads == [len(nodes)] * slots + [distinct] * slots
@@ -550,8 +563,8 @@ def test_emb_ablation_embedding_is_concatenated_memories():
     z = compute_embedding(enc, 0, 5.0, state)
     expected = np.concatenate([memory_value(state, 0, POS), memory_value(state, 0, NEG)])
     assert np.array_equal(z, expected)
-    zb, index = enc.compute_embeddings([0, 1], 5.0, state)
-    assert np.array_equal(zb.data[index[0]], expected)
+    zb, ids = enc.compute_embeddings(np.array([0, 1]), 5.0, state)
+    assert np.array_equal(zb.data[ids.tolist().index(0)], expected)
 
 
 def test_mem_ablation_has_no_memory_state():
@@ -578,7 +591,7 @@ def test_mem_embedding_is_history_mean_of_time_and_magnitude(monkeypatch):
     monkeypatch.setattr(enc.attn, "apply", lambda *a: calls.append(apply(*a)) or calls[-1])
     t = 9.0
     nodes = [0, 1, 2, 7]
-    z, index = enc.compute_embeddings(nodes, t, state)
+    z, ids = enc.compute_embeddings(np.array(nodes), t, state)
     _, sizes, _ = state.history.recent(np.array(nodes), 3)
     position = np.concatenate([np.arange(m) for m in sizes])   # row -> its query
     count = (sizes[None, :] > position[:, None]).sum(axis=1)
@@ -591,7 +604,7 @@ def test_mem_embedding_is_history_mean_of_time_and_magnitude(monkeypatch):
         assert len(rows) == min(3, sum(n in (ev.src, ev.dst) for ev in events))
         mean = (np.mean([[config.time_scale * np.log1p(t - tau), mag] for _, tau, mag in rows],
                         axis=0) if rows else np.zeros(2))
-        assert np.allclose(z.data[index[n]], wv @ mean, atol=1e-12)
+        assert np.allclose(z.data[ids.tolist().index(n)], wv @ mean, atol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -645,7 +658,7 @@ def _check_chained_memory_gradients():
         state = state_over(enc, *batches)
         for batch in batches:
             enc.process_batch(log_of(batch), state)
-        z, _ = enc.compute_embeddings(list(range(5)), 30.0, state)
+        z, _ = enc.compute_embeddings(np.arange(5), 30.0, state)
         g = backward(z, w, leaves=params.tensors())
         return [g[p] for p in params.tensors()]
 
@@ -851,7 +864,7 @@ def test_taped_ingest_gradients_equal_the_per_event_oracle():
         with no_grad():
             enc.process_batch(log_of(warm), state)
         ingest(state)
-        z, _ = enc.compute_embeddings(queries, 60.0, state)
+        z, _ = enc.compute_embeddings(np.array(queries), 60.0, state)
         grads = backward(z, w, leaves=params.tensors())
         return state, [grads[p] for p in params.tensors()]
 

@@ -74,13 +74,18 @@ def test_score_pair_matches_feedforward_oracle():
 
 
 def test_score_rows_matches_score_pair():
+    # events then negatives, as the harness scores them: endpoints repeat,
+    # ids are in first-seen order, not sorted, and 0 and 7 come only from
+    # the negatives
     ps, dec = _decoder(3, TaskKind.SIGNED_EXISTENCE, seed=6)
     rng = np.random.default_rng(7)
-    z = Tensor(rng.normal(size=(4, 3)))
-    pairs = [(0, 1), (2, 3), (1, 1)]
-    batched = dec.score_rows(z, {i: i for i in range(4)}, pairs).data
-    for i, (u, v) in enumerate(pairs):
-        single = score_pair(dec, z.data[u], z.data[v])
+    pairs = np.array([(5, 2), (9, 5), (2, 2), (5, 0), (9, 7), (2, 5)])
+    ids = np.array([5, 2, 9, 0, 7])
+    z = Tensor(rng.normal(size=(ids.size, 3)))
+    batched = dec.score_rows(z, ids, pairs).data
+    row = {n: i for i, n in enumerate(ids.tolist())}
+    for i, (u, v) in enumerate(pairs.tolist()):
+        single = score_pair(dec, z.data[row[u]], z.data[row[v]])
         assert np.allclose(batched[i], single, atol=1e-14)
 
 
@@ -242,7 +247,7 @@ def test_zero_error_regression_batch_takes_a_finite_adam_step():
     # not the NaN of d / (n * 0), so the batch trains instead of aborting
     ps, dec = _decoder(3, TaskKind.SIGNED_WEIGHT, seed=12)
     z = Tensor(np.random.default_rng(13).normal(size=(3, 3)))
-    out = dec.score_rows(z, {i: i for i in range(3)}, [(0, 1), (1, 2)])
+    out = dec.score_rows(z, np.arange(3), np.array([(0, 1), (1, 2)]))
     value, grad = task_loss(TaskKind.SIGNED_WEIGHT, out, out.data[:, 0].astype(np.float64))
     assert value == 0.0 and not grad.any()
     before = ps.copy_values()
@@ -279,10 +284,10 @@ def test_loss_gradients_through_decoder(task, labels):
     ps, dec = _decoder(3, task, seed=8)
     rng = np.random.default_rng(9)
     z = Tensor(rng.normal(size=(4, 3)))
-    pairs = [(0, 1), (2, 3), (1, 2)]
+    pairs = np.array([(0, 1), (2, 3), (1, 2)])
 
     def build():
-        out = dec.score_rows(z, {i: i for i in range(4)}, pairs)
+        out = dec.score_rows(z, np.arange(4), pairs)
         return (out, *task_loss(task, out, labels))
 
     assert max_grad_error(build, ps) < 1e-5
@@ -293,11 +298,11 @@ def test_ce3_gradients_through_decoder():
     ps, dec = _decoder(3, TaskKind.SIGNED_EXISTENCE, seed=10)
     rng = np.random.default_rng(11)
     z = Tensor(rng.normal(size=(4, 3)))
-    pairs = [(0, 1), (2, 3), (1, 2)]
+    pairs = np.array([(0, 1), (2, 3), (1, 2)])
     labels = np.array([0, 2, 1])
 
     def build():
-        out = dec.score_rows(z, {i: i for i in range(4)}, pairs)
+        out = dec.score_rows(z, np.arange(4), pairs)
         return (out, *task_loss(TaskKind.SIGNED_EXISTENCE, out, labels))
 
     assert max_grad_error(build, ps) < 1e-5

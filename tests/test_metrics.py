@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from dysignet.metrics import (
     regression_metrics,
     weight_histograms,
 )
+from dysignet.params import NumericError
 
 import oracles
 
@@ -190,6 +193,21 @@ def test_weight_histograms_cover_union_range():
     bins, a, p = weight_histograms(np.array([-2.0, 0.4]), np.array([3.0, 2.6]))
     assert list(bins) == [-2, -1, 0, 1, 2, 3]
     assert a.sum() == 2 and p.sum() == 2
+
+
+def test_weight_histograms_refuse_a_range_past_the_bin_cap_before_allocating():
+    # 1e9 bins would be 8 GB of counts; the span is checked first
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericError, match="histogram bins"):
+            weight_histograms(np.array([-2.0, 3.0]), np.array([1e9]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for bad in (3e38, np.nan, -np.inf):
+        with pytest.raises(NumericError):
+            weight_histograms(np.array([0.0]), np.array([bad]))
 
 
 @settings(max_examples=100, deadline=None)

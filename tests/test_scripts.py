@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dysignet.encoder import AblationConfig
 from dysignet.harness import TrainConfig, build_model, evaluate_sequential, load_dataset, train
@@ -122,3 +124,48 @@ def test_memory_peak_prints_three_peaks_per_stream(tmp_path):
                                             ["wide-cold", "sign"]]
     assert all(len(line) == 5 and all(int(peak) > 0 for peak in line[2:]) for line in lines)
     assert not list(tmp_path.iterdir())
+
+
+def _ab_bench():
+    spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "scripts" / "ab_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result_line(failed=0, **values):
+    """A result line as ``bench/run.py`` prints it last."""
+    return json.dumps({"correct": not failed, "attempted": 20, "failed": failed,
+                       "metrics": {k: {"value": v, "unit": "1/s"} for k, v in values.items()}})
+
+
+def test_ab_bench_summarizes_canned_result_lines():
+    ab = _ab_bench()
+    rate = {"name": "train_events_per_s", "better": "higher", "bound": 0.25}
+    loss = {"name": "train_loss", "better": "lower", "bound": 0.15}
+    progress = "stream: {}\niteration 1: train 9.0 events/s\n"
+    assert ab.bench_result(progress) is None and ab.bench_result("") is None
+
+    def runs(*rates, loss=0.5, failed=0):
+        return [ab.bench_result(progress + _result_line(failed, train_events_per_s=r,
+                                                        train_loss=loss)) for r in rates]
+
+    parent = runs(100.0, 104.0, 96.0, 100.0)
+    same = ab.summarize(rate, parent, runs(100.0, 104.0, 96.0, 100.0))   # A/A
+    assert same["parent"] == same["change"] == {"median": 100.0, "q1": 99.0, "q3": 101.0}
+    assert (same["ratio"], same["wins"], same["ties"], same["verdict"]) == (1.0, 0, 4, "ok")
+    assert same["failed_share"] == [0.0, 0.0] and same["pairs"] == 4
+
+    slower = ab.summarize(rate, parent, runs(70.0, 74.0, 72.0, 73.0))
+    assert slower["ratio"] == pytest.approx(0.725) and slower["verdict"] == "worse"
+    faster = ab.summarize(rate, parent, runs(120.0, 110.0, 95.0, 101.0))
+    assert faster["wins"] == 3 and faster["verdict"] == "ok"
+    lower = ab.summarize(loss, parent, runs(1.0, 1.0, 1.0, 1.0, loss=0.4))
+    assert lower["wins"] == 4 and lower["ratio"] == pytest.approx(0.8)
+    noisy = ab.summarize(rate, parent, runs(50.0, 150.0, 60.0, 140.0))
+    assert noisy["verdict"] == "spread"
+
+    assert ab.summarize(rate, parent, parent[:3] + [None])["verdict"] == "failed"
+    failing = ab.summarize(rate, parent, runs(100.0, 104.0, 96.0, 100.0, failed=1))
+    assert failing["failed_share"] == [0.0, 0.05] and failing["verdict"] == "failed"
+    assert ab.summarize(rate, [None] * 2, [None] * 2)["verdict"] == "failed"
